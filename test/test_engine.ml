@@ -254,6 +254,96 @@ let test_rejects_bad_arguments () =
   expect_invalid "Par.run jobs=0" (fun () ->
       Par.run ~jobs:0 [| (fun () -> ()) |])
 
+(* ---- golden bytes ----------------------------------------------------- *)
+
+(* One digest over the exact bits of every sampling estimate the engine
+   produces, pinned when the sampling loops were consolidated: any
+   change to shard quotas, draw order, merge order or the stop rule
+   moves it. *)
+
+let render_estimate b e =
+  Printf.bprintf b "%h|%h|%d|%s|%s|" e.Engine.value e.Engine.std_error
+    e.Engine.n_samples
+    (Engine.method_name e.Engine.method_)
+    (Engine.stop_reason_name e.Engine.stop);
+  let opt = function None -> "-" | Some x -> Printf.sprintf "%h" x in
+  Printf.bprintf b "%s|%s|%s\n" (opt e.Engine.hier_bound) (opt e.Engine.ess)
+    (match e.Engine.proposal with
+    | None -> "-"
+    | Some (Engine.Prop_cone m) -> Printf.sprintf "cone%d" m
+    | Some p -> Engine.proposal_used_name p)
+
+let render_samples b xs =
+  Array.iter (fun x -> Printf.bprintf b "%h;" x) xs;
+  Buffer.add_char b '\n'
+
+let golden_digest () =
+  Spv_analysis.Cones.install_engine_proposal ();
+  let ff = Spv_process.Flipflop.default tech in
+  let chain () = Array.init 3 (fun _ -> Gen.inverter_chain ~depth:10 ()) in
+  let flat = Engine.Ctx.of_circuits ~ff tech (chain ()) in
+  let hier =
+    Engine.Ctx.of_circuits ~mode:Engine.Hierarchical ~block_gates:4 ~ff tech
+      (chain ())
+  in
+  let b = Buffer.create 4096 in
+  let est = render_estimate b in
+  List.iter
+    (fun ctx ->
+      let d = Engine.Ctx.delay_distribution ctx in
+      let q p = G.quantile d ~p in
+      let body = q 0.6 and tail = G.mu d +. (6.0 *. G.sigma d) in
+      let targets = [| q 0.3; body; q 0.97 |] in
+      List.iter
+        (fun method_ ->
+          est
+            (Engine.yield ~method_ ~jobs:2 ~seed:19 ~n:1500 ~batch:256
+               ~min_samples:256 ~rel_se_target:0.05 ~max_samples:2048 ctx
+               ~t_target:body);
+          est
+            (Engine.yield_loss ~method_ ~jobs:2 ~seed:19 ~n:1500 ~batch:256
+               ~min_samples:256 ~rel_se_target:0.05 ~max_samples:2048 ctx
+               ~t_target:body);
+          Array.iter est
+            (Engine.yield_targets ~method_ ~jobs:2 ~seed:19 ~n:1500 ~batch:256
+               ~min_samples:256 ~rel_se_target:0.05 ~max_samples:2048 ctx
+               ~t_targets:targets))
+        Engine.all_methods;
+      est
+        (Engine.yield ~jobs:2 ~seed:19 ~batch:300 ~min_samples:256
+           ~rel_se_target:1e-4 ~max_samples:1000 ctx ~t_target:body);
+      List.iter
+        (fun method_ ->
+          est
+            (Engine.delay_mean ~method_ ~jobs:2 ~seed:23 ~n:1500 ~batch:256
+               ~min_samples:256 ~max_samples:2048 ctx))
+        [ Engine.Mc; Engine.Adaptive_mc ];
+      List.iter
+        (fun proposal ->
+          List.iter
+            (fun t_target ->
+              est
+                (Engine.yield ~method_:Engine.Importance ~proposal ~jobs:2
+                   ~seed:29 ~n:1500 ctx ~t_target);
+              est
+                (Engine.yield_loss ~method_:Engine.Importance ~proposal
+                   ~jobs:2 ~seed:29 ~n:1500 ctx ~t_target))
+            [ body; tail ])
+        [ Engine.Legacy; Engine.Cone_guided ];
+      render_samples b (Engine.sample_delays ~jobs:2 ~seed:31 ctx ~n:300);
+      est (Engine.abb_mc_yield ~jobs:2 ~seed:37 ctx ~n:1500 ~t_target:body);
+      if Engine.Ctx.gate_level ctx then begin
+        render_samples b (Engine.gate_level_delays ~jobs:2 ~seed:41 ctx ~n:120);
+        Array.iter (render_samples b)
+          (Engine.gate_level_stage_samples ~jobs:2 ~seed:43 ctx ~n:120)
+      end)
+    [ moments_ctx (); flat; hier ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_bytes () =
+  Alcotest.(check string) "sampling estimates digest"
+    "e49e1864fbebdbc547020e2ea5ebed43" (golden_digest ())
+
 (* ---- Par ------------------------------------------------------------- *)
 
 let test_par_run_preserves_order () =
@@ -297,6 +387,8 @@ let suite =
       test_refresh_stage_matches_fresh_context;
     Alcotest.test_case "rejects bad arguments" `Quick
       test_rejects_bad_arguments;
+    Alcotest.test_case "sampling estimates golden bytes" `Quick
+      test_golden_bytes;
     Alcotest.test_case "Par.run preserves order" `Quick
       test_par_run_preserves_order;
     Alcotest.test_case "Par.run propagates exceptions" `Quick
