@@ -1295,7 +1295,6 @@ let perf_tests () =
   let pipeline = Spv_core.Pipeline.make stage_objs ~corr:corr12 in
   let c432 = Spv_circuit.Generators.c432 () in
   let chain = Spv_circuit.Generators.inverter_chain ~depth:10 () in
-  let rng = Spv_stats.Rng.create ~seed:99 in
   [
     Test.make ~name:"clark_max12_corr"
       (Staged.stage (fun () ->
@@ -1306,9 +1305,6 @@ let perf_tests () =
     Test.make ~name:"yield_independent_exact"
       (Staged.stage (fun () ->
            ignore (Spv_core.Yield.independent_exact pipeline ~t_target:115.0)));
-    Test.make ~name:"pipeline_mc_100"
-      (Staged.stage (fun () ->
-           ignore (Spv_core.Yield.monte_carlo pipeline rng ~n:100 ~t_target:115.0)));
     Test.make ~name:"sta_c432"
       (Staged.stage (fun () -> ignore (Spv_circuit.Sta.run tech c432)));
     Test.make ~name:"ssta_stage_chain10"
@@ -1389,12 +1385,13 @@ let () =
               exit 2)
         selected
   in
-  let t0 = Sys.time () in
-  List.iter
-    (fun (id, _descr, run) ->
-      let t = Sys.time () in
-      run ();
-      Printf.printf "\n[%s done in %.1fs]\n" id (Sys.time () -. t))
-    to_run;
-  if not no_perf then run_perf ();
-  Printf.printf "\nTotal bench time: %.1fs\n" (Sys.time () -. t0)
+  let total =
+    wall (fun () ->
+        List.iter
+          (fun (id, _descr, run) ->
+            let t = wall run in
+            Printf.printf "\n[%s done in %.1fs]\n" id t)
+          to_run;
+        if not no_perf then run_perf ())
+  in
+  Printf.printf "\nTotal bench time: %.1fs\n" total

@@ -50,7 +50,10 @@ let () =
   Printf.printf "\nSmallest clock period with 80%% yield: %.0f ps\n" t80;
 
   (* Cross-check the analytic yield with Monte-Carlo. *)
-  let rng = Spv_stats.Rng.create ~seed:1 in
-  let mc = Spv_core.Yield.monte_carlo pipeline rng ~n:100000 ~t_target:t80 in
+  let ctx = Spv_engine.Engine.Ctx.of_pipeline pipeline in
+  let mc =
+    Spv_engine.Engine.yield ~method_:Spv_engine.Engine.Mc ~seed:1 ~n:100_000
+      ctx ~t_target:t80
+  in
   Printf.printf "Monte-Carlo check at that period: %.1f%% (100k samples)\n"
-    (100.0 *. mc)
+    (100.0 *. mc.Spv_engine.Engine.value)

@@ -12,12 +12,14 @@
 module Y = Spv_core.Yield
 module A = Spv_core.Adaptive
 module Rng = Spv_stats.Rng
+module Engine = Spv_engine.Engine
 
 let () =
   let tech = Spv_process.Tech.bptm70 in
   let ff = Spv_process.Flipflop.default tech in
   let nets = Spv_circuit.Generators.inverter_chain_pipeline ~stages:8 ~depth:10 () in
   let pipeline = Spv_core.Pipeline.of_circuits ~ff tech nets in
+  let ctx = Engine.Ctx.of_pipeline pipeline in
   let tp = Spv_core.Pipeline.delay_distribution pipeline in
   Printf.printf "pipeline delay ~ N(%.1f, %.2f) ps\n"
     (Spv_stats.Gaussian.mu tp) (Spv_stats.Gaussian.sigma tp);
@@ -32,16 +34,14 @@ let () =
         Spv_stats.Gaussian.mu tp +. (k *. Spv_stats.Gaussian.sigma tp)
       in
       let analytic = 1.0 -. Y.clark_gaussian pipeline ~t_target in
-      let plain =
-        1.0 -. Y.monte_carlo pipeline (Rng.create ~seed:1) ~n:40_000 ~t_target
+      let loss method_ seed =
+        (Engine.yield_loss ~method_ ~seed ~n:40_000 ctx ~t_target).Engine.value
       in
+      let plain = loss Engine.Mc 1 in
       let lhs =
         1.0 -. Y.monte_carlo_lhs pipeline (Rng.create ~seed:2) ~n:40_000 ~t_target
       in
-      let is =
-        (Y.failure_importance pipeline (Rng.create ~seed:3) ~n:40_000 ~t_target)
-          .Spv_stats.Importance.probability
-      in
+      let is = loss Engine.Importance 3 in
       Printf.printf "  %10.1f %14.2e %14.2e %14.2e %14.2e\n" t_target analytic
         plain lhs is)
     [ 1.0; 2.0; 3.0; 4.0; 5.0 ];

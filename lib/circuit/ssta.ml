@@ -135,30 +135,3 @@ let draw_stage_delays s rng =
 let draw_pipeline_delay s rng =
   draw_stage_delays_into s rng s.s_delays;
   Array.fold_left Float.max neg_infinity s.s_delays
-
-(* ---- legacy array-returning shims ----------------------------------- *)
-
-let mc_stage_delays ?output_load ?exact ?ff tech net rng ~n =
-  if n <= 0 then invalid_arg "Ssta.mc_stage_delays: n <= 0";
-  let s = sampler ?output_load ?exact ?ff tech [| net |] in
-  Array.init n (fun _ -> draw_pipeline_delay s rng)
-
-let mc_per_stage_samples ?output_load ?exact ?pitch ?ff tech nets rng ~n =
-  if Array.length nets = 0 then
-    invalid_arg "Ssta.mc_per_stage_samples: no stages";
-  if n <= 0 then invalid_arg "Ssta.mc_per_stage_samples: n <= 0";
-  let s = sampler ?output_load ?exact ?pitch ?ff tech nets in
-  let samples = Array.make_matrix (Array.length nets) n 0.0 in
-  let out = Array.make (Array.length nets) 0.0 in
-  for trial = 0 to n - 1 do
-    draw_stage_delays_into s rng out;
-    Array.iteri (fun st d -> samples.(st).(trial) <- d) out
-  done;
-  samples
-
-let mc_pipeline_delays ?output_load ?exact ?pitch ?ff tech nets rng ~n =
-  if Array.length nets = 0 then
-    invalid_arg "Ssta.mc_pipeline_delays: no stages";
-  if n <= 0 then invalid_arg "Ssta.mc_pipeline_delays: n <= 0";
-  let s = sampler ?output_load ?exact ?pitch ?ff tech nets in
-  Array.init n (fun _ -> draw_pipeline_delay s rng)

@@ -31,8 +31,8 @@ val stage_gaussian :
 (** {2 Single-trial sampler kernel}
 
     The sampler is the one place gate-level Monte-Carlo trials are
-    drawn; all loops (sequential shims below, and the domain-parallel
-    loops in [Spv_engine.Engine]) are built on it.  Construction
+    drawn; the domain-parallel loops in [Spv_engine.Engine]
+    ([gate_level_delays], [gate_level_stage_samples]) are built on it.  Construction
     pre-computes the die layout, the spatial-correlation factorisation
     and per-stage scratch buffers so a trial only draws variation and
     re-runs STA. *)
@@ -69,32 +69,3 @@ val draw_stage_delays : sampler -> Spv_stats.Rng.t -> float array
 val draw_pipeline_delay : sampler -> Spv_stats.Rng.t -> float
 (** One Monte-Carlo trial: the pipeline delay
     [max_i (Tcq + comb_i + Tsetup)]. *)
-
-(** {2 Legacy array-returning shims}
-
-    Thin sequential wrappers over the sampler kernel, kept for
-    backwards compatibility.  Deprecated: new code should use
-    [Spv_engine.Engine.gate_level_delays] (deterministic, parallel) or
-    the sampler kernel directly. *)
-
-val mc_stage_delays :
-  ?output_load:float -> ?exact:bool -> ?ff:Spv_process.Flipflop.t ->
-  Spv_process.Tech.t -> Netlist.t -> Spv_stats.Rng.t -> n:int -> float array
-(** [n] Monte-Carlo samples of one stage's delay (the stage sits at a
-    single die location). *)
-
-val mc_pipeline_delays :
-  ?output_load:float -> ?exact:bool -> ?pitch:float ->
-  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> Netlist.t array ->
-  Spv_stats.Rng.t -> n:int -> float array
-(** [n] Monte-Carlo samples of the pipeline delay
-    [max_i (Tcq + comb_i + Tsetup)].  Stages are laid out in a row at
-    [pitch] (default 1.0) die units, so their systematic components are
-    spatially correlated; the inter-die component is shared. *)
-
-val mc_per_stage_samples :
-  ?output_load:float -> ?exact:bool -> ?pitch:float ->
-  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> Netlist.t array ->
-  Spv_stats.Rng.t -> n:int -> float array array
-(** Same sampling scheme, but returns the per-stage delay matrix
-    [stage][trial] (used to measure empirical stage correlations). *)

@@ -149,15 +149,6 @@ let sample_delay sm rng =
   done;
   !worst
 
-let mc_yield_with_abb ?policy pipeline rng ~n ~t_target =
-  if n <= 0 then invalid_arg "Adaptive.mc_yield_with_abb: n <= 0";
-  let sm = sampler ?policy pipeline in
-  let pass = ref 0 in
-  for _ = 1 to n do
-    if sample_delay sm rng <= t_target then incr pass
-  done;
-  float_of_int !pass /. float_of_int n
-
 let leakage_overhead ?(policy = default_policy) tech pipeline =
   check policy;
   let d = decompose pipeline in

@@ -54,14 +54,6 @@ val sample_delay : sampler -> Spv_stats.Rng.t -> float
 (** One Monte-Carlo trial of the ABB-corrected pipeline delay (samples
     I, applies the correction, samples the residual stage delays). *)
 
-val mc_yield_with_abb :
-  ?policy:policy -> Pipeline.t -> Spv_stats.Rng.t -> n:int -> t_target:float ->
-  float
-(** Monte-Carlo of the same policy — a thin sequential shim over
-    {!sampler}/{!sample_delay}, the verification path.  Deprecated:
-    new code should use [Spv_engine.Engine.abb_mc_yield]
-    (deterministic, parallel). *)
-
 val leakage_overhead :
   ?policy:policy -> Spv_process.Tech.t -> Pipeline.t -> float
 (** Expected die leakage multiplier induced by the bias policy

@@ -50,11 +50,3 @@ let expected_price pipeline ~edges ~prices =
   let acc = ref 0.0 in
   Array.iteri (fun i b -> acc := !acc +. (b.fraction *. prices.(i))) bins;
   !acc
-
-let mc_frequencies pipeline rng ~n =
-  let delays = Yield.monte_carlo_distribution pipeline rng ~n in
-  Array.map
-    (fun t ->
-      if t <= 0.0 then invalid_arg "Fmax.mc_frequencies: non-positive delay draw";
-      1.0 /. t)
-    delays

@@ -35,7 +35,3 @@ val expected_price : Pipeline.t -> edges:float array -> prices:float array -> fl
 (** Revenue-weighted binning: [prices] has one entry per bin (length
     |edges|+1, slowest bin first).  The classic argument for why sigma
     reduction is worth area. *)
-
-val mc_frequencies :
-  Pipeline.t -> Spv_stats.Rng.t -> n:int -> float array
-(** Monte-Carlo f_max samples (1 / joint delay draw). *)

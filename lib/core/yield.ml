@@ -84,23 +84,6 @@ let stage_yields pipeline ~t_target =
       else G.cdf g t_target)
     (Pipeline.stage_gaussians pipeline)
 
-let monte_carlo_distribution pipeline rng ~n =
-  if n <= 0 then invalid_arg "Yield.monte_carlo_distribution: n <= 0";
-  let mvn = Pipeline.mvn pipeline in
-  Array.init n (fun _ -> Spv_stats.Mvn.sample_max mvn rng)
-
-let monte_carlo pipeline rng ~n ~t_target =
-  let samples = monte_carlo_distribution pipeline rng ~n in
-  Spv_stats.Descriptive.fraction_below samples ~threshold:t_target
-
-let monte_carlo_adaptive ?batch ?min_samples ?rel_se_target ?max_samples
-    pipeline rng ~t_target =
-  if not (Float.is_finite t_target) then
-    invalid_arg "Yield.monte_carlo_adaptive: non-finite t_target";
-  let mvn = Pipeline.mvn pipeline in
-  Spv_stats.Mc.estimate_probability ?batch ?min_samples ?rel_se_target
-    ?max_samples (fun () -> Spv_stats.Mvn.sample_max mvn rng <= t_target)
-
 let monte_carlo_lhs pipeline rng ~n ~t_target =
   if n <= 0 then invalid_arg "Yield.monte_carlo_lhs: n <= 0";
   let mvn = Pipeline.mvn pipeline in
@@ -130,7 +113,3 @@ let wilson_interval ~successes ~trials ~confidence =
     z /. denom *. sqrt ((p *. (1.0 -. p) /. n) +. (z2 /. (4.0 *. n *. n)))
   in
   (Float.max 0.0 (center -. half), Float.min 1.0 (center +. half))
-
-let failure_importance pipeline rng ~n ~t_target =
-  Spv_stats.Importance.failure_above (Pipeline.mvn pipeline) rng ~n
-    ~threshold:t_target

@@ -47,44 +47,20 @@ val per_stage_yield_target : yield:float -> n_stages:int -> float
 val stage_yields : Pipeline.t -> t_target:float -> float array
 (** Per-stage standalone yields [Phi((T - mu_i)/sigma_i)]. *)
 
-(** The [monte_carlo*] functions below are thin sequential shims over
-    {!Spv_stats.Mvn.sample_max}, kept as references and for backwards
-    compatibility.  Deprecated: new code should use
-    [Spv_engine.Engine.yield] / [Spv_engine.Engine.sample_delays]
-    (deterministic, domain-parallel, common [estimate] record). *)
-
-val monte_carlo :
-  Pipeline.t -> Spv_stats.Rng.t -> n:int -> t_target:float -> float
-(** Empirical yield from [n] joint stage-delay draws. *)
-
-val monte_carlo_adaptive :
-  ?batch:int -> ?min_samples:int -> ?rel_se_target:float ->
-  ?max_samples:int -> Pipeline.t -> Spv_stats.Rng.t -> t_target:float ->
-  Spv_stats.Mc.report
-(** Empirical yield with a relative-standard-error early stop and a
-    hard sample cap (defaults as in {!Spv_stats.Mc}): the report says
-    whether the estimate converged or merely exhausted its budget.
-    Raises [Invalid_argument] on a non-finite [t_target]. *)
-
-val monte_carlo_distribution :
-  Pipeline.t -> Spv_stats.Rng.t -> n:int -> float array
-(** Raw pipeline-delay samples (for histograms and moment checks). *)
+(** Monte-Carlo yield lives in [Spv_engine.Engine] (plain, adaptive
+    and importance sampling: deterministic, domain-parallel, one common
+    [estimate] record).  The one sampling estimator kept here is the
+    Latin-hypercube variant, which the engine does not offer. *)
 
 val monte_carlo_lhs :
   Pipeline.t -> Spv_stats.Rng.t -> n:int -> t_target:float -> float
 (** Yield with Latin-hypercube-stratified stage draws
-    ({!Spv_stats.Sampling.mvn_lhs}): same estimand as {!monte_carlo}
-    with markedly lower variance at equal [n]. *)
+    ({!Spv_stats.Sampling.mvn_lhs}): same estimand as plain Monte-Carlo
+    ([Engine.yield ~method_:Mc]) with markedly lower variance at equal
+    [n]. *)
 
 val wilson_interval : successes:int -> trials:int -> confidence:float ->
   float * float
 (** Wilson score interval for a Monte-Carlo yield estimate — the
-    honest error bar to print next to [monte_carlo] results.
+    honest error bar to print next to a sampled yield.
     [confidence] in (0,1), e.g. 0.95. *)
-
-val failure_importance :
-  Pipeline.t -> Spv_stats.Rng.t -> n:int -> t_target:float ->
-  Spv_stats.Importance.estimate
-(** Rare-event yield loss [1 - yield] by mean-shifted importance
-    sampling — usable deep in the tail (e.g. 4-sigma targets) where
-    {!monte_carlo} sees no failures at any affordable [n]. *)

@@ -590,7 +590,7 @@ let postcondition ~where ctx ~t_target e =
        !estimate_checks);
   e
 
-(* ---- deterministic shard-parallel cores ------------------------------ *)
+(* ---- the shard driver ------------------------------------------------ *)
 
 (* Every sampling estimator draws on [shards] independent RNG streams
    split from one seed.  Shard results are merged in fixed shard order,
@@ -610,17 +610,120 @@ let resolve_jobs ~where jobs =
   check_positive ~where "jobs" jobs;
   jobs
 
-let shard_streams ~seed ~shards = Rng.split (Rng.create ~seed) shards
+(* How many trials a run draws: exactly [n] in one round, or rounds of
+   [batch] until the relative standard error reaches [rel_se_target]
+   (once [min_samples] are in) or [max_samples] are drawn. *)
+type budget =
+  | Fixed of int
+  | Adaptive of {
+      batch : int;
+      min_samples : int;
+      rel_se_target : float;
+      max_samples : int;
+    }
 
-let shard_counts n shards =
-  Array.init shards (fun i ->
-      (n / shards) + if i < n mod shards then 1 else 0)
+let fixed ~where n =
+  check_positive ~where "n" n;
+  Fixed n
 
-(* Streaming moments: Welford accumulation per shard, Chan's parallel
-   merge across shards (applied in fixed shard order). *)
+let adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples =
+  check_positive ~where "batch" batch;
+  check_positive ~where "min_samples" min_samples;
+  check_positive ~where "max_samples" max_samples;
+  if not (rel_se_target > 0.0) then
+    invalid_arg (where ^ ": rel_se_target must be positive");
+  Adaptive { batch; min_samples; rel_se_target; max_samples }
+
+(* The one shard driver.  [make] builds each shard's trial state from
+   its stream once, before the first round; the function it returns
+   runs [count] trials, numbered from [first] within the round, and
+   reports the shard's cumulative partial result.  A round of [size]
+   trials gives each shard [size / shards] of them, the first
+   [size mod shards] shards one more, so a fixed-[n] run draws exactly
+   what the first round of an adaptive run with [batch = n] draws.
+   After each adaptive round, [summary] maps the partials and the
+   trials drawn so far to (estimate, standard error) pairs; the run has
+   converged once every estimate is within [rel_se_target]. *)
+let drive ~jobs ~shards ~seed ~budget ~make ~summary =
+  let shard = Array.map make (Rng.split (Rng.create ~seed) shards) in
+  let rec round drawn =
+    let size =
+      match budget with
+      | Fixed n -> n
+      | Adaptive a -> min a.batch (a.max_samples - drawn)
+    in
+    let counts =
+      Array.init shards (fun i ->
+          (size / shards) + if i < size mod shards then 1 else 0)
+    in
+    let first = Array.make shards 0 in
+    for i = 1 to shards - 1 do
+      first.(i) <- first.(i - 1) + counts.(i - 1)
+    done;
+    let parts =
+      Par.run ~jobs
+        (Array.init shards (fun i () ->
+             shard.(i) ~first:first.(i) ~count:counts.(i)))
+    in
+    let drawn = drawn + size in
+    match budget with
+    | Fixed _ -> (parts, drawn, Fixed_n)
+    | Adaptive a ->
+        let converged (value, se) =
+          Float.abs value > 0.0 && se /. Float.abs value <= a.rel_se_target
+        in
+        if
+          drawn >= a.min_samples
+          && Array.for_all converged (summary parts ~drawn)
+        then (parts, drawn, Converged)
+        else if drawn >= a.max_samples then (parts, drawn, Sample_cap)
+        else round drawn
+  in
+  round 0
+
+(* Which side of a target a trial's event is: the pipeline delay meets
+   it ([x <= t], yield) or misses it ([x > t], loss). *)
+type side = Meets | Misses
+
+let binomial_se p n = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n)
+
+(* Counting core: one sample per trial, one event counter per target.
+   A T_target sweep pays for the sampling once, and each target's count
+   equals that of a single-target run at the same (seed, shards,
+   budget).  Returns the per-target counts and the trials drawn. *)
+let count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample =
+  let nt = Array.length targets in
+  let totals parts =
+    Array.init nt (fun k ->
+        Array.fold_left (fun acc hits -> acc + hits.(k)) 0 parts)
+  in
+  let make rng =
+    let sample = make_sample rng and hits = Array.make nt 0 in
+    fun ~first:_ ~count ->
+      for _ = 1 to count do
+        let x = sample () in
+        for k = 0 to nt - 1 do
+          let hit =
+            match side with Meets -> x <= targets.(k) | Misses -> x > targets.(k)
+          in
+          if hit then hits.(k) <- hits.(k) + 1
+        done
+      done;
+      hits
+  in
+  let summary parts ~drawn =
+    Array.map
+      (fun hits ->
+        let p = float_of_int hits /. float_of_int drawn in
+        (p, binomial_se p drawn))
+      (totals parts)
+  in
+  let parts, drawn, stop = drive ~jobs ~shards ~seed ~budget ~make ~summary in
+  (totals parts, drawn, stop)
+
+(* Moments core: Welford accumulation per shard, Chan's parallel merge
+   across shards (applied in fixed shard order). *)
 type moments = { mutable m_n : int; mutable m_mean : float; mutable m_m2 : float }
-
-let moments_create () = { m_n = 0; m_mean = 0.0; m_m2 = 0.0 }
 
 let moments_add m x =
   m.m_n <- m.m_n + 1;
@@ -646,144 +749,54 @@ let mean_se (n, mean, m2) =
   in
   (mean, se)
 
-let count_task trials counts i () =
-  let t = trials.(i) in
-  let s = ref 0 in
-  for _ = 1 to counts.(i) do
-    if t () then incr s
-  done;
-  !s
-
-let bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
-  let counts = shard_counts n shards in
-  let tasks = Array.init shards (count_task trials counts) in
-  Array.fold_left ( + ) 0 (Par.run ~jobs tasks)
-
-(* Multi-threshold Bernoulli: one sample stream, one success counter
-   per target.  Each trial draws exactly one sample (same draws as a
-   single-target [bernoulli_fixed] whose trial is [sample () <= t]),
-   so per-target counts are bit-identical to separate single-target
-   runs at the same (seed, shards, n) — a T_target sweep pays for the
-   sampling once. *)
-let bernoulli_fixed_multi ~jobs ~shards ~seed ~n ~make_sample ~targets =
-  let samplers = Array.map make_sample (shard_streams ~seed ~shards) in
-  let counts = shard_counts n shards in
-  let nt = Array.length targets in
-  let tasks =
-    Array.init shards (fun i () ->
-        let s = samplers.(i) in
-        let succ = Array.make nt 0 in
-        for _ = 1 to counts.(i) do
-          let x = s () in
-          for k = 0 to nt - 1 do
-            if x <= targets.(k) then succ.(k) <- succ.(k) + 1
-          done
-        done;
-        succ)
+(* Returns the merged (n, mean, M2) and the stop reason. *)
+let moments ~jobs ~shards ~seed ~budget ~make_sample =
+  let merge parts = Array.fold_left moments_merge (0, 0.0, 0.0) parts in
+  let make rng =
+    let sample = make_sample rng in
+    let m = { m_n = 0; m_mean = 0.0; m_m2 = 0.0 } in
+    fun ~first:_ ~count ->
+      for _ = 1 to count do
+        moments_add m (sample ())
+      done;
+      (m.m_n, m.m_mean, m.m_m2)
   in
-  let per_shard = Par.run ~jobs tasks in
-  Array.init nt (fun k ->
-      Array.fold_left (fun acc succ -> acc + succ.(k)) 0 per_shard)
+  let summary parts ~drawn:_ = [| mean_se (merge parts) |] in
+  let parts, _, stop = drive ~jobs ~shards ~seed ~budget ~make ~summary in
+  (merge parts, stop)
 
-let bernoulli_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
-    ~max_samples ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
-  let successes = ref 0 and drawn = ref 0 in
-  let stop = ref None in
-  while !stop = None do
-    let round = min batch (max_samples - !drawn) in
-    let counts = shard_counts round shards in
-    let tasks = Array.init shards (count_task trials counts) in
-    Array.iter (fun s -> successes := !successes + s) (Par.run ~jobs tasks);
-    drawn := !drawn + round;
-    let fn = float_of_int !drawn in
-    let p = float_of_int !successes /. fn in
-    let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. fn) in
-    if !drawn >= min_samples && p > 0.0 && se /. p <= rel_se_target then
-      stop := Some Converged
-    else if !drawn >= max_samples then stop := Some Sample_cap
-  done;
-  let stop = match !stop with Some s -> s | None -> assert false in
-  (!successes, !drawn, stop)
-
-let moments_fixed ~jobs ~shards ~seed ~n ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
-  let counts = shard_counts n shards in
-  let tasks =
-    Array.init shards (fun i () ->
-        let t = trials.(i) in
-        let m = moments_create () in
-        for _ = 1 to counts.(i) do
-          moments_add m (t ())
-        done;
-        (m.m_n, m.m_mean, m.m_m2))
+(* Fill core: trial [k] of a fixed-[n] run writes its own output slot,
+   so the sample order is the shard order whatever [jobs] is. *)
+let fill ~jobs ~shards ~seed ~n ~make_trial =
+  let make rng =
+    let trial = make_trial rng in
+    fun ~first ~count ->
+      for k = first to first + count - 1 do
+        trial k
+      done
   in
-  Array.fold_left moments_merge (0, 0.0, 0.0) (Par.run ~jobs tasks)
-
-let moments_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
-    ~max_samples ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
-  let accs = Array.init shards (fun _ -> moments_create ()) in
-  let drawn = ref 0 in
-  let merged = ref (0, 0.0, 0.0) in
-  let stop = ref None in
-  while !stop = None do
-    let round = min batch (max_samples - !drawn) in
-    let counts = shard_counts round shards in
-    let tasks =
-      Array.init shards (fun i () ->
-          let t = trials.(i) and m = accs.(i) in
-          for _ = 1 to counts.(i) do
-            moments_add m (t ())
-          done;
-          (m.m_n, m.m_mean, m.m_m2))
-    in
-    let snaps = Par.run ~jobs tasks in
-    drawn := !drawn + round;
-    merged := Array.fold_left moments_merge (0, 0.0, 0.0) snaps;
-    let mean, se = mean_se !merged in
-    if
-      !drawn >= min_samples
-      && Float.abs mean > 0.0
-      && se /. Float.abs mean <= rel_se_target
-    then stop := Some Converged
-    else if !drawn >= max_samples then stop := Some Sample_cap
-  done;
-  let stop = match !stop with Some s -> s | None -> assert false in
-  (!merged, stop)
-
-let fill_fixed ~jobs ~shards ~seed ~n ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
-  let counts = shard_counts n shards in
-  let offsets = Array.make shards 0 in
-  for i = 1 to shards - 1 do
-    offsets.(i) <- offsets.(i - 1) + counts.(i - 1)
-  done;
-  let out = Array.make n 0.0 in
-  let tasks =
-    Array.init shards (fun i () ->
-        let t = trials.(i) in
-        for k = offsets.(i) to offsets.(i) + counts.(i) - 1 do
-          out.(k) <- t ()
-        done)
-  in
-  ignore (Par.run ~jobs tasks : unit array);
-  out
+  let summary _ ~drawn:_ = [||] in
+  ignore (drive ~jobs ~shards ~seed ~budget:(Fixed n) ~make ~summary)
 
 (* ---- estimators ------------------------------------------------------ *)
 
-let closed ~method_ value =
+let sampled ~method_ ~stop ~n ?ess ?proposal value std_error =
   {
     value;
-    std_error = 0.0;
-    n_samples = 0;
+    std_error;
+    n_samples = n;
     method_;
-    stop = Closed_form;
+    stop;
     hier_bound = None;
-    ess = None;
-    proposal = None;
+    ess;
+    proposal;
   }
+
+let closed ~method_ value = sampled ~method_ ~stop:Closed_form ~n:0 value 0.0
+
+let binomial ~method_ ~stop ~n hits =
+  let p = float_of_int hits /. float_of_int n in
+  sampled ~method_ ~stop ~n p (binomial_se p n)
 
 (* One importance-sampling run shared by yield and loss: resolves the
    proposal (analyzer cones when requested and available, the legacy
@@ -796,7 +809,7 @@ let closed ~method_ value =
    the merged shard moments. *)
 let importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx ~t_target =
   let jobs = resolve_jobs ~where jobs in
-  check_positive ~where "n" n;
+  let budget = fixed ~where n in
   let mvn = Ctx.mvn ctx in
   let cone_shifts =
     match proposal with
@@ -820,15 +833,19 @@ let importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx ~t_target =
     (* Body target: every useful shift is ~0, so reweighted sampling
        is plain sampling with extra variance in the bookkeeping.  Run
        the plain Bernoulli estimator and say so. *)
-    let make_trial rng () = Mvn.sample_max mvn rng > t_target in
-    let fails = bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial in
-    let p = float_of_int fails /. float_of_int n in
-    let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n) in
-    (p, se, float_of_int fails, Prop_plain)
+    let make_sample rng () = Mvn.sample_max mvn rng in
+    let fails, _, _ =
+      count ~jobs ~shards ~seed ~budget ~side:Misses ~targets:[| t_target |]
+        ~make_sample
+    in
+    let p = float_of_int fails.(0) /. float_of_int n in
+    (p, binomial_se p n, float_of_int fails.(0), Prop_plain)
   end
   else begin
-    let make_trial rng () = Spv_stats.Importance.draw_weight plan rng in
-    let n_run, mean, m2 = moments_fixed ~jobs ~shards ~seed ~n ~make_trial in
+    let make_sample rng () = Spv_stats.Importance.draw_weight plan rng in
+    let (n_run, mean, m2), _ =
+      moments ~jobs ~shards ~seed ~budget ~make_sample
+    in
     let p_fail, se = mean_se (n_run, mean, m2) in
     let se = if Float.is_finite se then se else 0.0 in
     let fn = float_of_int n_run in
@@ -845,309 +862,167 @@ let importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx ~t_target =
 
 let cdf0 g t = if G.sigma g = 0.0 then (if G.mu g <= t then 1.0 else 0.0) else G.cdf g t
 let sf0 g t = if G.sigma g = 0.0 then (if G.mu g <= t then 0.0 else 1.0) else G.sf g t
-let clark_yield ctx ~t_target = cdf0 (Ctx.delay_distribution ctx) t_target
+
+let abb_closed_policy = { Spv_core.Adaptive.range = 0.0 }
+
+(* The closed form of [method_]'s family for one side of the target, on
+   one model (a pipeline and its Clark delay distribution): the
+   independent product for [Exact_independent], the zero-range ABB
+   quadrature for [Quadrature], and the Clark Gaussian for Clark and
+   the sampling methods (which draw from the MVN whose max it
+   approximates). *)
+let closed_form side method_ pipeline dist ~t_target =
+  match (method_, side) with
+  | Exact_independent, Meets ->
+      Spv_core.Yield.independent_exact pipeline ~t_target
+  | Exact_independent, Misses ->
+      Spv_core.Yield.independent_exact_loss pipeline ~t_target
+  | Quadrature, Meets ->
+      Spv_core.Adaptive.yield_with_abb ~policy:abb_closed_policy pipeline
+        ~t_target
+  | Quadrature, Misses ->
+      Spv_core.Adaptive.loss_with_abb ~policy:abb_closed_policy pipeline
+        ~t_target
+  | (Analytic_clark | Mc | Adaptive_mc | Importance), Meets -> cdf0 dist t_target
+  | (Analytic_clark | Mc | Adaptive_mc | Importance), Misses -> sf0 dist t_target
 
 (* ---- flat-vs-hierarchical error bounds ------------------------------- *)
 
 (* In hierarchical mode the estimate carries the model gap between the
    context's flat reference (memoised critical-path analyses) and the
    macro-composed model it actually evaluated, measured in the same
-   closed-form family as the estimator: the Clark Gaussian for clark
-   and the sampling methods (which draw from that model's MVN), the
-   independent product for the exact-independent method, quadrature for
-   quadrature.  For closed forms the reported flat and hierarchical
-   values differ by exactly this gap, so the bound is tight by
-   construction; sampling estimators add their own noise on top, which
-   callers account for with a z * std_error allowance. *)
+   closed-form family as the estimator ([closed_form]).  For closed
+   forms the reported flat and hierarchical values differ by exactly
+   this gap, so the bound is tight by construction; sampling estimators
+   add their own noise on top, which callers account for with a
+   z * std_error allowance. *)
 
-let abb_closed_policy = { Spv_core.Adaptive.range = 0.0 }
-
-let hier_gap ~flat_value ~hier_value =
-  Some (Float.abs (flat_value -. hier_value))
-
-let hier_bound_yield ctx ~method_ ~t_target =
-  match Ctx.hier_of ctx with
-  | None -> None
-  | Some h -> (
-      match method_ with
-      | Exact_independent ->
-          hier_gap
-            ~flat_value:
-              (Spv_core.Yield.independent_exact h.Ctx.h_flat ~t_target)
-            ~hier_value:
-              (Spv_core.Yield.independent_exact (Ctx.pipeline ctx) ~t_target)
-      | Quadrature ->
-          hier_gap
-            ~flat_value:
-              (Spv_core.Adaptive.yield_with_abb ~policy:abb_closed_policy
-                 h.Ctx.h_flat ~t_target)
-            ~hier_value:
-              (Spv_core.Adaptive.yield_with_abb ~policy:abb_closed_policy
-                 (Ctx.pipeline ctx) ~t_target)
-      | Analytic_clark | Mc | Adaptive_mc | Importance ->
-          hier_gap
-            ~flat_value:(cdf0 h.Ctx.h_flat_dist t_target)
-            ~hier_value:(cdf0 (Ctx.delay_distribution ctx) t_target))
-
-let hier_bound_loss ctx ~method_ ~t_target =
-  match Ctx.hier_of ctx with
-  | None -> None
-  | Some h -> (
-      match method_ with
-      | Exact_independent ->
-          hier_gap
-            ~flat_value:
-              (Spv_core.Yield.independent_exact_loss h.Ctx.h_flat ~t_target)
-            ~hier_value:
-              (Spv_core.Yield.independent_exact_loss (Ctx.pipeline ctx)
-                 ~t_target)
-      | Quadrature ->
-          hier_gap
-            ~flat_value:
-              (Spv_core.Adaptive.loss_with_abb ~policy:abb_closed_policy
-                 h.Ctx.h_flat ~t_target)
-            ~hier_value:
-              (Spv_core.Adaptive.loss_with_abb ~policy:abb_closed_policy
-                 (Ctx.pipeline ctx) ~t_target)
-      | Analytic_clark | Mc | Adaptive_mc | Importance ->
-          hier_gap
-            ~flat_value:(sf0 h.Ctx.h_flat_dist t_target)
-            ~hier_value:(sf0 (Ctx.delay_distribution ctx) t_target))
+let hier_bound side ctx ~method_ ~t_target =
+  Option.map
+    (fun h ->
+      let value pipeline dist = closed_form side method_ pipeline dist ~t_target in
+      Float.abs
+        (value h.Ctx.h_flat h.Ctx.h_flat_dist
+        -. value (Ctx.pipeline ctx) (Ctx.delay_distribution ctx)))
+    (Ctx.hier_of ctx)
 
 let hier_bound_mean ctx =
-  match Ctx.hier_of ctx with
-  | None -> None
-  | Some h ->
-      hier_gap
-        ~flat_value:(G.mu h.Ctx.h_flat_dist)
-        ~hier_value:(G.mu (Ctx.delay_distribution ctx))
-
-let attach_yield_bound ctx ~method_ ~t_target e =
-  { e with hier_bound = hier_bound_yield ctx ~method_ ~t_target }
-
-let attach_loss_bound ctx ~method_ ~t_target e =
-  { e with hier_bound = hier_bound_loss ctx ~method_ ~t_target }
-
-let attach_mean_bound ctx e = { e with hier_bound = hier_bound_mean ctx }
+  Option.map
+    (fun h ->
+      Float.abs (G.mu h.Ctx.h_flat_dist -. G.mu (Ctx.delay_distribution ctx)))
+    (Ctx.hier_of ctx)
 
 let check_target ~where t_target =
   if not (Float.is_finite t_target) then
     invalid_arg (where ^ ": non-finite t_target")
 
-let yield ?(method_ = Adaptive_mc) ?(proposal = Legacy) ?jobs
-    ?(shards = default_shards) ?(seed = default_seed) ?(n = 10_000)
+(* [P{delay <= t}] ([Meets]) or [P{delay > t}] ([Misses]) for every
+   target.  [Mc] shares one sampling pass across the targets; adaptive
+   runs stop on per-target criteria, so they and the other methods
+   evaluate target by target.  Registered oracles check yield
+   semantics, so only the [Meets] side runs the postcondition. *)
+let probability ~where ~side ?(method_ = Adaptive_mc) ?(proposal = Legacy)
+    ?jobs ?(shards = default_shards) ?(seed = default_seed) ?(n = 10_000)
     ?(batch = 1024) ?(min_samples = 1000) ?(rel_se_target = 0.01)
-    ?(max_samples = 1_000_000) ctx ~t_target =
-  let where = "Engine.yield" in
-  check_target ~where t_target;
-  check_positive ~where "shards" shards;
-  postcondition ~where ctx ~t_target:(Some t_target)
-  @@ attach_yield_bound ctx ~method_ ~t_target
-  @@
-  match method_ with
-  | Analytic_clark -> closed ~method_ (clark_yield ctx ~t_target)
-  | Exact_independent ->
-      closed ~method_
-        (Spv_core.Yield.independent_exact (Ctx.pipeline ctx) ~t_target)
-  | Quadrature ->
-      closed ~method_
-        (Spv_core.Adaptive.yield_with_abb
-           ~policy:{ Spv_core.Adaptive.range = 0.0 } (Ctx.pipeline ctx)
-           ~t_target)
-  | Mc ->
-      let jobs = resolve_jobs ~where jobs in
-      check_positive ~where "n" n;
-      let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng <= t_target in
-      let successes = bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial in
-      let p = float_of_int successes /. float_of_int n in
-      let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n) in
-      { value = p; std_error = se; n_samples = n; method_; stop = Fixed_n;
-        hier_bound = None; ess = None; proposal = None }
-  | Adaptive_mc ->
-      let jobs = resolve_jobs ~where jobs in
-      check_positive ~where "batch" batch;
-      check_positive ~where "min_samples" min_samples;
-      check_positive ~where "max_samples" max_samples;
-      if not (rel_se_target > 0.0) then
-        invalid_arg (where ^ ": rel_se_target must be positive");
-      let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng <= t_target in
-      let successes, drawn, stop =
-        bernoulli_adaptive ~jobs ~shards ~seed ~batch ~min_samples
-          ~rel_se_target ~max_samples ~make_trial
-      in
-      let p = float_of_int successes /. float_of_int drawn in
-      let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int drawn) in
-      { value = p; std_error = se; n_samples = drawn; method_; stop;
-        hier_bound = None; ess = None; proposal = None }
-  | Importance ->
-      let p_fail, se, ess, used =
-        importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx ~t_target
-      in
-      {
-        value = Float.max 0.0 (Float.min 1.0 (1.0 -. p_fail));
-        std_error = se;
-        n_samples = n;
-        method_;
-        stop = Fixed_n;
-        hier_bound = None;
-        ess = Some ess;
-        proposal = Some used;
-      }
-
-let yield_targets ?(method_ = Adaptive_mc) ?proposal ?jobs
-    ?(shards = default_shards) ?(seed = default_seed) ?(n = 10_000) ?batch
-    ?min_samples ?rel_se_target ?max_samples ctx ~t_targets =
-  let where = "Engine.yield_targets" in
+    ?(max_samples = 1_000_000) ctx ~t_targets =
   if Array.length t_targets = 0 then invalid_arg (where ^ ": no targets");
   Array.iter (check_target ~where) t_targets;
-  match method_ with
-  | Mc when Array.length t_targets > 1 ->
-      let jobs = resolve_jobs ~where jobs in
-      check_positive ~where "shards" shards;
-      check_positive ~where "n" n;
-      let mvn = Ctx.mvn ctx in
-      let make_sample rng () = Mvn.sample_max mvn rng in
-      let successes =
-        bernoulli_fixed_multi ~jobs ~shards ~seed ~n ~make_sample
-          ~targets:t_targets
-      in
-      Array.mapi
-        (fun k s ->
-          let p = float_of_int s /. float_of_int n in
-          let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n) in
-          postcondition ~where ctx ~t_target:(Some t_targets.(k))
-            {
-              value = p;
-              std_error = se;
-              n_samples = n;
-              method_;
-              stop = Fixed_n;
-              hier_bound =
-                hier_bound_yield ctx ~method_ ~t_target:t_targets.(k);
-              ess = None;
-              proposal = None;
-            })
-        successes
-  | _ ->
-      Array.map
-        (fun t_target ->
-          yield ~method_ ?proposal ?jobs ~shards ~seed ~n ?batch ?min_samples
-            ?rel_se_target ?max_samples ctx ~t_target)
-        t_targets
-
-let clark_loss ctx ~t_target =
-  let g = Ctx.delay_distribution ctx in
-  if G.sigma g = 0.0 then if G.mu g <= t_target then 0.0 else 1.0
-  else G.sf g t_target
-
-let yield_loss ?(method_ = Adaptive_mc) ?(proposal = Legacy) ?jobs
-    ?(shards = default_shards) ?(seed = default_seed) ?(n = 10_000)
-    ?(batch = 1024) ?(min_samples = 1000) ?(rel_se_target = 0.01)
-    ?(max_samples = 1_000_000) ctx ~t_target =
-  let where = "Engine.yield_loss" in
-  check_target ~where t_target;
   check_positive ~where "shards" shards;
-  (* No [postcondition] here: registered oracles check *yield*
-     semantics (interval bounds on P_D) and would falsely fire on a
-     loss value. *)
-  attach_loss_bound ctx ~method_ ~t_target
-  @@
-  match method_ with
-  | Analytic_clark -> closed ~method_ (clark_loss ctx ~t_target)
-  | Exact_independent ->
-      closed ~method_
-        (Spv_core.Yield.independent_exact_loss (Ctx.pipeline ctx) ~t_target)
-  | Quadrature ->
-      closed ~method_
-        (Spv_core.Adaptive.loss_with_abb
-           ~policy:{ Spv_core.Adaptive.range = 0.0 } (Ctx.pipeline ctx)
-           ~t_target)
-  | Mc ->
-      let jobs = resolve_jobs ~where jobs in
-      check_positive ~where "n" n;
-      let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng > t_target in
-      let fails = bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial in
-      let p = float_of_int fails /. float_of_int n in
-      let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n) in
-      { value = p; std_error = se; n_samples = n; method_; stop = Fixed_n;
-        hier_bound = None; ess = None; proposal = None }
-  | Adaptive_mc ->
-      let jobs = resolve_jobs ~where jobs in
-      check_positive ~where "batch" batch;
-      check_positive ~where "min_samples" min_samples;
-      check_positive ~where "max_samples" max_samples;
-      if not (rel_se_target > 0.0) then
-        invalid_arg (where ^ ": rel_se_target must be positive");
-      let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng > t_target in
-      let fails, drawn, stop =
-        bernoulli_adaptive ~jobs ~shards ~seed ~batch ~min_samples
-          ~rel_se_target ~max_samples ~make_trial
-      in
-      let p = float_of_int fails /. float_of_int drawn in
-      let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int drawn) in
-      { value = p; std_error = se; n_samples = drawn; method_; stop;
-        hier_bound = None; ess = None; proposal = None }
-  | Importance ->
-      let p_fail, se, ess, used =
-        importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx ~t_target
-      in
-      {
-        value = Float.max 0.0 (Float.min 1.0 p_fail);
-        std_error = se;
-        n_samples = n;
-        method_;
-        stop = Fixed_n;
-        hier_bound = None;
-        ess = Some ess;
-        proposal = Some used;
-      }
+  let hits ~jobs ~budget targets =
+    let mvn = Ctx.mvn ctx in
+    let make_sample rng () = Mvn.sample_max mvn rng in
+    let hits, drawn, stop =
+      count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample
+    in
+    Array.map (binomial ~method_ ~stop ~n:drawn) hits
+  in
+  let estimates =
+    match method_ with
+    | Analytic_clark | Exact_independent | Quadrature ->
+        Array.map
+          (fun t_target ->
+            closed ~method_
+              (closed_form side method_ (Ctx.pipeline ctx)
+                 (Ctx.delay_distribution ctx) ~t_target))
+          t_targets
+    | Mc ->
+        let jobs = resolve_jobs ~where jobs in
+        hits ~jobs ~budget:(fixed ~where n) t_targets
+    | Adaptive_mc ->
+        let jobs = resolve_jobs ~where jobs in
+        let budget =
+          adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples
+        in
+        Array.map (fun t -> (hits ~jobs ~budget [| t |]).(0)) t_targets
+    | Importance ->
+        Array.map
+          (fun t_target ->
+            let p_fail, se, ess, used =
+              importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx
+                ~t_target
+            in
+            let p = match side with Meets -> 1.0 -. p_fail | Misses -> p_fail in
+            sampled ~method_ ~stop:Fixed_n ~n ~ess ~proposal:used
+              (Float.max 0.0 (Float.min 1.0 p))
+              se)
+          t_targets
+  in
+  Array.map2
+    (fun t_target e ->
+      let e = { e with hier_bound = hier_bound side ctx ~method_ ~t_target } in
+      match side with
+      | Meets -> postcondition ~where ctx ~t_target:(Some t_target) e
+      | Misses -> e)
+    t_targets estimates
+
+let yield ?method_ ?proposal ?jobs ?shards ?seed ?n ?batch ?min_samples
+    ?rel_se_target ?max_samples ctx ~t_target =
+  (probability ~where:"Engine.yield" ~side:Meets ?method_ ?proposal ?jobs
+     ?shards ?seed ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx
+     ~t_targets:[| t_target |]).(0)
+
+let yield_targets ?method_ ?proposal ?jobs ?shards ?seed ?n ?batch
+    ?min_samples ?rel_se_target ?max_samples ctx ~t_targets =
+  probability ~where:"Engine.yield_targets" ~side:Meets ?method_ ?proposal
+    ?jobs ?shards ?seed ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx
+    ~t_targets
+
+let yield_loss ?method_ ?proposal ?jobs ?shards ?seed ?n ?batch ?min_samples
+    ?rel_se_target ?max_samples ctx ~t_target =
+  (probability ~where:"Engine.yield_loss" ~side:Misses ?method_ ?proposal
+     ?jobs ?shards ?seed ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx
+     ~t_targets:[| t_target |]).(0)
 
 let delay_mean ?(method_ = Adaptive_mc) ?jobs ?(shards = default_shards)
     ?(seed = default_seed) ?(n = 10_000) ?(batch = 1024) ?(min_samples = 1000)
     ?(rel_se_target = 0.01) ?(max_samples = 1_000_000) ctx =
   let where = "Engine.delay_mean" in
   check_positive ~where "shards" shards;
+  let sampled_mean budget_of =
+    let jobs = resolve_jobs ~where jobs in
+    let budget = budget_of () in
+    let mvn = Ctx.mvn ctx in
+    let make_sample rng () = Mvn.sample_max mvn rng in
+    let (drawn, mean, m2), stop =
+      moments ~jobs ~shards ~seed ~budget ~make_sample
+    in
+    let mean, se = mean_se (drawn, mean, m2) in
+    sampled ~method_ ~stop ~n:drawn mean (if Float.is_finite se then se else 0.0)
+  in
+  let e =
+    match method_ with
+    | Analytic_clark -> closed ~method_ (G.mu (Ctx.delay_distribution ctx))
+    | Mc -> sampled_mean (fun () -> fixed ~where n)
+    | Adaptive_mc ->
+        sampled_mean (fun () ->
+            adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples)
+    | (Exact_independent | Importance | Quadrature) as m ->
+        invalid_arg
+          (Printf.sprintf "%s: method %s unsupported (use clark, mc or adaptive)"
+             where (method_name m))
+  in
   postcondition ~where ctx ~t_target:None
-  @@ attach_mean_bound ctx
-  @@
-  match method_ with
-  | Analytic_clark -> closed ~method_ (G.mu (Ctx.delay_distribution ctx))
-  | Mc ->
-      let jobs = resolve_jobs ~where jobs in
-      check_positive ~where "n" n;
-      let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng in
-      let merged = moments_fixed ~jobs ~shards ~seed ~n ~make_trial in
-      let mean, se = mean_se merged in
-      let se = if Float.is_finite se then se else 0.0 in
-      { value = mean; std_error = se; n_samples = n; method_; stop = Fixed_n;
-        hier_bound = None; ess = None; proposal = None }
-  | Adaptive_mc ->
-      let jobs = resolve_jobs ~where jobs in
-      check_positive ~where "batch" batch;
-      check_positive ~where "min_samples" min_samples;
-      check_positive ~where "max_samples" max_samples;
-      if not (rel_se_target > 0.0) then
-        invalid_arg (where ^ ": rel_se_target must be positive");
-      let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng in
-      let merged, stop =
-        moments_adaptive ~jobs ~shards ~seed ~batch ~min_samples
-          ~rel_se_target ~max_samples ~make_trial
-      in
-      let (drawn, _, _) = merged in
-      let mean, se = mean_se merged in
-      let se = if Float.is_finite se then se else 0.0 in
-      { value = mean; std_error = se; n_samples = drawn; method_; stop;
-        hier_bound = None; ess = None; proposal = None }
-  | (Exact_independent | Importance | Quadrature) as m ->
-      invalid_arg
-        (Printf.sprintf "%s: method %s unsupported (use clark, mc or adaptive)"
-           where (method_name m))
+    { e with hier_bound = hier_bound_mean ctx }
 
 let sample_delays ?jobs ?(shards = default_shards) ?(seed = default_seed) ctx
     ~n =
@@ -1156,8 +1031,10 @@ let sample_delays ?jobs ?(shards = default_shards) ?(seed = default_seed) ctx
   check_positive ~where "shards" shards;
   check_positive ~where "n" n;
   let mvn = Ctx.mvn ctx in
-  let make_trial rng () = Mvn.sample_max mvn rng in
-  fill_fixed ~jobs ~shards ~seed ~n ~make_trial
+  let out = Array.make n 0.0 in
+  fill ~jobs ~shards ~seed ~n ~make_trial:(fun rng k ->
+      out.(k) <- Mvn.sample_max mvn rng);
+  out
 
 let gate_sampler ~where ?exact ctx =
   let g = Ctx.require_gate ~where ctx in
@@ -1172,11 +1049,11 @@ let gate_level_delays ?exact ?jobs ?(shards = default_shards)
   check_positive ~where "shards" shards;
   check_positive ~where "n" n;
   let fresh_sampler = gate_sampler ~where ?exact ctx in
-  let make_trial rng =
-    let smp = fresh_sampler () in
-    fun () -> Ssta.draw_pipeline_delay smp rng
-  in
-  fill_fixed ~jobs ~shards ~seed ~n ~make_trial
+  let out = Array.make n 0.0 in
+  fill ~jobs ~shards ~seed ~n ~make_trial:(fun rng ->
+      let smp = fresh_sampler () in
+      fun k -> out.(k) <- Ssta.draw_pipeline_delay smp rng);
+  out
 
 let gate_level_stage_samples ?exact ?jobs ?(shards = default_shards)
     ?(seed = default_seed) ctx ~n =
@@ -1185,25 +1062,13 @@ let gate_level_stage_samples ?exact ?jobs ?(shards = default_shards)
   check_positive ~where "shards" shards;
   check_positive ~where "n" n;
   let fresh_sampler = gate_sampler ~where ?exact ctx in
-  let stages = Ctx.n_stages ctx in
-  let out = Array.init stages (fun _ -> Array.make n 0.0) in
-  let streams = shard_streams ~seed ~shards in
-  let counts = shard_counts n shards in
-  let offsets = Array.make shards 0 in
-  for i = 1 to shards - 1 do
-    offsets.(i) <- offsets.(i - 1) + counts.(i - 1)
-  done;
-  let tasks =
-    Array.init shards (fun i () ->
-        let smp = fresh_sampler () and rng = streams.(i) in
-        for k = offsets.(i) to offsets.(i) + counts.(i) - 1 do
-          let delays = Ssta.draw_stage_delays smp rng in
-          for s = 0 to stages - 1 do
-            out.(s).(k) <- delays.(s)
-          done
-        done)
-  in
-  ignore (Par.run ~jobs tasks : unit array);
+  let out = Array.init (Ctx.n_stages ctx) (fun _ -> Array.make n 0.0) in
+  fill ~jobs ~shards ~seed ~n ~make_trial:(fun rng ->
+      let smp = fresh_sampler () in
+      fun k ->
+        Array.iteri
+          (fun s d -> out.(s).(k) <- d)
+          (Ssta.draw_stage_delays smp rng));
   out
 
 let abb_mc_yield ?policy ?jobs ?(shards = default_shards)
@@ -1212,19 +1077,11 @@ let abb_mc_yield ?policy ?jobs ?(shards = default_shards)
   check_target ~where t_target;
   let jobs = resolve_jobs ~where jobs in
   check_positive ~where "shards" shards;
-  check_positive ~where "n" n;
+  let budget = fixed ~where n in
   let sm = Spv_core.Adaptive.sampler ?policy (Ctx.pipeline ctx) in
-  let make_trial rng () = Spv_core.Adaptive.sample_delay sm rng <= t_target in
-  let successes = bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial in
-  let p = float_of_int successes /. float_of_int n in
-  let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n) in
-  {
-    value = p;
-    std_error = se;
-    n_samples = n;
-    method_ = Mc;
-    stop = Fixed_n;
-    hier_bound = None;
-    ess = None;
-    proposal = None;
-  }
+  let make_sample rng () = Spv_core.Adaptive.sample_delay sm rng in
+  let hits, drawn, stop =
+    count ~jobs ~shards ~seed ~budget ~side:Meets ~targets:[| t_target |]
+      ~make_sample
+  in
+  binomial ~method_:Mc ~stop ~n:drawn hits.(0)

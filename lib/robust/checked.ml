@@ -179,21 +179,6 @@ let yield_estimate pipeline ~t_target =
            (Printf.sprintf "probability %g outside [0, 1]" y))
     else Ok (Float.max 0.0 (Float.min 1.0 y))
 
-let monte_carlo_yield ?batch ?min_samples ?rel_se_target ?max_samples pipeline
-    rng ~t_target =
-  if not (Float.is_finite t_target) then
-    Error (Errors.domain ~param:"t_target" "must be finite")
-  else
-    let* report =
-      protect ~where:"Monte-Carlo yield" (fun () ->
-          Spv_core.Yield.monte_carlo_adaptive ?batch ?min_samples
-            ?rel_se_target ?max_samples pipeline rng ~t_target)
-    in
-    let* _ =
-      Guard.finite ~where:"Monte-Carlo yield" report.Spv_stats.Mc.probability
-    in
-    Ok report
-
 (* ---- engine entry points -------------------------------------------- *)
 
 module Engine = Spv_engine.Engine

@@ -73,13 +73,6 @@ val yield_estimate :
 (** {!Spv_core.Yield.estimate} with [t_target] finiteness checked and
     the result verified finite and clamped into [0, 1]. *)
 
-val monte_carlo_yield :
-  ?batch:int -> ?min_samples:int -> ?rel_se_target:float ->
-  ?max_samples:int -> Spv_core.Pipeline.t -> Spv_stats.Rng.t ->
-  t_target:float -> (Spv_stats.Mc.report, Errors.t) result
-(** Adaptive Monte-Carlo yield (see {!Spv_stats.Mc}): early-stops on
-    relative standard error, hard-capped at [max_samples]. *)
-
 (** {1 Engine}
 
     Typed-error wrappers over {!Spv_engine.Engine}: the unified

@@ -68,6 +68,22 @@ let moments ?(expect = Expect_error) name ~mus ~sigmas ~rho ~t_target =
         show "yield" y);
   }
 
+(* Adaptive engine yield of a one-stage N(100, sigma) pipeline. *)
+let mc_budget ?(expect = Expect_error) name ~sigma ~t_target yield =
+  {
+    name;
+    expect;
+    run =
+      (fun () ->
+        let* p =
+          Checked.pipeline_of_moments ~mus:[| 100.0 |] ~sigmas:[| sigma |]
+            ~rho:0.0 ()
+        in
+        let* ctx = Checked.engine_ctx_of_pipeline p in
+        let* e = yield ctx ~t_target in
+        show "mc yield" e.Spv_engine.Engine.value);
+  }
+
 let clark ?(expect = Expect_error) name ~mus ~sigmas ~corr =
   {
     name;
@@ -258,59 +274,19 @@ let corpus () =
       ~mus:[| 100.0; 100.0 |] ~sigmas:[| 0.0; 0.0 |]
       ~corr:(M.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |]);
     (* -- Monte-Carlo budgets -- *)
-    {
-      name = "mc/zero-sample-cap";
-      expect = Expect_error;
-      run =
-        (fun () ->
-          let* p =
-            Checked.pipeline_of_moments ~mus:[| 100.0 |] ~sigmas:[| 5.0 |]
-              ~rho:0.0 ()
-          in
-          let rng = Spv_stats.Rng.create ~seed:7 in
-          let* r =
-            Checked.monte_carlo_yield ~max_samples:0 p rng ~t_target:105.0
-          in
-          show "mc yield" r.Spv_stats.Mc.probability);
-    };
-    {
-      name = "mc/nan-rel-se-target";
-      expect = Expect_error;
-      run =
-        (fun () ->
-          let* p =
-            Checked.pipeline_of_moments ~mus:[| 100.0 |] ~sigmas:[| 5.0 |]
-              ~rho:0.0 ()
-          in
-          let rng = Spv_stats.Rng.create ~seed:7 in
-          let* r =
-            Checked.monte_carlo_yield ~rel_se_target:Float.nan p rng
-              ~t_target:105.0
-          in
-          show "mc yield" r.Spv_stats.Mc.probability);
-    };
-    {
-      name = "mc/impossible-target-hits-cap";
-      expect = Expect_ok;
-      run =
-        (fun () ->
-          (* Yield ~0: the relative-SE criterion can never converge, so
-             the hard cap must stop the loop and say so. *)
-          let* p =
-            Checked.pipeline_of_moments ~mus:[| 100.0 |] ~sigmas:[| 1.0 |]
-              ~rho:0.0 ()
-          in
-          let rng = Spv_stats.Rng.create ~seed:7 in
-          let* r =
-            Checked.monte_carlo_yield ~max_samples:4096 p rng ~t_target:50.0
-          in
-          if r.Spv_stats.Mc.hit_cap && not r.Spv_stats.Mc.converged then
-            show "mc yield" r.Spv_stats.Mc.probability
-          else
-            Error
-              (Errors.internal ~where:"mc"
-                 "cap not reported as budget exhaustion"));
-    };
+    mc_budget "mc/zero-sample-cap" ~sigma:5.0 ~t_target:105.0 (fun ctx ->
+        Checked.engine_yield ~max_samples:0 ctx);
+    mc_budget "mc/nan-rel-se-target" ~sigma:5.0 ~t_target:105.0 (fun ctx ->
+        Checked.engine_yield ~rel_se_target:Float.nan ctx);
+    (* Yield ~0: the relative-SE criterion can never converge, so the
+       hard cap must stop the loop and say so. *)
+    mc_budget ~expect:Expect_ok "mc/impossible-target-hits-cap" ~sigma:1.0
+      ~t_target:50.0 (fun ctx ~t_target ->
+        let* e = Checked.engine_yield ~max_samples:4096 ctx ~t_target in
+        if e.Spv_engine.Engine.stop = Spv_engine.Engine.Sample_cap then Ok e
+        else
+          Error
+            (Errors.internal ~where:"mc" "cap not reported as budget exhaustion"));
     (* -- degenerate samples into statistics -- *)
     {
       name = "stats/ks-empty-sample";

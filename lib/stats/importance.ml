@@ -1,20 +1,3 @@
-type estimate = {
-  probability : float;
-  std_error : float;
-  effective_samples : float;
-}
-
-let summarise values =
-  let n = Array.length values in
-  let mean = Descriptive.mean values in
-  let variance = if n >= 2 then Descriptive.variance values else 0.0 in
-  let std_error = sqrt (variance /. float_of_int n) in
-  (* Effective sample size of the nonzero weights. *)
-  let sum = Array.fold_left ( +. ) 0.0 values in
-  let sum_sq = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 values in
-  let effective = if sum_sq = 0.0 then 0.0 else sum *. sum /. sum_sq in
-  { probability = mean; std_error; effective_samples = effective }
-
 (* One shift per component: the minimal-norm z with component j at the
    barrier (the mode's "design point").  For x_j = mu_j + row_j(L).z,
    the smallest-|z| crossing is z* = row_j(L) (T - mu_j) / sigma_j^2 —
@@ -165,16 +148,3 @@ let draw_weight p rng =
   if worst > p.p_threshold then
     mixture_weight ~shifts:p.p_shifts ~alphas:p.p_alphas z
   else 0.0
-
-let failure_above ?z_shifts mvn rng ~n ~threshold =
-  if n <= 0 then invalid_arg "Importance.failure_above: n <= 0";
-  let p = plan ?z_shifts mvn ~threshold in
-  summarise (Array.init n (fun _ -> draw_weight p rng))
-
-let plain_failure_above mvn rng ~n ~threshold =
-  if n <= 0 then invalid_arg "Importance.plain_failure_above: n <= 0";
-  let values =
-    Array.init n (fun _ ->
-        if Mvn.sample_max mvn rng > threshold then 1.0 else 0.0)
-  in
-  summarise values

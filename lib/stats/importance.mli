@@ -14,14 +14,6 @@
     for any shift set; the mixture keeps the weight variance bounded
     when several stages can fail. *)
 
-type estimate = {
-  probability : float;
-  std_error : float;  (** standard error of the estimator *)
-  effective_samples : float;
-      (** n / (1 + cv^2) of the weights inside the failure region — a
-          diagnostic: tiny values mean the shift is poorly placed *)
-}
-
 type plan
 (** Immutable single-trial sampler: the mixture of mean shifts and
     their weights, built once per (mvn, threshold).  Safe to share
@@ -56,14 +48,3 @@ val draw_weight : plan -> Rng.t -> float
 (** One importance-sampling trial: the reweighted failure indicator
     (0 when the draw does not fail).  The mean of these values over
     many trials estimates P{max_i X_i > threshold}. *)
-
-val failure_above :
-  ?z_shifts:float array array -> Mvn.t -> Rng.t -> n:int -> threshold:float ->
-  estimate
-(** P{max_i X_i > threshold} (the pipeline's yield-loss event) — a
-    thin sequential shim over {!plan}/{!draw_weight}.  Deprecated: new
-    code should use [Spv_engine.Engine.yield ~method_:Importance]. *)
-
-val plain_failure_above : Mvn.t -> Rng.t -> n:int -> threshold:float -> estimate
-(** The unshifted estimator, for comparison (std_error computed the
-    same way). *)

@@ -56,7 +56,9 @@ let test_matches_mc () =
   let t_target = 109.0 in
   let analytic = A.yield_with_abb p ~t_target in
   let mc =
-    A.mc_yield_with_abb p (Spv_stats.Rng.create ~seed:230) ~n:150_000 ~t_target
+    (Spv_engine.Engine.abb_mc_yield ~seed:230
+       (Spv_engine.Engine.Ctx.of_pipeline p) ~n:150_000 ~t_target)
+      .Spv_engine.Engine.value
   in
   check_in_range "analytic vs MC" ~lo:(mc -. 0.01) ~hi:(mc +. 0.01) analytic
 

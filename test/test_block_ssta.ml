@@ -73,8 +73,10 @@ let test_multipath_mean_dominates () =
 let test_block_close_to_mc () =
   let net = G.c432 () in
   let _, block = Bs.compare_with_path_based ~ff tech net in
-  let rng = Spv_stats.Rng.create ~seed:170 in
-  let mc = Spv_circuit.Ssta.mc_stage_delays ~ff tech net rng ~n:6000 in
+  let mc =
+    Spv_engine.Engine.(
+      gate_level_delays ~seed:170 (Ctx.of_circuits ~ff tech [| net |]) ~n:6000)
+  in
   let mc_mean = Spv_stats.Descriptive.mean mc in
   check_in_range "block mean within 1% of MC" ~lo:(0.99 *. mc_mean)
     ~hi:(1.01 *. mc_mean)

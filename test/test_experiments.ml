@@ -147,10 +147,11 @@ let test_gate_level_mc_confirms_table2 () =
   let prop = t.E.Table2_3.proposed in
   let tech = E.Common.optimisation_tech in
   let ff = Spv_process.Flipflop.default tech in
-  let rng = E.Common.rng () in
   let samples =
-    Spv_circuit.Ssta.mc_pipeline_delays ~ff tech prop.Spv_sizing.Global_opt.nets
-      rng ~n:3000
+    Spv_engine.Engine.(
+      gate_level_delays
+        (Ctx.of_circuits ~ff tech prop.Spv_sizing.Global_opt.nets)
+        ~n:3000)
   in
   let mc_yield =
     Spv_stats.Descriptive.fraction_below samples

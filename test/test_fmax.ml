@@ -12,8 +12,10 @@ let pipeline () =
 let test_mean_std_delta_method () =
   let p = pipeline () in
   let mean, std = F.mean_std p in
-  let rng = Spv_stats.Rng.create ~seed:160 in
-  let fs = F.mc_frequencies p rng ~n:100_000 in
+  let fs =
+    Spv_engine.Engine.(sample_delays ~seed:160 (Ctx.of_pipeline p) ~n:100_000)
+    |> Array.map (fun t -> 1.0 /. t)
+  in
   check_in_range "mean vs MC"
     ~lo:(0.999 *. Spv_stats.Descriptive.mean fs)
     ~hi:(1.001 *. Spv_stats.Descriptive.mean fs)

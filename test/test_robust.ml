@@ -5,7 +5,6 @@ module Guard = Spv_robust.Guard
 module Checked = Spv_robust.Checked
 module M = Spv_stats.Matrix
 module G = Spv_stats.Gaussian
-module Mc = Spv_stats.Mc
 
 (* ---- typed errors --------------------------------------------------- *)
 
@@ -218,39 +217,46 @@ let test_sym_eig_rejects_non_symmetric () =
 
 (* ---- adaptive Monte Carlo ------------------------------------------- *)
 
+module Engine = Spv_engine.Engine
+
+(* One N(mu, sigma) stage: the adaptive estimator's Bernoulli event is
+   [delay <= t_target], so the target sets the success probability. *)
+let one_stage_ctx ?(mu = 100.0) ?(sigma = 5.0) () =
+  Engine.Ctx.of_pipeline
+    (Spv_core.Pipeline.make
+       [| Spv_core.Stage.of_moments ~mu ~sigma () |]
+       ~corr:(Spv_stats.Correlation.independent ~n:1))
+
 let test_mc_constant_true () =
-  let r = Mc.estimate_probability (fun () -> true) in
-  check_float "p" 1.0 r.Mc.probability;
-  Alcotest.(check bool) "converged" true r.Mc.converged;
-  Alcotest.(check bool) "no cap" false r.Mc.hit_cap
+  let r = Engine.yield (one_stage_ctx ()) ~t_target:1e6 in
+  check_float "p" 1.0 r.Engine.value;
+  Alcotest.(check bool) "converged" true (r.Engine.stop = Engine.Converged)
 
 let test_mc_constant_false_hits_cap () =
   (* p = 0: the relative-SE criterion can never be met. *)
-  let r = Mc.estimate_probability ~max_samples:5000 (fun () -> false) in
-  check_float "p" 0.0 r.Mc.probability;
-  Alcotest.(check bool) "not converged" false r.Mc.converged;
-  Alcotest.(check bool) "cap reported" true r.Mc.hit_cap;
-  Alcotest.(check int) "stopped at cap" 5000 r.Mc.samples
+  let r = Engine.yield ~max_samples:5000 (one_stage_ctx ()) ~t_target:(-1e6) in
+  check_float "p" 0.0 r.Engine.value;
+  Alcotest.(check bool) "cap reported" true (r.Engine.stop = Engine.Sample_cap);
+  Alcotest.(check int) "stopped at cap" 5000 r.Engine.n_samples
 
 let test_mc_coin_converges () =
-  let rng = Spv_stats.Rng.create ~seed:11 in
-  let r =
-    Mc.estimate_probability ~rel_se_target:0.02
-      (fun () -> Spv_stats.Rng.float rng < 0.3)
-  in
-  Alcotest.(check bool) "converged" true r.Mc.converged;
-  check_in_range "estimate near 0.3" ~lo:0.25 ~hi:0.35 r.Mc.probability;
+  let ctx = one_stage_ctx ~mu:0.0 ~sigma:1.0 () in
+  let t_target = Spv_stats.Special.big_phi_inv 0.3 in
+  let r = Engine.yield ~seed:11 ~rel_se_target:0.02 ctx ~t_target in
+  Alcotest.(check bool) "converged" true (r.Engine.stop = Engine.Converged);
+  check_in_range "estimate near 0.3" ~lo:0.25 ~hi:0.35 r.Engine.value;
   check_in_range "rel se met" ~lo:0.0 ~hi:0.02
-    (Mc.rel_std_error ~p:r.Mc.probability ~se:r.Mc.std_error);
-  Alcotest.(check bool) "respects floor" true (r.Mc.samples >= 1000)
+    (r.Engine.std_error /. r.Engine.value);
+  Alcotest.(check bool) "respects floor" true (r.Engine.n_samples >= 1000)
 
 let test_mc_rejects_bad_budgets () =
+  let ctx = one_stage_ctx () in
   check_raises_invalid "zero cap" (fun () ->
-      ignore (Mc.estimate_probability ~max_samples:0 (fun () -> true)));
+      ignore (Engine.yield ~max_samples:0 ctx ~t_target:105.0));
   check_raises_invalid "zero batch" (fun () ->
-      ignore (Mc.estimate_probability ~batch:0 (fun () -> true)));
+      ignore (Engine.yield ~batch:0 ctx ~t_target:105.0));
   check_raises_invalid "nan target" (fun () ->
-      ignore (Mc.estimate_probability ~rel_se_target:Float.nan (fun () -> true)))
+      ignore (Engine.yield ~rel_se_target:Float.nan ctx ~t_target:105.0))
 
 let test_yield_adaptive_matches_analytic () =
   let stages =
@@ -259,16 +265,15 @@ let test_yield_adaptive_matches_analytic () =
   let p =
     Spv_core.Pipeline.make stages ~corr:(Spv_stats.Correlation.independent ~n:4)
   in
-  let rng = Spv_stats.Rng.create ~seed:5 in
   let r =
-    Spv_core.Yield.monte_carlo_adaptive ~rel_se_target:0.005 p rng
+    Engine.yield ~seed:5 ~rel_se_target:0.005 (Engine.Ctx.of_pipeline p)
       ~t_target:110.0
   in
   let exact = Spv_core.Yield.independent_exact p ~t_target:110.0 in
-  Alcotest.(check bool) "converged" true r.Mc.converged;
+  Alcotest.(check bool) "converged" true (r.Engine.stop = Engine.Converged);
   check_in_range "MC brackets analytic"
-    ~lo:(r.Mc.probability -. (5.0 *. r.Mc.std_error))
-    ~hi:(r.Mc.probability +. (5.0 *. r.Mc.std_error))
+    ~lo:(r.Engine.value -. (5.0 *. r.Engine.std_error))
+    ~hi:(r.Engine.value +. (5.0 *. r.Engine.std_error))
     exact
 
 (* ---- checked statistics --------------------------------------------- *)

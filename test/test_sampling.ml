@@ -79,7 +79,9 @@ let test_lhs_yield_unbiased () =
   let p = yield_fixture () in
   let t_target = 110.0 in
   let reference =
-    Spv_core.Yield.monte_carlo p (Rng.create ~seed:195) ~n:300_000 ~t_target
+    Spv_engine.Engine.(
+      (yield ~method_:Mc ~seed:195 ~n:300_000 (Ctx.of_pipeline p) ~t_target)
+        .value)
   in
   let lhs = Spv_core.Yield.monte_carlo_lhs p (Rng.create ~seed:196) ~n:20_000 ~t_target in
   check_in_range "LHS agrees" ~lo:(reference -. 0.01) ~hi:(reference +. 0.01) lhs
@@ -89,18 +91,18 @@ let test_lhs_reduces_variance () =
   let t_target = 110.0 in
   let n = 400 in
   let repeats = 60 in
-  let spread estimator =
-    let estimates =
-      Array.init repeats (fun k ->
-          estimator (Rng.create ~seed:(1000 + k)))
-    in
-    D.std estimates
-  in
+  let ctx = Spv_engine.Engine.Ctx.of_pipeline p in
   let plain_spread =
-    spread (fun rng -> Spv_core.Yield.monte_carlo p rng ~n ~t_target)
+    D.std
+      (Array.init repeats (fun k ->
+           Spv_engine.Engine.(
+             (yield ~method_:Mc ~seed:(1000 + k) ~n ctx ~t_target).value)))
   in
   let lhs_spread =
-    spread (fun rng -> Spv_core.Yield.monte_carlo_lhs p rng ~n ~t_target)
+    D.std
+      (Array.init repeats (fun k ->
+           Spv_core.Yield.monte_carlo_lhs p (Rng.create ~seed:(1000 + k)) ~n
+             ~t_target))
   in
   Alcotest.(check bool) "LHS tighter" true (lhs_spread < plain_spread)
 

@@ -8,6 +8,20 @@ module D = Spv_stats.Descriptive
 let tech = Tech.bptm70
 let ff = Spv_process.Flipflop.default tech
 
+module Engine = Spv_engine.Engine
+
+(* Gate-level Monte-Carlo through the engine: [n] delays of one stage
+   at a single die location, or the per-stage matrix of a pipeline. *)
+let stage_delays ?exact ?ff ~seed tech net ~n =
+  Engine.gate_level_delays ?exact ~seed
+    (Engine.Ctx.of_circuits ?ff tech [| net |])
+    ~n
+
+let per_stage_samples ?ff ~seed tech nets ~n =
+  Engine.gate_level_stage_samples ~seed
+    (Engine.Ctx.of_circuits ?ff tech nets)
+    ~n
+
 let test_analytic_matches_sta () =
   let net = G.inverter_chain ~depth:8 () in
   let an = Ssta.analyse_stage tech net in
@@ -27,8 +41,7 @@ let test_mc_agrees_with_analytic_chain () =
      exact, so MC must agree on both moments. *)
   let net = G.inverter_chain ~depth:10 () in
   let g = Ssta.stage_gaussian ~ff tech net in
-  let rng = Spv_stats.Rng.create ~seed:110 in
-  let xs = Ssta.mc_stage_delays ~ff tech net rng ~n:8000 in
+  let xs = stage_delays ~ff ~seed:110 tech net ~n:8000 in
   let mu = Spv_stats.Gaussian.mu g and sigma = Spv_stats.Gaussian.sigma g in
   check_in_range "mean" ~lo:(mu -. (0.01 *. mu)) ~hi:(mu +. (0.01 *. mu))
     (D.mean xs);
@@ -39,16 +52,14 @@ let test_mc_mean_dominates_for_multipath () =
      critical-path estimate (max of several correlated paths). *)
   let net = G.c432 () in
   let g = Ssta.stage_gaussian tech net in
-  let rng = Spv_stats.Rng.create ~seed:111 in
-  let xs = Ssta.mc_stage_delays tech net rng ~n:2000 in
+  let xs = stage_delays ~seed:111 tech net ~n:2000 in
   Alcotest.(check bool) "MC mean >= analytic mean (within noise)" true
     (D.mean xs >= Spv_stats.Gaussian.mu g *. 0.995)
 
 let test_no_variation_is_deterministic () =
   let t0 = Tech.no_variation tech in
   let net = G.inverter_chain ~depth:6 () in
-  let rng = Spv_stats.Rng.create ~seed:112 in
-  let xs = Ssta.mc_stage_delays t0 net rng ~n:16 in
+  let xs = stage_delays ~seed:112 t0 net ~n:16 in
   let nominal = (Spv_circuit.Sta.run t0 net).Spv_circuit.Sta.delay in
   Array.iter (fun x -> check_close ~rel:1e-12 "all samples nominal" nominal x) xs
 
@@ -56,8 +67,7 @@ let test_pipeline_max_property () =
   (* Pipeline MC samples must dominate each constituent stage's
      samples drawn under the same seed schedule in expectation. *)
   let nets = G.inverter_chain_pipeline ~stages:4 ~depth:6 () in
-  let rng = Spv_stats.Rng.create ~seed:113 in
-  let per_stage = Ssta.mc_per_stage_samples ~ff tech nets rng ~n:3000 in
+  let per_stage = per_stage_samples ~ff ~seed:113 tech nets ~n:3000 in
   let tp =
     Array.init 3000 (fun t ->
         Array.fold_left (fun acc s -> Float.max acc s.(t)) neg_infinity per_stage)
@@ -77,8 +87,10 @@ let test_stage_correlation_from_components () =
      correlated; under random-only they are nearly independent. *)
   let check_tech tech ~lo ~hi label =
     let nets = G.inverter_chain_pipeline ~stages:2 ~depth:8 () in
-    let rng = Spv_stats.Rng.create ~seed:114 in
-    let per_stage = Ssta.mc_per_stage_samples ~ff:(Spv_process.Flipflop.default tech) tech nets rng ~n:4000 in
+    let per_stage =
+      per_stage_samples ~ff:(Spv_process.Flipflop.default tech) ~seed:114 tech
+        nets ~n:4000
+    in
     let rho =
       Spv_stats.Correlation.sample_correlation per_stage.(0) per_stage.(1)
     in
@@ -99,10 +111,8 @@ let test_exact_factor_mode () =
   (* The exact alpha-power mode must produce slightly different (and
      right-skewed) samples, but similar location. *)
   let net = G.inverter_chain ~depth:8 () in
-  let rng1 = Spv_stats.Rng.create ~seed:115 in
-  let rng2 = Spv_stats.Rng.create ~seed:115 in
-  let lin = Ssta.mc_stage_delays ~ff tech net rng1 ~n:4000 in
-  let ext = Ssta.mc_stage_delays ~ff ~exact:true tech net rng2 ~n:4000 in
+  let lin = stage_delays ~ff ~seed:115 tech net ~n:4000 in
+  let ext = stage_delays ~ff ~exact:true ~seed:115 tech net ~n:4000 in
   check_in_range "means close" ~lo:0.97 ~hi:1.03 (D.mean ext /. D.mean lin);
   Alcotest.(check bool) "exact more right-skewed" true
     (D.skewness ext > D.skewness lin -. 0.05)
