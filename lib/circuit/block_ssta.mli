@@ -8,8 +8,8 @@
     mean, matching gate-level Monte-Carlo much more closely.
 
     All gates of one netlist share the same inter-die and systematic
-    parameters (one stage = one die locale), matching
-    {!Ssta.mc_stage_delays}'s sampling scheme. *)
+    parameters (one stage = one die locale), matching the gate-level
+    Monte-Carlo sampler ({!Ssta.sampler}) on a one-stage pipeline. *)
 
 type result = {
   arrivals : Canonical.t array;  (** per node *)

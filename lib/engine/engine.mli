@@ -22,10 +22,10 @@
       the schedule, results are bit-for-bit identical for any [jobs]
       given the same [(seed, shards)].
 
-    All sampling loops in the library live here; the legacy
-    [Yield.monte_carlo*], [Ssta.mc_*], [Adaptive.mc_yield_with_abb],
-    [Mc] and [Importance.failure_above] paths are thin sequential
-    shims over the same single-trial kernels. *)
+    All sampling loops in the library live here, on one shard driver;
+    the lower layers provide only the single-trial kernels it calls
+    ({!Spv_stats.Mvn.sample_max}, {!Spv_circuit.Ssta.sampler},
+    {!Spv_core.Adaptive.sampler}, {!Spv_stats.Importance.draw_weight}). *)
 
 (** {1 Evaluation modes} *)
 

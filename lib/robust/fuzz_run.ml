@@ -199,40 +199,26 @@ let run ?(now = Sys.time) ?(on_trial = fun (_ : trial) -> ()) (cfg : config) =
 
 (* ---- rendering ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let violations_json violations =
   String.concat ","
     (List.map
        (fun (v : Oracle.violation) ->
          Printf.sprintf "{\"invariant\":\"%s\",\"detail\":\"%s\"}"
            (Oracle.invariant_name v.Oracle.invariant)
-           (json_escape v.Oracle.detail))
+           (Spv_workload.Sweep.json_escape v.Oracle.detail))
        violations)
 
 let trial_to_json t =
   Printf.sprintf
     "{\"schema_version\":%d,\"kind\":\"trial\",\"trial\":%d,\"seed\":%d,\"stages\":%d,\"gates\":%d,\"mutations\":%d,\"process\":\"%s\",\"checks_run\":%d,\"violations\":[%s],\"shrink_steps\":%d,\"filed\":[%s]}"
     schema_version t.index t.trial_seed t.n_stages t.n_gates t.n_mutations
-    (json_escape t.process) t.checks_run
+    (Spv_workload.Sweep.json_escape t.process) t.checks_run
     (violations_json t.violations)
     t.shrink_steps
     (String.concat ","
-       (List.map (fun p -> Printf.sprintf "\"%s\"" (json_escape p)) t.filed))
+       (List.map
+          (fun p -> Printf.sprintf "\"%s\"" (Spv_workload.Sweep.json_escape p))
+          t.filed))
 
 let summary_to_json ?(timings = false) s =
   (* The macro counters ride with the timing fields: like wall_seconds

@@ -368,28 +368,12 @@ let parse_request t line : (request, string option * error) result =
 
 (* ---- request encoder ------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let request_line ?seed ?jobs ?workers ?deadline_ms ?mode ?proposal ~request_id
     ~grid () =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "{\"schema_version\":%d,\"request_id\":\"%s\""
-       request_schema_version (json_escape request_id));
+       request_schema_version (Sweep.json_escape request_id));
   let opt_int key = function
     | None -> ()
     | Some v -> Buffer.add_string b (Printf.sprintf ",\"%s\":%d" key v)
@@ -398,7 +382,7 @@ let request_line ?seed ?jobs ?workers ?deadline_ms ?mode ?proposal ~request_id
     | None -> ()
     | Some v ->
         Buffer.add_string b
-          (Printf.sprintf ",\"%s\":\"%s\"" key (json_escape v))
+          (Printf.sprintf ",\"%s\":\"%s\"" key (Sweep.json_escape v))
   in
   opt_int "seed" seed;
   opt_int "jobs" jobs;
@@ -407,7 +391,7 @@ let request_line ?seed ?jobs ?workers ?deadline_ms ?mode ?proposal ~request_id
   opt_str "mode" mode;
   opt_str "proposal" proposal;
   Buffer.add_string b
-    (Printf.sprintf ",\"grid\":\"%s\"}" (json_escape grid));
+    (Printf.sprintf ",\"grid\":\"%s\"}" (Sweep.json_escape grid));
   Buffer.contents b
 
 (* ---- evaluation ----------------------------------------------------- *)
@@ -525,12 +509,14 @@ let eval_request t (r : request) =
 let row_json ~request_id row =
   Printf.sprintf
     "{\"schema_version\":%d,\"kind\":\"row\",\"request_id\":\"%s\",\"row\":%s}"
-    response_schema_version (json_escape request_id) (Sweep.row_to_json row)
+    response_schema_version
+    (Sweep.json_escape request_id)
+    (Sweep.row_to_json row)
 
 let done_json t ~request_id ~rows ~n_contexts =
   Printf.sprintf
     "{\"schema_version\":%d,\"kind\":\"done\",\"request_id\":\"%s\",\"status\":\"ok\",\"code\":0,\"rows\":%d,\"n_contexts\":%d,\"cache_size\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"cache_evictions\":%d}"
-    response_schema_version (json_escape request_id) rows n_contexts
+    response_schema_version (Sweep.json_escape request_id) rows n_contexts
     (Cache.length t.cache) (Cache.hits t.cache) (Cache.misses t.cache)
     (Cache.evictions t.cache)
 
@@ -538,11 +524,11 @@ let error_json ?request_id e =
   let rid =
     match request_id with
     | None -> "null"
-    | Some r -> Printf.sprintf "\"%s\"" (json_escape r)
+    | Some r -> Printf.sprintf "\"%s\"" (Sweep.json_escape r)
   in
   Printf.sprintf
     "{\"schema_version\":%d,\"kind\":\"error\",\"request_id\":%s,\"status\":\"%s\",\"code\":%d,\"message\":\"%s\"}"
-    response_schema_version rid e.status e.code (json_escape e.message)
+    response_schema_version rid e.status e.code (Sweep.json_escape e.message)
 
 let is_blank line = String.trim line = ""
 

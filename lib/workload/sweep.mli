@@ -111,6 +111,12 @@ val run :
     Raises [Invalid_argument] when {!Grid.validate} rejects the
     grid. *)
 
+val json_escape : string -> string
+(** Body of a JSON string literal (no surrounding quotes): escapes the
+    double quote, backslash, newline, carriage return and tab, and every
+    other control character as a [\\u00XX] escape.  Shared by the
+    sweep, serve and fuzz JSON writers. *)
+
 val json_float : float -> string
 (** JSON encoding of one float: finite values print with [%.17g] so
     they round-trip bit-exactly; NaN and infinities print as [null]

@@ -48,22 +48,48 @@ let circuit_cases () =
 
 (* ---- determinism across jobs ---------------------------------------- *)
 
+(* Every sampling entry point built on the shard driver, as a function
+   of the worker count. *)
+let sampling_entry_points =
+  let loss method_ ctx ~t_target ~jobs =
+    Engine.yield_loss ~method_ ~jobs ~seed:7 ~n:2048 ~batch:256
+      ~min_samples:512 ~max_samples:8192 ctx ~t_target
+  in
+  let mean method_ ctx ~t_target:_ ~jobs =
+    Engine.delay_mean ~method_ ~jobs ~seed:7 ~n:2048 ~batch:256
+      ~min_samples:512 ~max_samples:8192 ctx
+  in
+  [
+    ( "adaptive yield",
+      fun ctx ~t_target ~jobs ->
+        Engine.yield ~method_:Engine.Adaptive_mc ~jobs ~seed:7 ~batch:256
+          ~min_samples:512 ~max_samples:8192 ctx ~t_target );
+    ("mc loss", loss Engine.Mc);
+    ("adaptive loss", loss Engine.Adaptive_mc);
+    ("importance loss", loss Engine.Importance);
+    ("mc mean", mean Engine.Mc);
+    ("adaptive mean", mean Engine.Adaptive_mc);
+    ( "abb mc yield",
+      fun ctx ~t_target ~jobs ->
+        Engine.abb_mc_yield ~jobs ~seed:7 ctx ~n:2048 ~t_target );
+  ]
+
 let test_adaptive_yield_jobs_invariant () =
   List.iter
-    (fun (name, ctx) ->
+    (fun (case, ctx) ->
       let t_target = G.quantile (Engine.Ctx.delay_distribution ctx) ~p:0.85 in
-      let run jobs =
-        Engine.yield ~method_:Engine.Adaptive_mc ~jobs ~seed:7 ~batch:256
-          ~min_samples:512 ~max_samples:8192 ctx ~t_target
-      in
-      let a = run 1 and b = run 4 in
-      check_bits (name ^ ": value") a.Engine.value b.Engine.value;
-      check_bits (name ^ ": se") a.Engine.std_error b.Engine.std_error;
-      Alcotest.(check int)
-        (name ^ ": n") a.Engine.n_samples b.Engine.n_samples;
-      Alcotest.(check bool)
-        (name ^ ": stop") true
-        (a.Engine.stop = b.Engine.stop))
+      List.iter
+        (fun (entry, run) ->
+          let name = Printf.sprintf "%s, %s" case entry in
+          let a = run ctx ~t_target ~jobs:1 and b = run ctx ~t_target ~jobs:4 in
+          check_bits (name ^ ": value") a.Engine.value b.Engine.value;
+          check_bits (name ^ ": se") a.Engine.std_error b.Engine.std_error;
+          Alcotest.(check int)
+            (name ^ ": n") a.Engine.n_samples b.Engine.n_samples;
+          Alcotest.(check bool)
+            (name ^ ": stop, ess") true
+            (a.Engine.stop = b.Engine.stop && a.Engine.ess = b.Engine.ess))
+        sampling_entry_points)
     (circuit_cases ())
 
 let test_gate_level_delays_jobs_invariant () =
