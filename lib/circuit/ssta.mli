@@ -32,10 +32,10 @@ val stage_gaussian :
 
     The sampler is the one place gate-level Monte-Carlo trials are
     drawn; the domain-parallel loops in [Spv_engine.Engine]
-    ([gate_level_delays], [gate_level_stage_samples]) are built on it.  Construction
-    pre-computes the die layout, the spatial-correlation factorisation
-    and per-stage scratch buffers so a trial only draws variation and
-    re-runs STA. *)
+    ([gate_level_delays], [gate_level_stage_samples]) are built on it.
+    Construction pre-computes the die layout, the spatial-correlation
+    factorisation and per-stage scratch buffers so a trial only draws
+    variation and re-runs STA. *)
 
 type sampler
 (** Cached per-trial state.  Holds mutable scratch: use one sampler per

@@ -704,7 +704,9 @@ let count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample =
         let x = sample () in
         for k = 0 to nt - 1 do
           let hit =
-            match side with Meets -> x <= targets.(k) | Misses -> x > targets.(k)
+            match side with
+            | Meets -> x <= targets.(k)
+            | Misses -> x > targets.(k)
           in
           if hit then hits.(k) <- hits.(k) + 1
         done
@@ -883,8 +885,10 @@ let closed_form side method_ pipeline dist ~t_target =
   | Quadrature, Misses ->
       Spv_core.Adaptive.loss_with_abb ~policy:abb_closed_policy pipeline
         ~t_target
-  | (Analytic_clark | Mc | Adaptive_mc | Importance), Meets -> cdf0 dist t_target
-  | (Analytic_clark | Mc | Adaptive_mc | Importance), Misses -> sf0 dist t_target
+  | (Analytic_clark | Mc | Adaptive_mc | Importance), Meets ->
+      cdf0 dist t_target
+  | (Analytic_clark | Mc | Adaptive_mc | Importance), Misses ->
+      sf0 dist t_target
 
 (* ---- flat-vs-hierarchical error bounds ------------------------------- *)
 
@@ -900,7 +904,9 @@ let closed_form side method_ pipeline dist ~t_target =
 let hier_bound side ctx ~method_ ~t_target =
   Option.map
     (fun h ->
-      let value pipeline dist = closed_form side method_ pipeline dist ~t_target in
+      let value pipeline dist =
+        closed_form side method_ pipeline dist ~t_target
+      in
       Float.abs
         (value h.Ctx.h_flat h.Ctx.h_flat_dist
         -. value (Ctx.pipeline ctx) (Ctx.delay_distribution ctx)))
@@ -928,13 +934,14 @@ let probability ~where ~side ?(method_ = Adaptive_mc) ?(proposal = Legacy)
   if Array.length t_targets = 0 then invalid_arg (where ^ ": no targets");
   Array.iter (check_target ~where) t_targets;
   check_positive ~where "shards" shards;
-  let hits ~jobs ~budget targets =
+  let hits budget targets =
+    let jobs = resolve_jobs ~where jobs in
     let mvn = Ctx.mvn ctx in
     let make_sample rng () = Mvn.sample_max mvn rng in
-    let hits, drawn, stop =
+    let counts, drawn, stop =
       count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample
     in
-    Array.map (binomial ~method_ ~stop ~n:drawn) hits
+    Array.map (binomial ~method_ ~stop ~n:drawn) counts
   in
   let estimates =
     match method_ with
@@ -945,15 +952,12 @@ let probability ~where ~side ?(method_ = Adaptive_mc) ?(proposal = Legacy)
               (closed_form side method_ (Ctx.pipeline ctx)
                  (Ctx.delay_distribution ctx) ~t_target))
           t_targets
-    | Mc ->
-        let jobs = resolve_jobs ~where jobs in
-        hits ~jobs ~budget:(fixed ~where n) t_targets
+    | Mc -> hits (fixed ~where n) t_targets
     | Adaptive_mc ->
-        let jobs = resolve_jobs ~where jobs in
         let budget =
           adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples
         in
-        Array.map (fun t -> (hits ~jobs ~budget [| t |]).(0)) t_targets
+        Array.map (fun t -> (hits budget [| t |]).(0)) t_targets
     | Importance ->
         Array.map
           (fun t_target ->
@@ -998,24 +1002,24 @@ let delay_mean ?(method_ = Adaptive_mc) ?jobs ?(shards = default_shards)
     ?(rel_se_target = 0.01) ?(max_samples = 1_000_000) ctx =
   let where = "Engine.delay_mean" in
   check_positive ~where "shards" shards;
-  let sampled_mean budget_of =
+  let sampled_mean budget =
     let jobs = resolve_jobs ~where jobs in
-    let budget = budget_of () in
     let mvn = Ctx.mvn ctx in
     let make_sample rng () = Mvn.sample_max mvn rng in
     let (drawn, mean, m2), stop =
       moments ~jobs ~shards ~seed ~budget ~make_sample
     in
     let mean, se = mean_se (drawn, mean, m2) in
-    sampled ~method_ ~stop ~n:drawn mean (if Float.is_finite se then se else 0.0)
+    let se = if Float.is_finite se then se else 0.0 in
+    sampled ~method_ ~stop ~n:drawn mean se
   in
   let e =
     match method_ with
     | Analytic_clark -> closed ~method_ (G.mu (Ctx.delay_distribution ctx))
-    | Mc -> sampled_mean (fun () -> fixed ~where n)
+    | Mc -> sampled_mean (fixed ~where n)
     | Adaptive_mc ->
-        sampled_mean (fun () ->
-            adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples)
+        sampled_mean
+          (adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples)
     | (Exact_independent | Importance | Quadrature) as m ->
         invalid_arg
           (Printf.sprintf "%s: method %s unsupported (use clark, mc or adaptive)"

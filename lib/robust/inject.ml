@@ -286,7 +286,8 @@ let corpus () =
         if e.Spv_engine.Engine.stop = Spv_engine.Engine.Sample_cap then Ok e
         else
           Error
-            (Errors.internal ~where:"mc" "cap not reported as budget exhaustion"));
+            (Errors.internal ~where:"mc"
+               "cap not reported as budget exhaustion"));
     (* -- degenerate samples into statistics -- *)
     {
       name = "stats/ks-empty-sample";

@@ -15,7 +15,8 @@ let ctx ~mus ~sigmas ~corr =
           mus)
        ~corr)
 
-let std_normal () = ctx ~mus:[| 0.0 |] ~sigmas:[| 1.0 |] ~corr:(C.independent ~n:1)
+let std_normal () =
+  ctx ~mus:[| 0.0 |] ~sigmas:[| 1.0 |] ~corr:(C.independent ~n:1)
 
 (* P{max_i X_i > threshold}: mixture importance sampling, or plain
    Monte-Carlo for reference. *)
@@ -88,8 +89,10 @@ let test_effective_samples_diagnostic () =
   let mvn = Mvn.create ~mus:[| 0.0 |] ~sigmas:[| 1.0 |] ~corr:(C.independent ~n:1) in
   let good = kernel_ess (I.plan mvn ~threshold:4.0) ~seed:217 ~n:10_000 in
   Alcotest.(check bool) "healthy ESS" true (good > 100.0);
-  (match (is_loss ~seed:217 ~n:10_000 (std_normal ()) ~threshold:4.0).Engine.ess with
-  | Some ess -> Alcotest.(check bool) "engine reports healthy ESS" true (ess > 100.0)
+  let engine = is_loss ~seed:217 ~n:10_000 (std_normal ()) ~threshold:4.0 in
+  (match engine.Engine.ess with
+  | Some ess ->
+      Alcotest.(check bool) "engine reports healthy ESS" true (ess > 100.0)
   | None -> Alcotest.fail "importance estimate must report ess");
   (* A terrible shift (pointing away from the failure region) collapses
      the diagnostic. *)
