@@ -51,10 +51,14 @@ let experiments =
     ("fig7", Spv_experiments.Fig7_8.run);
     ( "table2",
       fun () ->
+        Spv_experiments.Common.section
+          "Table II: ensuring the 80% yield target with small area penalty";
         Spv_experiments.Table2_3.print_table
           (Spv_experiments.Table2_3.compute Spv_experiments.Table2_3.Ensure_yield) );
     ( "table3",
       fun () ->
+        Spv_experiments.Common.section
+          "Table III: area reduction at the 80% yield target";
         Spv_experiments.Table2_3.print_table
           (Spv_experiments.Table2_3.compute Spv_experiments.Table2_3.Minimise_area) );
     ("ablations", Spv_experiments.Ablations.run);
@@ -62,7 +66,10 @@ let experiments =
 
 let experiment_cmd =
   let id =
-    let doc = "Experiment id (fig2 fig3 fig4 fig5 table1 fig7 table2 table3 ablations)." in
+    let doc =
+      Printf.sprintf "Experiment id (%s)."
+        (String.concat " " (List.map fst experiments))
+    in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
   let run id =

@@ -31,6 +31,28 @@ if [ "$rc" -ne 8 ]; then
   exit 1
 fi
 
+# Experiment gates: `spv_cli experiment` is the one way to reproduce
+# the paper, so a known id must run and an unknown one must fail with
+# exactly the Domain exit code 6.
+run "$CLI" experiment fig5
+echo "==> $CLI experiment nosuch (expect exit 6)"
+rc=0
+"$CLI" experiment nosuch 2>/dev/null || rc=$?
+if [ "$rc" -ne 6 ]; then
+  echo "ci.sh: unknown experiment id did not exit 6 (exit $rc)" >&2
+  exit 1
+fi
+
+# Docs gate: the single-shot bench studies and their BENCH_*.json files
+# are gone; no document or source may cite them.  CHANGES.md and
+# ROADMAP.md are history and stay exempt.
+echo "==> no citations of BENCH_*.json or bench/main.exe <id>"
+if grep -rEn 'BENCH_|bench/main\.exe( --)? +[a-z0-9-]' \
+  README.md DESIGN.md EXPERIMENTS.md .claude examples lib bin test; then
+  echo "ci.sh: stale citation of a retired bench study (above)" >&2
+  exit 1
+fi
+
 # Sweep gate: the built-in smoke grid must produce schema-valid JSONL
 # that is bit-identical across --jobs 1/2/4 (the sweep binary checks
 # both and exits nonzero on any mismatch).

@@ -53,4 +53,5 @@ let () =
         adm real)
     [ (100.0, 2.0); (100.0, 25.0); (60.0, 1.0); (60.0, 0.2); (119.0, 0.5) ];
 
-  Printf.printf "\nFull Fig. 4 curves: dune exec bench/main.exe -- fig4\n"
+  Printf.printf
+    "\nFull Fig. 4 curves: dune exec bin/spv_cli.exe -- experiment fig4\n"

@@ -297,10 +297,12 @@ let parse_request t line : (request, string option * error) result =
         match find "request_id" with Some (Jstring s) -> Some s | _ -> None
       in
       let err e = Error (rid, e) in
+      (* int_of_float wraps past the int range, hence the 2^62 bound *)
       let int_field key ~min =
         match find key with
         | None -> Ok None
-        | Some (Jnumber x) when Float.is_integer x && x >= float_of_int min ->
+        | Some (Jnumber x)
+          when Float.is_integer x && x >= float_of_int min && x < 0x1p62 ->
             Ok (Some (int_of_float x))
         | Some _ ->
             err

@@ -24,7 +24,10 @@
     [jobs] is the engine's trial-level parallelism (never changes
     bytes), [workers] shards independent (source, process) contexts
     across domains (never changes bytes either — see design notes),
-    [deadline_ms] bounds the whole request.
+    [deadline_ms] bounds the whole request.  [seed], [jobs], [workers]
+    and [deadline_ms] must be integral JSON numbers below [2^62]
+    (OCaml's int range) and at least their minimum; anything else is a
+    domain error.
 
     {2 Response schema (version 1)}
 

@@ -338,6 +338,61 @@ let test_proposal_tail_uses_cone () =
     ~hi:(legacy.Engine.value +. allow)
     cone.Engine.value
 
+(* Deep tail: 64 independent stages, stage 0 (mu 100) dominant over 63
+   background stages (mu 80), all sigma 5, at z = 8 (t = 140).  The
+   legacy mixture caps its shift at 6 marginal sigmas and floors mode
+   weights at 1e-12, so here it collapses to uniform over all 64 stages;
+   the cone proposal shifts to the uncapped design point.  Independence
+   keeps the exact loss available in log space at any depth. *)
+let test_proposal_deep_tail_ess_gain () =
+  let sigma = 5.0 in
+  let mus = Array.init 64 (fun i -> if i = 0 then 100.0 else 80.0) in
+  let ctx =
+    Engine.Ctx.of_pipeline
+      (Spv_core.Pipeline.make
+         (Array.map (fun mu -> Spv_core.Stage.of_moments ~mu ~sigma ()) mus)
+         ~corr:(Spv_stats.Correlation.independent ~n:64))
+  in
+  Cn.install_engine_proposal ();
+  let t_target = 140.0 and n = 40_000 in
+  let exact =
+    -.Float.expm1
+        (Array.fold_left
+           (fun acc mu ->
+             acc +. Float.log1p (-.Special.upper_tail ((t_target -. mu) /. sigma)))
+           0.0 mus)
+  in
+  let run proposal =
+    Engine.yield_loss ~method_:Engine.Importance ~proposal ~n ctx ~t_target
+  in
+  let ess e = Option.value ~default:0.0 e.Engine.ess in
+  let legacy = run Engine.Legacy and cone = run Engine.Cone_guided in
+  Alcotest.(check bool) "cone proposal selected" true
+    (match cone.Engine.proposal with
+    | Some (Engine.Prop_cone _) -> true
+    | _ -> false);
+  check_in_range "cone ESS >= 100x legacy" ~lo:100.0 ~hi:infinity
+    (ess cone /. Float.max (ess legacy) 1.0);
+  check_in_range "cone 3 se interval covers the exact loss"
+    ~lo:(cone.Engine.value -. (3.0 *. cone.Engine.std_error))
+    ~hi:(cone.Engine.value +. (3.0 *. cone.Engine.std_error))
+    exact;
+  (* single stage: the pipeline max is exactly Gaussian *)
+  let one =
+    Engine.Ctx.of_pipeline
+      (Spv_core.Pipeline.make
+         [| Spv_core.Stage.of_moments ~mu:100.0 ~sigma () |]
+         ~corr:(Spv_stats.Correlation.independent ~n:1))
+  in
+  let e =
+    Engine.yield_loss ~method_:Engine.Importance ~proposal:Engine.Cone_guided
+      ~n one ~t_target:(100.0 +. (6.0 *. sigma))
+  in
+  check_in_range "cone 6-sigma loss within 3 se of upper_tail 6"
+    ~lo:(e.Engine.value -. (3.0 *. e.Engine.std_error))
+    ~hi:(e.Engine.value +. (3.0 *. e.Engine.std_error))
+    (Special.upper_tail 6.0)
+
 let test_proposal_body_falls_back_to_plain () =
   let ctx = moment_ctx () in
   Cn.install_engine_proposal ();
@@ -457,6 +512,8 @@ let suite =
     quick "cone structure and ranking" test_cone_structure;
     quick "slack form and attribution" test_slack_form_and_attribution;
     slow "tail target uses the cone proposal" test_proposal_tail_uses_cone;
+    slow "deep tail: cone ESS >= 100x legacy, CI covers exact"
+      test_proposal_deep_tail_ess_gain;
     quick "body target falls back to plain" test_proposal_body_falls_back_to_plain;
     quick "no dominant stage keeps legacy" test_proposal_no_dominant_stage_keeps_legacy;
     slow "cone-guided runs are jobs-deterministic" test_cone_guided_jobs_determinism;

@@ -178,6 +178,21 @@ let test_malformed_requests_structured_errors () =
     "{\"schema_version\":1,\"request_id\":\"j\",\"jobs\":0,\"grid\":\"stages \
      100,6\\ntargets 120\\n\"}"
     ~rid:"\"j\"" ~status:"domain_error" ~code:6;
+  (* integral values beyond the int range must not wrap past ~min *)
+  List.iter
+    (fun field ->
+      expect_error
+        (Printf.sprintf
+           "{\"schema_version\":1,\"request_id\":\"r\",%s,\"grid\":\"stages \
+            100,5 95,4\\nmethod clark,mc\\ntargets 110\"}"
+           field)
+        ~rid:"\"r\"" ~status:"domain_error" ~code:6)
+    [
+      "\"jobs\":1e19";
+      "\"workers\":1e19";
+      "\"deadline_ms\":4.7e18";
+      "\"seed\":4.7e18";
+    ];
   (* the daemon survives all of the above *)
   let ok =
     Serve.handle_line d
