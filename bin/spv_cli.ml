@@ -39,6 +39,108 @@ let circuit_arg =
   in
   Arg.(required & opt (some string) None & info [ "c"; "circuit" ] ~doc)
 
+(* Substring search for the smoke self-checks: the offset of the first
+   [needle] in [hay]. *)
+let find_substring hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then None
+    else if String.sub hay i nn = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let contains hay needle = find_substring hay needle <> None
+
+(* ---- shared pipeline-source arguments ------------------------------ *)
+
+(* [mc] and [analyze] take a pipeline either as stage circuits or as
+   --mu/--sigma/--rho moments, never both. *)
+type sources = {
+  circuits : string list;
+  mus : float list;
+  sigmas : float list;
+  rho : float;
+}
+
+let sources_arg =
+  let circuits =
+    let doc =
+      "Pipeline stage circuit (repeatable; builtin name or .bench path).  \
+       Mutually exclusive with --mu/--sigma."
+    in
+    Arg.(value & opt_all string [] & info [ "c"; "circuit" ] ~doc)
+  in
+  let mus =
+    let doc =
+      "Stage mean delays in ps (repeatable).  Mutually exclusive with \
+       --circuit."
+    in
+    Arg.(value & opt_all float [] & info [ "mu" ] ~doc)
+  in
+  let sigmas =
+    let doc = "Stage delay sigmas in ps (repeatable, same count as --mu)." in
+    Arg.(value & opt_all float [] & info [ "sigma" ] ~doc)
+  in
+  let rho =
+    let doc = "Uniform stage-delay correlation coefficient (moments mode)." in
+    Arg.(value & opt float 0.0 & info [ "rho" ] ~doc)
+  in
+  Term.(
+    const (fun circuits mus sigmas rho -> { circuits; mus; sigmas; rho })
+    $ circuits $ mus $ sigmas $ rho)
+
+(* The engine context of a pipeline source.  [mode] applies to circuit
+   pipelines; moment pipelines have no netlists to decompose, so the
+   hierarchical mode is refused on them. *)
+let engine_ctx_of_sources ?(mode = Engine.Flat) s =
+  match (s.circuits, s.mus) with
+  | [], [] ->
+      Error
+        (Errors.domain ~param:"--circuit"
+           "give at least one --circuit, or --mu/--sigma moments")
+  | _ :: _, _ :: _ ->
+      Error
+        (Errors.domain ~param:"--circuit"
+           "give either --circuit or --mu/--sigma, not both")
+  | [], mus ->
+      if mode = Engine.Hierarchical then
+        Error
+          (Errors.domain ~param:"--hier"
+             "requires --circuit (moment pipelines have no netlists to \
+              decompose)")
+      else
+        let* p =
+          Checked.pipeline_of_moments ~on_warning:warn ~mus:(Array.of_list mus)
+            ~sigmas:(Array.of_list s.sigmas) ~rho:s.rho ()
+        in
+        Checked.engine_ctx_of_pipeline p
+  | names, [] ->
+      let* nets =
+        List.fold_left
+          (fun acc name ->
+            let* acc = acc in
+            let* net = lookup_circuit name in
+            Ok (net :: acc))
+          (Ok []) names
+      in
+      let tech = Spv_process.Tech.bptm70 in
+      let ff = Spv_process.Flipflop.default tech in
+      Checked.engine_ctx_of_circuits ~mode ~ff tech
+        (Array.of_list (List.rev nets))
+
+(* ---- shared sizing argument ---------------------------------------- *)
+
+let stage_yield_arg =
+  let doc = "Stage yield budget in (0.5, 1) defining z." in
+  Arg.(value & opt float 0.9457 & info [ "stage-yield" ] ~doc)
+
+(* The per-stage sigma multiplier z of a --stage-yield budget. *)
+let stage_z stage_yield =
+  if stage_yield > 0.5 && stage_yield < 1.0 then
+    Ok (Spv_stats.Special.big_phi_inv stage_yield)
+  else Error (Errors.domain ~param:"--stage-yield" "must lie in (0.5, 1)")
+
 (* ---- experiment command ------------------------------------------- *)
 
 let experiments =
@@ -205,20 +307,6 @@ let yield_cmd =
     Term.(const run $ mus $ sigmas $ rho $ target $ jobs_arg $ seed_arg)
 
 let mc_cmd =
-  let mus =
-    let doc =
-      "Stage mean delays in ps (repeatable).  Mutually exclusive with \
-       --circuit."
-    in
-    Arg.(value & opt_all float [] & info [ "mu" ] ~doc)
-  in
-  let circuits_arg =
-    let doc =
-      "Pipeline stage circuit (repeatable; builtin name or .bench path).  \
-       Mutually exclusive with --mu/--sigma."
-    in
-    Arg.(value & opt_all string [] & info [ "c"; "circuit" ] ~doc)
-  in
   let hier =
     let doc =
       "Evaluate the circuit pipeline through the hierarchical (block-macro) \
@@ -226,14 +314,6 @@ let mc_cmd =
        bound.  Requires --circuit."
     in
     Arg.(value & flag & info [ "hier" ] ~doc)
-  in
-  let sigmas =
-    let doc = "Stage delay sigmas in ps (repeatable, same count as --mu)." in
-    Arg.(value & opt_all float [] & info [ "sigma" ] ~doc)
-  in
-  let rho =
-    let doc = "Uniform stage-delay correlation coefficient." in
-    Arg.(value & opt float 0.0 & info [ "rho" ] ~doc)
   in
   let target =
     let doc = "Clock-period target in ps.  Required unless --smoke." in
@@ -256,28 +336,20 @@ let mc_cmd =
     in
     Arg.(value & opt int 8 & info [ "shards" ] ~doc)
   in
-  let proposal_arg =
-    let doc =
-      "Importance-sampling proposal family: $(b,legacy) (capped mean shift \
-       toward the target) or $(b,cone) (failure-cone-guided mixture from \
-       the static analyzer; falls back to legacy when no cone dominates \
-       and to plain MC for body targets)."
-    in
-    Arg.(value & opt string "legacy" & info [ "proposal" ] ~doc)
-  in
   let smoke =
     let doc =
       "Self-check on a built-in fixture: estimate the same tail loss with \
-       adaptive MC and cone-guided importance sampling, assert agreement \
-       within the reported confidence intervals and that the cone proposal \
-       was actually selected, and print a one-line summary.  Ignores the \
-       model arguments."
+       adaptive MC and importance sampling, assert agreement within the \
+       reported confidence intervals and that the importance estimator \
+       picked the cone proposal by default, and print a one-line summary.  \
+       Ignores the model arguments."
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
   (* The --smoke gate: a moments pipeline whose spread stage means give
      the cone analyzer a dominant stage, with the target close enough
-     in that adaptive MC still resolves the loss.  The two estimators
+     in that adaptive MC still resolves the loss.  Importance sampling
+     must pick the cone proposal on its own, and the two estimators
      must agree within z * (se_mc + se_imp). *)
   let run_smoke seed =
     let mus = [| 100.0; 96.0; 92.0; 88.0 |]
@@ -292,8 +364,8 @@ let mc_cmd =
         ~max_samples:400_000 ctx ~t_target
     in
     let* imp =
-      Checked.engine_yield ~method_:Engine.Importance
-        ~proposal:Engine.Cone_guided ~seed ~n:20_000 ctx ~t_target
+      Checked.engine_yield ~method_:Engine.Importance ~seed ~n:20_000 ctx
+        ~t_target
     in
     let* () =
       match imp.Engine.proposal with
@@ -302,8 +374,8 @@ let mc_cmd =
           Error
             (Errors.numeric ~where:"mc --smoke"
                (Printf.sprintf
-                  "cone-guided run used proposal %S (no dominant cone on \
-                   the fixture?)"
+                  "importance run used proposal %S, not cone (no dominant \
+                   cone on the fixture?)"
                   (match used with
                   | Some u -> Engine.proposal_used_name u
                   | None -> "none")))
@@ -329,8 +401,7 @@ let mc_cmd =
       Ok ()
     end
   in
-  let run circuits hier mus sigmas rho target method_name n shards
-      proposal_name smoke jobs seed =
+  let run sources hier target method_name n shards smoke jobs seed =
     handle
       (if smoke then run_smoke seed
        else
@@ -344,15 +415,6 @@ let mc_cmd =
                      (String.concat ", "
                         (List.map Engine.method_name Engine.all_methods))))
        in
-       let* proposal =
-         match Engine.proposal_of_string proposal_name with
-         | Some p -> Ok p
-         | None ->
-             Error
-               (Errors.domain ~param:"--proposal"
-                  (Printf.sprintf "unknown proposal %S (known: legacy, cone)"
-                     proposal_name))
-       in
        let* target =
          match target with
          | Some t -> Ok t
@@ -360,46 +422,10 @@ let mc_cmd =
              Error
                (Errors.domain ~param:"--target" "required unless --smoke")
        in
-       let* ctx =
-         match (circuits, mus) with
-         | [], [] ->
-             Error
-               (Errors.domain ~param:"--mu"
-                  "give --mu/--sigma moments, or at least one --circuit")
-         | _ :: _, _ :: _ ->
-             Error
-               (Errors.domain ~param:"--circuit"
-                  "give either --circuit or --mu/--sigma, not both")
-         | [], _ ->
-             if hier then
-               Error
-                 (Errors.domain ~param:"--hier"
-                    "requires --circuit (moment pipelines have no netlists \
-                     to decompose)")
-             else
-               let mus = Array.of_list mus and sigmas = Array.of_list sigmas in
-               let* p =
-                 Checked.pipeline_of_moments ~on_warning:warn ~mus ~sigmas
-                   ~rho ()
-               in
-               Checked.engine_ctx_of_pipeline p
-         | names, [] ->
-             let* nets =
-               List.fold_left
-                 (fun acc name ->
-                   let* acc = acc in
-                   let* net = lookup_circuit name in
-                   Ok (net :: acc))
-                 (Ok []) names
-             in
-             let mode = if hier then Engine.Hierarchical else Engine.Flat in
-             let tech = Spv_process.Tech.bptm70 in
-             let ff = Spv_process.Flipflop.default tech in
-             Checked.engine_ctx_of_circuits ~mode ~ff tech
-               (Array.of_list (List.rev nets))
-       in
+       let mode = if hier then Engine.Hierarchical else Engine.Flat in
+       let* ctx = engine_ctx_of_sources ~mode sources in
        let* e =
-         Checked.engine_yield ~method_ ~proposal ?jobs ~shards ~seed ~n ctx
+         Checked.engine_yield ~method_ ?jobs ~shards ~seed ~n ctx
            ~t_target:target
        in
        Format.printf "%a@." Engine.pp_estimate e;
@@ -411,9 +437,8 @@ let mc_cmd =
          "Yield estimate through the unified engine: any estimator from the \
           taxonomy, with deterministic domain-parallel sampling.")
     Term.(
-      const run $ circuits_arg $ hier $ mus $ sigmas $ rho $ target
-      $ method_arg $ n $ shards $ proposal_arg $ smoke $ jobs_arg
-      $ seed_arg)
+      const run $ sources_arg $ hier $ target $ method_arg $ n $ shards $ smoke
+      $ jobs_arg $ seed_arg)
 
 (* ---- sta command --------------------------------------------------- *)
 
@@ -448,10 +473,6 @@ let size_cmd =
     let doc = "Statistical delay target (mu + z sigma) in ps." in
     Arg.(required & opt (some float) None & info [ "t"; "target" ] ~doc)
   in
-  let stage_yield =
-    let doc = "Stage yield budget in (0.5, 1) defining z." in
-    Arg.(value & opt float 0.9457 & info [ "stage-yield" ] ~doc)
-  in
   let sizer =
     let doc =
       "Sizer: $(b,lagrangian) (default) or $(b,greedy) (TILOS-style; its \
@@ -466,51 +487,47 @@ let size_cmd =
   let run name target stage_yield sizer =
     handle
       (let* net = lookup_circuit name in
-       if not (stage_yield > 0.5 && stage_yield < 1.0) then
-         Error
-           (Errors.domain ~param:"--stage-yield" "must lie in (0.5, 1)")
-       else
-         let tech = Spv_process.Tech.bptm70 in
-         let ff = Spv_process.Flipflop.default tech in
-         let z = Spv_stats.Special.big_phi_inv stage_yield in
-         let before = Spv_circuit.Netlist.area net in
-         Spv_sizing.Sens_hook.reset_stats ();
-         let* () =
-           match sizer with
-           | `Lagrangian ->
-               let* r = Checked.size_stage ~ff tech net ~t_target:target ~z in
-               Printf.printf
-                 "sized %s: area %.1f -> %.1f, stat delay %.1f ps (target \
-                  %.1f), %d iterations, converged: %b\n"
-                 name before r.Spv_sizing.Lagrangian.area
-                 r.Spv_sizing.Lagrangian.stat_delay target
-                 r.Spv_sizing.Lagrangian.iterations
-                 r.Spv_sizing.Lagrangian.converged;
-               Ok ()
-           | `Greedy ->
-               let* r =
-                 Checked.protect ~where:"greedy sizing" (fun () ->
-                     Spv_sizing.Greedy.size_stage ~ff tech net ~t_target:target
-                       ~z)
-               in
-               Printf.printf
-                 "sized %s (greedy): area %.1f -> %.1f, stat delay %.1f ps \
-                  (target %.1f), %d move(s), converged: %b\n"
-                 name before r.Spv_sizing.Greedy.area
-                 r.Spv_sizing.Greedy.stat_delay target
-                 r.Spv_sizing.Greedy.moves r.Spv_sizing.Greedy.converged;
-               Ok ()
-         in
-         let st = Spv_sizing.Sens_hook.stats in
-         Printf.printf "sensitivity pruning: %d move(s) evaluated, %d pruned\n"
-           st.Spv_sizing.Sens_hook.moves_evaluated
-           st.Spv_sizing.Sens_hook.moves_pruned;
-         Ok ())
+       let* z = stage_z stage_yield in
+       let tech = Spv_process.Tech.bptm70 in
+       let ff = Spv_process.Flipflop.default tech in
+       let before = Spv_circuit.Netlist.area net in
+       Spv_sizing.Sens_hook.reset_stats ();
+       let* () =
+         match sizer with
+         | `Lagrangian ->
+             let* r = Checked.size_stage ~ff tech net ~t_target:target ~z in
+             Printf.printf
+               "sized %s: area %.1f -> %.1f, stat delay %.1f ps (target \
+                %.1f), %d iterations, converged: %b\n"
+               name before r.Spv_sizing.Lagrangian.area
+               r.Spv_sizing.Lagrangian.stat_delay target
+               r.Spv_sizing.Lagrangian.iterations
+               r.Spv_sizing.Lagrangian.converged;
+             Ok ()
+         | `Greedy ->
+             let* r =
+               Checked.protect ~where:"greedy sizing" (fun () ->
+                   Spv_sizing.Greedy.size_stage ~ff tech net ~t_target:target
+                     ~z)
+             in
+             Printf.printf
+               "sized %s (greedy): area %.1f -> %.1f, stat delay %.1f ps \
+                (target %.1f), %d move(s), converged: %b\n"
+               name before r.Spv_sizing.Greedy.area
+               r.Spv_sizing.Greedy.stat_delay target
+               r.Spv_sizing.Greedy.moves r.Spv_sizing.Greedy.converged;
+             Ok ()
+       in
+       let st = Spv_sizing.Sens_hook.stats in
+       Printf.printf "sensitivity pruning: %d move(s) evaluated, %d pruned\n"
+         st.Spv_sizing.Sens_hook.moves_evaluated
+         st.Spv_sizing.Sens_hook.moves_pruned;
+       Ok ())
   in
   Cmd.v
     (Cmd.info "size"
        ~doc:"Minimum-area gate sizing under a statistical delay constraint.")
-    Term.(const run $ circuit_arg $ target $ stage_yield $ sizer)
+    Term.(const run $ circuit_arg $ target $ stage_yield_arg $ sizer)
 
 (* ---- power command --------------------------------------------------- *)
 
@@ -603,35 +620,28 @@ let curve_cmd =
     let doc = "Number of sizing runs along the curve." in
     Arg.(value & opt int 9 & info [ "n"; "points" ] ~doc)
   in
-  let stage_yield =
-    let doc = "Stage yield budget in (0.5, 1) defining z." in
-    Arg.(value & opt float 0.9457 & info [ "stage-yield" ] ~doc)
-  in
   let run name points stage_yield =
     handle
       (let* net = lookup_circuit name in
-       if not (stage_yield > 0.5 && stage_yield < 1.0) then
-         Error (Errors.domain ~param:"--stage-yield" "must lie in (0.5, 1)")
-       else
-         let tech = Spv_process.Tech.bptm70 in
-         let ff = Spv_process.Flipflop.default tech in
-         let z = Spv_stats.Special.big_phi_inv stage_yield in
-         let* pts =
-           Checked.protect ~where:"area-delay curve" (fun () ->
-               Spv_sizing.Area_delay.curve_points ~ff ~n_points:points tech
-                 net ~z)
-         in
-         Printf.printf "%12s %12s\n" "delay(ps)" "area";
-         Array.iter
-           (fun p ->
-             Printf.printf "%12.1f %12.1f\n" p.Spv_core.Balance.delay
-               p.Spv_core.Balance.area)
-           pts;
-         Ok ())
+       let* z = stage_z stage_yield in
+       let tech = Spv_process.Tech.bptm70 in
+       let ff = Spv_process.Flipflop.default tech in
+       let* pts =
+         Checked.protect ~where:"area-delay curve" (fun () ->
+             Spv_sizing.Area_delay.curve_points ~ff ~n_points:points tech net
+               ~z)
+       in
+       Printf.printf "%12s %12s\n" "delay(ps)" "area";
+       Array.iter
+         (fun p ->
+           Printf.printf "%12.1f %12.1f\n" p.Spv_core.Balance.delay
+             p.Spv_core.Balance.area)
+         pts;
+       Ok ())
   in
   Cmd.v
     (Cmd.info "curve" ~doc:"Area-vs-delay trade-off curve of a circuit.")
-    Term.(const run $ circuit_arg $ points $ stage_yield)
+    Term.(const run $ circuit_arg $ points $ stage_yield_arg)
 
 (* ---- report command --------------------------------------------------- *)
 
@@ -824,25 +834,6 @@ let vth_cmd =
 (* ---- analyze command ------------------------------------------------- *)
 
 let analyze_cmd =
-  let circuits_arg =
-    let doc =
-      "Pipeline stage circuit (repeatable; builtin name or .bench path).  \
-       Mutually exclusive with --mu/--sigma."
-    in
-    Arg.(value & opt_all string [] & info [ "c"; "circuit" ] ~doc)
-  in
-  let mus =
-    let doc = "Stage mean delays in ps (repeatable; moments mode)." in
-    Arg.(value & opt_all float [] & info [ "mu" ] ~doc)
-  in
-  let sigmas =
-    let doc = "Stage delay sigmas in ps (repeatable, same count as --mu)." in
-    Arg.(value & opt_all float [] & info [ "sigma" ] ~doc)
-  in
-  let rho =
-    let doc = "Uniform stage correlation (moments mode)." in
-    Arg.(value & opt float 0.0 & info [ "rho" ] ~doc)
-  in
   let kappa =
     let doc =
       "Half-width of the bounded-variation box in sigmas: every bound holds \
@@ -879,39 +870,9 @@ let analyze_cmd =
       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
-  let run circuits mus sigmas rho kappa target hier json format =
+  let run sources kappa target hier json format =
     handle
-      (let* ctx =
-         match (circuits, mus) with
-         | [], [] ->
-             Error
-               (Errors.domain ~param:"--circuit"
-                  "give at least one --circuit, or --mu/--sigma moments")
-         | _ :: _, _ :: _ ->
-             Error
-               (Errors.domain ~param:"--circuit"
-                  "give either --circuit or --mu/--sigma, not both")
-         | [], _ ->
-             let mus = Array.of_list mus and sigmas = Array.of_list sigmas in
-             let* p =
-               Checked.pipeline_of_moments ~on_warning:warn ~mus ~sigmas ~rho
-                 ()
-             in
-             Checked.engine_ctx_of_pipeline p
-         | names, [] ->
-             let* nets =
-               List.fold_left
-                 (fun acc name ->
-                   let* acc = acc in
-                   let* net = lookup_circuit name in
-                   Ok (net :: acc))
-                 (Ok []) names
-             in
-             let tech = Spv_process.Tech.bptm70 in
-             let ff = Spv_process.Flipflop.default tech in
-             Checked.engine_ctx_of_circuits ~ff tech
-               (Array.of_list (List.rev nets))
-       in
+      (let* ctx = engine_ctx_of_sources sources in
        let* r = Checked.analyze ~k:kappa ?t_target:target ~hier ctx in
        let report = r.Spv_analysis.Analyze.report in
        if json || format = `Json then
@@ -994,7 +955,7 @@ let analyze_cmd =
           yield estimators.  Error findings exit with the lint code after \
           the report is printed.")
     Term.(
-      const run $ circuits_arg $ mus $ sigmas $ rho $ kappa $ target $ hier
+      const run $ sources_arg $ kappa $ target $ hier
       $ json $ format_arg)
 
 (* ---- certify command ------------------------------------------------- *)
@@ -1147,13 +1108,6 @@ let sweep_cmd =
     in
     Arg.(value & flag & info [ "hier" ] ~doc)
   in
-  let proposal_arg =
-    let doc =
-      "Importance-sampling proposal family for $(b,importance) scenarios: \
-       $(b,legacy) or $(b,cone) (failure-cone-guided; see $(b,spv mc))."
-    in
-    Arg.(value & opt string "legacy" & info [ "proposal" ] ~doc)
-  in
   (* The --smoke gate: determinism really is "same bytes for any
      --jobs", so compare the serialised JSONL verbatim. *)
   let required_keys =
@@ -1163,11 +1117,6 @@ let sweep_cmd =
       "\"n_samples\":"; "\"stop\":"; "\"loss\":"; "\"hier_bound\":";
       "\"macro_hits\":"; "\"macro_misses\":"; "\"ess\":"; "\"proposal\":";
     ]
-  in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
   in
   let check_schema jsonl n_expected =
     let lines =
@@ -1272,18 +1221,9 @@ let sweep_cmd =
     Printf.printf "%d scenario(s), %d context(s) built\n"
       (Array.length r.Sweep.rows) r.Sweep.n_contexts
   in
-  let run grid_file format smoke hier proposal_name jobs seed =
+  let run grid_file format smoke hier jobs seed =
     handle
-      (let* proposal =
-         match Engine.proposal_of_string proposal_name with
-         | Some p -> Ok p
-         | None ->
-             Error
-               (Errors.domain ~param:"--proposal"
-                  (Printf.sprintf "unknown proposal %S (known: legacy, cone)"
-                     proposal_name))
-       in
-       if smoke then run_smoke ~hier seed
+      (if smoke then run_smoke ~hier seed
        else
          match grid_file with
          | None ->
@@ -1292,7 +1232,7 @@ let sweep_cmd =
          | Some path ->
              let* grid = Checked.sweep_grid_of_file ~on_warning:warn path in
              let mode = if hier then Engine.Hierarchical else Engine.Flat in
-             let* r = Checked.sweep_run ~mode ~proposal ?jobs ~seed grid in
+             let* r = Checked.sweep_run ~mode ?jobs ~seed grid in
              (match format with
              | `Jsonl -> print_string (Sweep.to_jsonl r)
              | `Text -> print_text r);
@@ -1307,8 +1247,7 @@ let sweep_cmd =
           row per scenario.  Results are bit-identical for any --jobs at a \
           fixed seed.")
     Term.(
-      const run $ grid_file $ format_arg $ smoke $ hier $ proposal_arg
-      $ jobs_arg $ seed_arg)
+      const run $ grid_file $ format_arg $ smoke $ hier $ jobs_arg $ seed_arg)
 
 (* ---- serve command -------------------------------------------------- *)
 
@@ -1342,11 +1281,6 @@ let serve_cmd =
        request, and a structured error row for the malformed line."
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
-  in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
   in
   let required_row_keys =
     [
@@ -1400,18 +1334,12 @@ let serve_cmd =
               && contains l (Printf.sprintf "\"request_id\":\"%s\"" rid)
             then
               (* strip the wrapper down to the embedded sweep row *)
-              match String.index_opt l '{' with
-              | Some _ ->
-                  let marker = "\"row\":" in
-                  let rec find i =
-                    if i + String.length marker > String.length l then None
-                    else if String.sub l i (String.length marker) = marker
-                    then Some (String.sub l (i + String.length marker)
-                                 (String.length l - i - String.length marker - 1))
-                    else find (i + 1)
-                  in
-                  find 0
-              | None -> None
+              let marker = "\"row\":" in
+              Option.map
+                (fun i ->
+                  let start = i + String.length marker in
+                  String.sub l start (String.length l - start - 1))
+                (find_substring l marker)
             else None)
           t1
       in
@@ -1592,11 +1520,6 @@ let fuzz_cmd =
                          (List.map Oracle.invariant_name Oracle.all_invariants)))))
         (Ok []) parts
   in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   let required_trial_keys =
     [
       "\"schema_version\":"; "\"kind\":\"trial\""; "\"trial\":"; "\"seed\":";
@@ -1768,8 +1691,10 @@ let () =
   Spv_analysis.Bounds.install_engine_check ();
   Spv_analysis.Affine_sta.install_engine_check ();
   Spv_analysis.Certify.install_sizing_check ();
-  (* The cone-guided importance proposal: the engine only consults the
-     provider when --proposal cone is selected. *)
+  (* The importance proposal: every importance estimate asks the cone
+     provider first and falls back to the legacy mixture only when it
+     finds no dominant cone (the estimate's proposal field says which
+     ran). *)
   Spv_analysis.Cones.install_engine_proposal ();
   (* Certified sensitivity pruning for the sizers; result-transparent
      (skips work, never changes reports — asserted under

@@ -44,12 +44,14 @@ if [ "$rc" -ne 6 ]; then
 fi
 
 # Docs gate: the single-shot bench studies and their BENCH_*.json files
-# are gone; no document or source may cite them.  CHANGES.md and
+# are gone, and so is the importance-proposal option (there is one
+# proposal); no document or source may cite either.  CHANGES.md and
 # ROADMAP.md are history and stay exempt.
-echo "==> no citations of BENCH_*.json or bench/main.exe <id>"
-if grep -rEn 'BENCH_|bench/main\.exe( --)? +[a-z0-9-]' \
+echo "==> no citations of BENCH_*.json, bench/main.exe <id> or a proposal option"
+if grep -rEn \
+  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:' \
   README.md DESIGN.md EXPERIMENTS.md .claude examples lib bin test; then
-  echo "ci.sh: stale citation of a retired bench study (above)" >&2
+  echo "ci.sh: stale citation of a retired bench study or proposal option (above)" >&2
   exit 1
 fi
 
@@ -107,9 +109,10 @@ case "$out" in
   exit 1 ;;
 esac
 
-# Proposal gate: cone-guided importance sampling must select the cone
-# proposal on the smoke fixture and agree with adaptive MC (the binary
-# exits 5 on disagreement or an unselected proposal).
+# Proposal gate: on the smoke fixture the *default* importance run must
+# pick the cone proposal (there is no option to request it) and agree
+# with adaptive MC (the binary exits 5 on disagreement or when the
+# estimate reports any other proposal).
 run "$CLI" mc --smoke
 
 # Fuzz gates: the budgeted smoke campaign must find nothing (exit 0,

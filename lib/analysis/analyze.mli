@@ -16,7 +16,7 @@
       only, per-gate) criticality probability bounds, the statistical
       slack form with sensitivity attribution (with a [t_target]), and
       the ranked dominant failure cones whose shift directions drive
-      the engine's [Cone_guided] importance proposal ({!Cones});
+      the engine's importance proposal ({!Cones});
     - ["sensitivity"] — certified derivative enclosures of stage
       mu/sigma (and, with a [t_target], the Clark pipeline yield) with
       respect to critical-path gate sizes over a relative design box,

@@ -131,7 +131,7 @@ val proposal :
 
 val install_engine_proposal : unit -> unit
 (** Register {!proposal} (with default [k] and [threshold]) as the
-    engine's [Cone_guided] provider via
+    provider of the engine's importance proposal via
     [Spv_engine.Engine.register_proposal_provider]. *)
 
 val findings : t -> Report.finding list

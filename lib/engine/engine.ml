@@ -464,8 +464,6 @@ type method_ =
 
 type stop_reason = Closed_form | Converged | Sample_cap | Fixed_n
 
-type proposal = Legacy | Cone_guided
-
 type proposal_used =
   | Prop_legacy
   | Prop_cone of int
@@ -501,13 +499,6 @@ let stop_reason_name = function
   | Converged -> "converged"
   | Sample_cap -> "sample-cap"
   | Fixed_n -> "fixed-n"
-
-let proposal_name = function Legacy -> "legacy" | Cone_guided -> "cone"
-
-let proposal_of_string = function
-  | "legacy" -> Some Legacy
-  | "cone" -> Some Cone_guided
-  | _ -> None
 
 let proposal_used_name = function
   | Prop_legacy -> "legacy"
@@ -575,7 +566,6 @@ type proposal_provider =
 
 let proposal_provider : proposal_provider option ref = ref None
 let register_proposal_provider f = proposal_provider := Some f
-let proposal_provider_installed () = !proposal_provider <> None
 
 let postcondition ~where ctx ~t_target e =
   (if !debug_checks then
@@ -782,7 +772,7 @@ let fill ~jobs ~shards ~seed ~n ~make_trial =
 
 (* ---- estimators ------------------------------------------------------ *)
 
-let sampled ~method_ ~stop ~n ?ess ?proposal value std_error =
+let sampled ~method_ ~stop ~n ?ess ?used value std_error =
   {
     value;
     std_error;
@@ -791,7 +781,7 @@ let sampled ~method_ ~stop ~n ?ess ?proposal value std_error =
     stop;
     hier_bound = None;
     ess;
-    proposal;
+    proposal = used;
   }
 
 let closed ~method_ value = sampled ~method_ ~stop:Closed_form ~n:0 value 0.0
@@ -801,25 +791,20 @@ let binomial ~method_ ~stop ~n hits =
   sampled ~method_ ~stop ~n p (binomial_se p n)
 
 (* One importance-sampling run shared by yield and loss: resolves the
-   proposal (analyzer cones when requested and available, the legacy
-   per-stage mixture otherwise), detects body targets — max whitened
-   shift below [Importance.body_shift_threshold], where mean-shifting
-   is statistically inert — and falls back to plain Monte-Carlo with
+   proposal (analyzer cones when a provider is installed and returns
+   one, the legacy per-stage mixture otherwise), detects body targets
+   — max whitened shift below [Importance.body_shift_threshold], where
+   mean-shifting is statistically inert — and falls back to plain Monte-Carlo with
    the explicit [Prop_plain] marker instead of silently degrading
    (DESIGN §8).  Returns the failure probability side; ESS is the
    self-normalised weight diagnostic (sum w)^2 / sum w^2 computed from
    the merged shard moments. *)
-let importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx ~t_target =
+let importance_loss ~where ~jobs ~shards ~seed ~n ctx ~t_target =
   let jobs = resolve_jobs ~where jobs in
   let budget = fixed ~where n in
   let mvn = Ctx.mvn ctx in
   let cone_shifts =
-    match proposal with
-    | Legacy -> None
-    | Cone_guided -> (
-        match !proposal_provider with
-        | None -> None
-        | Some f -> f ctx ~t_target)
+    match !proposal_provider with None -> None | Some f -> f ctx ~t_target
   in
   let plan =
     match cone_shifts with
@@ -927,8 +912,8 @@ let check_target ~where t_target =
    runs stop on per-target criteria, so they and the other methods
    evaluate target by target.  Registered oracles check yield
    semantics, so only the [Meets] side runs the postcondition. *)
-let probability ~where ~side ?(method_ = Adaptive_mc) ?(proposal = Legacy)
-    ?jobs ?(shards = default_shards) ?(seed = default_seed) ?(n = 10_000)
+let probability ~where ~side ?(method_ = Adaptive_mc) ?jobs
+    ?(shards = default_shards) ?(seed = default_seed) ?(n = 10_000)
     ?(batch = 1024) ?(min_samples = 1000) ?(rel_se_target = 0.01)
     ?(max_samples = 1_000_000) ctx ~t_targets =
   if Array.length t_targets = 0 then invalid_arg (where ^ ": no targets");
@@ -962,11 +947,10 @@ let probability ~where ~side ?(method_ = Adaptive_mc) ?(proposal = Legacy)
         Array.map
           (fun t_target ->
             let p_fail, se, ess, used =
-              importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx
-                ~t_target
+              importance_loss ~where ~jobs ~shards ~seed ~n ctx ~t_target
             in
             let p = match side with Meets -> 1.0 -. p_fail | Misses -> p_fail in
-            sampled ~method_ ~stop:Fixed_n ~n ~ess ~proposal:used
+            sampled ~method_ ~stop:Fixed_n ~n ~ess ~used
               (Float.max 0.0 (Float.min 1.0 p))
               se)
           t_targets
@@ -979,22 +963,21 @@ let probability ~where ~side ?(method_ = Adaptive_mc) ?(proposal = Legacy)
       | Misses -> e)
     t_targets estimates
 
-let yield ?method_ ?proposal ?jobs ?shards ?seed ?n ?batch ?min_samples
-    ?rel_se_target ?max_samples ctx ~t_target =
-  (probability ~where:"Engine.yield" ~side:Meets ?method_ ?proposal ?jobs
-     ?shards ?seed ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx
+let yield ?method_ ?jobs ?shards ?seed ?n ?batch ?min_samples ?rel_se_target
+    ?max_samples ctx ~t_target =
+  (probability ~where:"Engine.yield" ~side:Meets ?method_ ?jobs ?shards ?seed
+     ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx
      ~t_targets:[| t_target |]).(0)
 
-let yield_targets ?method_ ?proposal ?jobs ?shards ?seed ?n ?batch
-    ?min_samples ?rel_se_target ?max_samples ctx ~t_targets =
-  probability ~where:"Engine.yield_targets" ~side:Meets ?method_ ?proposal
-    ?jobs ?shards ?seed ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx
-    ~t_targets
+let yield_targets ?method_ ?jobs ?shards ?seed ?n ?batch ?min_samples
+    ?rel_se_target ?max_samples ctx ~t_targets =
+  probability ~where:"Engine.yield_targets" ~side:Meets ?method_ ?jobs ?shards
+    ?seed ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx ~t_targets
 
-let yield_loss ?method_ ?proposal ?jobs ?shards ?seed ?n ?batch ?min_samples
+let yield_loss ?method_ ?jobs ?shards ?seed ?n ?batch ?min_samples
     ?rel_se_target ?max_samples ctx ~t_target =
-  (probability ~where:"Engine.yield_loss" ~side:Misses ?method_ ?proposal
-     ?jobs ?shards ?seed ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx
+  (probability ~where:"Engine.yield_loss" ~side:Misses ?method_ ?jobs ?shards
+     ?seed ?n ?batch ?min_samples ?rel_se_target ?max_samples ctx
      ~t_targets:[| t_target |]).(0)
 
 let delay_mean ?(method_ = Adaptive_mc) ?jobs ?(shards = default_shards)

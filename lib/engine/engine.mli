@@ -253,23 +253,19 @@ type stop_reason =
   | Sample_cap  (** sample budget exhausted before convergence *)
   | Fixed_n  (** caller asked for exactly [n] samples *)
 
-type proposal =
-  | Legacy
-      (** the built-in per-stage mean-shift mixture (PR 2 behaviour):
-          one mode per stage that can cross the barrier, crossing depth
-          capped at 6 marginal sigmas *)
-  | Cone_guided
-      (** analyzer-derived failure-cone proposal: shifts along the
-          dominant cones' design points (uncapped depth), mixture
-          weights from the static criticality bounds.  Requires the
-          provider installed by [Spv_analysis.Cones.install_engine_proposal];
-          falls back to [Legacy] when absent or when no cone
-          dominates. *)
-
 (** What the importance estimator actually sampled with (reported in
-    {!estimate.proposal}; the request may degrade, never silently). *)
+    {!estimate.proposal}).  There is one importance proposal: the
+    failure-cone mixture from the registered provider (see
+    {!register_proposal_provider}), shifting along the dominant cones'
+    design points at uncapped depth.  It falls back to the legacy
+    per-stage mixture when no provider is installed or no cone
+    dominates, and to plain Monte-Carlo at body targets; this field
+    says which ran, so the fallback is never silent. *)
 type proposal_used =
-  | Prop_legacy  (** legacy per-stage mean-shift mixture *)
+  | Prop_legacy
+      (** legacy per-stage mean-shift mixture: one mode per stage that
+          can cross the barrier, crossing depth capped at 6 marginal
+          sigmas *)
   | Prop_cone of int  (** cone-guided mixture with [n] modes *)
   | Prop_plain
       (** body target — every candidate shift norm below
@@ -310,11 +306,6 @@ val method_name : method_ -> string
 val method_of_string : string -> method_ option
 val all_methods : method_ list
 val stop_reason_name : stop_reason -> string
-
-val proposal_name : proposal -> string
-(** ["legacy"] / ["cone"]. *)
-
-val proposal_of_string : string -> proposal option
 
 val proposal_used_name : proposal_used -> string
 (** ["legacy"] / ["cone"] / ["plain-fallback"]. *)
@@ -357,12 +348,10 @@ type proposal_provider =
     its legacy mixture. *)
 
 val register_proposal_provider : proposal_provider -> unit
-(** Install the [Cone_guided] proposal builder (replacing any previous
+(** Install the failure-cone proposal builder (replacing any previous
     one) — the same function-pointer pattern as the estimate checks,
     used by [Spv_analysis.Cones.install_engine_proposal] so the engine
     does not depend on the analysis layer. *)
-
-val proposal_provider_installed : unit -> bool
 
 val set_debug_checks : bool -> unit
 (** Enable/disable running the registered oracle. *)
@@ -386,24 +375,21 @@ val default_seed : int
 (** 42 — the default master seed. *)
 
 val yield :
-  ?method_:method_ -> ?proposal:proposal -> ?jobs:int -> ?shards:int ->
-  ?seed:int -> ?n:int -> ?batch:int -> ?min_samples:int ->
-  ?rel_se_target:float -> ?max_samples:int -> Ctx.t -> t_target:float ->
-  estimate
+  ?method_:method_ -> ?jobs:int -> ?shards:int -> ?seed:int -> ?n:int ->
+  ?batch:int -> ?min_samples:int -> ?rel_se_target:float ->
+  ?max_samples:int -> Ctx.t -> t_target:float -> estimate
 (** [P{pipeline delay <= t_target}] by the chosen method (default
     [Adaptive_mc]).  [n] (default 10_000) applies to [Mc] and
     [Importance]; [batch] (round size, default 1024),
     [min_samples] (1000), [rel_se_target] (0.01) and [max_samples]
-    (1_000_000) apply to [Adaptive_mc].  [proposal] (default
-    [Legacy]) selects the [Importance] mixture construction; ignored
-    by every other method.  Proposals are resolved once before
-    sampling starts, so [jobs] still never changes results. *)
+    (1_000_000) apply to [Adaptive_mc].  [Importance] samples with the
+    importance proposal described at {!proposal_used}, resolved once
+    before sampling starts, so [jobs] still never changes results. *)
 
 val yield_targets :
-  ?method_:method_ -> ?proposal:proposal -> ?jobs:int -> ?shards:int ->
-  ?seed:int -> ?n:int -> ?batch:int -> ?min_samples:int ->
-  ?rel_se_target:float -> ?max_samples:int -> Ctx.t ->
-  t_targets:float array -> estimate array
+  ?method_:method_ -> ?jobs:int -> ?shards:int -> ?seed:int -> ?n:int ->
+  ?batch:int -> ?min_samples:int -> ?rel_se_target:float ->
+  ?max_samples:int -> Ctx.t -> t_targets:float array -> estimate array
 (** {!yield} over a whole [t_target] sweep, one estimate per target
     (same defaults).  For [Mc] with more than one target the sampling
     pass is shared: each trial draws one pipeline delay and updates
@@ -415,10 +401,9 @@ val yield_targets :
     results).  Raises [Invalid_argument] on an empty target array. *)
 
 val yield_loss :
-  ?method_:method_ -> ?proposal:proposal -> ?jobs:int -> ?shards:int ->
-  ?seed:int -> ?n:int -> ?batch:int -> ?min_samples:int ->
-  ?rel_se_target:float -> ?max_samples:int -> Ctx.t -> t_target:float ->
-  estimate
+  ?method_:method_ -> ?jobs:int -> ?shards:int -> ?seed:int -> ?n:int ->
+  ?batch:int -> ?min_samples:int -> ?rel_se_target:float ->
+  ?max_samples:int -> Ctx.t -> t_target:float -> estimate
 (** [P{pipeline delay > t_target}], reported with full relative
     precision deep in the tail where [1. -. (yield ...).value] cancels
     to 0 (closed forms route through {!Spv_stats.Gaussian.sf} /

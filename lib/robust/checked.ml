@@ -202,15 +202,15 @@ let checked_probability ~where (e : Engine.estimate) =
     Ok
       { e with Engine.value = Float.max 0.0 (Float.min 1.0 e.Engine.value) }
 
-let engine_yield ?method_ ?proposal ?jobs ?shards ?seed ?n ?batch
-    ?min_samples ?rel_se_target ?max_samples ctx ~t_target =
+let engine_yield ?method_ ?jobs ?shards ?seed ?n ?batch ?min_samples
+    ?rel_se_target ?max_samples ctx ~t_target =
   if not (Float.is_finite t_target) then
     Error (Errors.domain ~param:"t_target" "must be finite")
   else
     let* e =
       protect ~where:"engine yield" (fun () ->
-          Engine.yield ?method_ ?proposal ?jobs ?shards ?seed ?n ?batch
-            ?min_samples ?rel_se_target ?max_samples ctx ~t_target)
+          Engine.yield ?method_ ?jobs ?shards ?seed ?n ?batch ?min_samples
+            ?rel_se_target ?max_samples ctx ~t_target)
     in
     checked_probability ~where:"engine yield" e
 
@@ -272,12 +272,9 @@ let sweep_grid_of_file ?on_warning path =
   let* text = slurp path in
   sweep_grid_of_string ?on_warning ~path text
 
-let sweep_run ?mode ?proposal ?jobs ?seed ?tech grid =
+let sweep_run ?mode ?jobs ?seed ?tech grid =
   let where = "sweep" in
-  let* r =
-    protect ~where (fun () ->
-        Sweep.run ?mode ?proposal ?jobs ?seed ?tech grid)
-  in
+  let* r = protect ~where (fun () -> Sweep.run ?mode ?jobs ?seed ?tech grid) in
   let* () =
     Array.fold_left
       (fun acc (row : Sweep.row) ->

@@ -91,14 +91,12 @@ val engine_ctx_of_circuits :
   (Spv_engine.Engine.Ctx.t, Errors.t) result
 
 val engine_yield :
-  ?method_:Spv_engine.Engine.method_ ->
-  ?proposal:Spv_engine.Engine.proposal -> ?jobs:int -> ?shards:int ->
+  ?method_:Spv_engine.Engine.method_ -> ?jobs:int -> ?shards:int ->
   ?seed:int -> ?n:int -> ?batch:int -> ?min_samples:int ->
   ?rel_se_target:float -> ?max_samples:int -> Spv_engine.Engine.Ctx.t ->
   t_target:float -> (Spv_engine.Engine.estimate, Errors.t) result
 (** {!Spv_engine.Engine.yield} with the estimate verified finite and
-    clamped into [0, 1].  [proposal] selects the importance-sampling
-    proposal family ([Importance] method only). *)
+    clamped into [0, 1]. *)
 
 val engine_delay_mean :
   ?method_:Spv_engine.Engine.method_ -> ?jobs:int -> ?shards:int ->
@@ -133,8 +131,8 @@ val sweep_grid_of_file :
   (Spv_workload.Grid.t, Errors.t) result
 
 val sweep_run :
-  ?mode:Spv_engine.Engine.mode -> ?proposal:Spv_engine.Engine.proposal ->
-  ?jobs:int -> ?seed:int -> ?tech:Spv_process.Tech.t ->
+  ?mode:Spv_engine.Engine.mode -> ?jobs:int -> ?seed:int ->
+  ?tech:Spv_process.Tech.t ->
   Spv_workload.Grid.t -> (Spv_workload.Sweep.result, Errors.t) result
 (** {!Spv_workload.Sweep.run} behind the typed-error boundary, with
     every row's yield and loss verified finite and inside [0, 1]. *)

@@ -69,6 +69,10 @@ let gate_sample_exact_n = 64
 
 let check_ctx ?(tolerances = default_tolerances) ?(invariants = all_invariants)
     ?macro_table ctx ~seed =
+  (* Every importance estimate below samples with the analyzer's cone
+     proposal; installing it here keeps the verdicts independent of
+     whatever the caller registered before. *)
+  Spv_analysis.Cones.install_engine_proposal ();
   let tol = tolerances in
   let run = ref 0 in
   let violations = ref [] in
@@ -248,15 +252,14 @@ let check_ctx ?(tolerances = default_tolerances) ?(invariants = all_invariants)
             let yb = Bounds.yield_bounds b ~t_target:t_tail in
             let loss_lo = 1.0 -. Interval.hi yb in
             let loss_hi = 1.0 -. Interval.lo yb in
-            (* Cone-guided: the analyzer's criticality-weighted mixture
+            (* The cone proposal (installed at the top of [check_ctx])
                shifts to the uncapped design point, so the deep-tail
                estimate is accurate enough for a 2% relative envelope
                (the legacy mixture needed 5% here before the cones
                pass existed). *)
-            Spv_analysis.Cones.install_engine_proposal ();
             let imp_loss =
-              E.yield_loss ~method_:E.Importance ~proposal:E.Cone_guided ~seed
-                ~n:importance_n ctx ~t_target:t_tail
+              E.yield_loss ~method_:E.Importance ~seed ~n:importance_n ctx
+                ~t_target:t_tail
             in
             let quad_loss =
               E.yield_loss ~method_:E.Quadrature ctx ~t_target:t_tail

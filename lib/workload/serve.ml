@@ -117,8 +117,9 @@ let cache t = t.cache
 (* ---- minimal JSON (flat objects only) ------------------------------- *)
 
 (* Requests are single-line flat objects of strings, numbers, booleans
-   and null — nested containers are rejected.  Hand-rolled because the
-   build carries no JSON library, and the daemon must not gain one. *)
+   and null — nested containers and duplicate keys are rejected.
+   Hand-rolled because the build carries no JSON library, and the
+   daemon must not gain one. *)
 
 type jvalue = Jstring of string | Jnumber of float | Jbool of bool | Jnull
 
@@ -253,6 +254,8 @@ let parse_object (s : string) : (string * jvalue) list =
       let rec members () =
         skip_ws ();
         let key = parse_string () in
+        if List.mem_assoc key !fields then
+          fail (Printf.sprintf "duplicate key %S" key);
         expect ':';
         let v = parse_value () in
         fields := (key, v) :: !fields;
@@ -280,8 +283,11 @@ type request = {
   workers : int;
   deadline_ms : int option;
   mode : Engine.mode;
-  proposal : Engine.proposal;
 }
+
+let known_keys =
+  [ "schema_version"; "request_id"; "grid"; "seed"; "jobs"; "workers";
+    "deadline_ms"; "mode" ]
 
 let ( let* ) = Result.bind
 
@@ -322,6 +328,17 @@ let parse_request t line : (request, string option * error) result =
                     request_schema_version))
         | None -> err (domain_error "invalid request: missing schema_version")
       in
+      let* () =
+        match
+          List.find_opt (fun (k, _) -> not (List.mem k known_keys)) fields
+        with
+        | None -> Ok ()
+        | Some (k, _) ->
+            err
+              (domain_error
+                 (Printf.sprintf "invalid request: unknown key %S (known: %s)" k
+                    (String.concat ", " known_keys)))
+      in
       let* request_id =
         match rid with
         | Some id -> Ok id
@@ -353,25 +370,11 @@ let parse_request t line : (request, string option * error) result =
         | Some _ ->
             err (domain_error "invalid mode: known: flat, hierarchical")
       in
-      let* proposal =
-        match find "proposal" with
-        | None -> Ok Engine.Legacy
-        | Some (Jstring p) -> (
-            match Engine.proposal_of_string p with
-            | Some p -> Ok p
-            | None ->
-                err
-                  (domain_error
-                     (Printf.sprintf "invalid proposal %S: known: legacy, cone"
-                        p)))
-        | Some _ -> err (domain_error "invalid proposal: expected a string")
-      in
-      Ok { request_id; grid; seed; jobs; workers; deadline_ms; mode; proposal }
+      Ok { request_id; grid; seed; jobs; workers; deadline_ms; mode }
 
 (* ---- request encoder ------------------------------------------------ *)
 
-let request_line ?seed ?jobs ?workers ?deadline_ms ?mode ?proposal ~request_id
-    ~grid () =
+let request_line ?seed ?jobs ?workers ?deadline_ms ?mode ~request_id ~grid () =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "{\"schema_version\":%d,\"request_id\":\"%s\""
@@ -391,7 +394,6 @@ let request_line ?seed ?jobs ?workers ?deadline_ms ?mode ?proposal ~request_id
   opt_int "workers" workers;
   opt_int "deadline_ms" deadline_ms;
   opt_str "mode" mode;
-  opt_str "proposal" proposal;
   Buffer.add_string b
     (Printf.sprintf ",\"grid\":\"%s\"}" (Sweep.json_escape grid));
   Buffer.contents b
@@ -474,8 +476,7 @@ let eval_request t (r : request) =
           }
         in
         let res =
-          Sweep.run ~mode:r.mode ~proposal:r.proposal ?jobs:r.jobs
-            ~seed:r.seed ~tech:t.tech
+          Sweep.run ~mode:r.mode ?jobs:r.jobs ~seed:r.seed ~tech:t.tech
             ~ctx_provider:(fun _ _ -> (ctx, (mh, mm)))
             ~should_stop sub
         in

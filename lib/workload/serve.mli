@@ -15,7 +15,7 @@
     {v
     {"schema_version":1,"request_id":"q1","grid":"stages 100,6\n...",
      "seed":7,"jobs":2,"workers":2,"deadline_ms":5000,
-     "mode":"flat","proposal":"legacy"}
+     "mode":"flat"}
     v}
 
     [schema_version], [request_id] and [grid] (a grid file as one
@@ -27,7 +27,11 @@
     [deadline_ms] bounds the whole request.  [seed], [jobs], [workers]
     and [deadline_ms] must be integral JSON numbers below [2^62]
     (OCaml's int range) and at least their minimum; anything else is a
-    domain error.
+    domain error.  A key outside this schema is a domain error that
+    lists the known keys, and a key given twice is a parse error, so
+    a field the daemon does not honour is never silently dropped.
+    [Importance] scenarios always sample with the engine's importance
+    proposal; each row's [proposal] field says which one ran.
 
     {2 Response schema (version 1)}
 
@@ -133,8 +137,7 @@ val cache : t -> Cache.t
 
 val request_line :
   ?seed:int -> ?jobs:int -> ?workers:int -> ?deadline_ms:int ->
-  ?mode:string -> ?proposal:string ->
-  request_id:string -> grid:string -> unit -> string
+  ?mode:string -> request_id:string -> grid:string -> unit -> string
 (** Format a valid request line (no trailing newline) — the encoder
     matching {!handle_line}'s parser, used by the CLI smoke mode,
     tests and benchmarks. *)

@@ -65,8 +65,8 @@ let ctx_for ?(mode = Engine.Flat) ?macro_table ~tech source
    at Monte-Carlo resolution; importance sampling estimates the loss
    directly and the yield is derived from it (bit-identical to
    [Engine.yield], which computes [1 - p_fail] the same way). *)
-let eval_method ?(should_stop = fun () -> false) ~jobs ~seed ~n ~shards
-    ?proposal ctx method_ targets =
+let eval_method ?(should_stop = fun () -> false) ~jobs ~seed ~n ~shards ctx
+    method_ targets =
   let check () = if should_stop () then raise Stopped in
   match (method_ : Engine.method_) with
   | Mc ->
@@ -90,11 +90,8 @@ let eval_method ?(should_stop = fun () -> false) ~jobs ~seed ~n ~shards
       Array.map
         (fun t_target ->
           check ();
-          let l =
-            Engine.yield_loss ~method_ ?proposal ?jobs ~shards ~seed ~n ctx
-              ~t_target
-          in
-          importance_row l)
+          importance_row
+            (Engine.yield_loss ~method_ ?jobs ~shards ~seed ~n ctx ~t_target))
         targets
   | Analytic_clark | Exact_independent | Quadrature ->
       Array.map
@@ -105,7 +102,7 @@ let eval_method ?(should_stop = fun () -> false) ~jobs ~seed ~n ~shards
           (e, l.Engine.value))
         targets
 
-let run ?(mode = Engine.Flat) ?proposal ?jobs ?(seed = Engine.default_seed)
+let run ?(mode = Engine.Flat) ?jobs ?(seed = Engine.default_seed)
     ?(tech = Spv_process.Tech.bptm70) ?ctx_provider
     ?(should_stop = fun () -> false) (grid : Grid.t) =
   (match Grid.validate grid with
@@ -160,8 +157,7 @@ let run ?(mode = Engine.Flat) ?proposal ?jobs ?(seed = Engine.default_seed)
             (fun method_ ->
               let evals =
                 eval_method ~should_stop ~jobs ~seed ~n:grid.Grid.n
-                  ~shards:grid.Grid.shards ?proposal ctx method_
-                  grid.Grid.targets
+                  ~shards:grid.Grid.shards ctx method_ grid.Grid.targets
               in
               Array.iteri
                 (fun k (estimate, loss) ->

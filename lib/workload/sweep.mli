@@ -79,19 +79,17 @@ val ctx_for :
     {!Spv_engine.Engine.Ctx.of_circuits}; moment sources ignore both. *)
 
 val run :
-  ?mode:Spv_engine.Engine.mode -> ?proposal:Spv_engine.Engine.proposal ->
-  ?jobs:int -> ?seed:int ->
+  ?mode:Spv_engine.Engine.mode -> ?jobs:int -> ?seed:int ->
   ?tech:Spv_process.Tech.t ->
   ?ctx_provider:
     (Grid.source -> Grid.process -> Spv_engine.Engine.Ctx.t * (int * int)) ->
   ?should_stop:(unit -> bool) ->
   Grid.t -> result
 (** Evaluate the grid (defaults: engine seed 42, {!Spv_process.Tech.bptm70}).
-    [proposal] (default [Legacy]) selects the importance-sampling
-    proposal family for [Importance] scenarios — [Cone_guided] uses the
-    registered failure-cone provider when one is installed, and is
-    resolved once per scenario before sampling so [jobs] byte-identity
-    still holds.
+    [Importance] scenarios sample with the importance proposal (the
+    registered failure-cone provider when one is installed, the legacy
+    mixture otherwise), resolved once per scenario before sampling so
+    [jobs] byte-identity still holds.
     Under [~mode:Hierarchical] all circuit contexts share one macro
     table, so across the process axis each block is characterised once
     per distinct (block, process) pair — a process override

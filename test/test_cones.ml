@@ -303,15 +303,31 @@ let test_slack_form_and_attribution () =
 
 (* ---- analyzer-guided proposal: selection contract ---------------------- *)
 
+(* The legacy per-stage mixture sampled directly from its plan — the
+   proposal the engine falls back to when no cone dominates — as the
+   reference the cone claims are measured against.  Returns the loss
+   estimate, its standard error and the weights' ESS. *)
+let legacy_loss ~n ctx ~t_target =
+  let plan = Imp.plan (Engine.Ctx.mvn ctx) ~threshold:t_target in
+  let rng = Rng.create ~seed:Engine.default_seed in
+  let sum = ref 0.0 and sum_sq = ref 0.0 in
+  for _ = 1 to n do
+    let w = Imp.draw_weight plan rng in
+    sum := !sum +. w;
+    sum_sq := !sum_sq +. (w *. w)
+  done;
+  let fn = float_of_int n in
+  let mean = !sum /. fn in
+  let var = Float.max 0.0 ((!sum_sq -. (fn *. mean *. mean)) /. (fn -. 1.0)) in
+  let ess = if !sum_sq > 0.0 then !sum *. !sum /. !sum_sq else 0.0 in
+  (mean, sqrt (var /. fn), ess)
+
 let test_proposal_tail_uses_cone () =
   let ctx = moment_ctx () in
   Cn.install_engine_proposal ();
-  Alcotest.(check bool) "provider installed" true
-    (Engine.proposal_provider_installed ());
   let t_target = 129.0 in
   let cone =
-    Engine.yield_loss ~method_:Engine.Importance ~proposal:Engine.Cone_guided
-      ~n:20_000 ctx ~t_target
+    Engine.yield_loss ~method_:Engine.Importance ~n:20_000 ctx ~t_target
   in
   (match cone.Engine.proposal with
   | Some (Engine.Prop_cone modes) ->
@@ -324,19 +340,10 @@ let test_proposal_tail_uses_cone () =
   (match cone.Engine.ess with
   | Some ess -> check_in_range "ess positive" ~lo:1.0 ~hi:20_000.0 ess
   | None -> Alcotest.fail "importance estimate must report ess");
-  let legacy =
-    Engine.yield_loss ~method_:Engine.Importance ~proposal:Engine.Legacy
-      ~n:20_000 ctx ~t_target
-  in
-  Alcotest.(check bool) "legacy tagged" true
-    (legacy.Engine.proposal = Some Engine.Prop_legacy);
-  let allow =
-    5.0 *. (cone.Engine.std_error +. legacy.Engine.std_error) +. 1e-15
-  in
-  check_in_range "cone and legacy agree"
-    ~lo:(legacy.Engine.value -. allow)
-    ~hi:(legacy.Engine.value +. allow)
-    cone.Engine.value
+  let legacy, legacy_se, _ = legacy_loss ~n:20_000 ctx ~t_target in
+  let allow = (5.0 *. (cone.Engine.std_error +. legacy_se)) +. 1e-15 in
+  check_in_range "cone and legacy agree" ~lo:(legacy -. allow)
+    ~hi:(legacy +. allow) cone.Engine.value
 
 (* Deep tail: 64 independent stages, stage 0 (mu 100) dominant over 63
    background stages (mu 80), all sigma 5, at z = 8 (t = 140).  The
@@ -344,15 +351,31 @@ let test_proposal_tail_uses_cone () =
    weights at 1e-12, so here it collapses to uniform over all 64 stages;
    the cone proposal shifts to the uncapped design point.  Independence
    keeps the exact loss available in log space at any depth. *)
-let test_proposal_deep_tail_ess_gain () =
-  let sigma = 5.0 in
-  let mus = Array.init 64 (fun i -> if i = 0 then 100.0 else 80.0) in
-  let ctx =
-    Engine.Ctx.of_pipeline
-      (Spv_core.Pipeline.make
-         (Array.map (fun mu -> Spv_core.Stage.of_moments ~mu ~sigma ()) mus)
-         ~corr:(Spv_stats.Correlation.independent ~n:64))
+let deep_tail_sigma = 5.0
+let deep_tail_mus = Array.init 64 (fun i -> if i = 0 then 100.0 else 80.0)
+
+let deep_tail_ctx () =
+  Engine.Ctx.of_pipeline
+    (Spv_core.Pipeline.make
+       (Array.map
+          (fun mu -> Spv_core.Stage.of_moments ~mu ~sigma:deep_tail_sigma ())
+          deep_tail_mus)
+       ~corr:(Spv_stats.Correlation.independent ~n:64))
+
+(* The default importance estimator picks the cone proposal on its own
+   wherever a cone dominates; there is no proposal to request. *)
+let test_proposal_default_is_cone () =
+  Cn.install_engine_proposal ();
+  let e =
+    Engine.yield_loss ~method_:Engine.Importance ~n:2_000 (deep_tail_ctx ())
+      ~t_target:140.0
   in
+  Alcotest.(check bool) "default importance run reports Prop_cone" true
+    (match e.Engine.proposal with Some (Engine.Prop_cone _) -> true | _ -> false)
+
+let test_proposal_deep_tail_ess_gain () =
+  let sigma = deep_tail_sigma and mus = deep_tail_mus in
+  let ctx = deep_tail_ctx () in
   Cn.install_engine_proposal ();
   let t_target = 140.0 and n = 40_000 in
   let exact =
@@ -362,17 +385,14 @@ let test_proposal_deep_tail_ess_gain () =
              acc +. Float.log1p (-.Special.upper_tail ((t_target -. mu) /. sigma)))
            0.0 mus)
   in
-  let run proposal =
-    Engine.yield_loss ~method_:Engine.Importance ~proposal ~n ctx ~t_target
-  in
-  let ess e = Option.value ~default:0.0 e.Engine.ess in
-  let legacy = run Engine.Legacy and cone = run Engine.Cone_guided in
+  let cone = Engine.yield_loss ~method_:Engine.Importance ~n ctx ~t_target in
+  let _, _, legacy_ess = legacy_loss ~n ctx ~t_target in
   Alcotest.(check bool) "cone proposal selected" true
     (match cone.Engine.proposal with
     | Some (Engine.Prop_cone _) -> true
     | _ -> false);
   check_in_range "cone ESS >= 100x legacy" ~lo:100.0 ~hi:infinity
-    (ess cone /. Float.max (ess legacy) 1.0);
+    (Option.value ~default:0.0 cone.Engine.ess /. Float.max legacy_ess 1.0);
   check_in_range "cone 3 se interval covers the exact loss"
     ~lo:(cone.Engine.value -. (3.0 *. cone.Engine.std_error))
     ~hi:(cone.Engine.value +. (3.0 *. cone.Engine.std_error))
@@ -385,8 +405,8 @@ let test_proposal_deep_tail_ess_gain () =
          ~corr:(Spv_stats.Correlation.independent ~n:1))
   in
   let e =
-    Engine.yield_loss ~method_:Engine.Importance ~proposal:Engine.Cone_guided
-      ~n one ~t_target:(100.0 +. (6.0 *. sigma))
+    Engine.yield_loss ~method_:Engine.Importance ~n one
+      ~t_target:(100.0 +. (6.0 *. sigma))
   in
   check_in_range "cone 6-sigma loss within 3 se of upper_tail 6"
     ~lo:(e.Engine.value -. (3.0 *. e.Engine.std_error))
@@ -397,8 +417,7 @@ let test_proposal_body_falls_back_to_plain () =
   let ctx = moment_ctx () in
   Cn.install_engine_proposal ();
   let est =
-    Engine.yield_loss ~method_:Engine.Importance ~proposal:Engine.Cone_guided
-      ~n:4_000 ctx ~t_target:80.0
+    Engine.yield_loss ~method_:Engine.Importance ~n:4_000 ctx ~t_target:80.0
   in
   Alcotest.(check bool) "body target reports plain fallback" true
     (est.Engine.proposal = Some Engine.Prop_plain);
@@ -425,8 +444,8 @@ let test_proposal_no_dominant_stage_keeps_legacy () =
   Alcotest.(check bool) "no stage dominates" true
     (Cn.proposal ctx ~t_target:120.0 = None);
   let est =
-    Engine.yield_loss ~method_:Engine.Importance ~proposal:Engine.Cone_guided
-      ~n:4_000 ctx ~t_target:120.0
+    Engine.yield_loss ~method_:Engine.Importance ~n:4_000 ctx
+      ~t_target:120.0
   in
   Alcotest.(check bool) "falls back to the legacy mixture" true
     (est.Engine.proposal = Some Engine.Prop_legacy)
@@ -449,8 +468,7 @@ let test_cone_guided_jobs_determinism () =
       mu d +. (4.0 *. sigma d))
   in
   let run jobs =
-    Engine.yield_loss ~method_:Engine.Importance ~proposal:Engine.Cone_guided
-      ~jobs ~n:8_000 ctx ~t_target
+    Engine.yield_loss ~method_:Engine.Importance ~jobs ~n:8_000 ctx ~t_target
   in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool) "value bit-identical across jobs" true
@@ -512,6 +530,7 @@ let suite =
     quick "cone structure and ranking" test_cone_structure;
     quick "slack form and attribution" test_slack_form_and_attribution;
     slow "tail target uses the cone proposal" test_proposal_tail_uses_cone;
+    quick "default importance proposal is cone" test_proposal_default_is_cone;
     slow "deep tail: cone ESS >= 100x legacy, CI covers exact"
       test_proposal_deep_tail_ess_gain;
     quick "body target falls back to plain" test_proposal_body_falls_back_to_plain;

@@ -193,6 +193,27 @@ let test_malformed_requests_structured_errors () =
       "\"deadline_ms\":4.7e18";
       "\"seed\":4.7e18";
     ];
+  (* retired and unknown keys are refused, never silently ignored *)
+  List.iter
+    (fun field ->
+      let line =
+        Printf.sprintf
+          "{\"schema_version\":1,\"request_id\":\"u\",%s,\"grid\":\"stages \
+           100,6\\ntargets 120\\nmethod importance\\n\"}"
+          field
+      in
+      expect_error line ~rid:"\"u\"" ~status:"domain_error" ~code:6;
+      match Serve.handle_line d line with
+      | [ e ] ->
+          Alcotest.(check bool) "message lists the known keys" true
+            (contains e "known: schema_version, request_id, grid, seed")
+      | _ -> Alcotest.fail "expected one error row")
+    [ "\"proposal\":\"legacy\""; "\"colour\":\"blue\"" ];
+  (* a duplicate key is ambiguous, so it is a parse error *)
+  expect_error
+    "{\"schema_version\":1,\"request_id\":\"d\",\"seed\":1,\"seed\":2,\"grid\":\"stages \
+     100,6\\ntargets 120\\n\"}"
+    ~rid:"null" ~status:"parse_error" ~code:3;
   (* the daemon survives all of the above *)
   let ok =
     Serve.handle_line d
