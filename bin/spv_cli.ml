@@ -1253,6 +1253,7 @@ let sweep_cmd =
 
 let serve_cmd =
   let module Serve = Spv_workload.Serve in
+  let module Sweep = Spv_workload.Sweep in
   let socket_arg =
     let doc =
       "Listen on a Unix-domain socket at $(docv) (serving connections \
@@ -1277,8 +1278,9 @@ let serve_cmd =
       "One-shot self-check: feed a fixed three-request transcript (two \
        valid requests sharing contexts, one malformed) through two fresh \
        daemons and assert byte-identical responses, sweep-schema rows \
-       independent of --jobs/workers, warm-cache hits on the second \
-       request, and a structured error row for the malformed line."
+       independent of --jobs/workers and equal to the one-shot sweep of \
+       the same grid and seed, warm-cache hits on the second request, and \
+       a structured error row for the malformed line."
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
@@ -1323,6 +1325,8 @@ let serve_cmd =
     let fail msg = Error (Errors.numeric ~where:"serve --smoke" msg) in
     let* t1 = Checked.protect ~where:"serve --smoke" transcript in
     let* t2 = Checked.protect ~where:"serve --smoke" transcript in
+    let* grid = Checked.sweep_grid_of_string smoke_grid in
+    let* one_shot = Checked.sweep_run ~seed:7 grid in
     if t1 <> t2 then
       fail "response transcript differs between two fresh daemons"
     else
@@ -1362,6 +1366,9 @@ let serve_cmd =
              (List.length rows1))
       else if rows1 <> rows2 then
         fail "rows differ between --jobs 2/workers 1 and --jobs 4/workers 2"
+      else if
+        rows1 <> String.split_on_char '\n' (String.trim (Sweep.to_jsonl one_shot))
+      then fail "q1 rows differ from the one-shot sweep of the same grid"
       else
         match bad_row with
         | Some l -> fail (Printf.sprintf "row missing a required key: %s" l)

@@ -44,14 +44,16 @@ if [ "$rc" -ne 6 ]; then
 fi
 
 # Docs gate: the single-shot bench studies and their BENCH_*.json files
-# are gone, and so is the importance-proposal option (there is one
-# proposal); no document or source may cite either.  CHANGES.md and
-# ROADMAP.md are history and stay exempt.
-echo "==> no citations of BENCH_*.json, bench/main.exe <id> or a proposal option"
+# are gone, and so are the importance-proposal option (there is one
+# proposal), the replace/append estimate-check pair (one keyed setter)
+# and serve's private scenario expansion (Grid.groups is the one); no
+# document or source may cite any of them.  CHANGES.md and ROADMAP.md
+# are history and stay exempt.
+echo "==> no citations of BENCH_*.json, bench/main.exe <id>, a proposal option or a retired API"
 if grep -rEn \
-  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:' \
+  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid' \
   README.md DESIGN.md EXPERIMENTS.md .claude examples lib bin test; then
-  echo "ci.sh: stale citation of a retired bench study or proposal option (above)" >&2
+  echo "ci.sh: stale citation of a retired bench study, proposal option or API (above)" >&2
   exit 1
 fi
 
@@ -69,7 +71,8 @@ run "$CLI" sweep --smoke --hier
 
 # Serve gate: the evaluation daemon replays a golden transcript through
 # two fresh daemons and asserts byte-identical responses, served rows
-# independent of --jobs, honest LRU cache counters (cold misses, warm
+# independent of --jobs/workers and byte-equal to the one-shot sweep of
+# the same grid and seed, honest LRU cache counters (cold misses, warm
 # hits) and a structured parse-error row for a truncated request.
 run "$CLI" serve --smoke
 

@@ -462,4 +462,5 @@ let engine_check ctx ~t_target (e : Engine.estimate) =
            what value (Interval.to_string bound) slack excess
            (Engine.method_name e.Engine.method_))
 
-let install_engine_check () = Engine.add_estimate_check engine_check
+let install_engine_check () =
+  Engine.set_estimate_check ~name:"affine" (Some engine_check)

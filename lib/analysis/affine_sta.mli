@@ -105,6 +105,8 @@ val findings : ?t_target:float -> t -> Report.finding list
     findings. *)
 
 val install_engine_check : unit -> unit
-(** Append {!check} to the engine's debug-mode postcondition list via
-    [Spv_engine.Engine.add_estimate_check] — runs alongside the
-    interval oracle installed by {!Bounds.install_engine_check}. *)
+(** Install {!check} as an engine debug-mode postcondition under the
+    name ["affine"] via [Spv_engine.Engine.set_estimate_check] — runs
+    alongside the interval oracle installed by
+    {!Bounds.install_engine_check}, in whichever order the two were
+    first installed.  Idempotent. *)

@@ -271,4 +271,5 @@ let engine_check ctx ~t_target (e : Engine.estimate) =
         (Printf.sprintf "%s [%s]" (describe_fail ~what v)
            (Engine.method_name e.method_))
 
-let install_engine_check () = Engine.register_estimate_check engine_check
+let install_engine_check () =
+  Engine.set_estimate_check ~name:"interval" (Some engine_check)

@@ -91,5 +91,7 @@ val findings : t -> Report.finding list
     e.g. an absurd [k]) is reported at [Error] severity. *)
 
 val install_engine_check : unit -> unit
-(** Register {!check} as the engine's debug-mode postcondition (see
-    [Spv_engine.Engine.register_estimate_check]).  Idempotent. *)
+(** Install {!check} as the engine's debug-mode postcondition under the
+    name ["interval"] (see [Spv_engine.Engine.set_estimate_check]).
+    Idempotent, and leaves checks installed under other names (e.g.
+    {!Affine_sta.install_engine_check}'s) in place. *)

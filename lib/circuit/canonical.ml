@@ -49,8 +49,6 @@ let add a b =
     s_rand = sqrt ((a.s_rand *. a.s_rand) +. (b.s_rand *. b.s_rand));
   }
 
-let add_delay t d = add t (of_gate_delay d)
-
 let tightness a b =
   let var_diff =
     variance a +. variance b -. (2.0 *. covariance a b)

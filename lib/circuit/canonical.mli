@@ -50,10 +50,6 @@ val add : t -> t -> t
 (** Sum of two forms (shared sensitivities add; independent parts add
     in quadrature). Exact. *)
 
-val add_delay : t -> Spv_process.Gate_delay.t -> t
-(** [add] with a gate's decomposed delay — the arrival propagation
-    step. *)
-
 val max : t -> t -> t
 (** Clark max re-canonicalised.  The result's mean and variance are
     Clark's; shared sensitivities are the tightness-weighted blend

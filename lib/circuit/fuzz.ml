@@ -172,12 +172,6 @@ let generate ?(config = default_config) rng =
 
 type mutation = Resize | Split_stage | Merge_stages | Swap_stages
 
-let mutation_name = function
-  | Resize -> "resize"
-  | Split_stage -> "split-stage"
-  | Merge_stages -> "merge-stages"
-  | Swap_stages -> "swap-stages"
-
 let all_mutations = [ Resize; Split_stage; Merge_stages; Swap_stages ]
 
 let split_stage net ~at_level =

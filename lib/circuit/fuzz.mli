@@ -79,7 +79,6 @@ type mutation =
           perturbation: stage logic is unchanged but the spatial
           (distance-based) correlation between stages is not *)
 
-val mutation_name : mutation -> string
 val all_mutations : mutation list
 
 val mutate :

@@ -105,8 +105,6 @@ let sampler ?(output_load = 4.0) ?(exact = false) ?(pitch = 1.0) ?ff ?active
     s_active = active;
   }
 
-let sampler_stages s = Array.length s.s_nets
-
 let draw_stage_delays_into s rng out =
   let world = Spv_process.Sample.draw s.s_spatial rng in
   let inter = world.Spv_process.Sample.inter in

@@ -60,9 +60,6 @@ val sampler :
     arrival arithmetic.  Raises [Invalid_argument] on mask shape
     mismatch. *)
 
-val sampler_stages : sampler -> int
-(** Number of pipeline stages the sampler draws. *)
-
 val draw_stage_delays : sampler -> Spv_stats.Rng.t -> float array
 (** One Monte-Carlo trial: per-stage delays (fresh array). *)
 

@@ -2,10 +2,6 @@ module G = Spv_stats.Gaussian
 
 type model = { sigma_ps : float; corr_length : float }
 
-let default_model (tech : Spv_process.Tech.t) =
-  { sigma_ps = tech.Spv_process.Tech.tau;
-    corr_length = tech.Spv_process.Tech.corr_length }
-
 let check model =
   if model.sigma_ps < 0.0 then invalid_arg "Skew: negative sigma";
   if model.corr_length <= 0.0 then invalid_arg "Skew: non-positive corr length"

@@ -23,10 +23,6 @@ type model = {
                             arrivals, die units *)
 }
 
-val default_model : Spv_process.Tech.t -> model
-(** sigma = tech tau (5 ps at the default node), correlation length
-    from the technology. *)
-
 val delta_covariance : model -> pitch:float -> int -> int -> float
 (** Cov(ds_i, ds_j) of the boundary-difference terms for stages [i],
     [j] at the given stage pitch (exact under the endpoint model). *)

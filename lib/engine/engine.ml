@@ -535,10 +535,10 @@ let recommended ctx =
 
 type check = Ctx.t -> t_target:float option -> estimate -> (unit, string) result
 
-(* Checks run in registration order; [register_estimate_check] keeps
-   its historical replace-the-oracle semantics (it resets the whole
-   list), [add_estimate_check] appends. *)
-let estimate_checks : check list ref = ref []
+(* Keyed by name, in first-install order: re-installing under a name
+   replaces that check in place, so every installer is idempotent and
+   no installer can drop another's check. *)
+let estimate_checks : (string * check) list ref = ref []
 
 let debug_checks =
   ref
@@ -548,8 +548,15 @@ let debug_checks =
 
 let set_debug_checks b = debug_checks := b
 let debug_checks_enabled () = !debug_checks
-let register_estimate_check f = estimate_checks := [ f ]
-let add_estimate_check f = estimate_checks := !estimate_checks @ [ f ]
+let set_estimate_check ~name check =
+  estimate_checks :=
+    match check with
+    | None -> List.remove_assoc name !estimate_checks
+    | Some f when List.mem_assoc name !estimate_checks ->
+        List.map
+          (fun (n, g) -> if n = name then (n, f) else (n, g))
+          !estimate_checks
+    | Some f -> !estimate_checks @ [ (name, f) ]
 
 (* ---- analyzer-derived importance proposals --------------------------- *)
 
@@ -570,7 +577,7 @@ let register_proposal_provider f = proposal_provider := Some f
 let postcondition ~where ctx ~t_target e =
   (if !debug_checks then
      List.iter
-       (fun f ->
+       (fun (_, f) ->
          match f ctx ~t_target e with
          | Ok () -> ()
          | Error msg ->

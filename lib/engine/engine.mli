@@ -319,25 +319,24 @@ val recommended : Ctx.t -> method_
 
 (** {1 Debug-mode postconditions}
 
-    [Spv_analysis.Bounds.install_engine_check] registers an
-    interval-bound oracle here (a function pointer, so the engine does
+    [Spv_analysis.Bounds.install_engine_check] (interval envelope) and
+    [Spv_analysis.Affine_sta.install_engine_check] (affine envelope)
+    install named oracles here (function pointers, so the engine does
     not depend on the analysis layer).  When debug checks are enabled —
     [set_debug_checks true], or the [SPV_DEBUG_BOUNDS] environment
     variable set to anything but [""]/["0"] at startup — every
     {!yield} ([t_target] passed as [Some]) and {!delay_mean}
-    ([t_target = None]) result is handed to the registered check and a
-    violated bound raises [Failure] with the oracle's message. *)
+    ([t_target = None]) result is handed to every installed check and
+    the first violated bound raises [Failure] with the oracle's
+    message. *)
 
 type check = Ctx.t -> t_target:float option -> estimate -> (unit, string) result
 
-val register_estimate_check : check -> unit
-(** Install the postcondition oracle, replacing every previously
-    registered or added one. *)
-
-val add_estimate_check : check -> unit
-(** Append a further oracle; all registered checks run in order and
-    the first violation raises.  [Spv_analysis.Affine_sta] uses this
-    to stack the affine-envelope check on top of the interval one. *)
+val set_estimate_check : name:string -> check option -> unit
+(** [Some f] installs [f] under [name], replacing (in place) any check
+    already installed under that name; [None] removes it.  Checks run
+    in first-install order.  [Bounds] uses the name ["interval"],
+    [Affine_sta] ["affine"]. *)
 
 type proposal_provider =
   Ctx.t -> t_target:float -> (float array array * float array) option

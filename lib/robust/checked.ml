@@ -348,9 +348,6 @@ let certify_solution_file ?nonneg_correlation path =
       certify_points ?nonneg_correlation ~t_target:sol.Certify.sol_t_target
         ~yield:sol.Certify.sol_yield sol.Certify.points
 
-let certify_ctx ?t_target ~yield ctx =
-  protect ~where:"certify" (fun () -> Certify.of_ctx ?t_target ~yield ctx)
-
 let certificate_error (c : Certify.t) =
   match c.Certify.status with
   | Certify.Refuted ->

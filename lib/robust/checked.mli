@@ -172,10 +172,6 @@ val certify_solution_file :
     mu sigma] lines).  Unreadable files are [Io_error], malformed
     contents [Parse_error]. *)
 
-val certify_ctx :
-  ?t_target:float -> yield:float -> Spv_engine.Engine.Ctx.t ->
-  (Spv_analysis.Certify.t, Errors.t) result
-
 val certificate_error : Spv_analysis.Certify.t -> Errors.t option
 (** [Some (Certificate_refuted ...)] carrying the counterexample when
     the certificate is refuted (the CLI exits 8 through this), [None]

@@ -80,7 +80,6 @@ let exit_code = function
   | Deadline_exceeded _ -> 10
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
-let pp_diagnostic fmt d = Format.pp_print_string fmt (diagnostic_to_string d)
 
 let io ~path message = Io_error { path; message }
 let parse ?path ?line message = Parse_error { path; line; message }

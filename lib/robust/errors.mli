@@ -23,7 +23,6 @@ val diagnostic :
 
 val severity_to_string : severity -> string
 val diagnostic_to_string : diagnostic -> string
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
 
 type t =
   | Io_error of { path : string; message : string }

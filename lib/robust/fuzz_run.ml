@@ -78,10 +78,6 @@ let violated_invariants violations =
 
 let run_one (cfg : config) ~macro_table ~index ~gen_seed =
   let case = { Oracle.gen_seed; max_gates = cfg.max_gates } in
-  let outcome =
-    Oracle.run_case ~tolerances:cfg.tolerances ~invariants:cfg.invariants
-      ~macro_table ~check_seed:cfg.check_seed case
-  in
   let materialised =
     match
       Checked.protect ~where:"fuzz materialise" (fun () ->
@@ -89,6 +85,12 @@ let run_one (cfg : config) ~macro_table ~index ~gen_seed =
     with
     | Ok m -> Some m
     | Error _ -> None
+  in
+  (* Without [materialised] the oracle re-raises the failure inside
+     its own guard and records it as an escape. *)
+  let outcome =
+    Oracle.run_case ~tolerances:cfg.tolerances ~invariants:cfg.invariants
+      ~macro_table ?materialised ~check_seed:cfg.check_seed case
   in
   let n_stages, n_gates, n_mutations, process =
     match materialised with

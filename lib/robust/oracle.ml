@@ -568,11 +568,15 @@ let check_ctx ?(tolerances = default_tolerances) ?(invariants = all_invariants)
                  let sens =
                    Sens.ctx_stage ctx ~stage:s ~param:(Sens.Size g) ~box
                  in
-                 let moments_at v =
+                 (* Restore the caller's net even if the probe escapes. *)
+                 let at_size v f =
                    Netlist.set_size net g v;
-                   let a = Ssta.analyse_stage ~output_load ?ff tech net in
-                   Netlist.set_size net g x;
-                   (a.Ssta.total.Gd.nominal, Gd.total_sigma a.Ssta.total)
+                   Fun.protect ~finally:(fun () -> Netlist.set_size net g x) f
+                 in
+                 let moments_at v =
+                   at_size v (fun () ->
+                       let a = Ssta.analyse_stage ~output_load ?ff tech net in
+                       (a.Ssta.total.Gd.nominal, Gd.total_sigma a.Ssta.total))
                  in
                  let mu0, sg0 = moments_at x in
                  let mu_p, sg_p = moments_at (x +. h) in
@@ -611,14 +615,10 @@ let check_ctx ?(tolerances = default_tolerances) ?(invariants = all_invariants)
                        ~param:(Sens.Size g) ~box ~t_target:t
                    in
                    let yield_at v =
-                     Netlist.set_size net g v;
-                     let c = E.Ctx.refresh_stage ctx s in
-                     let y =
-                       (E.yield ~method_:E.Analytic_clark c ~t_target:t)
-                         .E.value
-                     in
-                     Netlist.set_size net g x;
-                     y
+                     at_size v (fun () ->
+                         let c = E.Ctx.refresh_stage ctx s in
+                         (E.yield ~method_:E.Analytic_clark c ~t_target:t)
+                           .E.value)
                    in
                    let y0 = yield_at x in
                    let y_p = yield_at (x +. h) in
@@ -655,10 +655,13 @@ let ctx_of circuits process =
 
 type outcome = { case : case; checks_run : int; violations : violation list }
 
-let run_case ?tolerances ?invariants ?macro_table ~check_seed case =
+let run_case ?tolerances ?invariants ?macro_table ?materialised ~check_seed
+    case =
   match
     Checked.protect ~where:"fuzz case" (fun () ->
-        let m = materialise case in
+        let m =
+          match materialised with Some m -> m | None -> materialise case
+        in
         let ctx = ctx_of m.circuits m.process in
         check_ctx ?tolerances ?invariants ?macro_table ctx ~seed:check_seed)
   with

@@ -142,11 +142,12 @@ type outcome = {
 
 val run_case :
   ?tolerances:tolerances -> ?invariants:invariant list ->
-  ?macro_table:Spv_circuit.Macro.Table.t -> check_seed:int ->
-  case -> outcome
-(** {!materialise} + {!ctx_of} + {!check_ctx}.  Exceptions during
-    materialisation/context build are recorded as [Escape]
-    violations, never raised. *)
+  ?macro_table:Spv_circuit.Macro.Table.t -> ?materialised:materialised ->
+  check_seed:int -> case -> outcome
+(** {!materialise} + {!ctx_of} + {!check_ctx}.  [materialised], when
+    given, must be [materialise case] (a caller that already holds it
+    saves the rebuild).  Exceptions during materialisation/context
+    build are recorded as [Escape] violations, never raised. *)
 
 (** {1 Shrinking} *)
 

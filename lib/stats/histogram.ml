@@ -100,13 +100,3 @@ let mode_bin t =
   !best
 
 let to_series t = Array.init (bins t) (fun i -> (bin_center t i, density t i))
-
-let pp_ascii ?(width = 50) fmt t =
-  let peak = Array.fold_left Stdlib.max 1 t.counts in
-  for i = 0 to bins t - 1 do
-    let bar = t.counts.(i) * width / peak in
-    Format.fprintf fmt "%10.2f | %s %d@."
-      (bin_center t i)
-      (String.make bar '#')
-      t.counts.(i)
-  done

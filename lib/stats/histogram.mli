@@ -51,6 +51,3 @@ val mode_bin : t -> int
 
 val to_series : t -> (float * float) array
 (** (bin center, density) pairs for plotting/printing. *)
-
-val pp_ascii : ?width:int -> Format.formatter -> t -> unit
-(** ASCII bar rendering, for the bench harness output. *)

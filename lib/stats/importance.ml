@@ -130,8 +130,6 @@ let max_shift_norm p =
       Float.max acc (sqrt sq))
     0.0 p.p_shifts
 
-let n_modes p = Array.length p.p_shifts
-
 let draw_weight p rng =
   let k = Array.length p.p_shifts in
   let pick_mode u =

@@ -41,9 +41,6 @@ val max_shift_norm : plan -> float
 (** Largest L2 norm over the plan's whitened mixture shifts (0 for the
     degenerate every-component-past-the-barrier plan). *)
 
-val n_modes : plan -> int
-(** Number of mixture components. *)
-
 val draw_weight : plan -> Rng.t -> float
 (** One importance-sampling trial: the reweighted failure indicator
     (0 when the draw does not fail).  The mean of these values over

@@ -45,15 +45,17 @@ let builtin_lookup name =
         (Printf.sprintf "unknown circuit %S (known: %s)" name
            (String.concat ", " (List.map fst builtin_circuits)))
 
-let applicable_processes t = function
-  | Moments _ -> 1
-  | Circuit _ -> List.length t.processes
+(* Moments sources carry their own (mu, sigma), hence no process. *)
+let groups t =
+  List.concat_map
+    (fun source ->
+      match source with
+      | Moments _ -> [ (source, nominal) ]
+      | Circuit _ -> List.map (fun p -> (source, p)) t.processes)
+    t.sources
 
 let n_scenarios t =
-  let per_source =
-    List.fold_left (fun acc s -> acc + applicable_processes t s) 0 t.sources
-  in
-  per_source * List.length t.methods * Array.length t.targets
+  List.length (groups t) * List.length t.methods * Array.length t.targets
 
 let validate t =
   let ( let* ) = Result.bind in

@@ -65,9 +65,14 @@ val builtin_circuits : (string * (unit -> Spv_circuit.Netlist.t)) list
 val builtin_lookup : string -> (Spv_circuit.Netlist.t, string) result
 (** Resolve a name against {!builtin_circuits} only (no file system). *)
 
+val groups : t -> (source * process) list
+(** The (source, process) pairs to build one engine context each for,
+    in expansion order: each moments source under {!nominal} only,
+    each circuit source under every entry of [processes]. *)
+
 val n_scenarios : t -> int
-(** Total scenario count after expansion (moments sources count the
-    nominal process only). *)
+(** Total scenario count after expansion:
+    [|groups| x |methods| x |targets|]. *)
 
 val validate : t -> (unit, string) result
 (** Structural checks: at least one source / target / method, finite

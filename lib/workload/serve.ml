@@ -400,27 +400,15 @@ let request_line ?seed ?jobs ?workers ?deadline_ms ?mode ~request_id ~grid () =
 
 (* ---- evaluation ----------------------------------------------------- *)
 
-let groups_of_grid (g : Grid.t) =
-  List.concat_map
-    (fun source ->
-      let processes =
-        match source with
-        | Grid.Moments _ -> [ Grid.nominal ]
-        | Grid.Circuit _ -> g.Grid.processes
-      in
-      List.map (fun p -> (source, p)) processes)
-    g.Grid.sources
-
-(* One request: a serial cache pass in expansion order (probe, build
+(* One request: a serial cache pass over [Grid.groups] (probe, build
    misses, insert — hit/miss/eviction counters never depend on
-   [workers]), then scenario-level fan-out over (source, process)
-   groups via [Par.run].  Each group's rows come from [Sweep.run] on
-   its singleton sub-grid with the resolved context injected, so the
-   bytes per row match the one-shot sweep exactly; cache hits replay
-   the macro counter deltas recorded at build time, keeping rows
-   independent of cache state.  Raises [Sweep.Stopped] past the
-   deadline — the caller maps it to one error line, so no partial
-   output ever escapes. *)
+   [workers]), then scenario-level fan-out of [Sweep.group_rows] over
+   the groups via [Par.run].  Each group's rows are numbered by
+   [Sweep] itself, so the concatenation is the one-shot sweep's row
+   list.  A miss builds on a fresh macro table and the cache replays
+   those counters on every hit, keeping rows independent of cache
+   state.  Raises [Sweep.Stopped] past the deadline — the caller maps
+   it to one error line, so no partial output ever escapes. *)
 let eval_request t (r : request) =
   let start = t.clock () in
   let should_stop =
@@ -430,82 +418,32 @@ let eval_request t (r : request) =
         fun () -> (t.clock () -. start) *. 1000.0 > float_of_int ms
   in
   let grid = r.grid in
-  let groups = Array.of_list (groups_of_grid grid) in
-  let resolved =
-    Array.map
-      (fun (source, process) ->
-        if should_stop () then raise Sweep.Stopped;
-        let key = scenario_key ~mode:r.mode source process in
-        match Cache.find t.cache key with
-        | Some e ->
-            (source, process, e.Cache.ctx, e.Cache.macro_hits,
-             e.Cache.macro_misses)
-        | None ->
-            let table =
-              match r.mode with
-              | Engine.Flat -> None
-              | Engine.Hierarchical -> Some (Macro.Table.create ())
-            in
-            let ctx =
-              Sweep.ctx_for ~mode:r.mode ?macro_table:table ~tech:t.tech
-                source process
-            in
-            let mh, mm =
-              match table with
-              | None -> (0, 0)
-              | Some tb -> (Macro.Table.hits tb, Macro.Table.misses tb)
-            in
-            Cache.add t.cache key
-              { Cache.ctx; macro_hits = mh; macro_misses = mm };
-            (source, process, ctx, mh, mm))
-      groups
-  in
-  let tasks =
-    Array.map
-      (fun (source, process, ctx, mh, mm) () ->
-        (* The singleton sub-grid inherits everything but the axes.
-           Its context comes from the provider (already built with any
-           process override applied), so the process entry here only
-           labels rows — drop the override so the singleton list
-           passes the nominal-first validation. *)
-        let sub =
-          {
-            grid with
-            Grid.sources = [ source ];
-            Grid.processes = [ { process with Grid.inter_vth_mv = None } ];
-          }
-        in
-        let res =
-          Sweep.run ~mode:r.mode ?jobs:r.jobs ~seed:r.seed ~tech:t.tech
-            ~ctx_provider:(fun _ _ -> (ctx, (mh, mm)))
-            ~should_stop sub
-        in
-        res.Sweep.rows)
-      resolved
-  in
-  let results = Par.run ~jobs:r.workers tasks in
   let per_group =
     List.length grid.Grid.methods * Array.length grid.Grid.targets
   in
-  let rows =
-    Array.concat
-      (Array.to_list
-         (Array.mapi
-            (fun gi group_rows ->
-              Array.map
-                (fun (row : Sweep.row) ->
-                  let scenario =
-                    {
-                      row.Sweep.scenario with
-                      Sweep.index =
-                        (gi * per_group) + row.Sweep.scenario.Sweep.index;
-                    }
-                  in
-                  { row with Sweep.scenario })
-                group_rows)
-            results))
+  let groups = Array.of_list (Grid.groups grid) in
+  let tasks =
+    Array.mapi
+      (fun g ((source, process) as group) ->
+        if should_stop () then raise Sweep.Stopped;
+        let key = scenario_key ~mode:r.mode source process in
+        let ctx, counters =
+          match Cache.find t.cache key with
+          | Some e -> (e.Cache.ctx, (e.Cache.macro_hits, e.Cache.macro_misses))
+          | None ->
+              let ((ctx, (macro_hits, macro_misses)) as built) =
+                Sweep.build ~mode:r.mode ~tech:t.tech source process
+              in
+              Cache.add t.cache key { Cache.ctx; macro_hits; macro_misses };
+              built
+        in
+        fun () ->
+          Sweep.group_rows ~should_stop ?jobs:r.jobs ~seed:r.seed grid
+            ~first:(g * per_group) ctx group counters)
+      groups
   in
-  (rows, Array.length groups)
+  (List.concat (Array.to_list (Par.run ~jobs:r.workers tasks)),
+   Array.length groups)
 
 (* ---- responses ------------------------------------------------------ *)
 
@@ -543,14 +481,10 @@ let handle_line t line =
     | Ok r -> (
         match eval_request t r with
         | rows, n_contexts ->
-            let out =
-              Array.to_list
-                (Array.map (row_json ~request_id:r.request_id) rows)
-            in
-            out
+            List.map (row_json ~request_id:r.request_id) rows
             @ [
                 done_json t ~request_id:r.request_id
-                  ~rows:(Array.length rows) ~n_contexts;
+                  ~rows:(List.length rows) ~n_contexts;
               ]
         | exception Sweep.Stopped ->
             let budget_ms = Option.value r.deadline_ms ~default:0 in

@@ -39,7 +39,10 @@
 
     - [{"schema_version":1,"kind":"row","request_id":"q1","row":{...}}]
       — [row] is exactly one {!Sweep.row_to_json} object
-      (sweep schema, currently version {!Sweep.schema_version}).
+      (sweep schema, currently version {!Sweep.schema_version}): in
+      flat mode byte-identical to the one-shot {!Sweep.run} row, in
+      hierarchical mode identical except [macro_hits]/[macro_misses]
+      (see Determinism).
     - [{"schema_version":1,"kind":"done","request_id":"q1","status":"ok",
        "code":0,"rows":120,"n_contexts":4,"cache_size":4,
        "cache_hits":0,"cache_misses":4,"cache_evictions":0}]
@@ -57,10 +60,16 @@
 
     Replay is exact: from a fresh daemon, a transcript of requests
     yields byte-identical response bytes regardless of [jobs] and
-    [workers], and per-row bytes are independent of the cache state
-    (cache hits replay the macro counter deltas recorded when the
-    context was first built).  Cache bookkeeping runs serially in
-    expansion order; only the per-context evaluation fans out. *)
+    [workers], and per-row bytes are independent of the cache state.
+    Rows come from {!Sweep.group_rows} over {!Grid.groups}, so flat
+    rows are byte-identical to the one-shot sweep of the same grid and
+    seed.  Hierarchical rows are identical except [macro_hits] and
+    [macro_misses]: each cache miss is built with {!Sweep.build} on a
+    fresh macro table and hits replay those counters, so they report a
+    fresh-table build of that context whatever the cache history,
+    where the one-shot sweep shares one table across the grid.  Cache
+    bookkeeping runs serially in expansion order; only the per-group
+    evaluation fans out. *)
 
 val request_schema_version : int
 val response_schema_version : int

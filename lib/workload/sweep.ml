@@ -102,87 +102,77 @@ let eval_method ?(should_stop = fun () -> false) ~jobs ~seed ~n ~shards ctx
           (e, l.Engine.value))
         targets
 
+let build ?mode ?(macro_table = Macro.Table.create ()) ~tech source process =
+  let hits = Macro.Table.hits macro_table in
+  let misses = Macro.Table.misses macro_table in
+  let ctx = ctx_for ?mode ~macro_table ~tech source process in
+  ( ctx,
+    (Macro.Table.hits macro_table - hits, Macro.Table.misses macro_table - misses)
+  )
+
+let group_rows ?should_stop ?jobs ~seed (grid : Grid.t) ~first ctx
+    (source, (process : Grid.process)) (macro_hits, macro_misses) =
+  let targets = grid.Grid.targets in
+  List.concat
+    (List.mapi
+       (fun m method_ ->
+         let evals =
+           eval_method ?should_stop ~jobs ~seed ~n:grid.Grid.n
+             ~shards:grid.Grid.shards ctx method_ targets
+         in
+         List.init (Array.length evals) (fun k ->
+             let estimate, loss = evals.(k) in
+             {
+               scenario =
+                 {
+                   index = first + (m * Array.length targets) + k;
+                   source = Grid.source_label source;
+                   process = process.Grid.p_label;
+                   method_;
+                   t_target = targets.(k);
+                 };
+               estimate;
+               loss;
+               macro_hits;
+               macro_misses;
+             }))
+       grid.Grid.methods)
+
 let run ?(mode = Engine.Flat) ?jobs ?(seed = Engine.default_seed)
     ?(tech = Spv_process.Tech.bptm70) ?ctx_provider
     ?(should_stop = fun () -> false) (grid : Grid.t) =
   (match Grid.validate grid with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Sweep.run: " ^ msg));
-  (* One macro table for the whole sweep: a process override only
-     changes the characterisation fingerprint, so across the process
-     axis each block is characterised once per distinct
-     (block, process) pair and every further context probe is a hit.
-     Contexts are built serially (jobs parallelises trials inside the
-     engine, never context builds), so the per-context counter deltas
-     below are schedule-independent and the JSONL stays byte-identical
-     across [jobs].  A caller-supplied [ctx_provider] (the serve
-     daemon's LRU cache) replaces this table wholesale and reports its
-     own counter deltas. *)
+  (* One macro table for the whole sweep (flat builds never touch
+     it): a process override only changes the characterisation
+     fingerprint, so across the process axis each block is
+     characterised once per distinct (block, process) pair and every
+     further context probe is a hit.  Contexts are built serially
+     (jobs parallelises trials inside the engine, never context
+     builds), so the per-context counter deltas are
+     schedule-independent and the JSONL stays byte-identical across
+     [jobs]. *)
   let provider =
     match ctx_provider with
     | Some p -> p
-    | None ->
-        let table =
-          match mode with
-          | Engine.Flat -> None
-          | Engine.Hierarchical -> Some (Macro.Table.create ())
-        in
-        let counters () =
-          match table with
-          | None -> (0, 0)
-          | Some t -> (Macro.Table.hits t, Macro.Table.misses t)
-        in
-        fun source process ->
-          let hits0, misses0 = counters () in
-          let ctx = ctx_for ~mode ?macro_table:table ~tech source process in
-          let hits1, misses1 = counters () in
-          (ctx, (hits1 - hits0, misses1 - misses0))
+    | None -> build ~mode ~macro_table:(Macro.Table.create ()) ~tech
   in
-  let rows = ref [] in
-  let index = ref 0 in
-  let n_contexts = ref 0 in
-  List.iter
-    (fun source ->
-      let processes =
-        match source with
-        | Grid.Moments _ -> [ Grid.nominal ]
-        | Grid.Circuit _ -> grid.Grid.processes
-      in
-      List.iter
-        (fun process ->
-          if should_stop () then raise Stopped;
-          let ctx, (macro_hits, macro_misses) = provider source process in
-          incr n_contexts;
-          List.iter
-            (fun method_ ->
-              let evals =
-                eval_method ~should_stop ~jobs ~seed ~n:grid.Grid.n
-                  ~shards:grid.Grid.shards ctx method_ grid.Grid.targets
-              in
-              Array.iteri
-                (fun k (estimate, loss) ->
-                  rows :=
-                    {
-                      scenario =
-                        {
-                          index = !index;
-                          source = Grid.source_label source;
-                          process = process.Grid.p_label;
-                          method_;
-                          t_target = grid.Grid.targets.(k);
-                        };
-                      estimate;
-                      loss;
-                      macro_hits;
-                      macro_misses;
-                    }
-                    :: !rows;
-                  incr index)
-                evals)
-            grid.Grid.methods)
-        processes)
-    grid.Grid.sources;
-  { rows = Array.of_list (List.rev !rows); n_contexts = !n_contexts }
+  let groups = Grid.groups grid in
+  let per_group =
+    List.length grid.Grid.methods * Array.length grid.Grid.targets
+  in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun g ((source, process) as group) ->
+           if should_stop () then raise Stopped;
+           let ctx, counters = provider source process in
+           group_rows ~should_stop ?jobs ~seed grid ~first:(g * per_group) ctx
+             group counters)
+         groups)
+  in
+  { rows = Array.of_list rows; n_contexts = List.length groups }
 
 (* ---- JSONL ---------------------------------------------------------- *)
 

@@ -53,7 +53,7 @@ type result = {
 }
 
 exception Stopped
-(** Raised out of {!run} when its [should_stop] callback returns
+(** Raised out of {!run} and {!group_rows} when [should_stop] returns
     [true] — the request's deadline passed.  No partial result
     escapes: the caller gets the exception or the whole result. *)
 
@@ -78,6 +78,26 @@ val ctx_for :
     [Flat]) and [macro_table] are forwarded to
     {!Spv_engine.Engine.Ctx.of_circuits}; moment sources ignore both. *)
 
+val build :
+  ?mode:Spv_engine.Engine.mode ->
+  ?macro_table:Spv_circuit.Macro.Table.t ->
+  tech:Spv_process.Tech.t -> Grid.source -> Grid.process ->
+  Spv_engine.Engine.Ctx.t * (int * int)
+(** {!ctx_for} plus the [(macro_hits, macro_misses)] deltas the build
+    caused on [macro_table] (default: a fresh table; flat builds never
+    touch it, so they report [(0, 0)]). *)
+
+val group_rows :
+  ?should_stop:(unit -> bool) -> ?jobs:int -> seed:int -> Grid.t ->
+  first:int -> Spv_engine.Engine.Ctx.t -> Grid.source * Grid.process ->
+  int * int -> row list
+(** Every (method, target) row of one {!Grid.groups} pair, evaluated
+    on [ctx], stamped with the [(macro_hits, macro_misses)] pair and
+    numbered from [first] (methods outer, targets inner).  Group [g]
+    starts at [g x |methods| x |targets|]; the groups' rows in order
+    are {!run}'s rows.  [should_stop] is polled before each
+    per-target estimator call. *)
+
 val run :
   ?mode:Spv_engine.Engine.mode -> ?jobs:int -> ?seed:int ->
   ?tech:Spv_process.Tech.t ->
@@ -85,7 +105,9 @@ val run :
     (Grid.source -> Grid.process -> Spv_engine.Engine.Ctx.t * (int * int)) ->
   ?should_stop:(unit -> bool) ->
   Grid.t -> result
-(** Evaluate the grid (defaults: engine seed 42, {!Spv_process.Tech.bptm70}).
+(** Evaluate the grid (defaults: engine seed 42, {!Spv_process.Tech.bptm70}):
+    for each {!Grid.groups} pair in order, resolve its context and
+    append its {!group_rows}.
     [Importance] scenarios sample with the importance proposal (the
     registered failure-cone provider when one is installed, the legacy
     mixture otherwise), resolved once per scenario before sampling so
@@ -97,11 +119,11 @@ val run :
     per-row counters).  Contexts are built serially regardless of
     [jobs], keeping the rows (counters included) byte-identical across
     [jobs].
-    [ctx_provider], when given, replaces the internal context-building
-    path entirely: it is called once per (source, process) pair in
-    expansion order and returns the context plus the
-    [(macro_hits, macro_misses)] deltas to stamp on that pair's rows —
-    this is how the serve daemon injects its LRU-cached contexts.
+    [ctx_provider], when given, replaces {!build} on the shared table:
+    it is called once per (source, process) pair in expansion order
+    and returns the context plus the [(macro_hits, macro_misses)]
+    deltas to stamp on that pair's rows (benchmarks use it to time
+    context builds).
     [should_stop] (default [fun () -> false]) is polled before each
     context build and before each per-target estimator call; when it
     returns [true], {!Stopped} is raised and no partial result

@@ -274,26 +274,66 @@ let test_engine_check_stacking () =
   Fun.protect
     ~finally:(fun () ->
       Engine.set_debug_checks false;
-      B.install_engine_check ();
-      As.install_engine_check ())
+      Engine.set_estimate_check ~name:"stacked boom" None)
     (fun () ->
       B.install_engine_check ();
       As.install_engine_check ();
       Engine.set_debug_checks true;
       let e = Engine.yield ~method_:Engine.Analytic_clark ctx ~t_target:110.0 in
       check_in_range "stacked checks pass" ~lo:0.0 ~hi:1.0 e.Engine.value;
-      Engine.add_estimate_check (fun _ ~t_target:_ _ -> Error "stacked boom");
+      Engine.set_estimate_check ~name:"stacked boom"
+        (Some (fun _ ~t_target:_ _ -> Error "stacked boom"));
       (match
          Engine.yield ~method_:Engine.Analytic_clark ctx ~t_target:110.0
        with
       | exception Failure msg ->
-          Alcotest.(check bool) "appended check ran" true
+          Alcotest.(check bool) "stacked check ran" true
             (String.length msg > 0)
-      | _ -> Alcotest.fail "appended failing check must raise");
-      (* register_ replaces the whole stack, clearing the bad check. *)
-      Engine.register_estimate_check (fun _ ~t_target:_ _ -> Ok ());
+      | _ -> Alcotest.fail "stacked failing check must raise");
+      (* [None] removes that one check and leaves the envelopes. *)
+      Engine.set_estimate_check ~name:"stacked boom" None;
       let e = Engine.yield ~method_:Engine.Analytic_clark ctx ~t_target:110.0 in
-      check_in_range "replaced stack passes" ~lo:0.0 ~hi:1.0 e.Engine.value)
+      check_in_range "removed check no longer fires" ~lo:0.0 ~hi:1.0
+        e.Engine.value)
+
+let test_engine_check_keyed () =
+  let ctx = moment_ctx () in
+  let runs = ref [] in
+  let probe name =
+    Some
+      (fun _ ~t_target:_ _ ->
+        runs := name :: !runs;
+        Ok ())
+  in
+  let estimate () =
+    runs := [];
+    ignore (Engine.yield ~method_:Engine.Analytic_clark ctx ~t_target:110.0);
+    List.rev !runs
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.set_debug_checks false;
+      Engine.set_estimate_check ~name:"probe" None;
+      Engine.set_estimate_check ~name:"late" None)
+    (fun () ->
+      Engine.set_debug_checks true;
+      Engine.set_estimate_check ~name:"probe" (probe "probe");
+      Engine.set_estimate_check ~name:"probe" (probe "probe");
+      Alcotest.(check (list string)) "installed twice, runs once"
+        [ "probe" ] (estimate ());
+      (* Affine before interval: the order that used to drop the
+         affine check must not drop anything else either. *)
+      As.install_engine_check ();
+      B.install_engine_check ();
+      Engine.set_estimate_check ~name:"late" (probe "late");
+      Alcotest.(check (list string))
+        "probes survive both installs and run in first-install order"
+        [ "probe"; "late" ] (estimate ());
+      Engine.set_estimate_check ~name:"probe" (probe "probe again");
+      Alcotest.(check (list string)) "replacing keeps the slot"
+        [ "probe again"; "late" ] (estimate ());
+      Engine.set_estimate_check ~name:"probe" None;
+      Alcotest.(check (list string)) "None removes" [ "late" ] (estimate ()))
 
 (* ---- certificates ----------------------------------------------------- *)
 
@@ -472,6 +512,7 @@ let suite =
     slow "nesting and tightness on c432" test_nesting_and_tightness_iscas;
     quick "yield envelope and checks" test_yield_envelope_and_checks;
     quick "engine check stacking" test_engine_check_stacking;
+    quick "engine checks keyed by name" test_engine_check_keyed;
     quick "certify verdicts" test_certify_verdicts;
     quick "certify of_ctx" test_certify_of_ctx;
     quick "certify parser" test_certify_parse;

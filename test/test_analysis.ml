@@ -223,7 +223,7 @@ let test_engine_debug_hook () =
   Fun.protect
     ~finally:(fun () ->
       Engine.set_debug_checks false;
-      Spv_analysis.Bounds.install_engine_check ())
+      Engine.set_estimate_check ~name:"boom" None)
     (fun () ->
       Spv_analysis.Bounds.install_engine_check ();
       Engine.set_debug_checks true;
@@ -233,7 +233,8 @@ let test_engine_debug_hook () =
       in
       check_in_range "yield sane under checks" ~lo:0.0 ~hi:1.0 e.Engine.value;
       let _ = Engine.delay_mean ~method_:Engine.Analytic_clark ctx in
-      Engine.register_estimate_check (fun _ ~t_target:_ _ -> Error "boom");
+      Engine.set_estimate_check ~name:"boom"
+        (Some (fun _ ~t_target:_ _ -> Error "boom"));
       match Engine.yield ~method_:Engine.Analytic_clark ctx ~t_target:110.0 with
       | exception Failure msg ->
           Alcotest.(check bool) "oracle message surfaced" true

@@ -5,8 +5,10 @@
       payloads are independent of the per-request jobs/workers knobs
       (trial-level AND scenario-level parallelism never change bytes).
 
-   2. Honesty: every embedded row is byte-identical to the one-shot
-      [Sweep.run] JSONL for the same grid and seed.
+   2. Honesty: every embedded flat row is byte-identical to the
+      one-shot [Sweep.run] JSONL for the same grid and seed; a
+      hierarchical row is identical except macro_hits / macro_misses,
+      which are those of a fresh-table build of its context.
 
    3. Robustness: malformed requests (truncated JSON, unknown
       schema_version, bad method names) each yield one structured
@@ -109,6 +111,70 @@ let test_rows_match_one_shot_sweep () =
   Alcotest.(check (list string))
     "served rows = one-shot sweep JSONL, byte for byte" expected
     (rows_of ~request_id:"q1" t)
+
+(* Hierarchical rows: the one-shot sweep shares one macro table across
+   the whole grid, while the daemon builds each missed context on a
+   fresh table and replays those counters on every hit.  So served
+   rows equal the one-shot rows in every field but macro_hits /
+   macro_misses, which are a fresh-table build's, whatever the cache
+   history.  On this grid vth40mv re-uses nominal's characterisation in
+   the shared table, so the two really do differ there. *)
+let hier_grid_text =
+  "stages 100,6 100,6 95,5\n\
+   circuit chain10\n\
+   circuit c432\n\
+   inter_vth_mv 60\n\
+   inter_vth_mv 40\n\
+   targets 300:400:2\n\
+   method clark,mc\n\
+   samples 1000\n\
+   shards 4\n"
+
+let test_hier_rows_contract () =
+  let grid =
+    match Grid.of_string hier_grid_text with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "grid: %s" (Grid.parse_error_to_string e)
+  in
+  let one_shot = Sweep.run ~mode:Engine.Hierarchical ~jobs:1 ~seed:7 grid in
+  let fresh =
+    Array.of_list
+      (List.map
+         (fun (source, process) ->
+           snd
+             (Sweep.build ~mode:Engine.Hierarchical
+                ~tech:Spv_process.Tech.bptm70 source process))
+         (Grid.groups grid))
+  in
+  let per_group = 2 * 2 in
+  let expected =
+    Array.to_list
+      (Array.map
+         (fun (r : Sweep.row) ->
+           let macro_hits, macro_misses =
+             fresh.(r.Sweep.scenario.Sweep.index / per_group)
+           in
+           Sweep.row_to_json { r with Sweep.macro_hits; macro_misses })
+         one_shot.Sweep.rows)
+  in
+  let d = Serve.create () in
+  let serve rid =
+    rows_of ~request_id:rid
+      (Serve.handle_line d
+         (Serve.request_line ~request_id:rid ~seed:7 ~workers:2
+            ~mode:"hierarchical" ~grid:hier_grid_text ()))
+  in
+  let cold = serve "cold" in
+  Alcotest.(check (list string))
+    "served = one-shot but for fresh-table macro counters" expected cold;
+  Alcotest.(check (list string)) "cache hits replay the same rows" cold
+    (serve "warm");
+  Alcotest.(check bool) "the shared-table counters differ somewhere" true
+    (Array.exists
+       (fun (r : Sweep.row) ->
+         (r.Sweep.macro_hits, r.Sweep.macro_misses)
+         <> fresh.(r.Sweep.scenario.Sweep.index / per_group))
+       one_shot.Sweep.rows)
 
 let test_done_row_reports_cache_counters () =
   let t = run_transcript () in
@@ -307,27 +373,19 @@ let test_cached_ctx_fingerprints_match_fresh_builds () =
     match Grid.of_string grid_text with Ok g -> g | Error _ -> assert false
   in
   List.iter
-    (fun source ->
-      let processes =
-        match source with
-        | Grid.Moments _ -> [ Grid.nominal ]
-        | Grid.Circuit _ -> grid.Grid.processes
-      in
-      List.iter
-        (fun process ->
-          let key = Serve.scenario_key ~mode:Engine.Flat source process in
-          match Serve.Cache.find (Serve.cache d) key with
-          | None -> Alcotest.failf "no cache entry for %s" key
-          | Some e ->
-              let fresh =
-                Sweep.ctx_for ~tech:Spv_process.Tech.bptm70 source process
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "fingerprint of cached ctx (%s)" key)
-                (Engine.Ctx.fingerprint fresh)
-                (Engine.Ctx.fingerprint e.Serve.Cache.ctx))
-        processes)
-    grid.Grid.sources
+    (fun (source, process) ->
+      let key = Serve.scenario_key ~mode:Engine.Flat source process in
+      match Serve.Cache.find (Serve.cache d) key with
+      | None -> Alcotest.failf "no cache entry for %s" key
+      | Some e ->
+          let fresh =
+            Sweep.ctx_for ~tech:Spv_process.Tech.bptm70 source process
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "fingerprint of cached ctx (%s)" key)
+            (Engine.Ctx.fingerprint fresh)
+            (Engine.Ctx.fingerprint e.Serve.Cache.ctx))
+    (Grid.groups grid)
 
 let test_scenario_keys_separate_what_must_differ () =
   let m1 =
@@ -442,6 +500,8 @@ let suite =
                         jobs and workers" `Quick test_transcript_byte_identical;
     Alcotest.test_case "served rows = one-shot sweep JSONL" `Quick
       test_rows_match_one_shot_sweep;
+    Alcotest.test_case "hierarchical rows = one-shot but for macro counters"
+      `Quick test_hier_rows_contract;
     Alcotest.test_case "done rows report deterministic cache counters" `Quick
       test_done_row_reports_cache_counters;
     Alcotest.test_case "malformed requests: structured errors, daemon \
