@@ -52,6 +52,28 @@ let find_substring hay needle =
 
 let contains hay needle = find_substring hay needle <> None
 
+(* ---- shared technology and moment arguments ------------------------ *)
+
+(* Every circuit command analyses the default 70 nm-like node with its
+   default flip-flop. *)
+let tech = Spv_process.Tech.bptm70
+let ff = Spv_process.Flipflop.default tech
+
+(* --mu/--sigma/--rho for every command that takes a pipeline as stage
+   moments.  None is required by the parser: a missing --mu is the
+   Domain error (exit 6) of the moment validation. *)
+let mus_arg =
+  let doc = "Stage mean delays in ps (repeatable)." in
+  Arg.(value & opt_all float [] & info [ "mu" ] ~doc)
+
+let sigmas_arg =
+  let doc = "Stage delay sigmas in ps (repeatable, same count as --mu)." in
+  Arg.(value & opt_all float [] & info [ "sigma" ] ~doc)
+
+let rho_arg =
+  let doc = "Uniform stage-delay correlation coefficient." in
+  Arg.(value & opt float 0.0 & info [ "rho" ] ~doc)
+
 (* ---- shared pipeline-source arguments ------------------------------ *)
 
 (* [mc] and [analyze] take a pipeline either as stage circuits or as
@@ -71,24 +93,9 @@ let sources_arg =
     in
     Arg.(value & opt_all string [] & info [ "c"; "circuit" ] ~doc)
   in
-  let mus =
-    let doc =
-      "Stage mean delays in ps (repeatable).  Mutually exclusive with \
-       --circuit."
-    in
-    Arg.(value & opt_all float [] & info [ "mu" ] ~doc)
-  in
-  let sigmas =
-    let doc = "Stage delay sigmas in ps (repeatable, same count as --mu)." in
-    Arg.(value & opt_all float [] & info [ "sigma" ] ~doc)
-  in
-  let rho =
-    let doc = "Uniform stage-delay correlation coefficient (moments mode)." in
-    Arg.(value & opt float 0.0 & info [ "rho" ] ~doc)
-  in
   Term.(
     const (fun circuits mus sigmas rho -> { circuits; mus; sigmas; rho })
-    $ circuits $ mus $ sigmas $ rho)
+    $ circuits $ mus_arg $ sigmas_arg $ rho_arg)
 
 (* The engine context of a pipeline source.  [mode] applies to circuit
    pipelines; moment pipelines have no netlists to decompose, so the
@@ -124,8 +131,6 @@ let engine_ctx_of_sources ?(mode = Engine.Flat) s =
             Ok (net :: acc))
           (Ok []) names
       in
-      let tech = Spv_process.Tech.bptm70 in
-      let ff = Spv_process.Flipflop.default tech in
       Checked.engine_ctx_of_circuits ~mode ~ff tech
         (Array.of_list (List.rev nets))
 
@@ -249,25 +254,17 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
 let yield_cmd =
-  let mus =
-    let doc = "Stage mean delays in ps (repeatable)." in
-    Arg.(non_empty & opt_all float [] & info [ "mu" ] ~doc)
-  in
-  let sigmas =
-    let doc = "Stage delay sigmas in ps (repeatable, same count as --mu)." in
-    Arg.(value & opt_all float [] & info [ "sigma" ] ~doc)
-  in
-  let rho =
-    let doc = "Uniform stage-delay correlation coefficient." in
-    Arg.(value & opt float 0.0 & info [ "rho" ] ~doc)
-  in
   let target =
     let doc = "Clock-period target in ps." in
     Arg.(required & opt (some float) None & info [ "t"; "target" ] ~doc)
   in
   let run mus sigmas rho target jobs seed =
     handle
-      (let mus = Array.of_list mus and sigmas = Array.of_list sigmas in
+      (let* () =
+         if Float.is_finite target then Ok ()
+         else Error (Errors.domain ~param:"t_target" "must be finite")
+       in
+       let mus = Array.of_list mus and sigmas = Array.of_list sigmas in
        let* p =
          Checked.pipeline_of_moments ~on_warning:warn ~mus ~sigmas ~rho ()
        in
@@ -304,7 +301,9 @@ let yield_cmd =
   Cmd.v
     (Cmd.info "yield"
        ~doc:"Pipeline yield from per-stage (mu, sigma) and a uniform rho.")
-    Term.(const run $ mus $ sigmas $ rho $ target $ jobs_arg $ seed_arg)
+    Term.(
+      const run $ mus_arg $ sigmas_arg $ rho_arg $ target $ jobs_arg
+      $ seed_arg)
 
 let mc_cmd =
   let hier =
@@ -446,7 +445,6 @@ let sta_cmd =
   let run name =
     handle
       (let* net = lookup_circuit name in
-       let tech = Spv_process.Tech.bptm70 in
        let* sta =
          Checked.protect ~where:"STA" (fun () -> Spv_circuit.Sta.run tech net)
        in
@@ -455,7 +453,6 @@ let sta_cmd =
        Printf.printf "critical delay: %.1f ps (path of %d gates)\n"
          sta.Spv_circuit.Sta.delay
          (List.length sta.Spv_circuit.Sta.critical_path);
-       let ff = Spv_process.Flipflop.default tech in
        let* g = Checked.ssta_stage ~ff tech net in
        Printf.printf "stage delay with FF: N(%.1f, %.2f) ps (sigma/mu %.2f%%)\n"
          (Spv_stats.Gaussian.mu g) (Spv_stats.Gaussian.sigma g)
@@ -488,8 +485,6 @@ let size_cmd =
     handle
       (let* net = lookup_circuit name in
        let* z = stage_z stage_yield in
-       let tech = Spv_process.Tech.bptm70 in
-       let ff = Spv_process.Flipflop.default tech in
        let before = Spv_circuit.Netlist.area net in
        Spv_sizing.Sens_hook.reset_stats ();
        let* () =
@@ -535,7 +530,6 @@ let power_cmd =
   let run name =
     handle
       (let* net = lookup_circuit name in
-       let tech = Spv_process.Tech.bptm70 in
        let* p =
          Checked.protect ~where:"power analysis" (fun () ->
              Spv_circuit.Power.analyse tech net)
@@ -582,14 +576,6 @@ let export_cmd =
 (* ---- criticality command ---------------------------------------------- *)
 
 let criticality_cmd =
-  let mus =
-    let doc = "Stage mean delays in ps (repeatable)." in
-    Arg.(non_empty & opt_all float [] & info [ "mu" ] ~doc)
-  in
-  let sigmas =
-    let doc = "Stage delay sigmas in ps (repeatable)." in
-    Arg.(non_empty & opt_all float [] & info [ "sigma" ] ~doc)
-  in
   let run mus sigmas =
     handle
       (let mus = Array.of_list mus and sigmas = Array.of_list sigmas in
@@ -611,7 +597,7 @@ let criticality_cmd =
   Cmd.v
     (Cmd.info "criticality"
        ~doc:"Per-stage probability of being the pipeline's slowest stage.")
-    Term.(const run $ mus $ sigmas)
+    Term.(const run $ mus_arg $ sigmas_arg)
 
 (* ---- curve command ----------------------------------------------------- *)
 
@@ -624,8 +610,6 @@ let curve_cmd =
     handle
       (let* net = lookup_circuit name in
        let* z = stage_z stage_yield in
-       let tech = Spv_process.Tech.bptm70 in
-       let ff = Spv_process.Flipflop.default tech in
        let* pts =
          Checked.protect ~where:"area-delay curve" (fun () ->
              Spv_sizing.Area_delay.curve_points ~ff ~n_points:points tech net
@@ -659,8 +643,7 @@ let report_cmd =
       (let* net = lookup_circuit name in
        let* text =
          Checked.protect ~where:"timing report" (fun () ->
-             Spv_circuit.Report.render ~k ?t_target:target
-               Spv_process.Tech.bptm70 net)
+             Spv_circuit.Report.render ~k ?t_target:target tech net)
        in
        print_string text;
        Ok ())
@@ -680,8 +663,6 @@ let hold_cmd =
   let run name hold =
     handle
       (let* net = lookup_circuit name in
-       let tech = Spv_process.Tech.bptm70 in
-       let ff = Spv_process.Flipflop.default tech in
        let* short =
          Checked.protect ~where:"short-path analysis" (fun () ->
              Spv_core.Hold.short_path_delay tech net)
@@ -704,18 +685,6 @@ let hold_cmd =
 (* ---- fmax command -------------------------------------------------------- *)
 
 let fmax_cmd =
-  let mus =
-    let doc = "Stage mean delays in ps (repeatable)." in
-    Arg.(non_empty & opt_all float [] & info [ "mu" ] ~doc)
-  in
-  let sigmas =
-    let doc = "Stage delay sigmas in ps (repeatable)." in
-    Arg.(non_empty & opt_all float [] & info [ "sigma" ] ~doc)
-  in
-  let rho =
-    let doc = "Uniform stage correlation." in
-    Arg.(value & opt float 0.0 & info [ "rho" ] ~doc)
-  in
   let run mus sigmas rho =
     handle
       (let mus = Array.of_list mus and sigmas = Array.of_list sigmas in
@@ -736,7 +705,7 @@ let fmax_cmd =
   in
   Cmd.v
     (Cmd.info "fmax" ~doc:"Maximum-frequency distribution of a pipeline.")
-    Term.(const run $ mus $ sigmas $ rho)
+    Term.(const run $ mus_arg $ sigmas_arg $ rho_arg)
 
 (* ---- abb command --------------------------------------------------------- *)
 
@@ -765,8 +734,6 @@ let abb_cmd =
          Error (Errors.domain ~param:"--range" "negative")
        else
          Checked.protect ~where:"ABB" (fun () ->
-             let tech = Spv_process.Tech.bptm70 in
-             let ff = Spv_process.Flipflop.default tech in
              let nets =
                Spv_circuit.Generators.inverter_chain_pipeline ~stages ~depth ()
              in
@@ -800,8 +767,6 @@ let vth_cmd =
          Error (Errors.domain ~param:"--slack" "must be >= 1.0")
        else
          Checked.protect ~where:"dual-Vth optimisation" (fun () ->
-             let tech = Spv_process.Tech.bptm70 in
-             let ff = Spv_process.Flipflop.default tech in
              let z = Spv_stats.Special.big_phi_inv 0.95 in
              let a0 =
                Spv_sizing.Multi_vth.all_low net ~delay_penalty:1.15
@@ -856,10 +821,6 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "hier" ] ~doc)
   in
-  let json =
-    let doc = "Emit the report as JSON instead of text (same as --format json)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let format_arg =
     let doc =
       "Report format: $(b,text) or $(b,json).  JSON documents carry a \
@@ -870,12 +831,12 @@ let analyze_cmd =
       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
-  let run sources kappa target hier json format =
+  let run sources kappa target hier format =
     handle
       (let* ctx = engine_ctx_of_sources sources in
        let* r = Checked.analyze ~k:kappa ?t_target:target ~hier ctx in
        let report = r.Spv_analysis.Analyze.report in
-       if json || format = `Json then
+       if format = `Json then
          print_string (Spv_analysis.Report.to_json report)
        else begin
          print_string (Spv_analysis.Report.to_text report);
@@ -954,9 +915,7 @@ let analyze_cmd =
           Fréchet/affine-envelope checks of the engine's closed-form \
           yield estimators.  Error findings exit with the lint code after \
           the report is printed.")
-    Term.(
-      const run $ sources_arg $ kappa $ target $ hier
-      $ json $ format_arg)
+    Term.(const run $ sources_arg $ kappa $ target $ hier $ format_arg)
 
 (* ---- certify command ------------------------------------------------- *)
 
@@ -968,14 +927,6 @@ let certify_cmd =
        exclusive with --mu/--sigma."
     in
     Arg.(value & opt (some string) None & info [ "s"; "solution" ] ~doc)
-  in
-  let mus =
-    let doc = "Achieved stage mean delays in ps (repeatable)." in
-    Arg.(value & opt_all float [] & info [ "mu" ] ~doc)
-  in
-  let sigmas =
-    let doc = "Achieved stage delay sigmas in ps (repeatable)." in
-    Arg.(value & opt_all float [] & info [ "sigma" ] ~doc)
   in
   let target =
     let doc = "Clock-period target in ps (required with --mu)." in
@@ -1064,7 +1015,9 @@ let certify_cmd =
           delay moments reach a pipeline yield target (the paper's eq. 10-13 \
           design space), without sampling.  A refuted certificate exits \
           with code 8 and a structured counterexample finding.")
-    Term.(const run $ solution $ mus $ sigmas $ target $ yield $ nonneg $ json)
+    Term.(
+      const run $ solution $ mus_arg $ sigmas_arg $ target $ yield $ nonneg
+      $ json)
 
 (* ---- sweep command -------------------------------------------------- *)
 
@@ -1693,8 +1646,7 @@ let () =
   (* Debug-mode postconditions: the oracles are always registered; the
      engine only consults them when SPV_DEBUG_BOUNDS is set (or a test
      enables it explicitly).  The sizing certificate is the always-on
-     exit criterion — SPV_CERTIFY_SIZING=0 (or a sizer's
-     ?certify:false) opts out. *)
+     exit criterion: every sizer report is checked. *)
   Spv_analysis.Bounds.install_engine_check ();
   Spv_analysis.Affine_sta.install_engine_check ();
   Spv_analysis.Certify.install_sizing_check ();
@@ -1705,7 +1657,7 @@ let () =
   Spv_analysis.Cones.install_engine_proposal ();
   (* Certified sensitivity pruning for the sizers; result-transparent
      (skips work, never changes reports — asserted under
-     SPV_DEBUG_SENSITIVITY). *)
+     SPV_DEBUG_BOUNDS). *)
   Spv_analysis.Dominance.install_sizing_prune ();
   let doc = "statistical pipeline delay / yield toolkit (DATE'05 reproduction)" in
   let info = Cmd.info "spv_cli" ~version:"1.0.0" ~doc in

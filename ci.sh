@@ -45,17 +45,34 @@ fi
 
 # Docs gate: the single-shot bench studies and their BENCH_*.json files
 # are gone, and so are the importance-proposal option (there is one
-# proposal), the replace/append estimate-check pair (one keyed setter)
-# and serve's private scenario expansion (Grid.groups is the one); no
-# document or source may cite any of them.  CHANGES.md and ROADMAP.md
-# are history and stay exempt.
+# proposal), the replace/append estimate-check pair (one keyed setter),
+# serve's private scenario expansion (Grid.groups is the one), the
+# sizing-certificate and sensitivity-debug opt-outs, the global sizer's
+# yield-model choice and the message-scanning refutation test (a typed
+# exception replaced it); no document or source may cite any of them.
+# CHANGES.md and ROADMAP.md are history and stay exempt.
 echo "==> no citations of BENCH_*.json, bench/main.exe <id>, a proposal option or a retired API"
 if grep -rEn \
-  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid' \
+  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:' \
   README.md DESIGN.md EXPERIMENTS.md .claude examples lib bin test; then
   echo "ci.sh: stale citation of a retired bench study, proposal option or API (above)" >&2
   exit 1
 fi
+
+# Non-finite gate: a huge but finite target saturates the closed forms
+# instead of overflowing to NaN, and a NaN requirement is a Domain
+# error (exactly exit 6), never a printed "nan".
+run "$CLI" mc --mu 100 --sigma 5 -t 1e300 -m clark
+for args in "hold -c chain10 --hold nan" "vth -c chain10 --slack nan"; do
+  echo "==> $CLI $args (expect exit 6)"
+  rc=0
+  # shellcheck disable=SC2086
+  "$CLI" $args >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 6 ]; then
+    echo "ci.sh: $args did not exit 6 (exit $rc)" >&2
+    exit 1
+  fi
+done
 
 # Sweep gate: the built-in smoke grid must produce schema-valid JSONL
 # that is bit-identical across --jobs 1/2/4 (the sweep binary checks

@@ -36,12 +36,6 @@ type symbol =
       (** per-gate random (RDF) draw; [node = -1] is the stage's
           flip-flop. *)
 
-val symbol_to_string : symbol -> string
-
-val class_name : symbol -> string
-(** Attribution bucket: ["factor"], ["vth_inter"], ["leff_inter"],
-    ["systematic"] or ["random"]. *)
-
 type t = private {
   center : float;
   terms : (symbol * float) array;
@@ -160,7 +154,8 @@ val eval_interval : t -> (symbol -> float) -> Interval.t
 
 val attribution : t -> (string * float) list
 (** Per-class sigma contributions [sqrt (sum of squared coefficients)]
-    grouped by {!class_name}, largest first. *)
+    grouped by class (["factor"], ["vth_inter"], ["leff_inter"],
+    ["systematic"] or ["random"]), largest first. *)
 
 val dominant : ?n:int -> t -> (symbol * float) list
 (** The [n] (default 5) largest-|coefficient| symbols, largest first. *)

@@ -49,11 +49,6 @@ val of_ctx : ?k:float -> Spv_engine.Engine.Ctx.t -> t
 (** Derive all bounds for a context.  [k] (default 6.0) must be finite
     and positive; raises [Invalid_argument] otherwise. *)
 
-val gate_factor_interval :
-  k:float -> Spv_process.Tech.t -> size:float -> Interval.t
-(** Delay-factor bound for one device of the given size under the
-    [±k sigma] box (exposed for tests). *)
-
 val corner_factors :
   k:float -> Spv_process.Tech.t -> Spv_circuit.Netlist.t ->
   float array * float array

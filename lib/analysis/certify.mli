@@ -103,6 +103,5 @@ val sizing_check :
     [z] are skipped ([Ok ()]) — the sizer already signals failure. *)
 
 val install_sizing_check : unit -> unit
-(** Register {!sizing_check} as the [Spv_sizing.Certify_hook] oracle
-    (enabled by [SPV_CERTIFY_SIZING] or
-    [Spv_sizing.Certify_hook.set_enabled]). *)
+(** Register {!sizing_check} as the [Spv_sizing.Certify_hook] oracle:
+    from then on every sizer report is checked. *)

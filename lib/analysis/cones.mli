@@ -42,10 +42,6 @@
       its stage in the whitened (Cholesky) noise basis — the
       direction the {!proposal} mixture shifts the sampler along. *)
 
-val default_threshold : float
-(** 0.05 — criticality lower bound above which a stage/cone counts as
-    dominant. *)
-
 type stage_crit = {
   sc_stage : int;
   sc_crit : Interval.t;  (** enclosure of P{stage sets pipeline delay} *)
@@ -96,7 +92,8 @@ val analyse : ?k:float -> ?threshold:float -> ?t_target:float ->
   Spv_engine.Engine.Ctx.t -> t
 (** Run the pass.  [k] (default 6.0) is the box/concentration
     parameter shared with {!Affine_sta}; [threshold] (default
-    {!default_threshold}) the dominance cut; [t_target] enables the
+    0.05) the criticality lower bound above which a stage/cone counts
+    as dominant; [t_target] enables the
     slack form and tail depths.  Stage-level results are always
     computed; per-gate bounds and cones only for gate-level contexts.
     Raises [Invalid_argument] on invalid [k], a [threshold] outside

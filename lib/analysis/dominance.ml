@@ -4,6 +4,8 @@ module Sta = Spv_circuit.Sta
 module Hook = Spv_sizing.Sens_hook
 module I = Interval
 
+(* The stat-delay margin (ps) separating certified comparisons from
+   floating-point noise. *)
 let fp_margin = 1e-5
 
 (* Certified stat-delay change of one move over its own size box:
@@ -79,12 +81,9 @@ let prune_moves env moves =
    leaves half the acceptance headroom to absorb the ulp-level gap
    between the interval mirror and the concrete estimator. *)
 let yield_skip (e : Hook.yield_skip_env) =
-  let model =
-    if e.Hook.ye_independent then Sensitivity.Independent_product
-    else Sensitivity.Clark
-  in
   match
-    Sensitivity.yield_upper_bound_over_box e.Hook.ye_ctx ~model
+    Sensitivity.yield_upper_bound_over_box e.Hook.ye_ctx
+      ~model:Sensitivity.Independent_product
       ~stage:e.Hook.ye_stage ~lo:e.Hook.ye_min_size ~hi:e.Hook.ye_max_size
       ~t_target:e.Hook.ye_t_target
   with
@@ -115,10 +114,11 @@ let take k l =
   in
   go k l
 
-let analyse ?(k = 4) ?(box_factor = 1.3) ?t_target ctx =
+(* The relative size box of each certificate: the greedy sizer's step. *)
+let box_factor = 1.3
+
+let analyse ?(k = 4) ?t_target ctx =
   if k < 1 then invalid_arg "Dominance.analyse: k < 1";
-  if not (box_factor > 1.0) then
-    invalid_arg "Dominance.analyse: box_factor <= 1";
   if not (Engine.Ctx.gate_level ctx) then { gate_level = false; certs = [] }
   else begin
     let n = Engine.Ctx.n_stages ctx in

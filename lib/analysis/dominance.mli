@@ -5,7 +5,7 @@
     prune decision is {e certified}: a move is dropped only when its
     enclosure proves the concrete sizer would reject it, and the
     sizer's accepted solution is byte-identical with pruning on or off
-    (asserted under [SPV_DEBUG_SENSITIVITY]).
+    (asserted when the engine's debug checks are on, [SPV_DEBUG_BOUNDS]).
 
     Greedy move pruning (registered through
     {!Spv_sizing.Sens_hook.register_move_prune}) uses three rules, for
@@ -36,10 +36,6 @@
     cannot clear the acceptance threshold, the probe is provably
     rejected and is skipped. *)
 
-val fp_margin : float
-(** The stat-delay margin (ps) separating certified comparisons from
-    floating-point noise. *)
-
 val prune_moves :
   Spv_sizing.Sens_hook.prune_env -> Spv_sizing.Sens_hook.move list ->
   bool array
@@ -69,12 +65,11 @@ type gate_cert = {
 type t = { gate_level : bool; certs : gate_cert list }
 
 val analyse :
-  ?k:int -> ?box_factor:float -> ?t_target:float ->
-  Spv_engine.Engine.Ctx.t -> t
+  ?k:int -> ?t_target:float -> Spv_engine.Engine.Ctx.t -> t
 (** Certify up to [k] (default 4) critical-path gates per stage over
-    the relative size box [\[size / box_factor, size * box_factor\]]
-    (default factor 1.3, the greedy sizer's step).  Moments-only
-    contexts yield [gate_level = false] and no certificates. *)
+    the relative size box [\[size / 1.3, size * 1.3\]] (1.3 is the
+    greedy sizer's step).  Moments-only contexts yield
+    [gate_level = false] and no certificates. *)
 
 val findings : t -> Report.finding list
 (** The ["sensitivity"] pass: one finding per certified knob (with the

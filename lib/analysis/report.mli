@@ -39,8 +39,6 @@ val sorted : t -> t
 (** Stable order: severity (errors first), then pass name, then
     location (pipeline, stage, node). *)
 
-val severity_name : severity -> string
-
 val to_text : t -> string
 (** One line per finding:
     [severity pass location: message (k=v, ...)]. *)

@@ -382,16 +382,6 @@ let monotone_sign e =
   else if I.hi e.deriv < 0.0 then Some Decreasing
   else None
 
-let stage_moments_over_box ?(output_load = 4.0) ?ff tech net ~lo ~hi =
-  if (not (Float.is_finite lo && Float.is_finite hi)) || lo <= 0.0 || lo > hi
-  then invalid_arg "Sensitivity.stage_moments_over_box: bad size range";
-  let box = I.make ~lo ~hi in
-  let size_of _ = Dual.make ~v:box ~d:(I.point 0.0) in
-  match propagate ~output_load ?ff tech net ~size_of ~factor_of:(fun _ -> None)
-  with
-  | sd -> ((Dual.v sd.sd_mu, Dual.v sd.sd_sigma), not sd.sd_amb)
-  | exception Dual.Unbounded _ -> ((nonneg, nonneg), false)
-
 (* ---- memoisation ----------------------------------------------------- *)
 
 module Cache = struct
@@ -472,7 +462,7 @@ let ctx_stage ?cache ctx ~stage:st ~param ~box =
 
 (* ---- yield through the Clark fold ------------------------------------ *)
 
-type yield_model = Clark | Independent_product
+type model = Clark | Independent_product
 
 exception Undecided
 
@@ -616,21 +606,6 @@ let cdf0_dual ~amb g ~t =
     Dual.big_phi (Dual.div (Dual.sub (Dual.const t) g.gmu) g.gsig)
   else raise (Dual.Unbounded "sigma sign undecided at the CDF")
 
-let sf0_dual ~amb g ~t =
-  let sv = Dual.v g.gsig in
-  if I.hi sv = 0.0 then begin
-    let mv = Dual.v g.gmu in
-    if I.hi mv <= t then Dual.const 0.0
-    else if I.lo mv > t then Dual.const 1.0
-    else begin
-      amb := true;
-      Dual.make ~v:unit_iv ~d:(I.point 0.0)
-    end
-  end
-  else if I.lo sv > 0.0 then
-    Dual.upper_tail (Dual.div (Dual.sub (Dual.const t) g.gmu) g.gsig)
-  else raise (Dual.Unbounded "sigma sign undecided at the tail")
-
 (* Dynamic consistency guard: the differentiated stage's cached
    concrete moments must lie inside the propagated enclosures (they
    do whenever the context reflects the netlist's current sizes and
@@ -705,7 +680,7 @@ let clark_fold_dual ctx ~stage:s ~sd =
   done;
   (!current, amb)
 
-let independent_fold_dual ctx ~stage:s ~sd ~t_target ~tail =
+let independent_fold_dual ctx ~stage:s ~sd ~t_target =
   let p = Ctx.pipeline ctx in
   let n = Pipeline.n_stages p in
   guard_moments p ~stage:s ~sd;
@@ -720,25 +695,19 @@ let independent_fold_dual ctx ~stage:s ~sd ~t_target ~tail =
     in
     acc := Dual.mul !acc (cdf0_dual ~amb g ~t:t_target)
   done;
-  let y = !acc in
-  let y = if tail then Dual.sub (Dual.const 1.0) y else y in
-  (y, amb)
+  (!acc, amb)
 
 let clamp_unit ivl =
   let lo = Float.max 0.0 (I.lo ivl) and hi = Float.min 1.0 (I.hi ivl) in
   if lo <= hi then I.make ~lo ~hi else unit_iv
 
-let yield_enclosure ctx ~model ~stage:s ~sd ~t_target ~tail =
+let yield_enclosure ctx ~model ~stage:s ~sd ~t_target =
   let y, amb =
     match model with
-    | Independent_product -> independent_fold_dual ctx ~stage:s ~sd ~t_target ~tail
+    | Independent_product -> independent_fold_dual ctx ~stage:s ~sd ~t_target
     | Clark ->
         let dist, amb = clark_fold_dual ctx ~stage:s ~sd in
-        let y =
-          if tail then sf0_dual ~amb dist ~t:t_target
-          else cdf0_dual ~amb dist ~t:t_target
-        in
-        (y, amb)
+        (cdf0_dual ~amb dist ~t:t_target, amb)
   in
   let certified = not !amb in
   {
@@ -750,22 +719,14 @@ let yield_enclosure ctx ~model ~stage:s ~sd ~t_target ~tail =
 let check_t_target ~where t =
   if not (Float.is_finite t) then invalid_arg (where ^ ": non-finite t_target")
 
-let ctx_yield_gen ?cache ctx ~model ~stage:s ~param ~box ~t_target ~tail ~where
-    =
+let ctx_yield ?cache ctx ~model ~stage:s ~param ~box ~t_target =
+  let where = "Sensitivity.ctx_yield" in
   check_t_target ~where t_target;
   match ctx_stage_duals ?cache ctx ~stage:s ~param ~box ~where with
   | None -> decert_unit
   | Some sd -> (
-      try yield_enclosure ctx ~model ~stage:s ~sd ~t_target ~tail with
+      try yield_enclosure ctx ~model ~stage:s ~sd ~t_target with
       | Dual.Unbounded _ | Undecided -> decert_unit)
-
-let ctx_yield ?cache ctx ~model ~stage ~param ~box ~t_target =
-  ctx_yield_gen ?cache ctx ~model ~stage ~param ~box ~t_target ~tail:false
-    ~where:"Sensitivity.ctx_yield"
-
-let ctx_yield_loss ?cache ctx ~model ~stage ~param ~box ~t_target =
-  ctx_yield_gen ?cache ctx ~model ~stage ~param ~box ~t_target ~tail:true
-    ~where:"Sensitivity.ctx_yield_loss"
 
 let yield_upper_bound_over_box ctx ~model ~stage:s ~lo ~hi ~t_target =
   let where = "Sensitivity.yield_upper_bound_over_box" in
@@ -789,6 +750,6 @@ let yield_upper_bound_over_box ctx ~model ~stage:s ~lo ~hi ~t_target =
          abort: the value would then depend on a permutation we cannot
          fix. *)
       try
-        let e = yield_enclosure ctx ~model ~stage:s ~sd ~t_target ~tail:false in
+        let e = yield_enclosure ctx ~model ~stage:s ~sd ~t_target in
         Some (I.hi e.value)
       with Dual.Unbounded _ | Undecided -> None)

@@ -123,7 +123,7 @@ val monotone_sign : enclosure -> sign option
 
 (** Pipeline yield model being differentiated — must match the
     estimator whose result the caller reasons about. *)
-type yield_model = Clark | Independent_product
+type model = Clark | Independent_product
 
 (** Memoised stage propagations keyed on
     [(stage, Engine.Ctx.stage_revision, param, box)]: a
@@ -146,7 +146,7 @@ val ctx_stage :
     when given. *)
 
 val ctx_yield :
-  ?cache:Cache.t -> Spv_engine.Engine.Ctx.t -> model:yield_model ->
+  ?cache:Cache.t -> Spv_engine.Engine.Ctx.t -> model:model ->
   stage:int -> param:param -> box:Interval.t -> t_target:float -> enclosure
 (** Derivative enclosure of the pipeline yield [P{delay <= t_target}]
     with respect to one knob of one stage, every other stage held at
@@ -158,26 +158,8 @@ val ctx_yield :
     degenerate branch, or the stage's own critical path is not decided
     over the box.  Gate-level contexts only. *)
 
-val ctx_yield_loss :
-  ?cache:Cache.t -> Spv_engine.Engine.Ctx.t -> model:yield_model ->
-  stage:int -> param:param -> box:Interval.t -> t_target:float -> enclosure
-(** Same propagation reported as the loss [P{delay > t_target}]
-    through {!Spv_stats.Special.upper_tail} (full relative precision in
-    the tail). *)
-
-val stage_moments_over_box :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
-  Spv_circuit.Netlist.t -> lo:float -> hi:float ->
-  (Interval.t * Interval.t) * bool
-(** Value-only enclosure [((mu, sigma), decided)] of a stage's SSTA
-    moments when {e every} gate ranges over [\[lo, hi\]] — the whole
-    sizing design box.  [decided] is false when the critical path can
-    switch inside the box (the enclosure is then a hull over competing
-    paths, still sound).  Feeds the global sizer's certified
-    stage-skip. *)
-
 val yield_upper_bound_over_box :
-  Spv_engine.Engine.Ctx.t -> model:yield_model -> stage:int ->
+  Spv_engine.Engine.Ctx.t -> model:model -> stage:int ->
   lo:float -> hi:float -> t_target:float -> float option
 (** Certified upper bound on the pipeline yield over {e every} sizing
     of stage [stage] inside [\[lo, hi\]]^gates (other stages fixed at

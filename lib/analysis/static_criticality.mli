@@ -39,9 +39,6 @@ val analyse :
     cone.  [k] defaults to 6.0, [output_load] to 4.0 (the engine's
     default).  Raises [Invalid_argument] on invalid [k]. *)
 
-val active_mask : t -> bool array
-(** Fresh copy of the per-node activity mask. *)
-
 val cone : t -> int list
 (** Ids of the possibly-critical gates, ascending. *)
 

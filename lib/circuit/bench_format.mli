@@ -51,10 +51,6 @@ val of_string : ?name:string -> string -> Netlist.t
 
 val write_file : string -> Netlist.t -> unit
 
-val read_file_result : string -> (Netlist.t, parse_error) result
-(** Like {!of_string_result} for a file; I/O failures ([Sys_error])
-    are captured as [Error] rather than raised. *)
-
 val read_file : string -> Netlist.t
 (** [read_file path] names the netlist after the file's basename.
     Raises [Failure] on parse {e and} I/O errors. *)

@@ -40,9 +40,6 @@ val default_config : config
 (** 3 stages, 80 gates, 12 levels, 2–6 inputs, grow 0.9 / width 0.85 /
     reconv 0.35, attenuation 0.8, sizes up to 4x. *)
 
-val validate_config : config -> unit
-(** Raises [Invalid_argument] on nonsensical caps or probabilities. *)
-
 val quantize_size : config -> float -> float
 (** Clamp to [1/4, max_size] and round to the nearest multiple of 1/4
     (the size grid every generated or mutated gate lives on). *)
@@ -79,23 +76,12 @@ type mutation =
           perturbation: stage logic is unchanged but the spatial
           (distance-based) correlation between stages is not *)
 
-val all_mutations : mutation list
-
 val mutate :
   ?config:config -> Spv_stats.Rng.t -> Netlist.t array -> Netlist.t array
 (** Apply one randomly chosen applicable mutation.  Falls back to
     [Resize] when the drawn mutation does not apply (e.g.
     [Merge_stages] on a single-stage pipeline).  Deterministic in the
     generator state; input array is not modified. *)
-
-val split_stage : Netlist.t -> at_level:int -> (Netlist.t * Netlist.t) option
-(** Cut one netlist at the given level boundary
-    ([1 <= at_level < depth]); [None] when the cut would leave either
-    side without gates.  Exposed for tests and the shrinker. *)
-
-val merge_stages : Netlist.t -> Netlist.t -> Netlist.t
-(** Fuse two stages ([second]'s primary input j is driven by
-    [first]'s output [j mod n_outputs]). *)
 
 (** {1 Process-scenario fuzzing} *)
 

@@ -62,13 +62,6 @@ val random_logic :
     Deterministic in [seed]. Requires [gates >= depth >= 1],
     [inputs >= 2]. *)
 
-val random_logic_with :
-  rng:Spv_stats.Rng.t ->
-  name:string -> inputs:int -> gates:int -> depth:int -> Netlist.t
-(** [random_logic] drawing from a caller-supplied splitmix64 stream
-    instead of a private [seed]-derived one, so several generations
-    can share one coherently split RNG (see {!iscas_pipeline}). *)
-
 type iscas_profile = {
   bench_name : string;
   n_inputs : int;

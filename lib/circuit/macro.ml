@@ -38,6 +38,8 @@ let kind_code = function
   | Cell.Oai21 -> 13
   | Cell.Mux2 -> 14
 
+(* Everything except drive sizes.  Structure is immutable after
+   construction, so this may be cached by physical identity. *)
 let structure_hash net =
   let n = Netlist.n_nodes net in
   let h = ref (mix_int fnv_offset n) in

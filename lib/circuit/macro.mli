@@ -47,28 +47,20 @@ type block = {
   b_gates : int array;  (** parent gate ids in this band, ascending *)
 }
 
-val default_block_gates : int
-(** Target gate count per band (the partition grain), 2048. *)
-
 val partition : ?target_gates:int -> Netlist.t -> block array
 (** Level-band decomposition.  Deterministic; bands are contiguous
-    level ranges chosen so each holds roughly [target_gates] gates
+    level ranges chosen so each holds roughly [target_gates] (default
+    2048) gates
     (at least one level per band).  Every gate lands in exactly one
     band.  Raises [Invalid_argument] if the netlist has no gates or
     [target_gates <= 0]. *)
 
-val structure_hash : Netlist.t -> int64
-(** 64-bit FNV-1a over the netlist structure: node kinds, fanins,
-    names of primary inputs and the output list — everything except
-    drive sizes.  Structure is immutable after construction, so this
-    may be cached by physical identity. *)
-
-val sizes_hash : Netlist.t -> int64
-(** FNV-1a over the float bits of the current drive sizes. *)
-
 val hash : Netlist.t -> int64
-(** [combine (structure_hash net) (sizes_hash net)] — the memoisation
-    key component for the netlist's current sized state. *)
+(** 64-bit FNV-1a over the netlist structure (node kinds, fanins,
+    names of primary inputs and the output list), combined with
+    FNV-1a over the float bits of the current drive sizes — the
+    memoisation key component for the netlist's current sized
+    state. *)
 
 val characterise :
   ?output_load:float -> Spv_process.Tech.t -> Netlist.t -> t

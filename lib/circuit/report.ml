@@ -95,6 +95,10 @@ let path_yield path ~t_target =
   Spv_stats.Gaussian.cdf (Gd.to_gaussian path.statistical) t_target
 
 let render ?(output_load = 4.0) ?(k = 5) ?t_target tech net =
+  (match t_target with
+  | Some t when not (Float.is_finite t) ->
+      invalid_arg "Report.render: non-finite t_target"
+  | _ -> ());
   let buf = Buffer.create 1024 in
   let sta = Sta.run ~output_load tech net in
   Buffer.add_string buf

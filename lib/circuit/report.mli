@@ -29,4 +29,5 @@ val render :
 (** Multi-line report: circuit summary, the top-[k] (default 5) paths
     with nominal and mu/sigma delays (plus per-path yield when
     [t_target] is given), and the five most criticality-weighted gates
-    from the block SSTA. *)
+    from the block SSTA.  Raises [Invalid_argument] on a non-finite
+    [t_target]. *)

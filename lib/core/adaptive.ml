@@ -6,6 +6,8 @@ type policy = { range : float }
 let default_policy = { range = 0.10 }
 
 let check policy =
+  if not (Float.is_finite policy.range) then
+    invalid_arg "Adaptive: non-finite range";
   if policy.range < 0.0 then invalid_arg "Adaptive: negative range"
 
 (* Aggregate relative inter-die sigma and the per-stage decomposition

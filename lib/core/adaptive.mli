@@ -48,7 +48,7 @@ type sampler
 
 val sampler : ?policy:policy -> Pipeline.t -> sampler
 (** Build the sampler.  Default range 0.10; raises [Invalid_argument]
-    on a negative range. *)
+    on a negative or non-finite range. *)
 
 val sample_delay : sampler -> Spv_stats.Rng.t -> float
 (** One Monte-Carlo trial of the ABB-corrected pipeline delay (samples

@@ -141,9 +141,10 @@ let evaluate ?corr_length ?pitch models ~delays ~t_target =
 
 (* Constant-area pairwise exchange: moving [step] area units out of
    stage i (slowing it) and into stage j (speeding it).  [sense] = 1
-   maximises yield, -1 minimises it. *)
-let exchange_search ?corr_length ?pitch ?(sweeps = 8) ?(initial_step = 0.05)
-    ~sense models ~total_area:budget ~t_target =
+   maximises yield, -1 minimises it.  The step starts at 5% of the
+   per-stage budget and halves over 8 sweeps. *)
+let exchange_search ?corr_length ?pitch ~sense models ~total_area:budget
+    ~t_target =
   let n = Array.length models in
   let delays = balanced_delays models ~total_area:budget in
   let score ds =
@@ -152,8 +153,8 @@ let exchange_search ?corr_length ?pitch ?(sweeps = 8) ?(initial_step = 0.05)
   in
   let best = ref (Array.copy delays) in
   let best_score = ref (score delays) in
-  let step = ref (initial_step *. budget /. float_of_int n) in
-  for _sweep = 1 to sweeps do
+  let step = ref (0.05 *. budget /. float_of_int n) in
+  for _sweep = 1 to 8 do
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         if i <> j then begin
@@ -178,15 +179,12 @@ let exchange_search ?corr_length ?pitch ?(sweeps = 8) ?(initial_step = 0.05)
   done;
   evaluate ?corr_length ?pitch models ~delays:!best ~t_target
 
-let optimise_constant_area ?corr_length ?pitch ?sweeps ?initial_step models
-    ~total_area ~t_target =
-  exchange_search ?corr_length ?pitch ?sweeps ?initial_step ~sense:1.0 models
-    ~total_area ~t_target
+let optimise_constant_area ?corr_length ?pitch models ~total_area ~t_target =
+  exchange_search ?corr_length ?pitch ~sense:1.0 models ~total_area ~t_target
 
-let pessimise_constant_area ?corr_length ?pitch ?sweeps ?initial_step models
-    ~total_area ~t_target =
-  exchange_search ?corr_length ?pitch ?sweeps ?initial_step ~sense:(-1.0)
-    models ~total_area ~t_target
+let pessimise_constant_area ?corr_length ?pitch models ~total_area ~t_target =
+  exchange_search ?corr_length ?pitch ~sense:(-1.0) models ~total_area
+    ~t_target
 
 let order_by_ri models ~delays =
   let n = Array.length models in

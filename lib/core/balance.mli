@@ -61,16 +61,16 @@ val evaluate :
   delays:float array -> t_target:float -> solution
 
 val optimise_constant_area :
-  ?corr_length:float -> ?pitch:float -> ?sweeps:int -> ?initial_step:float ->
-  stage_model array -> total_area:float -> t_target:float -> solution
+  ?corr_length:float -> ?pitch:float -> stage_model array ->
+  total_area:float -> t_target:float -> solution
 (** Constant-area imbalance search: pairwise area exchanges between
     stages, keeping an exchange when the Clark yield at [t_target]
-    improves; the step shrinks geometrically over [sweeps] (default 8)
-    passes.  Starts from the balanced design. *)
+    improves; the step starts at 5% of the per-stage area and halves
+    over 8 passes.  Starts from the balanced design. *)
 
 val pessimise_constant_area :
-  ?corr_length:float -> ?pitch:float -> ?sweeps:int -> ?initial_step:float ->
-  stage_model array -> total_area:float -> t_target:float -> solution
+  ?corr_length:float -> ?pitch:float -> stage_model array ->
+  total_area:float -> t_target:float -> solution
 (** Same search minimising yield — the paper's "unbalanced (worst)"
     reference of Fig. 7(b). *)
 

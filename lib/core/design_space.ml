@@ -27,11 +27,11 @@ let realizable_sigma ~mu_ref ~sigma_ref ~mu =
   if mu < 0.0 then invalid_arg "Design_space.realizable_sigma: mu < 0";
   sigma_ref *. sqrt (mu /. mu_ref)
 
-let inverter_reference ?(load = 4.0) ?(random_only = true) tech ~size =
+let inverter_reference ?(random_only = true) tech ~size =
   if size <= 0.0 then invalid_arg "Design_space.inverter_reference: size <= 0";
   let mu =
     tech.Spv_process.Tech.tau
-    *. (Spv_circuit.Cell.parasitic Spv_circuit.Cell.Inv +. (load /. size))
+    *. (Spv_circuit.Cell.parasitic Spv_circuit.Cell.Inv +. (4.0 /. size))
   in
   let d = Spv_process.Gate_delay.of_nominal tech ~nominal:mu ~size in
   let sigma =
@@ -50,8 +50,13 @@ type curves = {
   sigma_min : float;
 }
 
-let curves ?(tech = Spv_process.Tech.bptm70) ?(min_size = 1.0)
-    ?(max_size = 16.0) ?(n_points = 100) ~t_target ~yield ~stage_counts () =
+(* The eq. 13 reference inverters: minimum (1x) and maximum (16x)
+   drive. *)
+let size_references tech =
+  (inverter_reference tech ~size:1.0, inverter_reference tech ~size:16.0)
+
+let curves ?(tech = Spv_process.Tech.bptm70) ?(n_points = 100) ~t_target
+    ~yield ~stage_counts () =
   check_yield yield;
   if t_target <= 0.0 then invalid_arg "Design_space.curves: t_target <= 0";
   if n_points < 2 then invalid_arg "Design_space.curves: n_points < 2";
@@ -73,8 +78,7 @@ let curves ?(tech = Spv_process.Tech.bptm70) ?(min_size = 1.0)
             mus ))
       stage_counts
   in
-  let ref_min = inverter_reference tech ~size:min_size in
-  let ref_max = inverter_reference tech ~size:max_size in
+  let ref_min, ref_max = size_references tech in
   let realizable_min =
     Array.map
       (fun mu -> realizable_sigma ~mu_ref:ref_min.mu ~sigma_ref:ref_min.sigma ~mu)
@@ -100,10 +104,8 @@ let admissible ~t_target ~yield ~n_stages point =
   && point.mu <= t_target
   && point.sigma <= equality_sigma_bound ~t_target ~yield ~n_stages ~mu:point.mu
 
-let realizable ?(tech = Spv_process.Tech.bptm70) ?(min_size = 1.0)
-    ?(max_size = 16.0) point =
-  let ref_min = inverter_reference tech ~size:min_size in
-  let ref_max = inverter_reference tech ~size:max_size in
+let realizable ?(tech = Spv_process.Tech.bptm70) point =
+  let ref_min, ref_max = size_references tech in
   point.mu >= ref_max.mu
   && point.sigma
      <= realizable_sigma ~mu_ref:ref_min.mu ~sigma_ref:ref_min.sigma ~mu:point.mu

@@ -31,9 +31,9 @@ val realizable_sigma : mu_ref:float -> sigma_ref:float -> mu:float -> float
     [sigma(mu) = sigma_ref * sqrt(mu / mu_ref)]. *)
 
 val inverter_reference :
-  ?load:float -> ?random_only:bool -> Spv_process.Tech.t -> size:float -> point
-(** (mu, sigma) of one inverter of drive [size] driving a fixed [load]
-    (default 4.0 cap units).  [random_only] (default true, matching the
+  ?random_only:bool -> Spv_process.Tech.t -> size:float -> point
+(** (mu, sigma) of one inverter of drive [size] driving a fixed load of
+    4.0 cap units.  [random_only] (default true, matching the
     paper's eq. 13 derivation) keeps only the random component in
     sigma. *)
 
@@ -50,17 +50,15 @@ type curves = {
 }
 
 val curves :
-  ?tech:Spv_process.Tech.t -> ?min_size:float -> ?max_size:float ->
-  ?n_points:int -> t_target:float -> yield:float -> stage_counts:int list ->
-  unit -> curves
-(** All Fig. 4 curves over a mu grid spanning (0, T_target]. *)
+  ?tech:Spv_process.Tech.t -> ?n_points:int -> t_target:float ->
+  yield:float -> stage_counts:int list -> unit -> curves
+(** All Fig. 4 curves over a mu grid spanning (0, T_target]; the
+    realizable curves come from the 1x and 16x inverters. *)
 
 val admissible :
   t_target:float -> yield:float -> n_stages:int -> point -> bool
 (** Point satisfies the eq. 12 equality bound for [n_stages]. *)
 
-val realizable :
-  ?tech:Spv_process.Tech.t -> ?min_size:float -> ?max_size:float -> point ->
-  bool
-(** Point lies between the two eq. 13 inverter-chain curves and above
-    the single-inverter minimum. *)
+val realizable : ?tech:Spv_process.Tech.t -> point -> bool
+(** Point lies between the two eq. 13 inverter-chain curves (1x and
+    16x inverters) and above the single-inverter minimum. *)

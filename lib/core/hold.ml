@@ -24,8 +24,12 @@ let race_margin ?output_load tech ~(ff : Spv_process.Flipflop.t) net =
      margin is fatter than independence would give. *)
   Gd.add ff.Spv_process.Flipflop.clk_to_q (short_path_delay ?output_load tech net)
 
+let check_hold ~where hold_ps =
+  if not (Float.is_finite hold_ps) then invalid_arg (where ^ ": non-finite hold");
+  if hold_ps < 0.0 then invalid_arg (where ^ ": negative hold")
+
 let hold_yield_stage ?output_load tech ~ff ~hold_ps net =
-  if hold_ps < 0.0 then invalid_arg "Hold.hold_yield_stage: negative hold";
+  check_hold ~where:"Hold.hold_yield_stage" hold_ps;
   let margin = Gd.to_gaussian (race_margin ?output_load tech ~ff net) in
   if G.sigma margin = 0.0 then if G.mu margin >= hold_ps then 1.0 else 0.0
   else G.sf margin hold_ps
@@ -34,7 +38,7 @@ let hold_yield_pipeline ?output_load ?corr_length ?(pitch = 1.0) tech ~ff
     ~hold_ps nets =
   let n = Array.length nets in
   if n = 0 then invalid_arg "Hold.hold_yield_pipeline: no stages";
-  if hold_ps < 0.0 then invalid_arg "Hold.hold_yield_pipeline: negative hold";
+  check_hold ~where:"Hold.hold_yield_pipeline" hold_ps;
   let corr_length =
     Option.value corr_length ~default:tech.Spv_process.Tech.corr_length
   in

@@ -35,7 +35,8 @@ val hold_yield_stage :
 (** Pr{T_C-Q + D_min >= hold_ps} for one stage.  The clk-to-Q and the
     data path share the die's variation components, so their shared
     parts add coherently — the race margin's fast tail is fatter than
-    an independence assumption would give. *)
+    an independence assumption would give.  Raises [Invalid_argument]
+    on a negative or non-finite [hold_ps]. *)
 
 val hold_yield_pipeline :
   ?output_load:float -> ?corr_length:float -> ?pitch:float ->
@@ -43,7 +44,8 @@ val hold_yield_pipeline :
   Spv_circuit.Netlist.t array -> float
 (** Pr{every stage passes its hold check}: the min over stages of the
     per-stage race margins, via {!min_n} with the spatial correlation
-    of the margins. *)
+    of the margins.  Raises [Invalid_argument] on no stages or a
+    negative or non-finite [hold_ps]. *)
 
 val combined_yield :
   setup:float -> hold:float -> float

@@ -46,10 +46,6 @@ val best_throughput : candidate array -> candidate
 (** Candidate with the highest statistical throughput (ties: fewest
     stages). Requires a non-empty array. *)
 
-val best_nominal_throughput : candidate array -> candidate
-(** What a deterministic designer would pick — for comparing against
-    {!best_throughput}. *)
-
 val throughput_gain_over_nominal_choice : candidate array -> float
 (** Relative throughput improvement from choosing the stage count with
     the statistical rather than the nominal clock: both candidates are

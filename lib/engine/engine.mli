@@ -70,8 +70,8 @@ module Ctx : sig
 
       [mode] (default {!Flat}) selects the stage-delay model.  Under
       {!Hierarchical} each stage is decomposed into blocks of roughly
-      [block_gates] gates (default
-      {!Spv_circuit.Macro.default_block_gates}) whose macros are
+      [block_gates] gates (default 2048, the {!Spv_circuit.Macro}
+      partition grain) whose macros are
       characterised through [macro_table] (a fresh table when absent —
       pass a shared one to reuse characterisations across contexts,
       e.g. over a sweep).  The flat per-stage analyses are still

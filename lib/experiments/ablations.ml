@@ -15,12 +15,7 @@ let criticality_study () =
     study "unbalanced-worst" c.Fig7_8.unbalanced_worst;
   ]
 
-let correlation_length_sweep ?lengths () =
-  let lengths =
-    match lengths with
-    | Some l -> l
-    | None -> [| 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0 |]
-  in
+let correlation_length_sweep () =
   let tech = Common.mixed_tech () in
   let ff = Spv_process.Flipflop.default tech in
   let nets = Spv_circuit.Generators.inverter_chain_pipeline ~stages:5 ~depth:8 () in
@@ -38,12 +33,9 @@ let correlation_length_sweep ?lengths () =
       ( corr_length,
         Spv_stats.Gaussian.sigma tp,
         Spv_core.Yield.clark_gaussian p ~t_target ))
-    lengths
+    [| 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0 |]
 
-let sizer_policy_sweep ?thetas () =
-  let thetas =
-    match thetas with Some t -> t | None -> [| 0.01; 0.03; 0.05; 0.10; 0.20 |]
-  in
+let sizer_policy_sweep () =
   let tech = Common.base_tech in
   let ff = Spv_process.Flipflop.default tech in
   let z = Spv_stats.Special.big_phi_inv 0.9457 in
@@ -62,7 +54,7 @@ let sizer_policy_sweep ?thetas () =
         r.Spv_sizing.Lagrangian.area,
         r.Spv_sizing.Lagrangian.iterations,
         r.Spv_sizing.Lagrangian.converged ))
-    thetas
+    [| 0.01; 0.03; 0.05; 0.10; 0.20 |]
 
 let ssta_method_study () =
   let tech = Common.base_tech in
@@ -88,10 +80,7 @@ let ssta_method_study () =
       Spv_circuit.Generators.c432 ();
     ]
 
-let leakage_tax_sweep ?sigmas_mv () =
-  let sigmas_mv =
-    match sigmas_mv with Some s -> s | None -> [| 0.0; 20.0; 40.0; 60.0; 80.0 |]
-  in
+let leakage_tax_sweep () =
   let net = Spv_circuit.Generators.c432 () in
   Array.map
     (fun sigma_mv ->
@@ -107,7 +96,7 @@ let leakage_tax_sweep ?sigmas_mv () =
       ( sigma_mv,
         p.Spv_circuit.Power.leakage_mean /. p.Spv_circuit.Power.leakage_nominal,
         Spv_stats.Descriptive.mean mc /. p.Spv_circuit.Power.leakage_nominal ))
-    sigmas_mv
+    [| 0.0; 20.0; 40.0; 60.0; 80.0 |]
 
 let dual_vth_study () =
   let tech = Common.base_tech in

@@ -12,39 +12,6 @@
     - {b leakage tax}: mean-vs-nominal leakage ratio as random Vth
       sigma grows (the "power" half of the paper's area/power claim). *)
 
-val criticality_study :
-  unit ->
-  (string * float array * float) list
-(** For balanced / best-unbalanced ALU-decoder designs: label,
-    per-stage criticality probabilities, entropy. *)
-
-val correlation_length_sweep :
-  ?lengths:float array -> unit -> (float * float * float) array
-(** (corr_length, pipeline sigma, yield at a fixed target) for the
-    5x8 inverter-chain pipeline under mixed variation. *)
-
-val sizer_policy_sweep :
-  ?thetas:float array -> unit -> (float * float * int * bool) array
-(** (theta_fraction, area, iterations, converged) sizing c432 to a
-    fixed mid-range target. *)
-
-val ssta_method_study :
-  unit -> (string * Spv_stats.Gaussian.t * Spv_stats.Gaussian.t * float * float) list
-(** Per benchmark: (name, path-based stage Gaussian, block-based stage
-    Gaussian, MC mean, MC std) — quantifies what the canonical-form max
-    buys over critical-path composition. *)
-
-val leakage_tax_sweep :
-  ?sigmas_mv:float array -> unit -> (float * float * float) array
-(** (sigma_vth_rand in mV, analytic mean/nominal leakage ratio,
-    MC mean/nominal ratio) for c432. *)
-
-val dual_vth_study :
-  unit -> (float * int * float) list
-(** For timing-slack factors 1.00 / 1.05 / 1.15 over the all-low-Vth
-    c432 design: (slack factor, gates moved to high Vth out of 160,
-    leakage saving fraction). *)
-
 val node_scaling_study :
   unit -> (string * float * float * float) list
 (** Per technology node (130/90/70/45 nm-like): (name, stage sigma/mu %,
@@ -53,3 +20,5 @@ val node_scaling_study :
     quantified. *)
 
 val run : unit -> unit
+(** Print every study above, plus an SSTA-method comparison, a
+    dual-Vth assignment on c432 and the pipeline variance budget. *)

@@ -25,13 +25,10 @@ let error_vs_stages ?(mu = 100.0) ?(sigma = 10.0) ?stage_counts () =
       })
     stage_counts
 
-let error_vs_correlation ?(mu = 100.0) ?(sigma = 10.0) ?(n_stages = 8)
-    ?(mc_samples = 400_000) ?rhos () =
-  let rhos =
-    match rhos with
-    | Some r -> r
-    | None -> Array.init 9 (fun i -> 0.1 *. float_of_int i)
-  in
+(* Eight equal N(100, 10) stages under uniform correlation rho in
+   0..0.8, against a 400k-sample Monte-Carlo reference. *)
+let error_vs_correlation () =
+  let mu = 100.0 and sigma = 10.0 and n_stages = 8 in
   Array.map
     (fun rho ->
       let gs = Array.make n_stages (G.make ~mu ~sigma) in
@@ -45,7 +42,7 @@ let error_vs_correlation ?(mu = 100.0) ?(sigma = 10.0) ?(n_stages = 8)
       in
       let rng = Common.rng () in
       let samples =
-        Array.init mc_samples (fun _ -> Spv_stats.Mvn.sample_max mvn rng)
+        Array.init 400_000 (fun _ -> Spv_stats.Mvn.sample_max mvn rng)
       in
       let ref_mu = Spv_stats.Descriptive.mean samples in
       let ref_std = Spv_stats.Descriptive.std samples in
@@ -54,7 +51,7 @@ let error_vs_correlation ?(mu = 100.0) ?(sigma = 10.0) ?(n_stages = 8)
         mean_err_pct = pct_err (G.mu approx) ref_mu;
         std_err_pct = pct_err (G.sigma approx) ref_std;
       })
-    rhos
+    (Array.init 9 (fun i -> 0.1 *. float_of_int i))
 
 let ordering_ablation ?(mu_spread = 20.0) ?(sigma = 8.0) ?(n_stages = 8) () =
   let gs =

@@ -17,12 +17,6 @@ val error_vs_stages :
 (** Equal independent stages (defaults mu = 100, sigma = 10,
     counts 2..30). *)
 
-val error_vs_correlation :
-  ?mu:float -> ?sigma:float -> ?n_stages:int -> ?mc_samples:int ->
-  ?rhos:float array -> unit -> point array
-(** Equal stages under uniform correlation (defaults: 8 stages,
-    rho in 0..0.8, 400k MC samples as reference). *)
-
 val ordering_ablation :
   ?mu_spread:float -> ?sigma:float -> ?n_stages:int -> unit ->
   (Spv_core.Clark.order * float * float) list

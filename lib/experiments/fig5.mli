@@ -8,11 +8,6 @@ val panel_a :
     20 mV, intra+inter 40 mV, only-inter 40 mV.  Returns the depth axis
     and one labelled normalised series per setting. *)
 
-val panel_b :
-  ?stage_counts:int array -> unit -> float array * (string * float array) list
-(** Normalised pipeline sigma/mu per stage count for uniform stage
-    correlations 0.0, 0.2, 0.5. *)
-
 val panel_c :
   ?total_levels:int -> ?stage_counts:int array -> unit ->
   float array * (string * float array) list

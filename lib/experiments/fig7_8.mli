@@ -26,9 +26,4 @@ val compare_at : setup -> target_yield:float -> comparison
     achieve exactly [target_yield] at the setup's delay target; best
     and worst constant-area imbalances of the same total area. *)
 
-val delay_samples :
-  setup -> Spv_core.Balance.solution -> n:int -> float array
-(** Monte-Carlo pipeline-delay samples of a solution (Fig. 7a's
-    histograms). *)
-
 val run : unit -> unit

@@ -33,18 +33,14 @@ val bptm70 : t
 (** Default 70 nm-like node: Vdd 1.0 V, Vth 0.20 V, alpha 1.3,
     sigma_Vth inter 40 mV / random 30 mV / systematic 20 mV. *)
 
-val node_130 : t
-val node_90 : t
-val node_45 : t
-(** Companion nodes for scaling studies.  Nominal parameters follow the
-    usual constant-field trends (Vdd, tau shrink with the node); the
+val scaling_nodes : t list
+(** 130, 90, 70 ({!bptm70}) and 45 nm-like nodes, descending feature
+    size, for scaling studies.  Nominal parameters follow the usual
+    constant-field trends (Vdd, tau shrink with the node); the
     variation sigmas grow as features shrink — random Vth as
     1/sqrt(W L) (RDF), the shared components more slowly.  Values are
     calibrated to the published BPTM/ITRS ballpark, not to a specific
     foundry kit. *)
-
-val scaling_nodes : t list
-(** [node_130; node_90; bptm70; node_45] — descending feature size. *)
 
 val with_inter_vth : t -> sigma_mv:float -> t
 (** Override the inter-die Vth sigma (given in mV) — the knob swept in

@@ -4,24 +4,11 @@ let ( let* ) = Result.bind
 
 (* ---- the exception-to-typed-error boundary -------------------------- *)
 
-(* The sizing certificate hook ([Spv_sizing.Certify_hook]) signals a
-   refuted certificate through [Failure] with this marker in the
-   message; it must surface as [Certificate_refuted] (exit 8), not as
-   a numeric error. *)
-let refutation_marker = "certificate refuted"
-
-let is_refutation msg =
-  let lm = String.length refutation_marker and l = String.length msg in
-  let rec scan i =
-    i + lm <= l && (String.sub msg i lm = refutation_marker || scan (i + 1))
-  in
-  scan 0
-
 let protect ~where f =
   match f () with
   | v -> Ok v
   | exception Invalid_argument msg -> Error (Errors.domain ~param:where msg)
-  | exception Failure msg when is_refutation msg ->
+  | exception Spv_sizing.Certify_hook.Refuted msg ->
       Error (Errors.refuted ~what:where msg)
   | exception Failure msg -> Error (Errors.numeric ~where msg)
   | exception Sys_error msg -> Error (Errors.io ~path:where msg)
@@ -41,35 +28,27 @@ let warn_diags on_warning diags =
     (fun d -> on_warning (Errors.diagnostic_to_string d))
     (Lint.warnings diags)
 
-let parse_bench_string ?name ?path ?(lint = true) ?(on_warning = ignore) text =
+(* [Err]-severity diagnostics fail the parse; warnings go to
+   [on_warning]. *)
+let lint_gate ?path on_warning diags =
+  if Lint.has_errors diags then Error (Errors.lint ?path diags)
+  else begin
+    warn_diags on_warning diags;
+    Ok ()
+  end
+
+let parse_bench_string ?name ?path ?(on_warning = ignore) text =
   match Bf.statements_of_string text with
   | Error e -> Error (Errors.of_parse_error ?path e)
   | Ok statements ->
-      let* () =
-        if not lint then Ok ()
-        else begin
-          let diags = Lint.check_source statements in
-          if Lint.has_errors diags then Error (Errors.lint ?path diags)
-          else begin
-            warn_diags on_warning diags;
-            Ok ()
-          end
-        end
-      in
+      let* () = lint_gate ?path on_warning (Lint.check_source statements) in
       let* net =
         match Bf.of_string_result ?name text with
         | Ok net -> Ok net
         | Error e -> Error (Errors.of_parse_error ?path e)
       in
-      if lint then begin
-        let diags = Lint.check_netlist net in
-        if Lint.has_errors diags then Error (Errors.lint ?path diags)
-        else begin
-          warn_diags on_warning diags;
-          Ok net
-        end
-      end
-      else Ok net
+      let* () = lint_gate ?path on_warning (Lint.check_netlist net) in
+      Ok net
 
 (* Sys_error messages already lead with the path; strip it so the
    Io_error (which prints the path itself) does not say it twice. *)
@@ -93,11 +72,11 @@ let slurp path =
       | exception Sys_error msg -> Error (Errors.io ~path msg)
       | exception End_of_file -> Error (Errors.io ~path "truncated read"))
 
-let parse_bench_file ?lint ?on_warning path =
+let parse_bench_file ?on_warning path =
   let* text = slurp path in
   parse_bench_string
     ~name:(Filename.remove_extension (Filename.basename path))
-    ~path ?lint ?on_warning text
+    ~path ?on_warning text
 
 let lint_bench_file path =
   let* text = slurp path in

@@ -9,31 +9,23 @@
 
 val protect : where:string -> (unit -> 'a) -> ('a, Errors.t) result
 (** Run [f ()], converting escaped exceptions into typed errors:
-    [Invalid_argument] → [Domain_error], [Failure] → [Numeric_error]
-    (or [Certificate_refuted] when {!is_refutation} holds),
-    [Sys_error] → [Io_error], stack/memory exhaustion →
+    [Invalid_argument] → [Domain_error], [Failure] → [Numeric_error],
+    [Spv_sizing.Certify_hook.Refuted] → [Certificate_refuted] (exit
+    code 8), [Sys_error] → [Io_error], stack/memory exhaustion →
     [Numeric_error], anything else unexpected → [Internal_error]. *)
-
-val is_refutation : string -> bool
-(** True when a [Failure] message carries the sizing-certificate
-    refutation marker (["certificate refuted"], raised by
-    [Spv_sizing.Certify_hook.postcondition]); {!protect} maps such
-    failures onto {!Errors.Certificate_refuted} (exit code 8) instead
-    of [Numeric_error]. *)
 
 (** {1 Parsing and linting} *)
 
 val parse_bench_string :
-  ?name:string -> ?path:string -> ?lint:bool ->
-  ?on_warning:(string -> unit) -> string ->
+  ?name:string -> ?path:string -> ?on_warning:(string -> unit) -> string ->
   (Spv_circuit.Netlist.t, Errors.t) result
-(** Tokenise, lint (unless [lint:false]) and build.  Structural
+(** Tokenise, lint and build.  Structural
     defects of [Err] severity become {!Errors.Lint_error}; [Warn]
     diagnostics are passed to [on_warning] (default: dropped) and do
     not fail the parse. *)
 
 val parse_bench_file :
-  ?lint:bool -> ?on_warning:(string -> unit) -> string ->
+  ?on_warning:(string -> unit) -> string ->
   (Spv_circuit.Netlist.t, Errors.t) result
 (** Like {!parse_bench_string} for a file path.  An unreadable file —
     including one deleted between an existence check and the read — is

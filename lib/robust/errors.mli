@@ -21,7 +21,6 @@ val diagnostic :
   ?severity:severity -> ?signal:string -> ?line:int -> code:string ->
   string -> diagnostic
 
-val severity_to_string : severity -> string
 val diagnostic_to_string : diagnostic -> string
 
 type t =

@@ -222,22 +222,14 @@ let trial_to_json t =
           (fun p -> Printf.sprintf "\"%s\"" (Spv_workload.Sweep.json_escape p))
           t.filed))
 
-let summary_to_json ?(timings = false) s =
-  (* The macro counters ride with the timing fields: like wall_seconds
-     they describe the run's cost, not its verdict, and keeping them
-     out of the default output preserves the v1 schema byte-for-byte
-     (the smoke gate double-runs and diffs it). *)
-  let timing =
-    if timings then
-      Printf.sprintf
-        ",\"wall_seconds\":%.6f,\"macro_hits\":%d,\"macro_misses\":%d"
-        s.wall_seconds s.macro_hits s.macro_misses
-    else ""
-  in
+(* The run's cost (wall_seconds, the macro counters) stays out of the
+   JSON so the output is byte-identical across runs (the smoke gate
+   double-runs and diffs it). *)
+let summary_to_json s =
   Printf.sprintf
-    "{\"schema_version\":%d,\"kind\":\"summary\",\"trials\":%d,\"seed\":%d,\"max_gates\":%d,\"checks_run\":%d,\"checks_passed\":%d,\"violations\":%d,\"violating_trials\":%d,\"shrink_steps\":%d,\"filed\":%d%s}"
+    "{\"schema_version\":%d,\"kind\":\"summary\",\"trials\":%d,\"seed\":%d,\"max_gates\":%d,\"checks_run\":%d,\"checks_passed\":%d,\"violations\":%d,\"violating_trials\":%d,\"shrink_steps\":%d,\"filed\":%d}"
     s.schema_version s.trials s.seed s.max_gates s.checks_run s.checks_passed
-    s.violations s.violating_trials s.shrink_steps s.filed timing
+    s.violations s.violating_trials s.shrink_steps s.filed
 
 let trial_to_text t =
   let base =

@@ -80,11 +80,10 @@ val trial_to_json : trial -> string
 (** One JSONL object per trial, [schema_version]'d like
     {!Spv_workload.Sweep}. *)
 
-val summary_to_json : ?timings:bool -> summary -> string
+val summary_to_json : summary -> string
 (** The summary object.  [wall_seconds], [macro_hits] and
-    [macro_misses] are only included with [~timings:true] so default
-    output stays byte-identical across runs (and keeps the v1
-    schema). *)
+    [macro_misses] are left out so the output stays byte-identical
+    across runs (and keeps the v1 schema). *)
 
 val trial_to_text : trial -> string
 val summary_to_text : summary -> string

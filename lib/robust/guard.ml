@@ -37,11 +37,11 @@ let finite_gaussian ~where g =
 
 (* ---- correlation clamping ------------------------------------------- *)
 
-let clamp_rho ?(tol = 1e-6) ~where rho =
+let clamp_rho ~where rho =
   if Float.is_nan rho then
     Error (Errors.numeric ~where "correlation coefficient is NaN")
   else if rho >= -1.0 && rho <= 1.0 then Ok (rho, false)
-  else if rho >= -1.0 -. tol && rho <= 1.0 +. tol then
+  else if rho >= -1.0 -. 1e-6 && rho <= 1.0 +. 1e-6 then
     (* Accumulated floating-point error, e.g. from the Clark recursion:
        clamp and report rather than abort. *)
     Ok (Float.max (-1.0) (Float.min 1.0 rho), true)
@@ -193,36 +193,3 @@ let repair_correlation ?(eps = 1e-10) corr =
           end
         end
   end
-
-(* ---- checked MVN construction --------------------------------------- *)
-
-let mvn_create ~mus ~sigmas ~corr =
-  let where = "Guard.mvn_create" in
-  let n = Array.length mus in
-  if Array.length sigmas <> n then
-    Error
-      (Errors.domain ~param:"sigmas"
-         (Printf.sprintf "%d sigmas for %d means" (Array.length sigmas) n))
-  else if n = 0 then Error (Errors.domain ~param:"mus" "empty")
-  else
-    match finite_array ~where:(where ^ " (mus)") mus with
-    | Error e -> Error e
-    | Ok _ -> (
-        match finite_array ~where:(where ^ " (sigmas)") sigmas with
-        | Error e -> Error e
-        | Ok _ ->
-            if Array.exists (fun s -> s < 0.0) sigmas then
-              Error (Errors.domain ~param:"sigma" "negative")
-            else if M.rows corr <> n || M.cols corr <> n then
-              Error
-                (Errors.domain ~param:"corr"
-                   (Printf.sprintf "correlation is %dx%d for %d stages"
-                      (M.rows corr) (M.cols corr) n))
-            else (
-              match repair_correlation corr with
-              | Error e -> Error e
-              | Ok (corr, report) -> (
-                  match Spv_stats.Mvn.create ~mus ~sigmas ~corr with
-                  | mvn -> Ok (mvn, report)
-                  | exception (Invalid_argument msg | Failure msg) ->
-                      Error (Errors.numeric ~where msg))))

@@ -15,9 +15,8 @@ val finite_array : where:string -> float array -> (float array, Errors.t) result
 val finite_gaussian :
   where:string -> Spv_stats.Gaussian.t -> (Spv_stats.Gaussian.t, Errors.t) result
 
-val clamp_rho :
-  ?tol:float -> where:string -> float -> (float * bool, Errors.t) result
-(** Correlations within [tol] (default 1e-6) outside [-1, 1] — the
+val clamp_rho : where:string -> float -> (float * bool, Errors.t) result
+(** Correlations within 1e-6 outside [-1, 1] — the
     signature of accumulated rounding in e.g.
     {!Spv_core.Clark.correlation_with_max} — are clamped; the boolean
     reports whether clamping happened.  NaN or a gross violation is a
@@ -42,12 +41,3 @@ val repair_correlation :
     A matrix that is PSD up to [eps] (default 1e-10) is returned
     unchanged with [repaired = false].  Non-square, non-symmetric,
     non-finite, wild-entry or unrepairable inputs are typed errors. *)
-
-val mvn_create :
-  mus:float array ->
-  sigmas:float array ->
-  corr:Spv_stats.Matrix.t ->
-  (Spv_stats.Mvn.t * psd_report, Errors.t) result
-(** {!Spv_stats.Mvn.create} behind the guards: validates lengths and
-    finiteness, rejects negative sigmas, repairs the correlation when
-    needed (check [psd_report.repaired] to warn the user). *)

@@ -359,6 +359,75 @@ let corpus () =
           in
           show "area" r.Spv_sizing.Lagrangian.area);
     };
+    (* -- non-finite entry arguments: each entry check must reject the
+       value itself, so the cases print what came back unchecked (a
+       NaN result would otherwise surface as a numeric error and hide
+       a missing check) -- *)
+    {
+      name = "hold/stage-nan-requirement";
+      expect = Expect_error;
+      run =
+        (fun () ->
+          let* y =
+            Checked.protect ~where:"hold" (fun () ->
+                Spv_core.Hold.hold_yield_stage tech
+                  ~ff:(Spv_process.Flipflop.default tech) ~hold_ps:Float.nan
+                  (small_net ()))
+          in
+          Ok (Printf.sprintf "yield=%g" y));
+    };
+    {
+      name = "hold/pipeline-inf-requirement";
+      expect = Expect_error;
+      run =
+        (fun () ->
+          let* y =
+            Checked.protect ~where:"hold" (fun () ->
+                Spv_core.Hold.hold_yield_pipeline tech
+                  ~ff:(Spv_process.Flipflop.default tech)
+                  ~hold_ps:Float.infinity
+                  [| small_net (); small_net () |])
+          in
+          Ok (Printf.sprintf "yield=%g" y));
+    };
+    {
+      name = "abb/inf-range";
+      expect = Expect_error;
+      run =
+        (fun () ->
+          let* p =
+            Checked.pipeline_of_moments ~mus:[| 100.0; 95.0 |]
+              ~sigmas:[| 5.0; 4.0 |] ~rho:0.0 ()
+          in
+          let* y =
+            Checked.protect ~where:"ABB" (fun () ->
+                Spv_core.Adaptive.yield_with_abb
+                  ~policy:{ Spv_core.Adaptive.range = Float.infinity }
+                  p ~t_target:105.0)
+          in
+          Ok (Printf.sprintf "yield=%g" y));
+    };
+    {
+      name = "vth/nan-target";
+      expect = Expect_error;
+      run =
+        (fun () ->
+          let* r =
+            Checked.protect ~where:"dual-Vth" (fun () ->
+                Spv_sizing.Multi_vth.optimise tech (small_net ())
+                  ~t_target:Float.nan ~z:1.6)
+          in
+          Ok (Printf.sprintf "swapped=%d" r.Spv_sizing.Multi_vth.swapped));
+    };
+    {
+      name = "report/inf-target";
+      expect = Expect_error;
+      run =
+        (fun () ->
+          Checked.protect ~where:"timing report" (fun () ->
+              Spv_circuit.Report.render ~t_target:Float.infinity tech
+                (small_net ())));
+    };
     (* -- engine entry points -- *)
     {
       name = "engine/jobs-zero";

@@ -7,29 +7,18 @@ type check =
   sigma:float ->
   (unit, string) result
 
+exception Refuted of string
+
 let checker : check option ref = ref None
-
-(* Always-on sizer exit criterion (the ROADMAP promotion of the old
-   opt-in hook): SPV_CERTIFY_SIZING=""/"0" opts out, anything else —
-   including unset — leaves it enabled.  Callers that need to skip a
-   single run use the sizers' [?certify:false] escape hatch instead. *)
-let enabled =
-  ref
-    (match Sys.getenv_opt "SPV_CERTIFY_SIZING" with
-    | Some "" | Some "0" -> false
-    | None | Some _ -> true)
-
-let set_enabled b = enabled := b
-let is_enabled () = !enabled
 let register f = checker := Some f
 
 let postcondition ~where ~t_target ~z ~converged ~mu ~sigma =
-  if !enabled then
-    match !checker with
-    | None -> ()
-    | Some f -> (
-        match f ~where ~t_target ~z ~converged ~mu ~sigma with
-        | Ok () -> ()
-        | Error msg ->
-            failwith
-              (Printf.sprintf "%s: sizing certificate refuted: %s" where msg))
+  match !checker with
+  | None -> ()
+  | Some f -> (
+      match f ~where ~t_target ~z ~converged ~mu ~sigma with
+      | Ok () -> ()
+      | Error msg ->
+          raise
+            (Refuted
+               (Printf.sprintf "%s: sizing certificate refuted: %s" where msg)))

@@ -3,15 +3,11 @@
 
     Mirrors the engine's [SPV_DEBUG_BOUNDS] postcondition pattern: the
     analysis layer registers a certificate oracle here (a function
-    pointer, so sizing does not depend on analysis).  The hook is
-    {e enabled by default}; setting the [SPV_CERTIFY_SIZING]
-    environment variable to [""]/["0"] at startup (or calling
-    [set_enabled false]) opts out globally, and the sizers'
-    [?certify:false] argument opts out for a single call.  When
-    enabled, every {!Lagrangian.size_stage} / {!Greedy.size_stage}
-    report is handed to the oracle before being returned.  A refuted
-    certificate raises
-    [Failure "<where>: sizing certificate refuted: <msg>"].
+    pointer, so sizing does not depend on analysis).  Once an oracle
+    is registered, every {!Lagrangian.size_stage} /
+    {!Greedy.size_stage} report is handed to it before being
+    returned.  A refuted certificate raises
+    [Refuted "<where>: sizing certificate refuted: <msg>"].
 
     [Spv_analysis.Certify.install_sizing_check] registers the
     eq. 10–13 design-space membership check. *)
@@ -29,11 +25,12 @@ type check =
     verdict (oracles typically skip unconverged reports — the sizer
     already signals failure through them). *)
 
+exception Refuted of string
+(** A sizer report the registered oracle refuted; the payload is the
+    full message. *)
+
 val register : check -> unit
 (** Install (or replace) the certificate oracle. *)
-
-val set_enabled : bool -> unit
-val is_enabled : unit -> bool
 
 val postcondition :
   where:string ->
@@ -43,5 +40,5 @@ val postcondition :
   mu:float ->
   sigma:float ->
   unit
-(** Run the registered oracle when enabled; raises [Failure] on a
-    refuted certificate.  Called by the sizers on every report. *)
+(** Run the registered oracle, if any; raises {!Refuted} on a refuted
+    certificate.  Called by the sizers on every report. *)

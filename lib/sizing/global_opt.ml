@@ -7,8 +7,6 @@ let log_src = Logs.Src.create "spv.global_opt" ~doc:"Fig. 9 global optimiser"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type yield_model = Independent | Clark_gaussian
-
 type result = {
   nets : Net.t array;
   pipeline : Spv_core.Pipeline.t;
@@ -27,14 +25,12 @@ let ctx_of ?options ?ff ~pitch tech nets =
   in
   Engine.Ctx.of_circuits ~output_load ~pitch ?ff tech nets
 
-let method_of = function
-  | Independent -> Engine.Exact_independent
-  | Clark_gaussian -> Engine.Analytic_clark
+(* The eq. 8 product of stage yields: the arithmetic the paper's Tables
+   II/III report. *)
+let eval_yield ctx ~t_target =
+  (Engine.yield ~method_:Engine.Exact_independent ctx ~t_target).Engine.value
 
-let eval_yield yield_model ctx ~t_target =
-  (Engine.yield ~method_:(method_of yield_model) ctx ~t_target).Engine.value
-
-let build_result ~yield_model ctx nets ~targets ~t_target ~order =
+let build_result ctx nets ~targets ~t_target ~order =
   let pipeline = Engine.Ctx.pipeline ctx in
   {
     nets;
@@ -43,7 +39,7 @@ let build_result ~yield_model ctx nets ~targets ~t_target ~order =
     stage_areas = Array.map Net.area nets;
     stage_yields = Yield.stage_yields pipeline ~t_target;
     total_area = Array.fold_left (fun acc n -> acc +. Net.area n) 0.0 nets;
-    pipeline_yield = eval_yield yield_model ctx ~t_target;
+    pipeline_yield = eval_yield ctx ~t_target;
     order = Array.copy order;
   }
 
@@ -51,8 +47,8 @@ let per_stage_z ~yield_target ~n =
   Spv_stats.Special.big_phi_inv
     (Yield.per_stage_yield_target ~yield:yield_target ~n_stages:n)
 
-let individually_optimised_ctx ?options ?ff ?(pitch = 1.0)
-    ?(yield_model = Independent) tech nets ~t_target ~yield_target =
+let individually_optimised_ctx ?options ?ff ?(pitch = 1.0) tech nets ~t_target
+    ~yield_target =
   let n = Array.length nets in
   if n = 0 then invalid_arg "Global_opt: no stages";
   let nets = Array.map Net.copy nets in
@@ -63,13 +59,12 @@ let individually_optimised_ctx ?options ?ff ?(pitch = 1.0)
   let targets = Array.make n t_target in
   let order = Array.init n (fun i -> i) in
   let ctx = ctx_of ?options ?ff ~pitch tech nets in
-  (build_result ~yield_model ctx nets ~targets ~t_target ~order, ctx)
+  (build_result ctx nets ~targets ~t_target ~order, ctx)
 
-let individually_optimised ?options ?ff ?pitch ?yield_model tech nets ~t_target
-    ~yield_target =
+let individually_optimised ?options ?ff ?pitch tech nets ~t_target ~yield_target =
   fst
-    (individually_optimised_ctx ?options ?ff ?pitch ?yield_model tech nets
-       ~t_target ~yield_target)
+    (individually_optimised_ctx ?options ?ff ?pitch tech nets ~t_target
+       ~yield_target)
 
 (* Slope order (eq. 14) from per-stage area-delay curves evaluated at
    each stage's current nominal delay. *)
@@ -91,12 +86,14 @@ let ri_order ?options ?ff tech nets ~z ~ascending =
     order;
   order
 
-let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25)
-    ?(tighten = 0.03) ?(yield_model = Independent) tech nets ~t_target
+(* Both loops stop after this many improving passes. *)
+let max_rounds = 25
+
+let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) tech nets ~t_target
     ~yield_target =
   let base, ctx0 =
-    individually_optimised_ctx ?options ?ff ~pitch ~yield_model tech nets
-      ~t_target ~yield_target
+    individually_optimised_ctx ?options ?ff ~pitch tech nets ~t_target
+      ~yield_target
   in
   let n = Array.length base.nets in
   let z = per_stage_z ~yield_target ~n in
@@ -113,7 +110,7 @@ let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25)
      stage instead of rebuilding the whole pipeline. *)
   let ctx = ref ctx0 in
   let refresh s = ctx := Engine.Ctx.refresh_stage !ctx s in
-  let pipeline_yield () = eval_yield yield_model !ctx ~t_target in
+  let pipeline_yield () = eval_yield !ctx ~t_target in
   let sizing_opts = Option.value options ~default:Lagrangian.default_options in
   (* A rejected probe restores the snapshot and refreshes, leaving the
      context equivalent to never having probed — so a certified proof
@@ -131,7 +128,6 @@ let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25)
             ye_stage = s;
             ye_t_target = t_target;
             ye_current = current;
-            ye_independent = (yield_model = Independent);
             ye_min_size = sizing_opts.Lagrangian.min_size;
             ye_max_size = sizing_opts.Lagrangian.max_size;
           }
@@ -148,7 +144,7 @@ let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25)
         Array.iter
           (fun s ->
             if not !improved then begin
-              let candidate = targets.(s) *. (1.0 -. tighten) in
+              let candidate = targets.(s) *. (1.0 -. 0.03) in
               if candidate > min_achievable.(s) then begin
                 if probe_certified_rejected ~current s then
                   Sens_hook.stats.Sens_hook.probes_skipped <-
@@ -182,19 +178,14 @@ let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25)
     end
   in
   rounds max_rounds;
-  (build_result ~yield_model !ctx nets ~targets ~t_target ~order, !ctx)
+  (build_result !ctx nets ~targets ~t_target ~order, !ctx)
 
-let ensure_yield ?options ?ff ?pitch ?max_rounds ?tighten ?yield_model tech
-    nets ~t_target ~yield_target =
-  fst
-    (ensure_yield_ctx ?options ?ff ?pitch ?max_rounds ?tighten ?yield_model
-       tech nets ~t_target ~yield_target)
+let ensure_yield ?options ?ff ?pitch tech nets ~t_target ~yield_target =
+  fst (ensure_yield_ctx ?options ?ff ?pitch tech nets ~t_target ~yield_target)
 
-let minimise_area ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25) ?(relax = 0.015)
-    ?(yield_model = Independent) tech nets ~t_target ~yield_target =
+let minimise_area ?options ?ff ?(pitch = 1.0) tech nets ~t_target ~yield_target =
   let ensured, ctx0 =
-    ensure_yield_ctx ?options ?ff ~pitch ~max_rounds ~yield_model tech nets
-      ~t_target ~yield_target
+    ensure_yield_ctx ?options ?ff ~pitch tech nets ~t_target ~yield_target
   in
   let n = Array.length ensured.nets in
   let z = per_stage_z ~yield_target ~n in
@@ -209,7 +200,7 @@ let minimise_area ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25) ?(relax = 0.015
   let tighten_step = 0.015 in
   let ctx = ref ctx0 in
   let refresh s = ctx := Engine.Ctx.refresh_stage !ctx s in
-  let current_yield () = eval_yield yield_model !ctx ~t_target in
+  let current_yield () = eval_yield !ctx ~t_target in
   let total_area () =
     Array.fold_left (fun acc net -> acc +. Net.area net) 0.0 nets
   in
@@ -229,7 +220,7 @@ let minimise_area ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25) ?(relax = 0.015
       refresh s;
       if not (List.mem s !touched) then touched := s :: !touched
     in
-    let relaxed = targets.(s_relax) *. (1.0 +. relax) in
+    let relaxed = targets.(s_relax) *. (1.0 +. 0.015) in
     resize s_relax relaxed;
     targets.(s_relax) <- relaxed;
     let tighten_candidates =
@@ -289,4 +280,4 @@ let minimise_area ?options ?ff ?(pitch = 1.0) ?(max_rounds = 25) ?(relax = 0.015
     end
   in
   rounds max_rounds;
-  build_result ~yield_model !ctx nets ~targets ~t_target ~order
+  build_result !ctx nets ~targets ~t_target ~order

@@ -15,11 +15,6 @@
     - {!minimise_area} (Table III): relax the cheap-area stages
       (high R_i) while the pipeline yield target is still met. *)
 
-type yield_model =
-  | Independent  (** eq. 8 product of stage yields — the arithmetic the
-                     paper's Tables II/III report *)
-  | Clark_gaussian  (** eq. 9 Gaussian approximation of the pipeline max *)
-
 type result = {
   nets : Spv_circuit.Netlist.t array;  (** sized netlists, in stage order *)
   pipeline : Spv_core.Pipeline.t;
@@ -28,40 +23,38 @@ type result = {
   stage_yields : float array;
       (** standalone per-stage yields at the pipeline delay target *)
   total_area : float;
-  pipeline_yield : float;  (** yield at the pipeline delay target,
-                               under the chosen [yield_model] *)
+  pipeline_yield : float;
+      (** yield at the pipeline delay target: the eq. 8 product of
+          stage yields *)
   order : int array;  (** R_i processing order used *)
 }
 
 val individually_optimised :
   ?options:Lagrangian.options -> ?ff:Spv_process.Flipflop.t ->
-  ?pitch:float -> ?yield_model:yield_model -> Spv_process.Tech.t ->
-  Spv_circuit.Netlist.t array -> t_target:float -> yield_target:float -> result
+  ?pitch:float -> Spv_process.Tech.t -> Spv_circuit.Netlist.t array ->
+  t_target:float -> yield_target:float -> result
 (** The conventional baseline: every stage independently sized for
     [mu + z Y0 sigma <= t_target], [Y0 = yield_target^(1/N)]. *)
 
 val ensure_yield :
   ?options:Lagrangian.options -> ?ff:Spv_process.Flipflop.t -> ?pitch:float ->
-  ?max_rounds:int -> ?tighten:float -> ?yield_model:yield_model ->
   Spv_process.Tech.t -> Spv_circuit.Netlist.t array -> t_target:float ->
   yield_target:float -> result
 (** Start from the baseline; while the pipeline yield is below target,
     walk stages in ascending-R_i order and tighten each one's stat
-    target by the fraction [tighten] (default 0.03), re-sizing it and
-    re-evaluating the full pipeline.  Stops when the target is met, no
-    stage can improve, or [max_rounds] (default 25) passes elapse. *)
+    target by 3%, re-sizing it and re-evaluating the full pipeline.
+    Stops when the target is met, no stage can improve, or 25 passes
+    elapse. *)
 
 val minimise_area :
   ?options:Lagrangian.options -> ?ff:Spv_process.Flipflop.t -> ?pitch:float ->
-  ?max_rounds:int -> ?relax:float -> ?yield_model:yield_model ->
   Spv_process.Tech.t -> Spv_circuit.Netlist.t array -> t_target:float ->
   yield_target:float -> result
-
 (** Start from {!ensure_yield}'s design; walk stages in descending-R_i
-    order relaxing each one's stat target by the fraction [relax]
-    (default 0.03) as long as the pipeline yield stays at or above
-    target; revert moves that break it.
+    order relaxing each one's stat target by 1.5% as long as the
+    pipeline yield stays at or above target; revert moves that break
+    it.  At most 25 passes.
 
-    The default [yield_model] everywhere is [Independent]: it matches
-    the paper's Table II/III arithmetic and is the conservative choice
+    Every yield here is the eq. 8 independent product: it matches the
+    paper's Table II/III arithmetic and is the conservative choice
     (correlation only raises the joint yield). *)

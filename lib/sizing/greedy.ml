@@ -31,7 +31,7 @@ let stat_delay_of ~options ?ff tech net ~z =
   ( Spv_engine.Engine.Ctx.stage_delay_model ctx 0,
     Spv_engine.Engine.Ctx.stat_delay ctx ~stage:0 ~z )
 
-let size_stage ?options ?ff ?(certify = true) tech net ~t_target ~z =
+let size_stage ?options ?ff tech net ~t_target ~z =
   let options = Option.value options ~default:default_options in
   if t_target <= 0.0 then invalid_arg "Greedy.size_stage: t_target <= 0";
   Array.iter (fun i -> Net.set_size net i options.min_size) (Net.gate_ids net);
@@ -135,12 +135,12 @@ let size_stage ?options ?ff ?(certify = true) tech net ~t_target ~z =
           keep
     in
     let best = ref (eval_moves ~count:true keep) in
-    if Sens_hook.debug_cross_check () && keep <> keep_all then begin
+    if Spv_engine.Engine.debug_checks_enabled () && keep <> keep_all then begin
       let best_all = eval_moves ~count:false keep_all in
       if !best <> best_all then
         failwith
-          "Greedy.size_stage: SPV_DEBUG_SENSITIVITY: pruned move selection \
-           diverged from the full move set"
+          "Greedy.size_stage: pruned move selection diverged from the full \
+           move set"
     end;
     (match !best with
     | Some (i, _, bigger) ->
@@ -153,9 +153,8 @@ let size_stage ?options ?ff ?(certify = true) tech net ~t_target ~z =
   let achieved, stat_delay = stat_delay_of ~options ?ff tech net ~z in
   let converged = stat_delay <= t_target *. 1.005 in
   let g = Gd.to_gaussian achieved in
-  if certify then
-    Certify_hook.postcondition ~where:"Greedy.size_stage" ~t_target ~z
-      ~converged ~mu:g.Spv_stats.Gaussian.mu ~sigma:g.Spv_stats.Gaussian.sigma;
+  Certify_hook.postcondition ~where:"Greedy.size_stage" ~t_target ~z ~converged
+    ~mu:g.Spv_stats.Gaussian.mu ~sigma:g.Spv_stats.Gaussian.sigma;
   {
     moves = !moves;
     converged;

@@ -29,17 +29,17 @@ type report = {
 }
 
 val size_stage :
-  ?options:options -> ?ff:Spv_process.Flipflop.t -> ?certify:bool ->
-  Spv_process.Tech.t -> Spv_circuit.Netlist.t -> t_target:float -> z:float ->
-  report
+  ?options:options -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  Spv_circuit.Netlist.t -> t_target:float -> z:float -> report
 (** Size in place (resets to minimum sizes first, like the LR sizer).
 
     When a {!Sens_hook} move pruner is installed, candidate moves whose
     certified sensitivity enclosure proves they cannot be accepted are
     skipped without a trial SSTA evaluation; the accepted moves — and
-    hence the report — are identical either way (asserted under
-    [SPV_DEBUG_SENSITIVITY]).  [certify] (default [true]) gates the
-    {!Certify_hook} exit-criterion check for this call. *)
+    hence the report — are identical either way (asserted when the
+    engine's debug checks are on, [SPV_DEBUG_BOUNDS]).  The report
+    passes the {!Certify_hook} exit-criterion check before it is
+    returned. *)
 
 val compare_with_lagrangian :
   ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> Spv_circuit.Netlist.t ->

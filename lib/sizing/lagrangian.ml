@@ -79,7 +79,7 @@ let slacks net (sta : Sta.result) =
       if required.(i) = infinity then infinity
       else required.(i) -. sta.Sta.arrival.(i))
 
-let size_stage ?options ?ff ?(certify = true) tech net ~t_target ~z =
+let size_stage ?options ?ff tech net ~t_target ~z =
   let opts = Option.value options ~default:default_options in
   if t_target <= 0.0 then invalid_arg "Lagrangian.size_stage: t_target <= 0";
   let gate_ids = Net.gate_ids net in
@@ -174,9 +174,8 @@ let size_stage ?options ?ff ?(certify = true) tech net ~t_target ~z =
   let stat_delay = achieved.Gd.nominal +. (z *. Gd.total_sigma achieved) in
   let converged = stat_delay <= t_target *. (1.0 +. opts.tolerance) in
   let g = Gd.to_gaussian achieved in
-  if certify then
-    Certify_hook.postcondition ~where:"Lagrangian.size_stage" ~t_target ~z
-      ~converged ~mu:g.Spv_stats.Gaussian.mu ~sigma:g.Spv_stats.Gaussian.sigma;
+  Certify_hook.postcondition ~where:"Lagrangian.size_stage" ~t_target ~z ~converged
+    ~mu:g.Spv_stats.Gaussian.mu ~sigma:g.Spv_stats.Gaussian.sigma;
   {
     iterations = !iterations;
     converged;

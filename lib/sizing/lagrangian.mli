@@ -51,14 +51,13 @@ val statistical_delay :
 (** Current [mu + z * sigma] of the stage (analytic SSTA). *)
 
 val size_stage :
-  ?options:options -> ?ff:Spv_process.Flipflop.t -> ?certify:bool ->
-  Spv_process.Tech.t -> Spv_circuit.Netlist.t -> t_target:float -> z:float ->
-  report
+  ?options:options -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  Spv_circuit.Netlist.t -> t_target:float -> z:float -> report
 (** Size the netlist in place for [mu + z sigma <= t_target] with
     minimum area.  If the target is unreachable even at maximum sizes,
-    returns [converged = false] with the best effort found.  [certify]
-    (default [true]) gates the {!Certify_hook} exit-criterion check
-    for this call. *)
+    returns [converged = false] with the best effort found.  The report
+    passes the {!Certify_hook} exit-criterion check before it is
+    returned. *)
 
 val minimum_achievable_delay :
   ?options:options -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->

@@ -81,6 +81,8 @@ type result = {
 
 let optimise ?(output_load = 4.0) ?ff ?(delay_penalty = 1.15)
     ?(vth_offset = 0.08) tech net ~t_target ~z =
+  if not (Float.is_finite t_target) then
+    invalid_arg "Multi_vth.optimise: non-finite t_target";
   let a = all_low net ~delay_penalty ~vth_offset in
   let leakage_before = leakage tech net a in
   if stat_delay ~output_load ?ff tech net a ~z > t_target then

@@ -55,5 +55,5 @@ val optimise :
 (** Greedy criticality-guided assignment under the statistical delay
     budget.  Gates are visited in ascending block-SSTA criticality;
     each trial swap is kept only if the stage still meets the target.
-    Raises [Invalid_argument] if the all-low design already misses the
-    target. *)
+    Raises [Invalid_argument] on a non-finite target or if the all-low
+    design already misses it. *)

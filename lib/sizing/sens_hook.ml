@@ -18,7 +18,6 @@ type yield_skip_env = {
   ye_stage : int;
   ye_t_target : float;
   ye_current : float;
-  ye_independent : bool;
   ye_min_size : float;
   ye_max_size : float;
 }
@@ -32,15 +31,6 @@ let register_move_prune f = move_pruner := Some f
 let register_yield_skip f = yield_skipper := Some f
 let move_prune () = if !enabled then !move_pruner else None
 let yield_skip () = if !enabled then !yield_skipper else None
-
-let debug =
-  ref
-    (match Sys.getenv_opt "SPV_DEBUG_SENSITIVITY" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
-let debug_cross_check () = !debug
-let set_debug_cross_check b = debug := b
 
 type stats = {
   mutable moves_evaluated : int;

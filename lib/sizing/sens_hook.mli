@@ -16,12 +16,11 @@
 
     Both providers are required to be {e result-transparent}: pruning
     only ever skips work the concrete sizer would have rejected, so
-    reports are byte-identical with the hook installed or not.  With
-    the [SPV_DEBUG_SENSITIVITY] environment variable set (anything but
-    [""]/["0"]), {!Greedy.size_stage} re-evaluates the full unpruned
-    move set after each sweep and raises [Failure] if the accepted
-    move differs — the same debug-oracle pattern as the engine's
-    [SPV_DEBUG_BOUNDS].
+    reports are byte-identical with the hook installed or not.  When
+    the engine's debug checks are on ([SPV_DEBUG_BOUNDS] or
+    [Spv_engine.Engine.set_debug_checks true]), {!Greedy.size_stage}
+    re-evaluates the full unpruned move set after each sweep and
+    raises [Failure] if the accepted move differs.
 
     The {!stats} counters let benchmarks and CI observe how much work
     pruning saved without perturbing the sizer reports themselves. *)
@@ -45,8 +44,9 @@ type yield_skip_env = {
   ye_ctx : Spv_engine.Engine.Ctx.t;
   ye_stage : int;
   ye_t_target : float;
-  ye_current : float;  (** pipeline yield the probe must strictly beat *)
-  ye_independent : bool;  (** true = independent product, false = Clark *)
+  ye_current : float;
+      (** pipeline yield (eq. 8 independent product) the probe must
+          strictly beat *)
   ye_min_size : float;
   ye_max_size : float;
 }
@@ -67,12 +67,6 @@ val set_enabled : bool -> unit
     this to compare pruned vs unpruned runs).  Default: enabled. *)
 
 val is_enabled : unit -> bool
-
-val debug_cross_check : unit -> bool
-(** True when [SPV_DEBUG_SENSITIVITY] was set at startup (anything but
-    [""]/["0"]) or forced via {!set_debug_cross_check}. *)
-
-val set_debug_cross_check : bool -> unit
 
 (** Work counters, reset with {!reset_stats}.  Kept here — not in the
     sizer reports — so pruning cannot perturb report equality. *)

@@ -16,11 +16,6 @@ val against_cdf : float array -> cdf:(float -> float) -> result
 
 val against_gaussian : float array -> Gaussian.t -> result
 
-val against_cdf_checked :
-  float array -> cdf:(float -> float) ->
-  (result, Descriptive.sample_error) Stdlib.result
-(** Non-raising variant: a degenerate sample is a typed error. *)
-
 val against_gaussian_checked :
   float array ->
   Gaussian.t ->

@@ -87,7 +87,7 @@ let cholesky a =
   done;
   l
 
-let cholesky_psd ?(jitter = 1e-10) a =
+let cholesky_psd a =
   try cholesky a
   with Failure _ ->
     let n = a.r in
@@ -109,9 +109,9 @@ let cholesky_psd ?(jitter = 1e-10) a =
         in
         try cholesky bumped with Failure _ -> attempt (eps *. 100.0) (tries - 1)
     in
-    attempt (jitter *. Float.max !dmax 1.0) 3
+    attempt (1e-10 *. Float.max !dmax 1.0) 3
 
-let sym_eig ?(max_sweeps = 64) a =
+let sym_eig a =
   if a.r <> a.c then invalid_arg "Matrix.sym_eig: not square";
   if not (is_symmetric ~eps:1e-8 a) then
     invalid_arg "Matrix.sym_eig: not symmetric";
@@ -137,7 +137,7 @@ let sym_eig ?(max_sweeps = 64) a =
     Float.max !s 1.0
   in
   let sweep = ref 0 in
-  while !sweep < max_sweeps && off_norm () > 1e-12 *. diag_scale () do
+  while !sweep < 64 && off_norm () > 1e-12 *. diag_scale () do
     for p = 0 to n - 2 do
       for q = p + 1 to n - 1 do
         let apq = get m p q in

@@ -30,14 +30,15 @@ val cholesky : t -> t
     definite [a].  Raises [Failure] if [a] is not (numerically)
     positive definite. *)
 
-val cholesky_psd : ?jitter:float -> t -> t
+val cholesky_psd : t -> t
 (** Cholesky that tolerates positive *semi*-definite inputs (needed for
     perfectly-correlated stage delays, rho = 1) by adding a tiny
-    diagonal jitter on failure. *)
+    diagonal jitter (1e-10 of the largest diagonal entry, growing
+    100-fold per retry, three tries) on failure. *)
 
-val sym_eig : ?max_sweeps:int -> t -> float array * t
+val sym_eig : t -> float array * t
 (** Eigendecomposition of a symmetric matrix by cyclic Jacobi
-    rotations: [(lambda, v)] with [a = v * diag lambda * v^T] and the
+    rotations (at most 64 sweeps): [(lambda, v)] with [a = v * diag lambda * v^T] and the
     i-th eigenvector in column i of [v].  Eigenvalues are unsorted.
     Raises [Invalid_argument] for a non-square or non-symmetric
     input. *)

@@ -33,11 +33,6 @@ let transform t z =
   let correlated = Matrix.mat_vec t.chol z in
   Array.init n (fun i -> t.mus.(i) +. correlated.(i))
 
-let whiten t x =
-  let n = dim t in
-  if Array.length x <> n then invalid_arg "Mvn.whiten: dimension mismatch";
-  Matrix.solve_lower t.chol (Array.init n (fun i -> x.(i) -. t.mus.(i)))
-
 let sample t rng =
   transform t (Array.init (dim t) (fun _ -> Rng.gaussian rng))
 

@@ -20,12 +20,6 @@ val transform : t -> float array -> float array
     [mu + L z] with [L] the Cholesky factor.  Requires [dim t]
     entries.  The basis for stratified designs ({!Sampling}). *)
 
-val whiten : t -> float array -> float array
-(** Inverse of {!transform}: the z-vector with [transform t z = x]
-    (forward substitution against the Cholesky factor).  Fails on a
-    degenerate (jitter-rescued singular) covariance only within the
-    jitter's numerical noise. *)
-
 val sample_many : t -> Rng.t -> n:int -> float array array
 (** [n] joint draws (rows). *)
 

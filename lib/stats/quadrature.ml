@@ -9,7 +9,7 @@ let simpson ~f ~lo ~hi ~n =
   done;
   !sum *. h /. 3.0
 
-let adaptive_simpson ?(eps = 1e-10) ?(max_depth = 50) ~f ~lo ~hi () =
+let adaptive_simpson ?(eps = 1e-10) ~f ~lo ~hi () =
   let simpson3 a b =
     let c = (a +. b) /. 2.0 in
     ((b -. a) /. 6.0) *. (f a +. (4.0 *. f c) +. f b)
@@ -24,7 +24,7 @@ let adaptive_simpson ?(eps = 1e-10) ?(max_depth = 50) ~f ~lo ~hi () =
       go a c left (eps /. 2.0) (depth - 1)
       +. go c b right (eps /. 2.0) (depth - 1)
   in
-  go lo hi (simpson3 lo hi) eps max_depth
+  go lo hi (simpson3 lo hi) eps 50
 
 (* Nodes/weights for the positive half of the 32-point rule. *)
 let gl32_nodes =

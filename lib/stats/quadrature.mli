@@ -6,9 +6,9 @@ val simpson : f:(float -> float) -> lo:float -> hi:float -> n:int -> float
 (** Composite Simpson rule with [n] (forced even) panels. *)
 
 val adaptive_simpson :
-  ?eps:float -> ?max_depth:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> float
-(** Adaptive Simpson with absolute tolerance [eps] (default 1e-10). *)
+  ?eps:float -> f:(float -> float) -> lo:float -> hi:float -> unit -> float
+(** Adaptive Simpson with absolute tolerance [eps] (default 1e-10) and
+    at most 50 levels of bisection. *)
 
 val gauss_legendre_32 : f:(float -> float) -> lo:float -> hi:float -> float
 (** 32-point Gauss–Legendre on [\[lo, hi\]]. *)

@@ -57,6 +57,9 @@ let erf x =
 let erfc_pos x =
   let z = x *. x in
   if z = 0.0 then 1.0
+  (* |x| >~ 1.34e154 (or inf): x *. x overflows and the continued
+     fraction would give inf /. inf; erfc has long underflowed. *)
+  else if z = Float.infinity then 0.0
   else if z < 1.5 then 1.0 -. gammp_half_series z
   else gammq_half_cf z
 

@@ -440,42 +440,29 @@ let test_certify_robust_wrappers () =
 
 let test_sizing_hook () =
   let module H = Spv_sizing.Certify_hook in
-  (* The hook is on by default since the ROADMAP promotion; restore
-     that default on the way out. *)
-  Fun.protect
-    ~finally:(fun () ->
-      H.set_enabled true;
-      Cf.install_sizing_check ())
-    (fun () ->
-      Cf.install_sizing_check ();
-      H.set_enabled true;
-      Alcotest.(check bool) "enabled" true (H.is_enabled ());
-      (* A converged report that misses its allocation must refute. *)
-      (match
+  Cf.install_sizing_check ();
+  (* A converged report that misses its allocation must refute. *)
+  (match
+     H.postcondition ~where:"test" ~t_target:100.0 ~z:2.0 ~converged:true
+       ~mu:95.0 ~sigma:10.0
+   with
+  | exception H.Refuted msg ->
+      Alcotest.(check bool) "message names the caller" true
+        (String.length msg > 5 && String.sub msg 0 5 = "test:")
+  | () -> Alcotest.fail "missed allocation must raise");
+  (* Checked.protect maps the exception onto Certificate_refuted. *)
+  (match
+     Ck.protect ~where:"test" (fun () ->
          H.postcondition ~where:"test" ~t_target:100.0 ~z:2.0 ~converged:true
-           ~mu:95.0 ~sigma:10.0
-       with
-      | exception Failure msg ->
-          Alcotest.(check bool) "marker present" true
-            (Ck.is_refutation msg)
-      | () -> Alcotest.fail "missed allocation must raise");
-      (* Checked.protect maps the marker onto Certificate_refuted. *)
-      (match
-         Ck.protect ~where:"test" (fun () ->
-             H.postcondition ~where:"test" ~t_target:100.0 ~z:2.0
-               ~converged:true ~mu:95.0 ~sigma:10.0)
-       with
-      | Error err -> Alcotest.(check int) "exit code 8" 8 (Errors.exit_code err)
-      | Ok () -> Alcotest.fail "protect must surface the refutation");
-      (* Meeting the allocation, unconverged reports and disabled hooks
-         all pass. *)
-      H.postcondition ~where:"test" ~t_target:100.0 ~z:2.0 ~converged:true
-        ~mu:80.0 ~sigma:5.0;
-      H.postcondition ~where:"test" ~t_target:100.0 ~z:2.0 ~converged:false
-        ~mu:95.0 ~sigma:10.0;
-      H.set_enabled false;
-      H.postcondition ~where:"test" ~t_target:100.0 ~z:2.0 ~converged:true
-        ~mu:95.0 ~sigma:10.0)
+           ~mu:95.0 ~sigma:10.0)
+   with
+  | Error err -> Alcotest.(check int) "exit code 8" 8 (Errors.exit_code err)
+  | Ok () -> Alcotest.fail "protect must surface the refutation");
+  (* Meeting the allocation and unconverged reports both pass. *)
+  H.postcondition ~where:"test" ~t_target:100.0 ~z:2.0 ~converged:true
+    ~mu:80.0 ~sigma:5.0;
+  H.postcondition ~where:"test" ~t_target:100.0 ~z:2.0 ~converged:false
+    ~mu:95.0 ~sigma:10.0
 
 (* ---- report schema ---------------------------------------------------- *)
 

@@ -154,6 +154,18 @@ let test_closed_forms_match_yield_module () =
   check_bits "independent" (Yield.independent_exact p0 ~t_target)
     ind.Engine.value
 
+let test_closed_forms_at_huge_target () =
+  (* t = 1e300 standardises past the point where x *. x overflows. *)
+  let ctx = moments_ctx () in
+  List.iter
+    (fun method_ ->
+      let name = Engine.method_name method_ in
+      let y = (Engine.yield ~method_ ctx ~t_target:1e300).Engine.value in
+      let l = (Engine.yield_loss ~method_ ctx ~t_target:1e300).Engine.value in
+      Alcotest.(check bool) (name ^ " yield is 1") true (y = 1.0);
+      Alcotest.(check bool) (name ^ " loss is 0") true (l = 0.0))
+    [ Engine.Analytic_clark; Engine.Exact_independent ]
+
 let test_mc_agrees_with_closed_form () =
   let ctx = moments_ctx () in
   let t_target = G.quantile (Engine.Ctx.delay_distribution ctx) ~p:0.8 in
@@ -394,6 +406,8 @@ let suite =
     Alcotest.test_case "SPV_JOBS fallback" `Quick test_jobs_env_fallback;
     Alcotest.test_case "closed forms match Yield" `Quick
       test_closed_forms_match_yield_module;
+    Alcotest.test_case "closed forms at a huge target" `Quick
+      test_closed_forms_at_huge_target;
     Alcotest.test_case "MC agrees with closed form" `Slow
       test_mc_agrees_with_closed_form;
     Alcotest.test_case "importance sampling agrees" `Slow

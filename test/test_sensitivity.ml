@@ -296,6 +296,11 @@ let with_pruning enabled f =
   Hook.set_enabled enabled;
   Fun.protect ~finally:(fun () -> Hook.set_enabled was) f
 
+let with_debug_checks f =
+  let was = Engine.debug_checks_enabled () in
+  Engine.set_debug_checks true;
+  Fun.protect ~finally:(fun () -> Engine.set_debug_checks was) f
+
 let greedy_fixture () =
   let net = G.inverter_chain ~depth:12 () in
   let module L = Spv_sizing.Lagrangian in
@@ -319,10 +324,7 @@ let test_greedy_prune_identity () =
         Hook.reset_stats ();
         (* The debug cross-check re-runs the full move set and raises
            on any divergence. *)
-        Hook.set_debug_cross_check true;
-        Fun.protect
-          ~finally:(fun () -> Hook.set_debug_cross_check false)
-          (fun () ->
+        with_debug_checks (fun () ->
             let r = Gr.size_stage ~ff tech net_on ~t_target ~z in
             (r, Hook.stats.Hook.moves_evaluated, Hook.stats.Hook.moves_pruned)))
   in
@@ -344,10 +346,8 @@ let test_greedy_prune_identity_iscas () =
   in
   let r_on =
     with_pruning true (fun () ->
-        Hook.set_debug_cross_check true;
-        Fun.protect
-          ~finally:(fun () -> Hook.set_debug_cross_check false)
-          (fun () -> Gr.size_stage ~ff tech (Net.copy net) ~t_target ~z))
+        with_debug_checks (fun () ->
+            Gr.size_stage ~ff tech (Net.copy net) ~t_target ~z))
   in
   Alcotest.(check bool) "reports byte-identical" true (r_off = r_on)
 

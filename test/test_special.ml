@@ -82,6 +82,19 @@ let test_upper_tail () =
   (* Left side is the well-conditioned CDF reflection. *)
   check_close ~rel:1e-12 "tail at -2" (S.big_phi 2.0) (S.upper_tail (-2.0))
 
+let test_huge_arguments () =
+  (* Past |x| ~ 1.34e154, x *. x overflows inside erfc; the tails must
+     still saturate to exact 0 / 1, never NaN. *)
+  List.iter
+    (fun x ->
+      let name = Printf.sprintf "%g" x in
+      Alcotest.(check bool) ("big_phi " ^ name) true (S.big_phi x = 1.0);
+      Alcotest.(check bool) ("big_phi -" ^ name) true (S.big_phi (-.x) = 0.0);
+      Alcotest.(check bool) ("upper_tail " ^ name) true (S.upper_tail x = 0.0);
+      Alcotest.(check bool) ("upper_tail -" ^ name) true
+        (S.upper_tail (-.x) = 1.0))
+    [ 1e300; Float.infinity ]
+
 let test_normal_wrappers () =
   check_float ~eps:1e-12 "cdf at mean" 0.5 (S.normal_cdf ~mu:10.0 ~sigma:2.0 10.0);
   check_close ~rel:1e-10 "pdf peak" (S.phi 0.0 /. 2.0)
@@ -117,6 +130,7 @@ let suite =
     quick "big_phi_inv domain" test_big_phi_inv_domain;
     quick "log_big_phi" test_log_big_phi;
     quick "upper_tail" test_upper_tail;
+    quick "huge arguments" test_huge_arguments;
     quick "normal wrappers" test_normal_wrappers;
     prop_phi_inv_monotone;
     prop_cdf_bounds;
