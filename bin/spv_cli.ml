@@ -667,13 +667,13 @@ let hold_cmd =
          Checked.protect ~where:"short-path analysis" (fun () ->
              Spv_core.Hold.short_path_delay tech net)
        in
-       Printf.printf "shortest path: %.1f ps nominal (sigma %.2f)\n"
-         short.Spv_process.Gate_delay.nominal
-         (Spv_process.Gate_delay.total_sigma short);
        let* y =
          Checked.protect ~where:"hold yield" (fun () ->
              Spv_core.Hold.hold_yield_stage tech ~ff ~hold_ps:hold net)
        in
+       Printf.printf "shortest path: %.1f ps nominal (sigma %.2f)\n"
+         short.Spv_process.Gate_delay.nominal
+         (Spv_process.Gate_delay.total_sigma short);
        Printf.printf "hold yield at %.1f ps requirement: %.2f%%\n" hold
          (100.0 *. y);
        Ok ())

@@ -48,28 +48,38 @@ fi
 # proposal), the replace/append estimate-check pair (one keyed setter),
 # serve's private scenario expansion (Grid.groups is the one), the
 # sizing-certificate and sensitivity-debug opt-outs, the global sizer's
-# yield-model choice and the message-scanning refutation test (a typed
-# exception replaced it); no document or source may cite any of them.
+# yield-model choice, the message-scanning refutation test (a typed
+# exception replaced it), the gate-level prune masks, the RC wire
+# model, the clock-skew and corner extensions, the library-side
+# equivalence guard (a test helper now) and the Topo helpers only
+# tests called; no document or source may cite any of them.
 # CHANGES.md and ROADMAP.md are history and stay exempt.
 echo "==> no citations of BENCH_*.json, bench/main.exe <id>, a proposal option or a retired API"
 if grep -rEn \
-  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:' \
+  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:|with_prune|without_prune|prune_masks|prune_ctx|masks_for_ctx|Spv_circuit\.Wire|Wire\.model|Spv_core\.Skew|Spv_process\.Corners|Spv_circuit\.Equivalence|longest_path_lengths|nodes_at_level|transitive_fanin_count|\?active:' \
   README.md DESIGN.md EXPERIMENTS.md .claude examples lib bin test; then
   echo "ci.sh: stale citation of a retired bench study, proposal option or API (above)" >&2
   exit 1
 fi
 
 # Non-finite gate: a huge but finite target saturates the closed forms
-# instead of overflowing to NaN, and a NaN requirement is a Domain
-# error (exactly exit 6), never a printed "nan".
+# instead of overflowing to NaN, and a NaN or negative requirement is a
+# Domain error (exactly exit 6) with nothing printed on stdout, never a
+# printed "nan" or a partial report.
 run "$CLI" mc --mu 100 --sigma 5 -t 1e300 -m clark
-for args in "hold -c chain10 --hold nan" "vth -c chain10 --slack nan"; do
-  echo "==> $CLI $args (expect exit 6)"
+for args in "hold -c chain10 --hold nan" "hold -c chain10 --hold=-1" \
+  "vth -c chain10 --slack nan"; do
+  echo "==> $CLI $args (expect exit 6, empty stdout)"
   rc=0
   # shellcheck disable=SC2086
-  "$CLI" $args >/dev/null 2>&1 || rc=$?
+  out=$("$CLI" $args 2>/dev/null) || rc=$?
   if [ "$rc" -ne 6 ]; then
     echo "ci.sh: $args did not exit 6 (exit $rc)" >&2
+    exit 1
+  fi
+  if [ -n "$out" ]; then
+    echo "ci.sh: $args printed partial stdout before failing:" >&2
+    echo "$out" >&2
     exit 1
   fi
 done

@@ -316,7 +316,7 @@ let gate_criticalities ~k ctx ~sys_row ~stage =
             Float.min 1.0
               (Interval.hi (Affine.cdf_bounds ~k (diff ref_path through) 0.0))
           in
-          (* Corner-proof intersection: a statically pruned gate can
+          (* Corner-proof intersection: a statically inactive gate can
              only be critical outside the +-k box. *)
           let upper =
             if static.Static_criticality.active.(i) then upper

@@ -59,7 +59,7 @@ type stage_gates = {
   sg_reaches : bool array;  (** node reaches a primary output *)
   sg_escape : float;
       (** escape budget of the stage's chord-max delay form — the
-          clamp applied to statically pruned gates *)
+          clamp applied to statically inactive gates *)
 }
 
 type cone = {

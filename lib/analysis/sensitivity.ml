@@ -226,8 +226,8 @@ type stage_duals = {
 let propagate ?(output_load = 4.0) ?ff (tech : Tech.t) net ~size_of ~factor_of
     =
   let n = Net.n_nodes net in
-  (* Loads, mirroring [Sta.loads] (the engine path carries no wire
-     model): fanout input caps plus the primary-output load. *)
+  (* Loads, mirroring [Sta.loads]: fanout input caps plus the
+     primary-output load. *)
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) (Net.outputs net);
   let loads = Array.make n (Dual.const 0.0) in
@@ -608,9 +608,9 @@ let cdf0_dual ~amb g ~t =
 
 (* Dynamic consistency guard: the differentiated stage's cached
    concrete moments must lie inside the propagated enclosures (they
-   do whenever the context reflects the netlist's current sizes and
-   no prune mask is active; otherwise certification would be built on
-   a model the concrete estimator is not using). *)
+   do whenever the context reflects the netlist's current sizes;
+   otherwise certification would be built on a model the concrete
+   estimator is not using). *)
 let guard_moments p ~stage:s ~sd =
   let g = Stage.gaussian (Pipeline.stage p s) in
   if

@@ -1,7 +1,6 @@
 module Netlist = Spv_circuit.Netlist
 module Sta = Spv_circuit.Sta
 module Topo = Spv_circuit.Topo
-module Engine = Spv_engine.Engine
 
 type t = {
   levels : int array;
@@ -36,8 +35,8 @@ let analyse ?(k = 6.0) ?(output_load = 4.0) tech net =
     Array.init n (fun i -> hi_sta.Sta.arrival.(i) +. down.(i))
   in
   let lo_delay = lo_sta.Sta.delay in
-  (* Conservative float margin: only prune when the hi-side bound is
-     clearly below the lo-side delay. *)
+  (* Conservative float margin: only mark a gate inactive when the
+     hi-side bound is clearly below the lo-side delay. *)
   let margin = 1e-9 +. (1e-12 *. Float.abs lo_delay) in
   let active =
     Array.init n (fun i ->
@@ -53,8 +52,6 @@ let analyse ?(k = 6.0) ?(output_load = 4.0) tech net =
   { levels; lo_sta; hi_sta; through_hi; lo_delay; active; n_gates;
     n_active_gates }
 
-let active_mask t = Array.copy t.active
-
 let cone t =
   let acc = ref [] in
   (* Gates only: inputs are level 0, gates are level >= 1. *)
@@ -66,14 +63,6 @@ let cone t =
 let prunable_fraction t =
   if t.n_gates = 0 then 0.0
   else float_of_int (t.n_gates - t.n_active_gates) /. float_of_int t.n_gates
-
-let masks_for_ctx ?k ctx =
-  let tech = Engine.Ctx.tech ctx in
-  let output_load = Engine.Ctx.output_load ctx in
-  Array.init (Engine.Ctx.n_stages ctx) (fun i ->
-      active_mask (analyse ?k ~output_load tech (Engine.Ctx.netlist ctx i)))
-
-let prune_ctx ?k ctx = Engine.Ctx.with_prune ctx (masks_for_ctx ?k ctx)
 
 let findings ?stage t =
   let location =

@@ -1,6 +1,5 @@
 (** Static criticality: which gates can {e ever} set a stage's delay
-    under the interval bounds — and the prune masks that let the
-    engine's gate-level Monte-Carlo skip the rest.
+    under the interval bounds.
 
     Soundness argument (per stage, all worlds restricted to the
     [±k sigma] box):
@@ -12,12 +11,14 @@
       in-box world;
     - [lo_delay] = the all-lo-corner STA delay, a lower bound on the
       stage delay in every in-box world;
-    - a gate with [through_hi g < lo_delay] therefore never lies on a
-      critical path: masking it cannot change the stage delay, and
-      because the sampler consumes the identical RNG stream either way,
-      pruned Monte-Carlo results are bit-for-bit identical whenever no
-      draw escapes the box (probability [<= 2 Phi(-k)] per component
-      draw — ~2e-9 at the default k = 6). *)
+    - a gate with [through_hi g < lo_delay] is therefore never on a
+      critical path in any in-box world ([active] is [false] for it).
+
+    {!Cones} clamps its gate-criticality upper bounds with [active].
+    At the default k = 6 the all-lo corner factors go negative, so
+    [lo_delay] is negative on every built-in circuit and no gate is
+    proven inactive ([prunable_fraction] = 0); smaller [k] on deep,
+    imbalanced netlists does prove gates inactive. *)
 
 type t = {
   levels : int array;  (** logic level per node *)
@@ -45,15 +46,6 @@ val cone : t -> int list
 val prunable_fraction : t -> float
 (** Fraction of gates proven never-critical (0 when the netlist has no
     gates). *)
-
-val masks_for_ctx :
-  ?k:float -> Spv_engine.Engine.Ctx.t -> bool array array
-(** One activity mask per stage, using the context's own technology,
-    netlists and output load.  Gate-level contexts only. *)
-
-val prune_ctx : ?k:float -> Spv_engine.Engine.Ctx.t -> Spv_engine.Engine.Ctx.t
-(** [Engine.Ctx.with_prune ctx (masks_for_ctx ctx)]: the context with
-    statically non-critical gates masked out of gate-level sampling. *)
 
 val findings : ?stage:int -> t -> Report.finding list
 (** Criticality findings ([pass = "criticality"]): cone size, prunable

@@ -44,21 +44,11 @@ type sampler
 
 val sampler :
   ?output_load:float -> ?exact:bool -> ?pitch:float ->
-  ?ff:Spv_process.Flipflop.t -> ?active:bool array array ->
-  Spv_process.Tech.t -> Netlist.t array -> sampler
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> Netlist.t array ->
+  sampler
 (** Build a sampler for a pipeline of stages laid out in a row at
     [pitch] (default 1.0) die units.  Raises [Invalid_argument] on an
-    empty stage array.
-
-    [active] (one [bool] per node per stage) masks statically
-    non-critical gates out of each trial's STA, as computed by
-    {!Spv_analysis}'s criticality pass.  A masked trial draws exactly
-    the same random numbers as an unmasked one (the per-gate random
-    component is still consumed for masked gates), so when the mask only
-    drops gates that can never set the stage delay the sampled delays
-    are unchanged bit-for-bit — masking only skips delay-factor and
-    arrival arithmetic.  Raises [Invalid_argument] on mask shape
-    mismatch. *)
+    empty stage array. *)
 
 val draw_stage_delays : sampler -> Spv_stats.Rng.t -> float array
 (** One Monte-Carlo trial: per-stage delays (fresh array). *)

@@ -6,13 +6,12 @@ type result = {
   critical_path : int list;
 }
 
-let loads ?wire net ~output_load =
+let loads net ~output_load =
   let n = Netlist.n_nodes net in
   let loads = Array.make n 0.0 in
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) (Netlist.outputs net);
   for i = 0 to n - 1 do
-    let fanouts = Netlist.fanouts net i in
     let fanout_cap =
       List.fold_left
         (fun acc j ->
@@ -20,56 +19,25 @@ let loads ?wire net ~output_load =
           | Netlist.Gate { kind; _ } ->
               acc +. Cell.input_cap kind ~size:(Netlist.size net j)
           | Netlist.Primary_input _ -> acc)
-        0.0 fanouts
+        0.0 (Netlist.fanouts net i)
     in
     let po_cap = if is_output.(i) then output_load else 0.0 in
-    let wire_cap =
-      match wire with
-      | None -> 0.0
-      | Some m ->
-          if fanouts = [] && po_cap = 0.0 then 0.0
-          else Wire.wire_cap m ~fanout:(List.length fanouts)
-    in
-    loads.(i) <- fanout_cap +. po_cap +. wire_cap
+    loads.(i) <- fanout_cap +. po_cap
   done;
   loads
 
-let run_internal ~output_load ?wire ?active (tech : Spv_process.Tech.t) net
-    ~factors =
+let run_internal ~output_load (tech : Spv_process.Tech.t) net ~factors =
   let n = Netlist.n_nodes net in
-  let loads = loads ?wire net ~output_load in
+  let loads = loads net ~output_load in
   let arrival = Array.make n 0.0 in
   let gate_delays = Array.make n 0.0 in
-  let is_active i = match active with None -> true | Some m -> m.(i) in
   for i = 0 to n - 1 do
     match Netlist.node net i with
     | Netlist.Primary_input _ -> ()
-    | Netlist.Gate _ when not (is_active i) ->
-        (* Statically non-critical gate: its arrival stays 0, exactly as
-           if the node were an input.  Loads (and hence the delays of
-           every active gate) are computed over the full netlist, so an
-           active gate's delay is bit-identical to the unmasked run. *)
-        ()
     | Netlist.Gate { kind; fanin } ->
-        let gate_d =
+        let d =
           tech.tau
           *. (Cell.parasitic kind +. (loads.(i) /. Netlist.size net i))
-        in
-        let d =
-          match wire with
-          | None -> gate_d
-          | Some m ->
-              (* Elmore delay of the output net towards the worst sink;
-                 the gate-input caps are the sink load, the wire cap is
-                 already charged through [loads]. *)
-              let fanouts = Netlist.fanouts net i in
-              let sink_cap =
-                loads.(i) -. Wire.wire_cap m ~fanout:(List.length fanouts)
-              in
-              gate_d
-              +. Wire.elmore_delay m
-                   ~fanout:(List.length fanouts)
-                   ~sink_cap:(Float.max 0.0 sink_cap)
         in
         let d =
           match factors with None -> d | Some f -> d *. f.(i)
@@ -117,17 +85,13 @@ let run_internal ~output_load ?wire ?active (tech : Spv_process.Tech.t) net
     critical_path;
   }
 
-let run ?(output_load = 4.0) ?wire tech net =
-  run_internal ~output_load ?wire tech net ~factors:None
+let run ?(output_load = 4.0) tech net =
+  run_internal ~output_load tech net ~factors:None
 
-let run_with_factors ?(output_load = 4.0) ?wire ?active tech net ~factors =
+let run_with_factors ?(output_load = 4.0) tech net ~factors =
   if Array.length factors <> Netlist.n_nodes net then
     invalid_arg "Sta.run_with_factors: factors length mismatch";
-  (match active with
-  | Some m when Array.length m <> Netlist.n_nodes net ->
-      invalid_arg "Sta.run_with_factors: active mask length mismatch"
-  | _ -> ());
-  run_internal ~output_load ?wire ?active tech net ~factors:(Some factors)
+  run_internal ~output_load tech net ~factors:(Some factors)
 
 let path_delay result path =
   List.fold_left (fun acc i -> acc +. result.gate_delays.(i)) 0.0 path

@@ -14,30 +14,19 @@ type result = {
   critical_path : int list;  (** gate ids, input side first *)
 }
 
-val loads : ?wire:Wire.model -> Netlist.t -> output_load:float -> float array
-(** Capacitive load per node under current sizes (gate input caps,
-    plus net wire capacitance when a wire model is given). *)
+val loads : Netlist.t -> output_load:float -> float array
+(** Capacitive load per node under current sizes (gate input caps). *)
 
-val run :
-  ?output_load:float -> ?wire:Wire.model -> Spv_process.Tech.t -> Netlist.t ->
-  result
+val run : ?output_load:float -> Spv_process.Tech.t -> Netlist.t -> result
 (** Nominal timing. [output_load] defaults to 4.0 (an FO4-ish
-    flip-flop input).  With [wire], each gate additionally pays its
-    output net's Elmore delay. *)
+    flip-flop input). *)
 
 val run_with_factors :
-  ?output_load:float -> ?wire:Wire.model -> ?active:bool array ->
-  Spv_process.Tech.t -> Netlist.t -> factors:float array -> result
+  ?output_load:float -> Spv_process.Tech.t -> Netlist.t ->
+  factors:float array -> result
 (** Timing with a per-node multiplicative delay factor (Monte-Carlo
     variation samples). [factors] must have one entry per node; entries
-    for input nodes are ignored.
-
-    With [active] (one flag per node), gates whose flag is [false] are
-    skipped: their arrival and delay stay 0, as if they were inputs.
-    Loads are still computed over the full netlist, so active gates see
-    bit-identical delays.  Intended for statically non-critical gates
-    proven (e.g. by {!Spv_analysis}) never to set the stage delay: when
-    the mask only drops such gates, [delay] is unchanged bit-for-bit. *)
+    for input nodes are ignored. *)
 
 val path_delay : result -> int list -> float
 (** Sum of gate delays along a node list. *)

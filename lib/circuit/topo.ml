@@ -11,38 +11,3 @@ let levels net =
   levels
 
 let depth net = Array.fold_left Stdlib.max 0 (levels net)
-
-let nodes_at_level net lvl =
-  let ls = levels net in
-  let acc = ref [] in
-  for i = Netlist.n_nodes net - 1 downto 0 do
-    if ls.(i) = lvl then acc := i :: !acc
-  done;
-  !acc
-
-let longest_path_lengths net =
-  let n = Netlist.n_nodes net in
-  let len = Array.make n 0 in
-  for i = 0 to n - 1 do
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> len.(i) <- 0
-    | Netlist.Gate { fanin; _ } ->
-        len.(i) <-
-          1 + Array.fold_left (fun acc f -> Stdlib.max acc len.(f)) 0 fanin
-  done;
-  len
-
-let transitive_fanin_count net id =
-  let seen = Hashtbl.create 64 in
-  let rec visit i =
-    if not (Hashtbl.mem seen i) then begin
-      Hashtbl.add seen i ();
-      match Netlist.node net i with
-      | Netlist.Primary_input _ -> ()
-      | Netlist.Gate { fanin; _ } -> Array.iter visit fanin
-    end
-  in
-  (match Netlist.node net id with
-  | Netlist.Primary_input _ -> ()
-  | Netlist.Gate { fanin; _ } -> Array.iter visit fanin);
-  Hashtbl.length seen

@@ -7,12 +7,3 @@ val levels : Netlist.t -> int array
 
 val depth : Netlist.t -> int
 (** Maximum logic level over all nodes (the paper's "logic depth"). *)
-
-val nodes_at_level : Netlist.t -> int -> int list
-
-val longest_path_lengths : Netlist.t -> int array
-(** For each node, the number of gates on the longest gate-path ending
-    at that node (inputs count 0). *)
-
-val transitive_fanin_count : Netlist.t -> int -> int
-(** Number of distinct nodes in the cone of a node (excluding itself). *)

@@ -40,7 +40,6 @@ module Ctx = struct
     sizes : float array array;
     s_vth : float;
     s_leff : float;
-    prune : bool array array option;
     revisions : int array;
         (* per-stage refresh counters: bumped by [refresh_stage] so
            derived caches (the sizing layer's sensitivity enclosures)
@@ -181,7 +180,6 @@ module Ctx = struct
           sizes = memo_by_identity Netlist.sizes_snapshot nets;
           s_vth = Spv_process.Tech.delay_sensitivity_vth tech;
           s_leff = Spv_process.Tech.delay_sensitivity_leff tech;
-          prune = None;
           revisions = Array.make (Array.length nets) 0;
           hier;
         }
@@ -242,31 +240,6 @@ module Ctx = struct
     check_stage ~where:"Engine.Ctx.netlist" t i;
     g.nets.(i)
 
-  let prune_masks t =
-    match t.gate with
-    | None -> None
-    | Some g -> Option.map (Array.map Array.copy) g.prune
-
-  let with_prune t masks =
-    let where = "Engine.Ctx.with_prune" in
-    let g = require_gate ~where t in
-    if Array.length masks <> Array.length g.nets then
-      invalid_arg (where ^ ": one mask per stage required");
-    Array.iteri
-      (fun i mask ->
-        let net = g.nets.(i) in
-        if Array.length mask <> Netlist.n_nodes net then
-          invalid_arg (where ^ ": mask length <> node count");
-        if not (Array.exists (fun o -> mask.(o)) (Netlist.outputs net)) then
-          invalid_arg (where ^ ": stage with every output masked"))
-      masks;
-    { t with gate = Some { g with prune = Some (Array.map Array.copy masks) } }
-
-  let without_prune t =
-    match t.gate with
-    | None | Some { prune = None; _ } -> t
-    | Some g -> { t with gate = Some { g with prune = None } }
-
   let stage_delay_model t i =
     check_stage ~where:"Engine.Ctx.stage_delay_model" t i;
     (Pipeline.stage t.pipeline i).Stage.delay
@@ -290,17 +263,6 @@ module Ctx = struct
     | None -> invalid_arg "Engine.Ctx.stage_macros: flat context"
     | Some h -> Array.copy h.h_macros.(i)
 
-  (* Gate sizes of stage [i] changed: exactly that stage's criticality
-     mask is stale.  Replace it with an all-true (prune-nothing) mask
-     and keep the still-sound masks of the other stages. *)
-  let drop_stage_mask g i =
-    match g.prune with
-    | None -> None
-    | Some masks ->
-        let masks = Array.map Array.copy masks in
-        masks.(i) <- Array.make (Array.length masks.(i)) true;
-        Some masks
-
   let refreshed_flat_analysis g i =
     match g.hier with
     | None ->
@@ -323,13 +285,12 @@ module Ctx = struct
       Stage.make ~name:old_stage.Stage.name ~position:old_stage.Stage.position
         total
     in
-    let prune = drop_stage_mask g i in
     let revisions = Array.copy g.revisions in
     revisions.(i) <- revisions.(i) + 1;
     match g.hier with
     | None ->
         let pipeline = Pipeline.with_stage t.pipeline i (remake a.Ssta.total) in
-        finish ~gate:{ g with analyses; sizes; prune; revisions } pipeline
+        finish ~gate:{ g with analyses; sizes; revisions } pipeline
     | Some h ->
         (* Re-probe the macro table under the stage's new sizes: bands
            whose gates are untouched hit the cache, so only the blocks
@@ -368,7 +329,7 @@ module Ctx = struct
           }
         in
         finish
-          ~gate:{ g with analyses; sizes; prune; revisions; hier = Some hier }
+          ~gate:{ g with analyses; sizes; revisions; hier = Some hier }
           pipeline
 
   (* Canonical fingerprint of everything the estimators read from a
@@ -1034,7 +995,7 @@ let gate_sampler ~where ?exact ctx =
   let g = Ctx.require_gate ~where ctx in
   fun () ->
     Ssta.sampler ~output_load:g.Ctx.output_load ?exact ~pitch:g.Ctx.pitch
-      ?ff:g.Ctx.ff ?active:g.Ctx.prune g.Ctx.tech g.Ctx.nets
+      ?ff:g.Ctx.ff g.Ctx.tech g.Ctx.nets
 
 let gate_level_delays ?exact ?jobs ?(shards = default_shards)
     ?(seed = default_seed) ctx ~n =

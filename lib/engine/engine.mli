@@ -167,24 +167,6 @@ module Ctx : sig
   (** The flip-flop whose overhead each stage pays, if any.  Gate-level
       only. *)
 
-  val with_prune : t -> bool array array -> t
-  (** [with_prune ctx masks] returns a context whose gate-level
-      Monte-Carlo samplers skip gates masked [false] (one mask entry
-      per node per stage).  Masks come from the static-criticality pass
-      in [Spv_analysis]: when every dropped gate provably never sets
-      its stage delay, gate-level estimates are unchanged bit-for-bit
-      (masked trials consume the identical RNG stream and only skip
-      arithmetic).  Analytic/MVN estimators are unaffected.  Raises
-      [Invalid_argument] on mask shape mismatch, a stage whose every
-      primary output is masked, or a moments-only context. *)
-
-  val without_prune : t -> t
-  (** Drop any installed prune masks. *)
-
-  val prune_masks : t -> bool array array option
-  (** The installed prune masks (fresh copy), if any.  [None] for
-      moments-only contexts and unpruned gate-level contexts. *)
-
   val stage_delay_model : t -> int -> Spv_process.Gate_delay.t
   (** The decomposed delay model of one stage. *)
 
@@ -200,10 +182,8 @@ module Ctx : sig
       instead of the whole pipeline.  On a hierarchical context the
       stage is re-probed through the macro table, so blocks the resize
       did not touch are cache hits and only changed blocks are
-      re-characterised.  Exactly stage [i]'s prune mask is dropped
-      (replaced by an all-true mask); the other stages' masks — still
-      sound, their netlists unchanged — are kept.  Gate-level contexts
-      only; raises [Invalid_argument] out of range. *)
+      re-characterised.  Gate-level contexts only; raises
+      [Invalid_argument] out of range. *)
 
   val fingerprint : t -> string
   (** Canonical fingerprint of everything the estimators read from the

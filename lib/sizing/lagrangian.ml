@@ -10,7 +10,6 @@ type options = {
   tolerance : float;
   theta_fraction : float;
   output_load : float;
-  wire : Spv_circuit.Wire.model option;
 }
 
 let default_options =
@@ -21,7 +20,6 @@ let default_options =
     tolerance = 5e-3;
     theta_fraction = 0.05;
     output_load = 4.0;
-    wire = None;
   }
 
 type report = {
@@ -35,27 +33,8 @@ type report = {
 
 let analyse ?options ?ff tech net =
   let options = Option.value options ~default:default_options in
-  match options.wire with
-  | None ->
-      (Spv_circuit.Ssta.analyse_stage ~output_load:options.output_load ?ff tech
-         net)
-        .Spv_circuit.Ssta.total
-  | Some wire ->
-      (* Wire-aware: compose the decomposition along the wire-aware
-         critical path (wire delay carries the same relative process
-         sensitivity as the gate driving it - first order). *)
-      let sta = Sta.run ~output_load:options.output_load ~wire tech net in
-      let comb =
-        List.fold_left
-          (fun acc i ->
-            let d = sta.Sta.gate_delays.(i) in
-            Gd.add acc
-              (Gd.of_nominal tech ~nominal:d ~size:(Net.size net i)))
-          Gd.zero sta.Sta.critical_path
-      in
-      (match ff with
-      | None -> comb
-      | Some ff -> Gd.add comb (Spv_process.Flipflop.overhead ff))
+  (Spv_circuit.Ssta.analyse_stage ~output_load:options.output_load ?ff tech net)
+    .Spv_circuit.Ssta.total
 
 let statistical_delay ?options ?ff tech net ~z =
   let total = analyse ?options ?ff tech net in
@@ -99,7 +78,7 @@ let size_stage ?options ?ff tech net ~t_target ~z =
   (try
      for iter = 1 to opts.max_iterations do
        iterations := iter;
-       let sta = Sta.run ~output_load:opts.output_load ?wire:opts.wire tech net in
+       let sta = Sta.run ~output_load:opts.output_load tech net in
        let slack = slacks net sta in
        let theta = Float.max (opts.theta_fraction *. sta.Sta.delay) 1e-9 in
        let weight i =

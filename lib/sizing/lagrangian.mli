@@ -29,9 +29,6 @@ type options = {
       (** criticality temperature as a fraction of current delay
           (default 0.05) *)
   output_load : float;  (** load on primary outputs (default 4.0) *)
-  wire : Spv_circuit.Wire.model option;
-      (** RC interconnect model; [None] (default) reproduces the
-          paper's gate-only formulation *)
 }
 
 val default_options : options

@@ -1,3 +1,5 @@
+module Netlist = Spv_circuit.Netlist
+
 let input_labels net =
   Array.map
     (fun i ->

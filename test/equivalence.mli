@@ -7,11 +7,12 @@
     Random simulation is a probabilistic check, not a proof — but a
     single differing vector is a definite counterexample. *)
 
-val compatible : Netlist.t -> Netlist.t -> bool
+val compatible : Spv_circuit.Netlist.t -> Spv_circuit.Netlist.t -> bool
 (** Same input labels (as sets) and the same output count. *)
 
 val check :
-  ?vectors:int -> Netlist.t -> Netlist.t -> Spv_stats.Rng.t ->
+  ?vectors:int -> Spv_circuit.Netlist.t -> Spv_circuit.Netlist.t ->
+  Spv_stats.Rng.t ->
   (unit, bool array) result
 (** [Ok ()] if all [vectors] (default 256) random input assignments
     agree on every output; [Error v] returns the first distinguishing

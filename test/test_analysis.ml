@@ -28,7 +28,7 @@ let seed_gate_ctx () =
     (Gen.inverter_chain_pipeline ~stages:3 ~depth:8 ())
 
 (* A stage with one long chain and one trivially short side path: the
-   circuit where static pruning must fire. *)
+   circuit where the criticality proof must mark gates inactive. *)
 let imbalanced_net ~depth =
   let b = Buffer.create 256 in
   Buffer.add_string b "INPUT(a)\nINPUT(b)\n";
@@ -241,90 +241,47 @@ let test_engine_debug_hook () =
             (String.length msg > 0)
       | _ -> Alcotest.fail "violated postcondition must raise Failure")
 
-(* ---- criticality and pruning ----------------------------------------- *)
+(* ---- static criticality -------------------------------------------- *)
 
 let test_criticality_invariants () =
   let net = Gen.ripple_carry_adder ~bits:8 in
   let t = Cr.analyse tech net in
-  let nominal = (Spv_circuit.Sta.run tech net ~output_load:4.0).Spv_circuit.Sta.delay in
+  let nominal = Spv_circuit.Sta.run tech net ~output_load:4.0 in
   check_in_range "corner STAs bracket nominal" ~lo:t.Cr.lo_sta.Spv_circuit.Sta.delay
-    ~hi:t.Cr.hi_sta.Spv_circuit.Sta.delay nominal;
+    ~hi:t.Cr.hi_sta.Spv_circuit.Sta.delay nominal.Spv_circuit.Sta.delay;
   check_float "lo_delay is the lo-corner delay"
     t.Cr.lo_sta.Spv_circuit.Sta.delay t.Cr.lo_delay;
   Alcotest.(check bool) "cone non-empty" true (Cr.cone t <> []);
-  let ctx = Engine.Ctx.of_circuits tech [| net |] in
-  let mask = (Cr.masks_for_ctx ctx).(0) in
   List.iter
     (fun id ->
-      if not mask.(id) then
-        Alcotest.failf "nominal critical path node %d pruned away" id)
-    (Engine.Ctx.critical_path ctx 0)
+      if not t.Cr.active.(id) then
+        Alcotest.failf "nominal critical path node %d proven non-critical" id)
+    nominal.Spv_circuit.Sta.critical_path
 
-let test_pruning_bit_identical () =
+(* The soundness claim itself: in every world inside the k-sigma box a
+   gate proven inactive is never on the critical path. *)
+let test_criticality_sound_in_box () =
   let net = imbalanced_net ~depth:50 in
-  let ctx = Engine.Ctx.of_circuits tech [| net |] in
   let k = 3.0 in
-  let masks = Cr.masks_for_ctx ~k ctx in
-  let pruned =
-    Array.fold_left
-      (fun acc m ->
-        acc + Array.fold_left (fun a b -> if b then a else a + 1) 0 m)
-      0 masks
-  in
-  if pruned = 0 then
-    Alcotest.fail "imbalanced stage must have statically prunable gates";
-  let pctx = Engine.Ctx.with_prune ctx masks in
-  (match Engine.Ctx.prune_masks pctx with
-  | Some m -> Alcotest.(check int) "masks stored" (Array.length masks) (Array.length m)
-  | None -> Alcotest.fail "prune_masks lost");
-  let compare_streams ~exact =
-    let a = Engine.gate_level_delays ~exact ~seed:11 ctx ~n:400 in
-    let b = Engine.gate_level_delays ~exact ~seed:11 pctx ~n:400 in
-    Array.iteri
-      (fun i x ->
-        if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float b.(i)))
-        then
-          Alcotest.failf "exact=%b trial %d: pruned %h <> unpruned %h" exact i
-            b.(i) x)
-      a
-  in
-  compare_streams ~exact:false;
-  compare_streams ~exact:true;
-  let unpruned = Engine.Ctx.without_prune pctx in
-  Alcotest.(check bool) "without_prune clears" true
-    (Engine.Ctx.prune_masks unpruned = None)
-
-let test_with_prune_validation () =
-  let net = imbalanced_net ~depth:10 in
-  let ctx = Engine.Ctx.of_circuits tech [| net |] in
-  let n_nodes = Spv_circuit.Netlist.n_nodes net in
-  check_raises_invalid "stage count mismatch" (fun () ->
-      Engine.Ctx.with_prune ctx [||]);
-  check_raises_invalid "mask length mismatch" (fun () ->
-      Engine.Ctx.with_prune ctx [| Array.make (n_nodes + 1) true |]);
-  check_raises_invalid "every output masked" (fun () ->
-      Engine.Ctx.with_prune ctx [| Array.make n_nodes false |]);
-  check_raises_invalid "moments context" (fun () ->
-      Engine.Ctx.with_prune (seed_moment_ctx ()) [||])
-
-let test_refresh_stage_drops_masks () =
-  let ctx = Cr.prune_ctx (Engine.Ctx.of_circuits tech [| imbalanced_net ~depth:50 |]) in
-  match Engine.Ctx.prune_masks ctx with
-  | None ->
-      (* Default k = 6 proves nothing prunable here (the lo corner of the
-         box is vacuously small); prune_ctx still must round-trip. *)
-      Alcotest.fail "prune_ctx must store masks"
-  | Some _ ->
-      let refreshed = Engine.Ctx.refresh_stage ctx 0 in
-      (* Refresh drops exactly the refreshed stage's mask: it is
-         replaced by an all-true (prune-nothing) mask, never [None] —
-         other stages' still-sound masks must survive. *)
-      (match Engine.Ctx.prune_masks refreshed with
-      | None -> Alcotest.fail "refresh must keep per-stage masks"
-      | Some masks ->
-          Alcotest.(check int) "one mask per stage" 1 (Array.length masks);
-          Alcotest.(check bool) "refreshed stage's mask is all-true" true
-            (Array.for_all Fun.id masks.(0)))
+  let t = Cr.analyse ~k tech net in
+  if Cr.prunable_fraction t = 0.0 then
+    Alcotest.fail "imbalanced stage must have statically inactive gates";
+  let f_lo, f_hi = B.corner_factors ~k tech net in
+  let rng = Spv_stats.Rng.create ~seed:11 in
+  for trial = 1 to 400 do
+    let factors =
+      Array.mapi
+        (fun i lo -> Spv_stats.Rng.uniform rng ~lo ~hi:f_hi.(i))
+        f_lo
+    in
+    let sta = Spv_circuit.Sta.run_with_factors tech net ~factors in
+    List.iter
+      (fun id ->
+        if not t.Cr.active.(id) then
+          Alcotest.failf "trial %d: inactive gate %d on the critical path"
+            trial id)
+      sta.Spv_circuit.Sta.critical_path
+  done
 
 (* ---- structure pass -------------------------------------------------- *)
 
@@ -429,9 +386,7 @@ let suite =
     quick "single-stage yield bounds ulp" test_yield_bounds_single_stage_ulp;
     quick "engine debug hook" test_engine_debug_hook;
     quick "criticality invariants" test_criticality_invariants;
-    slow "pruned MC bit-identical" test_pruning_bit_identical;
-    quick "with_prune validation" test_with_prune_validation;
-    quick "refresh_stage drops masks" test_refresh_stage_drops_masks;
+    quick "criticality sound in box" test_criticality_sound_in_box;
     quick "reconvergence detection" test_reconvergence_detection;
     quick "tie and order scores" test_tie_and_order_scores;
     quick "analyze run composition" test_analyze_run_composition;

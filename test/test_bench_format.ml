@@ -184,9 +184,7 @@ let test_every_cell_roundtrips () =
     (Net.n_gates net);
   let back = Bf.of_string (Bf.to_string net) in
   Alcotest.(check bool) "structural roundtrip" true (Bf.roundtrip_equal net back);
-  (match
-     Spv_circuit.Equivalence.check net back (Spv_stats.Rng.create ~seed:250)
-   with
+  (match Equivalence.check net back (Spv_stats.Rng.create ~seed:250) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "functional roundtrip failed");
   (* Every cell also times. *)
@@ -200,9 +198,7 @@ let test_random_logic_roundtrips () =
         G.random_logic ~name:"r" ~inputs:8 ~gates:60 ~depth:7 ~seed
       in
       let back = Bf.of_string (Bf.to_string net) in
-      match
-        Spv_circuit.Equivalence.check net back (Spv_stats.Rng.create ~seed:251)
-      with
+      match Equivalence.check net back (Spv_stats.Rng.create ~seed:251) with
       | Ok () -> ()
       | Error _ -> Alcotest.failf "seed %d roundtrip failed" seed)
     [ 1; 2; 3 ]

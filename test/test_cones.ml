@@ -2,7 +2,6 @@ open Helpers
 module A = Spv_analysis.Affine
 module As = Spv_analysis.Affine_sta
 module Cn = Spv_analysis.Cones
-module Cr = Spv_analysis.Static_criticality
 module I = Spv_analysis.Interval
 module Engine = Spv_engine.Engine
 module Gen = Spv_circuit.Generators
@@ -459,7 +458,7 @@ let test_cone_guided_jobs_determinism () =
       Gen.random_logic ~name:"j1" ~inputs:3 ~gates:20 ~depth:5 ~seed:6;
     |]
   in
-  let ctx = Cr.prune_ctx (Engine.Ctx.of_circuits tech nets) in
+  let ctx = Engine.Ctx.of_circuits tech nets in
   let before = Engine.gate_level_delays ~exact:false ctx ~n:1_500 in
   Cn.install_engine_proposal ();
   let t_target =
@@ -478,13 +477,13 @@ let test_cone_guided_jobs_determinism () =
   Alcotest.(check bool) "ess bit-identical across jobs" true
     (a.Engine.ess = b.Engine.ess && a.Engine.proposal = b.Engine.proposal);
   (* Running the analyzer and a cone-guided estimate must not perturb
-     the pruned gate-level sampler: same seed, same bytes, any jobs. *)
+     the gate-level sampler: same seed, same bytes, any jobs. *)
   ignore (Cn.analyse ~t_target ctx);
   let after1 = Engine.gate_level_delays ~exact:false ~jobs:1 ctx ~n:1_500 in
   let after3 = Engine.gate_level_delays ~exact:false ~jobs:3 ctx ~n:1_500 in
-  Alcotest.(check bool) "pruned-MC stream unchanged after cone runs" true
+  Alcotest.(check bool) "gate-level MC stream unchanged after cone runs" true
     (before = after1);
-  Alcotest.(check bool) "pruned-MC stream independent of jobs" true
+  Alcotest.(check bool) "gate-level MC stream independent of jobs" true
     (after1 = after3)
 
 (* ---- validation -------------------------------------------------------- *)

@@ -1,5 +1,5 @@
 open Helpers
-module Eq = Spv_circuit.Equivalence
+module Eq = Equivalence
 module Net = Spv_circuit.Netlist
 module B = Spv_circuit.Builder
 module G = Spv_circuit.Generators

@@ -89,8 +89,7 @@ let test_single_macro_is_block_ssta () =
 
 (* Macros replace the closed-form stage model only; the Monte-Carlo
    samplers re-run STA on the original netlists, so gate-level draws
-   from a hierarchical context are bit-identical to the flat ones —
-   pruned or not. *)
+   from a hierarchical context are bit-identical to the flat ones. *)
 let test_hier_gate_mc_matches_flat () =
   let net = Gen.random_logic ~name:"m" ~inputs:6 ~gates:120 ~depth:10 ~seed:5 in
   let flat = Engine.Ctx.of_circuits tech [| net |] in
@@ -103,12 +102,7 @@ let test_hier_gate_mc_matches_flat () =
   let a = Engine.gate_level_delays ~seed:7 flat ~n:64 in
   let b = Engine.gate_level_delays ~seed:7 hier ~n:64 in
   Alcotest.(check int) "sample counts" (Array.length a) (Array.length b);
-  Array.iteri (fun i x -> check_bits (Printf.sprintf "draw %d" i) x b.(i)) a;
-  let pruned = Spv_analysis.Static_criticality.prune_ctx hier in
-  let c = Engine.gate_level_delays ~seed:7 pruned ~n:64 in
-  Array.iteri
-    (fun i x -> check_bits (Printf.sprintf "pruned draw %d" i) x c.(i))
-    b
+  Array.iteri (fun i x -> check_bits (Printf.sprintf "draw %d" i) x b.(i)) a
 
 (* ---- memoisation ---------------------------------------------------- *)
 
@@ -179,34 +173,6 @@ let test_refresh_block_rejects_wrong_block () =
   check_raises_invalid "naming an unchanged block is refused" (fun () ->
       ignore (Engine.Ctx.refresh_block ctx ~stage:0 ~block:1))
 
-(* ---- refresh x prune masks ------------------------------------------ *)
-
-let test_refresh_drops_exactly_stale_masks () =
-  let mk i =
-    Gen.random_logic
-      ~name:(Printf.sprintf "p%d" i)
-      ~inputs:5 ~gates:60 ~depth:8 ~seed:(20 + i)
-  in
-  let nets = [| mk 0; mk 1 |] in
-  let ctx = Engine.Ctx.of_circuits tech nets in
-  let masks =
-    Array.map (fun net -> Array.make (Netlist.n_nodes net) true) nets
-  in
-  (* mask one primary input per stage: a definite non-default mask that
-     cannot unmask an output *)
-  masks.(0).(0) <- false;
-  masks.(1).(0) <- false;
-  let ctx = Engine.Ctx.with_prune ctx masks in
-  let refreshed = Engine.Ctx.refresh_stage ctx 1 in
-  match Engine.Ctx.prune_masks refreshed with
-  | None -> Alcotest.fail "masks dropped wholesale; expected per-stage drop"
-  | Some ms ->
-      Alcotest.(check int) "one mask per stage" 2 (Array.length ms);
-      Alcotest.(check (array bool)) "untouched stage keeps its mask"
-        masks.(0) ms.(0);
-      Alcotest.(check bool) "refreshed stage mask reset to all-true" true
-        (Array.for_all Fun.id ms.(1))
-
 (* Swapping the stage order re-keys nothing: every block of both
    stages is served from the table (a stage-level hit counts one hit
    per block it reuses), and the swapped context's per-stage models
@@ -238,47 +204,6 @@ let test_swap_stage_order_hits_cache () =
   check_gd "stage 1 model follows the swap"
     (Engine.Ctx.stage_delay_model c1 1)
     (Engine.Ctx.stage_delay_model c2 0)
-
-(* A resize confined to one band of a pruned hierarchical context:
-   [refresh_block] re-characterises exactly that block and drops
-   exactly the refreshed stage's prune mask (now stale), keeping the
-   untouched stage's mask byte-for-byte. *)
-let test_refresh_block_drops_only_stale_mask () =
-  let mk i =
-    Gen.random_logic
-      ~name:(Printf.sprintf "rb%d" i)
-      ~inputs:5 ~gates:120 ~depth:10 ~seed:(40 + i)
-  in
-  let nets = [| mk 0; mk 1 |] in
-  let table = Macro.Table.create () in
-  let ctx =
-    Engine.Ctx.of_circuits ~mode:Engine.Hierarchical ~macro_table:table
-      ~block_gates:40 tech nets
-  in
-  let nb = Engine.Ctx.n_blocks ctx 1 in
-  Alcotest.(check bool) "several bands" true (nb >= 2);
-  let masks =
-    Array.map (fun net -> Array.make (Netlist.n_nodes net) true) nets
-  in
-  masks.(0).(0) <- false;
-  masks.(1).(0) <- false;
-  let ctx = Engine.Ctx.with_prune ctx masks in
-  let blocks = Macro.partition ~target_gates:40 nets.(1) in
-  let g = blocks.(1).Macro.b_gates.(0) in
-  Netlist.set_size nets.(1) g (Netlist.size nets.(1) g *. 2.0);
-  Macro.Table.reset_counters table;
-  let refreshed = Engine.Ctx.refresh_block ctx ~stage:1 ~block:1 in
-  Alcotest.(check int) "one block re-characterised" 1
-    (Macro.Table.misses table);
-  Alcotest.(check int) "other bands of the stage hit" (nb - 1)
-    (Macro.Table.hits table);
-  match Engine.Ctx.prune_masks refreshed with
-  | None -> Alcotest.fail "masks dropped wholesale; expected per-stage drop"
-  | Some ms ->
-      Alcotest.(check (array bool))
-        "untouched stage keeps its mask" masks.(0) ms.(0);
-      Alcotest.(check bool) "refreshed stage mask reset to all-true" true
-        (Array.for_all Fun.id ms.(1))
 
 (* Minimal-block edge: a single-gate stage is one band of one gate.
    The counters still behave (one miss cold, one hit warm), and
@@ -385,19 +310,14 @@ let suite =
     quick "partition covers every gate once" test_partition_covers_once;
     quick "partition deterministic" test_partition_deterministic;
     quick "single macro == Block_ssta" test_single_macro_is_block_ssta;
-    quick "hier gate-level MC == flat (and pruned)"
-      test_hier_gate_mc_matches_flat;
+    quick "hier gate-level MC == flat" test_hier_gate_mc_matches_flat;
     quick "memo misses == (block, process) pairs"
       test_memo_counts_block_process_pairs;
     quick "refresh_block re-characterises one block"
       test_refresh_block_recharacterises_one;
     quick "refresh_block rejects wrong block"
       test_refresh_block_rejects_wrong_block;
-    quick "refresh drops exactly stale masks"
-      test_refresh_drops_exactly_stale_masks;
     quick "swap-stage build is all cache hits" test_swap_stage_order_hits_cache;
-    quick "refresh_block drops only the stale mask"
-      test_refresh_block_drops_only_stale_mask;
     quick "single-gate stage: counters and refresh"
       test_single_gate_stage_counters_and_refresh;
     quick "closed forms within hier bound" test_closed_forms_within_bound;
