@@ -81,13 +81,17 @@ let k_longest_paths ?(output_load = 4.0) tech net ~k =
            distinct paths; schedule both. *)
         if is_output.(head) then
           Spv_stats.Heap.push heap ~priority:acc (Emit { rev_gates; total = acc });
-        List.iter
-          (fun f ->
-            if suffix.(f) > neg_infinity then
-              Spv_stats.Heap.push heap
-                ~priority:(acc +. suffix.(f))
-                (Extend { rev_gates; acc; head = f }))
-          (Netlist.fanouts net head)
+        (* A gate reading [head] on several pins is one consumer: its
+           entries are adjacent in the fanout list, so skip repeats. *)
+        ignore
+          (List.fold_left
+             (fun prev f ->
+               if f <> prev && suffix.(f) > neg_infinity then
+                 Spv_stats.Heap.push heap
+                   ~priority:(acc +. suffix.(f))
+                   (Extend { rev_gates; acc; head = f });
+               f)
+             (-1) (Netlist.fanouts net head))
   done;
   Array.of_list (List.rev !results)
 

@@ -131,6 +131,19 @@ let contains haystack needle =
   in
   nn = 0 || go 0
 
+let test_repeated_pin_is_one_path () =
+  (* g2 reads g1 on both pins: one consumer, so one path, not two
+     copies of the same gate sequence. *)
+  let net =
+    Spv_circuit.Bench_format.of_string ~name:"dup"
+      "INPUT(a)\nINPUT(b)\nOUTPUT(z)\ng1 = NAND(a, b)\ng2 = NAND(g1, g1)\nz = NOT(g2)\n"
+  in
+  let paths = R.k_longest_paths tech net ~k:5 in
+  Alcotest.(check int) "one path" 1 (Array.length paths);
+  Alcotest.(check int) "three gates" 3 (List.length paths.(0).R.gates);
+  Alcotest.(check bool) "render lists it once" true
+    (contains (R.render tech net) "top 1 paths")
+
 let test_render_contains_sections () =
   let net = G.c432 () in
   let text = R.render ~k:3 ~t_target:600.0 tech net in
@@ -151,4 +164,5 @@ let suite =
     quick "nominal vs statistical" test_path_nominal_matches_statistical;
     quick "path yields" test_path_yield_bounds;
     quick "render sections" test_render_contains_sections;
+    quick "repeated pin is one path" test_repeated_pin_is_one_path;
   ]
