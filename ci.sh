@@ -51,12 +51,15 @@ fi
 # yield-model choice, the message-scanning refutation test (a typed
 # exception replaced it), the gate-level prune masks, the RC wire
 # model, the clock-skew and corner extensions, the library-side
-# equivalence guard (a test helper now) and the Topo helpers only
-# tests called; no document or source may cite any of them.
+# equivalence guard (a test helper now), the Topo helpers only
+# tests called, the private load fold of Sta (the netlist owns its
+# loads), the output-load option (one constant, Netlist.output_load)
+# and the test-only Sta.path_delay (\b keeps Hold.short_path_delay);
+# no document or source may cite any of them.
 # CHANGES.md and ROADMAP.md are history and stay exempt.
 echo "==> no citations of BENCH_*.json, bench/main.exe <id>, a proposal option or a retired API"
 if grep -rEn \
-  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:|with_prune|without_prune|prune_masks|prune_ctx|masks_for_ctx|Spv_circuit\.Wire|Wire\.model|Spv_core\.Skew|Spv_process\.Corners|Spv_circuit\.Equivalence|longest_path_lengths|nodes_at_level|transitive_fanin_count|\?active:' \
+  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:|with_prune|without_prune|prune_masks|prune_ctx|masks_for_ctx|Spv_circuit\.Wire|Wire\.model|Spv_core\.Skew|Spv_process\.Corners|Spv_circuit\.Equivalence|longest_path_lengths|nodes_at_level|transitive_fanin_count|\?active:|Sta\.loads|\?output_load|~output_load|Ctx\.output_load|pe_output_load|\bpath_delay' \
   README.md DESIGN.md EXPERIMENTS.md .claude examples lib bin test; then
   echo "ci.sh: stale citation of a retired bench study, proposal option or API (above)" >&2
   exit 1

@@ -154,33 +154,43 @@ let spatial_rows ctx =
   let chol = Matrix.cholesky_psd (Spatial.correlation_matrix tech positions) in
   Array.init n (fun i -> Array.init n (fun j -> Matrix.get chol i j))
 
-(* Affine levelisation: mirrors Sta.run_with_factors — arrival(i) =
-   max(0, max over fanins) + d_i * factor_i with d_i the nominal gate
-   delay (loads over the full netlist), then the max over primary
-   outputs, plus the flip-flop overhead sampled with size 2.0. *)
-let stage_sta_form ~k ctx ~sys_row ~stage =
+(* Affine levelisation, the Affine instance of [Sta.forward]:
+   arrival(i) = max2 over fanins folded from 0 + d_i * factor_i with
+   d_i the nominal gate delay (loads over the full netlist).  Returns
+   the per-node gate forms (0 at inputs) and arrival forms. *)
+let stage_forms ~k ctx ~sys_row ~stage =
   let tech = Engine.Ctx.tech ctx in
   let net = Engine.Ctx.netlist ctx stage in
   let nominal = Engine.Ctx.nominal_sta ctx stage in
-  let n = Netlist.n_nodes net in
   let zero = Affine.const 0.0 in
-  let arrival = Array.make n zero in
-  for i = 0 to n - 1 do
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> ()
-    | Netlist.Gate { fanin; _ } ->
-        let factor =
-          stage_factor_form ~k tech ~sys_row ~stage ~node:i
-            ~size:(Netlist.size net i)
-        in
-        let gate = Affine.scale factor nominal.Sta.gate_delays.(i) in
-        let latest =
-          Array.fold_left
-            (fun acc f -> Affine.max2 ~k acc arrival.(f))
-            zero fanin
-        in
-        arrival.(i) <- Affine.add latest gate
-  done;
+  let gate_form = Array.make (Netlist.n_nodes net) zero in
+  let arrival =
+    Sta.forward
+      (module struct
+        type t = Affine.t
+
+        let input _ = zero
+        let start a = Affine.max2 ~k zero a
+        let join a b = Affine.max2 ~k a b
+
+        let gate i latest =
+          let factor =
+            stage_factor_form ~k tech ~sys_row ~stage ~node:i
+              ~size:(Netlist.size net i)
+          in
+          gate_form.(i) <- Affine.scale factor nominal.Sta.gate_delays.(i);
+          Affine.add latest gate_form.(i)
+      end)
+      net
+  in
+  (gate_form, arrival)
+
+(* The stage form: the max over primary outputs of [stage_forms]'
+   arrivals, plus the flip-flop overhead sampled with size 2.0. *)
+let stage_sta_form ~k ctx ~sys_row ~stage =
+  let tech = Engine.Ctx.tech ctx in
+  let net = Engine.Ctx.netlist ctx stage in
+  let _, arrival = stage_forms ~k ctx ~sys_row ~stage in
   let comb =
     Affine.max_many ~k
       (Array.map (fun o -> arrival.(o)) (Netlist.outputs net))

@@ -79,9 +79,7 @@ let hier_findings ?t_target ctx =
           let n = Engine.Ctx.n_stages ctx in
           let nets = Array.init n (Engine.Ctx.netlist ctx) in
           Engine.Ctx.of_circuits ~mode:Engine.Hierarchical
-            ~output_load:(Engine.Ctx.output_load ctx)
-            ~pitch:(Engine.Ctx.pitch ctx)
-            ?ff:(Engine.Ctx.flipflop ctx)
+            ~pitch:(Engine.Ctx.pitch ctx) ?ff:(Engine.Ctx.flipflop ctx)
             (Engine.Ctx.tech ctx) nets
     in
     let flat =
@@ -155,9 +153,8 @@ let run ?k ?t_target ?(hier = false) ctx =
     else
       Some
         (Array.init n (fun i ->
-             Static_criticality.analyse ?k
-               ~output_load:(Engine.Ctx.output_load ctx)
-               (Engine.Ctx.tech ctx) (Engine.Ctx.netlist ctx i)))
+             Static_criticality.analyse ?k (Engine.Ctx.tech ctx)
+               (Engine.Ctx.netlist ctx i)))
   in
   let crit_findings =
     match criticality with

@@ -77,11 +77,11 @@ let corner_factors ~k tech net =
     (Netlist.gate_ids net);
   (f_lo, f_hi)
 
-let corner_sta ~k tech ~output_load net =
+let corner_sta ~k tech net =
   let f_lo, f_hi = corner_factors ~k tech net in
-  let lo = (Sta.run_with_factors ~output_load tech net ~factors:f_lo).Sta.delay
+  let lo = (Sta.run_with_factors tech net ~factors:f_lo).Sta.delay
   and hi =
-    (Sta.run_with_factors ~output_load tech net ~factors:f_hi).Sta.delay
+    (Sta.run_with_factors tech net ~factors:f_hi).Sta.delay
   in
   Interval.make ~lo ~hi
 
@@ -118,11 +118,7 @@ let of_ctx ?(k = 6.0) ctx =
           if not gate then None
           else
             let tech = Engine.Ctx.tech ctx in
-            let comb =
-              corner_sta ~k tech
-                ~output_load:(Engine.Ctx.output_load ctx)
-                (Engine.Ctx.netlist ctx i)
-            in
+            let comb = corner_sta ~k tech (Engine.Ctx.netlist ctx i) in
             Some
               (Interval.add comb (ff_interval ~k tech (Engine.Ctx.flipflop ctx)))
         in

@@ -123,11 +123,9 @@ let stage_criticalities mvn ~model_forms ~t_target =
 
 (* ---- gate-level criticality (one stage) ------------------------------ *)
 
-(* Mirrors Affine_sta.stage_sta_form but keeps the whole DAG of forms:
-   forward arrival forms, backward continuation ("down") forms, and
-   the exact affine sums along the best *nominal* path through each
-   gate.  Nodes are in topological order by construction of
-   [Netlist.make]. *)
+(* Keeps the whole DAG of forms of Affine_sta.stage_forms: forward
+   arrival forms, backward continuation ("down") forms, and the exact
+   affine sums along the best *nominal* path through each gate. *)
 type stage_gates = {
   sg_bounds : Interval.t array;  (** per node; [0,0] for inputs and
                                      gates reaching no output *)
@@ -140,82 +138,85 @@ type stage_gates = {
    back to the (usually vacuous) chord-max bound. *)
 let path_cap = 1024
 
+(* Backward state of node [node]: the chord-max continuation [form]
+   over its [cands] (one per output-reaching consumer, plus 0 at an
+   output) and the exact sum along its best nominal continuation. *)
+type continuation = {
+  node : int;
+  cands : Affine.t list;
+  path : Affine.t option;
+  form : Affine.t;
+}
+
 let gate_criticalities ~k ctx ~sys_row ~stage =
   let tech = Engine.Ctx.tech ctx in
   let net = Engine.Ctx.netlist ctx stage in
   let nominal = Engine.Ctx.nominal_sta ctx stage in
   let n = Netlist.n_nodes net in
   let zero = Affine.const 0.0 in
-  let gate_form = Array.make n zero in
-  let arrival = Array.make n zero in
-  (* Exact affine sum along the best nominal input-to-node path. *)
-  let up_path = Array.make n zero in
-  for i = 0 to n - 1 do
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> ()
-    | Netlist.Gate { fanin; _ } ->
-        let factor =
-          Affine_sta.stage_factor_form ~k tech ~sys_row ~stage ~node:i
-            ~size:(Netlist.size net i)
-        in
-        gate_form.(i) <- Affine.scale factor nominal.Sta.gate_delays.(i);
-        let latest =
-          Array.fold_left
-            (fun acc f -> Affine.max2 ~k acc arrival.(f))
-            zero fanin
-        in
-        arrival.(i) <- Affine.add latest gate_form.(i);
-        let best_pred =
-          Array.fold_left
-            (fun acc f ->
-              match acc with
-              | None -> Some f
-              | Some b ->
-                  if nominal.Sta.arrival.(f) > nominal.Sta.arrival.(b) then
-                    Some f
-                  else acc)
-            None fanin
-        in
-        let base =
-          match best_pred with
-          | Some p when nominal.Sta.arrival.(p) > 0.0 -> up_path.(p)
-          | _ -> zero
-        in
-        up_path.(i) <- Affine.add base gate_form.(i)
-  done;
+  let gate_form, arrival = Affine_sta.stage_forms ~k ctx ~sys_row ~stage in
+  (* Exact affine sum along the best nominal input-to-node path: each
+     gate extends the path of its latest-arriving fanin (first wins),
+     or starts afresh behind a primary input. *)
+  let up_path =
+    Array.map snd
+    @@ Sta.forward
+      (module struct
+        type t = int * Affine.t
+
+        let input i = (i, zero)
+        let start best = best
+
+        let join ((b, _) as best) ((f, _) as cand) =
+          if nominal.Sta.arrival.(f) > nominal.Sta.arrival.(b) then cand
+          else best
+
+        let gate i (p, path) =
+          let base = if nominal.Sta.arrival.(p) > 0.0 then path else zero in
+          (i, Affine.add base gate_form.(i))
+      end)
+      net
+  in
   let outputs = Netlist.outputs net in
-  let is_output = Array.make n false in
-  Array.iter (fun o -> is_output.(o) <- true) outputs;
   let d_form = Affine.max_many ~k (Array.map (fun o -> arrival.(o)) outputs) in
-  (* Backward: chord-max continuation forms, nominal best continuation
-     (exact affine sum) and output reachability. *)
-  let reaches = Array.make n false in
-  let down = Array.make n zero in
-  let down_nom = Array.make n neg_infinity in
-  let down_path = Array.make n zero in
-  for i = n - 1 downto 0 do
-    let cands = ref (if is_output.(i) then [ zero ] else []) in
-    if is_output.(i) then begin
-      reaches.(i) <- true;
-      down_nom.(i) <- 0.0;
-      down_path.(i) <- zero
-    end;
-    List.iter
-      (fun g ->
-        if Netlist.is_gate net g && reaches.(g) then begin
-          cands := Affine.add gate_form.(g) down.(g) :: !cands;
-          reaches.(i) <- true;
-          let via = nominal.Sta.gate_delays.(g) +. down_nom.(g) in
-          if via > down_nom.(i) then begin
-            down_nom.(i) <- via;
-            down_path.(i) <- Affine.add gate_form.(g) down_path.(g)
-          end
-        end)
-      (Netlist.fanouts net i);
-    match !cands with
-    | [] -> ()
-    | cs -> down.(i) <- Affine.max_many ~k (Array.of_list cs)
-  done;
+  (* Backward: the longest nominal continuation and output
+     reachability, then the chord-max continuation forms and the exact
+     affine sum along the nominal best continuation — the first
+     consumer, in fanout order, that attains [down_nom]. *)
+  let down_nom = Sta.down net nominal.Sta.gate_delays in
+  let reaches = Array.map (fun d -> d > neg_infinity) down_nom in
+  let cont =
+    Sta.backward
+      (module struct
+        type t = continuation
+
+        let seed i =
+          let out = Netlist.is_output net i in
+          { node = i; cands = (if out then [ zero ] else []); path = None;
+            form = zero }
+
+        let join acc g v =
+          if not reaches.(g) then acc
+          else
+            let via = nominal.Sta.gate_delays.(g) +. down_nom.(g) in
+            let path =
+              match acc.path with
+              | None when via = down_nom.(acc.node) ->
+                  Some
+                    (Affine.add gate_form.(g) (Option.value v.path ~default:zero))
+              | p -> p
+            in
+            { acc with cands = Affine.add gate_form.(g) v.form :: acc.cands; path }
+
+        let finish _ acc =
+          match acc.cands with
+          | [] -> acc
+          | cs -> { acc with form = Affine.max_many ~k (Array.of_list cs) }
+      end)
+      net
+  in
+  let down i = cont.(i).form in
+  let down_path i = Option.value cont.(i).path ~default:zero in
   (* Exact affine form of the nominal critical path — the upper
      bound's reference: every critical gate's through-value reaches at
      least this path's length. *)
@@ -225,27 +226,28 @@ let gate_criticalities ~k ctx ~sys_row ~stage =
       zero nominal.Sta.critical_path
   in
   let escape = Affine.escape_probability ~k d_form in
-  let static = Static_criticality.analyse ~k ~output_load:(Engine.Ctx.output_load ctx) tech net in
+  let static = Static_criticality.analyse ~k tech net in
   (* Path enumeration for the union-bound lower (see the module note):
      a full path starts at a gate with no gate fanin and ends at an
      output gate.  Positive gate delays mean the stage max is always
      attained on a full path, so the enumeration covers the max
      exactly.  Counts saturate at [path_cap + 1]. *)
   let paths =
-    let count = Array.make n 0 in
     let sat a b = if a + b > path_cap + 1 then path_cap + 1 else a + b in
-    for i = 0 to n - 1 do
-      match Netlist.node net i with
-      | Netlist.Primary_input _ -> ()
-      | Netlist.Gate { fanin; _ } ->
-          let c =
-            Array.fold_left
-              (fun acc f ->
-                if Netlist.is_gate net f then sat acc count.(f) else acc)
-              0 fanin
-          in
-          count.(i) <- (if c = 0 then 1 else c)
-    done;
+    (* Paths into each node: inputs count 0, a gate behind inputs only
+       starts one. *)
+    let count =
+      Sta.forward
+        (module struct
+          type t = int
+
+          let input _ = 0
+          let start c = sat 0 c
+          let join = sat
+          let gate _ c = if c = 0 then 1 else c
+        end)
+        net
+    in
     let total =
       Array.fold_left
         (fun acc o -> if Netlist.is_gate net o then sat acc count.(o) else acc)
@@ -296,8 +298,8 @@ let gate_criticalities ~k ctx ~sys_row ~stage =
         if (not (Netlist.is_gate net i)) || not reaches.(i) then
           Interval.point 0.0
         else begin
-          let through = Affine.add arrival.(i) down.(i) in
-          let path = Affine.add up_path.(i) down_path.(i) in
+          let through = Affine.add arrival.(i) (down i) in
+          let path = Affine.add up_path.(i) (down_path i) in
           let lower =
             match paths with
             | Some qs when static.Static_criticality.active.(i) ->
@@ -349,7 +351,7 @@ let cone_gates net ~reaches ~stem =
     if not seen.(i) then begin
       seen.(i) <- true;
       if Netlist.is_gate net i && reaches.(i) then acc := i :: !acc;
-      List.iter go (Netlist.fanouts net i)
+      Netlist.iter_fanouts net i go
     end
   in
   go stem;

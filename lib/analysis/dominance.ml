@@ -13,8 +13,7 @@ let fp_margin = 1e-5
    when decertified (undecided critical path) or the pass aborts. *)
 let move_cert (env : Hook.prune_env) (mv : Hook.move) =
   match
-    Sensitivity.stage ~output_load:env.Hook.pe_output_load ?ff:env.Hook.pe_ff
-      env.Hook.pe_tech env.Hook.pe_net
+    Sensitivity.stage ?ff:env.Hook.pe_ff env.Hook.pe_tech env.Hook.pe_net
       ~param:(Sensitivity.Size mv.Hook.mv_node)
       ~box:(I.make ~lo:mv.Hook.mv_from ~hi:mv.Hook.mv_to)
   with
@@ -127,10 +126,7 @@ let analyse ?(k = 4) ?t_target ctx =
       List.concat
         (List.init n (fun i ->
              let net = Engine.Ctx.netlist ctx i in
-             let sta =
-               Sta.run ~output_load:(Engine.Ctx.output_load ctx)
-                 (Engine.Ctx.tech ctx) net
-             in
+             let sta = Sta.run (Engine.Ctx.tech ctx) net in
              let knobs =
                take k
                  (List.filter (fun g -> Net.is_gate net g)

@@ -5,7 +5,7 @@
    scalar knob, for every design in the declared box.  The propagation
    below mirrors the concrete timing stack operation by operation —
    the same float expressions, in the same association order, as
-   [Sta.run_internal], [Ssta.analyse_stage], [Gd.of_nominal]/[Gd.add],
+   [Sta.run], [Ssta.analyse_stage], [Gd.of_nominal]/[Gd.add],
    [Clark.max_n] and the engine's [cdf0]/[sf0] — so that on a point
    box the value side reproduces the concrete floats bit for bit.
    That bit-exactness is what lets the dominance layer prune sizer
@@ -223,63 +223,56 @@ type stage_duals = {
   sd_amb : bool;  (* critical path not decided over the box *)
 }
 
-let propagate ?(output_load = 4.0) ?ff (tech : Tech.t) net ~size_of ~factor_of
-    =
-  let n = Net.n_nodes net in
-  (* Loads, mirroring [Sta.loads]: fanout input caps plus the
-     primary-output load. *)
-  let is_output = Array.make n false in
-  Array.iter (fun o -> is_output.(o) <- true) (Net.outputs net);
-  let loads = Array.make n (Dual.const 0.0) in
-  for i = 0 to n - 1 do
-    let fanout_cap =
-      List.fold_left
-        (fun cap j ->
-          match Net.node net j with
-          | Net.Gate { kind; _ } ->
-              Dual.add cap (Dual.scale (size_of j) (Cell.logical_effort kind))
-          | Net.Primary_input _ -> cap)
-        (Dual.const 0.0) (Net.fanouts net i)
-    in
-    loads.(i) <-
-      Dual.shift fanout_cap (if is_output.(i) then output_load else 0.0)
-  done;
+let propagate ?ff (tech : Tech.t) net ~size_of ~factor_of =
+  (* The netlist's load formula over duals: fanout input caps, then
+     the primary-output load. *)
+  let loads =
+    Array.init (Net.n_nodes net) (fun i ->
+        Net.fold_load net i (Dual.const 0.0) ~po:Dual.shift ~cap:(fun cap j ->
+            match Net.node net j with
+            | Net.Gate { kind; _ } ->
+                Dual.add cap (Dual.scale (size_of j) (Cell.logical_effort kind))
+            | Net.Primary_input _ -> cap))
+  in
   let rel_i = Variation.rel_sigma_inter tech in
   let rel_s = Variation.rel_sigma_sys tech in
   let rand_c = Tech.delay_sensitivity_vth tech *. tech.Tech.sigma_vth_rand in
-  let accs = Array.make n (pi_acc (-2)) in
-  for i = 0 to n - 1 do
-    match Net.node net i with
-    | Net.Primary_input _ -> accs.(i) <- pi_acc i
-    | Net.Gate { kind; fanin } ->
-        let best =
-          if Array.length fanin = 0 then pi_acc (-3)
-          else begin
-            let b = ref accs.(fanin.(0)) in
-            for k = 1 to Array.length fanin - 1 do
-              b := join !b accs.(fanin.(k))
-            done;
-            !b
-          end
-        in
-        let size = size_of i in
-        let gd =
-          Dual.scale
-            (Dual.shift (Dual.div loads.(i) size) (Cell.parasitic kind))
-            tech.Tech.tau
-        in
-        let gd =
-          match factor_of i with None -> gd | Some f -> Dual.mul gd f
-        in
-        let arr = Dual.add best.arr gd in
-        let psi = Dual.add best.psi (Dual.scale gd rel_i) in
-        let pss = Dual.add best.pss (Dual.scale gd rel_s) in
-        let srg = Dual.mul gd (Dual.div (Dual.const rand_c) (Dual.sqrt_ size)) in
-        let psr =
-          Dual.sqrt_ (Dual.add (Dual.mul best.psr best.psr) (Dual.mul srg srg))
-        in
-        accs.(i) <- { nid = i; arr; psi; pss; psr; amb = best.amb }
-  done;
+  let accs =
+    Spv_circuit.Sta.forward
+      (module struct
+        type t = acc
+
+        let input i = pi_acc i
+        let start best = best
+        let join = join
+
+        let gate i best =
+          match Net.node net i with
+          | Net.Primary_input _ -> assert false
+          | Net.Gate { kind; _ } ->
+              let size = size_of i in
+              let gd =
+                Dual.scale
+                  (Dual.shift (Dual.div loads.(i) size) (Cell.parasitic kind))
+                  tech.Tech.tau
+              in
+              let gd =
+                match factor_of i with None -> gd | Some f -> Dual.mul gd f
+              in
+              let arr = Dual.add best.arr gd in
+              let psi = Dual.add best.psi (Dual.scale gd rel_i) in
+              let pss = Dual.add best.pss (Dual.scale gd rel_s) in
+              let srg =
+                Dual.mul gd (Dual.div (Dual.const rand_c) (Dual.sqrt_ size))
+              in
+              let psr =
+                Dual.sqrt_
+                  (Dual.add (Dual.mul best.psr best.psr) (Dual.mul srg srg))
+              in
+              { nid = i; arr; psi; pss; psr; amb = best.amb }
+      end)
+      net
+  in
   let outs = Net.outputs net in
   let b = ref accs.(outs.(0)) in
   Array.iter (fun o -> b := join !b accs.(o)) outs;
@@ -350,10 +343,10 @@ let sens_of_duals ~param ~box sd =
     s_sigma = enclose ~certified:(not sd.sd_amb) sd.sd_sigma;
   }
 
-let stage ?(output_load = 4.0) ?ff tech net ~param ~box =
+let stage ?ff tech net ~param ~box =
   check_param net ~param ~box ~where:"Sensitivity.stage";
   let size_of, factor_of = knob_funs net ~param ~box in
-  match propagate ~output_load ?ff tech net ~size_of ~factor_of with
+  match propagate ?ff tech net ~size_of ~factor_of with
   | sd -> sens_of_duals ~param ~box sd
   | exception Dual.Unbounded _ ->
       {
@@ -417,7 +410,7 @@ let ctx_stage_duals ?cache ctx ~stage:st ~param ~box ~where =
   let compute () =
     let size_of, factor_of = knob_funs net ~param ~box in
     match
-      propagate ~output_load:(Ctx.output_load ctx) ?ff:(Ctx.flipflop ctx)
+      propagate ?ff:(Ctx.flipflop ctx)
         (Ctx.tech ctx) net ~size_of ~factor_of
     with
     | sd -> Some sd
@@ -739,7 +732,7 @@ let yield_upper_bound_over_box ctx ~model ~stage:s ~lo ~hi ~t_target =
   let box = I.make ~lo ~hi in
   let size_of _ = Dual.make ~v:box ~d:(I.point 0.0) in
   match
-    propagate ~output_load:(Ctx.output_load ctx) ?ff:(Ctx.flipflop ctx)
+    propagate ?ff:(Ctx.flipflop ctx)
       (Ctx.tech ctx) net ~size_of ~factor_of:(fun _ -> None)
   with
   | exception Dual.Unbounded _ -> None

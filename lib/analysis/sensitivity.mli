@@ -101,14 +101,14 @@ type stage_sens = {
 }
 
 val stage :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
   Spv_circuit.Netlist.t -> param:param -> box:Interval.t -> stage_sens
-(** Stage-level pass: one forward sweep of the netlist in interval
-    duals.  [box] must contain the knob's current value (the gate's
-    size for [Size], 1.0 for [Factor]); every other gate is held at
-    its current size.  [output_load] defaults to 4.0, matching
-    {!Spv_circuit.Sta.run}.  Raises [Invalid_argument] when the node
-    is not a gate or the box misses the current value. *)
+(** Stage-level pass: one {!Spv_circuit.Sta.forward} sweep of the
+    netlist in interval duals, each gate folding its fanins from the
+    first one.  [box] must contain the knob's current value (the
+    gate's size for [Size], 1.0 for [Factor]); every other gate is
+    held at its current size.  Raises [Invalid_argument] when the
+    node is not a gate or the box misses the current value. *)
 
 val stat : z:float -> stage_sens -> enclosure
 (** [mu + z sigma] — the sizing layer's statistical-delay objective;

@@ -13,24 +13,14 @@ type t = {
   n_active_gates : int;
 }
 
-let analyse ?(k = 6.0) ?(output_load = 4.0) tech net =
+let analyse ?(k = 6.0) tech net =
   let n = Netlist.n_nodes net in
   let levels = Topo.levels net in
   let f_lo, f_hi = Bounds.corner_factors ~k tech net in
-  let lo_sta = Sta.run_with_factors ~output_load tech net ~factors:f_lo in
-  let hi_sta = Sta.run_with_factors ~output_load tech net ~factors:f_hi in
-  (* Backward pass over the hi corner: longest remaining gate-path to
-     any primary output.  neg_infinity marks nodes that reach none. *)
-  let down = Array.make n neg_infinity in
-  Array.iter (fun o -> down.(o) <- 0.0) (Netlist.outputs net);
-  for i = n - 1 downto 0 do
-    List.iter
-      (fun g ->
-        if Netlist.is_gate net g then
-          let via = hi_sta.Sta.gate_delays.(g) +. down.(g) in
-          if via > down.(i) then down.(i) <- via)
-      (Netlist.fanouts net i)
-  done;
+  let lo_sta = Sta.run_with_factors tech net ~factors:f_lo in
+  let hi_sta = Sta.run_with_factors tech net ~factors:f_hi in
+  (* Longest remaining hi-corner gate-path to any primary output. *)
+  let down = Sta.down net hi_sta.Sta.gate_delays in
   let through_hi =
     Array.init n (fun i -> hi_sta.Sta.arrival.(i) +. down.(i))
   in

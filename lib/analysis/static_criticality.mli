@@ -33,12 +33,11 @@ type t = {
   n_active_gates : int;
 }
 
-val analyse :
-  ?k:float -> ?output_load:float -> Spv_process.Tech.t ->
-  Spv_circuit.Netlist.t -> t
+val analyse : ?k:float -> Spv_process.Tech.t -> Spv_circuit.Netlist.t -> t
 (** Levelise, run the two corner STAs, extract the possibly-critical
-    cone.  [k] defaults to 6.0, [output_load] to 4.0 (the engine's
-    default).  Raises [Invalid_argument] on invalid [k]. *)
+    cone ({!Spv_circuit.Sta.down} over the hi corner gives the
+    remaining path).  [k] defaults to 6.0.  Raises [Invalid_argument]
+    on invalid [k]. *)
 
 val cone : t -> int list
 (** Ids of the possibly-critical gates, ascending. *)

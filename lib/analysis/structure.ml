@@ -31,20 +31,14 @@ let stem_of net s =
           if c > !max_paths then max_paths := c
         end
   done;
-  let branches =
-    List.length
-      (List.filter (fun j -> Netlist.is_gate net j) (Netlist.fanouts net s))
-  in
+  let branches = Netlist.n_fanouts net s in
   { stem = s; branches; reconvergence_count = !reconv; max_paths = !max_paths }
 
 let stems net =
   let n = Netlist.n_nodes net in
   let acc = ref [] in
   for s = n - 1 downto 0 do
-    let gate_fanouts =
-      List.filter (fun j -> Netlist.is_gate net j) (Netlist.fanouts net s)
-    in
-    if List.length gate_fanouts >= 2 then begin
+    if Netlist.n_fanouts net s >= 2 then begin
       let st = stem_of net s in
       if st.reconvergence_count > 0 then acc := st :: !acc
     end

@@ -6,44 +6,48 @@ type result = {
   criticality : float array;
 }
 
-let run ?(output_load = 4.0) tech net =
+let run tech net =
   let n = Netlist.n_nodes net in
-  let loads = Sta.loads net ~output_load in
-  let arrivals = Array.make n Canonical.zero in
-  (* Forward propagation: arrival = max over fanin arrivals + own
-     delay.  Tightness of each max is recorded for the backward
-     criticality pass. *)
-  let fanin_tightness : (int, (int * float) list) Hashtbl.t = Hashtbl.create n in
-  for i = 0 to n - 1 do
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> arrivals.(i) <- Canonical.zero
-    | Netlist.Gate { kind; fanin } ->
-        let nominal =
-          tech.Spv_process.Tech.tau
-          *. (Cell.parasitic kind +. (loads.(i) /. Netlist.size net i))
-        in
-        let own =
-          Canonical.of_gate_delay
-            (Gd.of_nominal tech ~nominal ~size:(Netlist.size net i))
-        in
-        (* Fold fanins with Clark max, tracking per-fanin dominance. *)
-        let weights = Array.make (Array.length fanin) 0.0 in
-        let acc = ref arrivals.(fanin.(0)) in
-        weights.(0) <- 1.0;
-        for k = 1 to Array.length fanin - 1 do
-          let b = arrivals.(fanin.(k)) in
-          let t = Canonical.tightness !acc b in
-          (* Previous contributors share t; the newcomer gets 1-t. *)
-          for k' = 0 to k - 1 do
-            weights.(k') <- weights.(k') *. t
+  (* Tightness weight of every fanin edge, in CSR order: the share of
+     its gate's max the fanin won.  [forward] visits the edges once, in
+     that order, so a running cursor is the edge index. *)
+  let weights = Array.make (Array.length (Netlist.fanin_ids net)) 0.0 in
+  let edge = ref 0 and first = ref 0 in
+  (* Forward propagation: arrival = Clark max over fanin arrivals +
+     own delay.  Previous contributors of a max share its tightness t;
+     the newcomer gets 1 - t. *)
+  let arrivals =
+    Sta.forward
+      (module struct
+        type t = Canonical.t
+
+        let input _ = Canonical.zero
+
+        let start a =
+          first := !edge;
+          weights.(!edge) <- 1.0;
+          incr edge;
+          a
+
+        let join acc b =
+          let t = Canonical.tightness acc b in
+          for e = !first to !edge - 1 do
+            weights.(e) <- weights.(e) *. t
           done;
-          weights.(k) <- 1.0 -. t;
-          acc := Canonical.max !acc b
-        done;
-        Hashtbl.replace fanin_tightness i
-          (Array.to_list (Array.mapi (fun k f -> (f, weights.(k))) fanin));
-        arrivals.(i) <- Canonical.add !acc own
-  done;
+          weights.(!edge) <- 1.0 -. t;
+          incr edge;
+          Canonical.max acc b
+
+        let gate i latest =
+          let own =
+            Canonical.of_gate_delay
+              (Gd.of_nominal tech ~nominal:(Sta.gate_delay tech net i)
+                 ~size:(Netlist.size net i))
+          in
+          Canonical.add latest own
+      end)
+      net
+  in
   (* Max over primary outputs, with the same dominance bookkeeping. *)
   let outputs = Netlist.outputs net in
   let out_weights = Array.make (Array.length outputs) 0.0 in
@@ -62,25 +66,24 @@ let run ?(output_load = 4.0) tech net =
      fanins with the recorded tightness weights. *)
   let criticality = Array.make n 0.0 in
   Array.iteri (fun k o -> criticality.(o) <- criticality.(o) +. out_weights.(k)) outputs;
+  let fanin_start = Netlist.fanin_start net and fanin_ids = Netlist.fanin_ids net in
   for i = n - 1 downto 0 do
     if criticality.(i) > 0.0 then
-      match Hashtbl.find_opt fanin_tightness i with
-      | None -> ()
-      | Some contributions ->
-          List.iter
-            (fun (f, w) -> criticality.(f) <- criticality.(f) +. (criticality.(i) *. w))
-            contributions
+      for e = fanin_start.(i) to fanin_start.(i + 1) - 1 do
+        let f = fanin_ids.(e) in
+        criticality.(f) <- criticality.(f) +. (criticality.(i) *. weights.(e))
+      done
   done;
   { arrivals; output = !output; criticality }
 
-let stage_delay ?output_load ?ff tech net =
-  let r = run ?output_load tech net in
+let stage_delay ?ff tech net =
+  let r = run tech net in
   let comb = Canonical.to_gate_delay r.output in
   match ff with
   | None -> comb
   | Some ff -> Gd.add comb (Spv_process.Flipflop.overhead ff)
 
-let compare_with_path_based ?output_load ?ff tech net =
-  let path = Ssta.stage_gaussian ?output_load ?ff tech net in
-  let block = Gd.to_gaussian (stage_delay ?output_load ?ff tech net) in
+let compare_with_path_based ?ff tech net =
+  let path = Ssta.stage_gaussian ?ff tech net in
+  let block = Gd.to_gaussian (stage_delay ?ff tech net) in
   (path, block)

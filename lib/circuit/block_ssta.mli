@@ -22,18 +22,19 @@ type result = {
           diagnostics and sizing weights. *)
 }
 
-val run :
-  ?output_load:float -> Spv_process.Tech.t -> Netlist.t -> result
-(** Block SSTA of the combinational netlist under its current sizes. *)
+val run : Spv_process.Tech.t -> Netlist.t -> result
+(** Block SSTA of the combinational netlist under its current sizes:
+    {!Sta.forward} over canonical forms, each gate folding its fanins
+    with the Clark max from the first fanin in pin order. *)
 
 val stage_delay :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
   Netlist.t -> Spv_process.Gate_delay.t
 (** Stage delay (combinational output max + optional flip-flop
     overhead) as a decomposed delay, ready for {!Spv_core.Stage}. *)
 
 val compare_with_path_based :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
   Netlist.t -> Spv_stats.Gaussian.t * Spv_stats.Gaussian.t
 (** (path-based, block-based) stage Gaussians for the same netlist —
     the accuracy-ablation helper. *)

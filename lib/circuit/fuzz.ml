@@ -81,8 +81,7 @@ let promote_dangling net =
   let extra = ref [] in
   Array.iter
     (fun id ->
-      if Netlist.fanouts net id = []
-         && not (Array.exists (fun o -> o = id) (Netlist.outputs net))
+      if Netlist.n_fanouts net id = 0 && not (Netlist.is_output net id)
       then extra := id :: !extra)
     (Netlist.gate_ids net);
   if !extra = [] then net

@@ -219,8 +219,8 @@ let partition ?target_gates net =
 
 (* ---- characterisation and composition -------------------------------- *)
 
-let characterise ?(output_load = 4.0) tech net =
-  let r = Block_ssta.run ~output_load tech net in
+let characterise tech net =
+  let r = Block_ssta.run tech net in
   {
     label = Netlist.name net;
     n_gates = Netlist.n_gates net;
@@ -305,7 +305,7 @@ module Table = struct
     t.hits <- 0;
     t.misses <- 0
 
-  let fingerprint ?(output_load = 4.0) ?ff tech =
+  let fingerprint ?ff tech =
     let b = Buffer.create 256 in
     let f x = Buffer.add_string b (Printf.sprintf "%.17g;" x) in
     let t = tech in
@@ -322,7 +322,6 @@ module Table = struct
     f t.Spv_process.Tech.sigma_leff_rel_sys;
     f t.Spv_process.Tech.vth_leff_coupling;
     f t.Spv_process.Tech.corr_length;
-    f output_load;
     (match ff with
     | None -> Buffer.add_string b "noff"
     | Some ff ->
@@ -347,7 +346,7 @@ module Table = struct
     in
     combine sh (sizes_hash net)
 
-  let block_macro t ~fp ~output_load tech block =
+  let block_macro t ~fp tech block =
     let key = (hash block.b_net, fp) in
     match Hashtbl.find_opt t.blocks_tbl key with
     | Some m ->
@@ -355,7 +354,7 @@ module Table = struct
         m
     | None ->
         t.misses <- t.misses + 1;
-        let m = characterise ~output_load tech block.b_net in
+        let m = characterise tech block.b_net in
         Hashtbl.replace t.blocks_tbl key m;
         m
 
@@ -395,7 +394,7 @@ module Table = struct
       members;
     !h
 
-  let banded_block t ~fp ~struct_h ~target_gates ~output_load tech net pl b =
+  let banded_block t ~fp ~struct_h ~target_gates tech net pl b =
     let key =
       (band_key ~struct_h ~target_gates ~index:b net pl.pl_members.(b), fp)
     in
@@ -406,12 +405,12 @@ module Table = struct
     | None ->
         t.misses <- t.misses + 1;
         let block = materialise_band net pl b in
-        let m = characterise ~output_load tech block.b_net in
+        let m = characterise tech block.b_net in
         Hashtbl.replace t.bands_tbl key (block, m);
         (block, m)
 
-  let stage t ~fp ?stage_key ?(target_gates = default_block_gates)
-      ~output_load tech net =
+  let stage t ~fp ?stage_key ?(target_gates = default_block_gates) tech net
+      =
     let k_hash =
       match stage_key with Some k -> k | None -> stage_hash t net
     in
@@ -425,8 +424,7 @@ module Table = struct
         let pl = plan_for t ~target_gates net in
         let pairs =
           Array.init pl.pl_n_bands
-            (banded_block t ~fp ~struct_h ~target_gates ~output_load tech net
-               pl)
+            (banded_block t ~fp ~struct_h ~target_gates tech net pl)
         in
         let se_blocks = Array.map fst pairs in
         let se_macros = Array.map snd pairs in
@@ -434,7 +432,7 @@ module Table = struct
         Hashtbl.replace t.stages_tbl key e;
         e
 
-  let flat_analysis t ~fp ?stage_key ~output_load ?ff tech net =
+  let flat_analysis t ~fp ?stage_key ?ff tech net =
     let k_hash =
       match stage_key with Some k -> k | None -> stage_hash t net
     in
@@ -442,7 +440,7 @@ module Table = struct
     match Hashtbl.find_opt t.flat_tbl key with
     | Some a -> a
     | None ->
-        let a = Ssta.analyse_stage ~output_load ?ff tech net in
+        let a = Ssta.analyse_stage ?ff tech net in
         Hashtbl.replace t.flat_tbl key a;
         a
 end

@@ -18,8 +18,8 @@
     {b Characterisation.}  [characterise] runs {!Block_ssta} over the
     block — per-gate canonical forms folded with the canonical Clark
     [max] — and keeps the resulting output form.  Block outputs drive
-    the fixed [output_load] boundary load; the real fanout load of the
-    next band is {e not} seen.  This keeps blocks self-contained (and
+    the fixed {!Netlist.output_load} boundary load; the real fanout
+    load of the next band is {e not} seen.  This keeps blocks self-contained (and
     hence memoisable per (hash, process) key) at the cost of a modelled
     boundary-load gap, which the engine reports as the flat-vs-
     hierarchical error bound.
@@ -63,7 +63,7 @@ val hash : Netlist.t -> int64
     state. *)
 
 val characterise :
-  ?output_load:float -> Spv_process.Tech.t -> Netlist.t -> t
+  Spv_process.Tech.t -> Netlist.t -> t
 (** Reduce a (sub-)netlist to a macro via {!Block_ssta.run}. *)
 
 val series : t -> t -> t
@@ -81,8 +81,9 @@ val stage_delay :
 (** Memoisation table shared across evaluation contexts.
 
     Keys pair a netlist hash with a {e fingerprint} of everything else
-    characterisation reads (technology parameters, boundary load,
-    flip-flop overhead), so one table can serve a whole process-
+    characterisation reads (technology parameters and flip-flop
+    overhead; the boundary load is the fixed {!Netlist.output_load}),
+    so one table can serve a whole process-
     override sweep: a scenario re-characterises only the blocks whose
     (hash, fingerprint) key is new.  [hits]/[misses] count block-macro
     demands: a memoised whole-stage entry counts one hit per block it
@@ -106,9 +107,7 @@ module Table : sig
   val misses : t -> int
   val reset_counters : t -> unit
 
-  val fingerprint :
-    ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
-    string
+  val fingerprint : ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> string
   (** Canonical encoding of every parameter a characterisation (or a
       flat stage analysis) depends on besides the netlist itself. *)
 
@@ -118,13 +117,12 @@ module Table : sig
       every call). *)
 
   val block_macro :
-    t -> fp:string -> output_load:float -> Spv_process.Tech.t -> block ->
-    macro
+    t -> fp:string -> Spv_process.Tech.t -> block -> macro
   (** Memoised {!characterise} of one block, counting a hit or miss. *)
 
   val stage :
     t -> fp:string -> ?stage_key:int64 -> ?target_gates:int ->
-    output_load:float -> Spv_process.Tech.t -> Netlist.t -> stage_entry
+    Spv_process.Tech.t -> Netlist.t -> stage_entry
   (** Memoised partition + characterisation of a whole stage netlist
       under its current sizes.  A stage-level hit reuses every block
       macro of the entry (counted as block hits); a miss reuses the
@@ -135,9 +133,8 @@ module Table : sig
       (e.g. once per distinct physical netlist of a pipeline). *)
 
   val flat_analysis :
-    t -> fp:string -> ?stage_key:int64 -> output_load:float ->
-    ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> Netlist.t ->
-    Ssta.stage_analysis
+    t -> fp:string -> ?stage_key:int64 -> ?ff:Spv_process.Flipflop.t ->
+    Spv_process.Tech.t -> Netlist.t -> Ssta.stage_analysis
   (** Memoised {!Ssta.analyse_stage} keyed on the same (hash,
       fingerprint) pair — the flat reference model a hierarchical
       context reports its error bound against.  Not counted in

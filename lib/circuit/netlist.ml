@@ -7,10 +7,18 @@ type t = {
   nodes : node array;
   outputs : int array;
   sizes : float array;
-  fanouts : int list array;
+  fanin_start : int array;
+  fanin_ids : int array;
+  fanout_start : int array;
+  fanout_ids : int array;
+  is_output : bool array;
   gate_ids : int array;
   input_ids : int array;
+  loads : float array option Atomic.t;
+      (* built on the first timing query, then kept in step with sizes *)
 }
+
+let output_load = 4.0
 
 let make ~name ~nodes ~outputs ~sizes =
   let n = Array.length nodes in
@@ -40,14 +48,35 @@ let make ~name ~nodes ~outputs ~sizes =
       if o < 0 || o >= n then invalid_arg "Netlist.make: bad output id")
     outputs;
   if Array.length outputs = 0 then invalid_arg "Netlist.make: no outputs";
-  let fanouts = Array.make n [] in
+  (* CSR fanins in pin order and fanouts in descending consumer id
+     (a consumer reading a node on several pins is listed once per
+     pin, later pins first). *)
+  let fanin_of = function Primary_input _ -> [||] | Gate { fanin; _ } -> fanin in
+  let fanin_start = Array.make (n + 1) 0 in
+  let fanout_start = Array.make (n + 1) 0 in
   Array.iteri
     (fun i node ->
-      match node with
-      | Primary_input _ -> ()
-      | Gate { fanin; _ } ->
-          Array.iter (fun f -> fanouts.(f) <- i :: fanouts.(f)) fanin)
+      let fanin = fanin_of node in
+      fanin_start.(i + 1) <- fanin_start.(i) + Array.length fanin;
+      Array.iter (fun f -> fanout_start.(f + 1) <- fanout_start.(f + 1) + 1) fanin)
     nodes;
+  for i = 0 to n - 1 do
+    fanout_start.(i + 1) <- fanout_start.(i + 1) + fanout_start.(i)
+  done;
+  let fanin_ids = Array.make fanin_start.(n) 0 in
+  let fanout_ids = Array.make fanout_start.(n) 0 in
+  let fill = Array.init n (fun f -> fanout_start.(f + 1)) in
+  Array.iteri
+    (fun i node ->
+      Array.iteri
+        (fun k f ->
+          fanin_ids.(fanin_start.(i) + k) <- f;
+          fill.(f) <- fill.(f) - 1;
+          fanout_ids.(fill.(f)) <- i)
+        (fanin_of node))
+    nodes;
+  let is_output = Array.make n false in
+  Array.iter (fun o -> is_output.(o) <- true) outputs;
   let ids pred =
     let acc = ref [] in
     for i = n - 1 downto 0 do
@@ -62,16 +91,31 @@ let make ~name ~nodes ~outputs ~sizes =
     nodes = Array.copy nodes;
     outputs = Array.copy outputs;
     sizes = Array.copy sizes;
-    fanouts;
+    fanin_start;
+    fanin_ids;
+    fanout_start;
+    fanout_ids;
+    is_output;
     gate_ids;
     input_ids;
+    loads = Atomic.make None;
   }
 
 let name t = t.name
 let n_nodes t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let outputs t = t.outputs
-let fanouts t i = t.fanouts.(i)
+let is_output t i = t.is_output.(i)
+let fanin_start t = t.fanin_start
+let fanin_ids t = t.fanin_ids
+let fanout_start t = t.fanout_start
+let fanout_ids t = t.fanout_ids
+let n_fanouts t i = t.fanout_start.(i + 1) - t.fanout_start.(i)
+
+let iter_fanouts t i f =
+  for e = t.fanout_start.(i) to t.fanout_start.(i + 1) - 1 do
+    f t.fanout_ids.(e)
+  done
 
 let is_gate t i =
   match t.nodes.(i) with Gate _ -> true | Primary_input _ -> false
@@ -82,16 +126,49 @@ let n_gates t = Array.length t.gate_ids
 
 let size t i = t.sizes.(i)
 
+(* ---- loads ------------------------------------------------------------ *)
+
+let fold_load t i ~cap ~po init =
+  let acc = ref init in
+  for e = t.fanout_start.(i) to t.fanout_start.(i + 1) - 1 do
+    acc := cap !acc t.fanout_ids.(e)
+  done;
+  po !acc (if t.is_output.(i) then output_load else 0.0)
+
+let fresh_load t i =
+  fold_load t i 0.0 ~po:( +. ) ~cap:(fun acc j ->
+      match t.nodes.(j) with
+      | Gate { kind; _ } -> acc +. Cell.input_cap kind ~size:t.sizes.(j)
+      | Primary_input _ -> acc)
+
+let loads t =
+  match Atomic.get t.loads with
+  | Some l -> l
+  | None ->
+      let l = Array.init (Array.length t.nodes) (fresh_load t) in
+      Atomic.set t.loads (Some l);
+      l
+
+let load t i = (loads t).(i)
+
 let set_size t i v =
   if not (is_gate t i) then invalid_arg "Netlist.set_size: not a gate";
   if v <= 0.0 then invalid_arg "Netlist.set_size: size <= 0";
-  t.sizes.(i) <- v
+  t.sizes.(i) <- v;
+  match Atomic.get t.loads with
+  | None -> ()
+  | Some l ->
+      for e = t.fanin_start.(i) to t.fanin_start.(i + 1) - 1 do
+        let f = t.fanin_ids.(e) in
+        l.(f) <- fresh_load t f
+      done
 
 let sizes_snapshot t = Array.copy t.sizes
 let restore_sizes t snapshot =
   if Array.length snapshot <> Array.length t.sizes then
     invalid_arg "Netlist.restore_sizes: length mismatch";
-  Array.blit snapshot 0 t.sizes 0 (Array.length snapshot)
+  Array.blit snapshot 0 t.sizes 0 (Array.length snapshot);
+  Atomic.set t.loads None
 
 let area t =
   Array.fold_left
@@ -101,7 +178,12 @@ let area t =
       | Primary_input _ -> acc)
     0.0 t.gate_ids
 
-let copy t = { t with sizes = Array.copy t.sizes }
+let copy t =
+  {
+    t with
+    sizes = Array.copy t.sizes;
+    loads = Atomic.make (Option.map Array.copy (Atomic.get t.loads));
+  }
 
 let eval t ~inputs =
   if Array.length inputs <> Array.length t.input_ids then

@@ -4,7 +4,12 @@
     in topological order by construction (a gate may only reference
     lower node ids), which keeps every traversal a single array scan.
     Drive sizes are mutable so the sizing optimiser can update them in
-    place without rebuilding fanout structure. *)
+    place without rebuilding fanout structure.
+
+    The netlist also owns the timing view every propagation pass
+    ({!Sta.forward}, {!Sta.backward}) walks: fanins and fanouts in
+    compressed-sparse-row (CSR) form, and the capacitive load of every
+    node under the current sizes. *)
 
 type node =
   | Primary_input of string
@@ -23,8 +28,56 @@ val name : t -> string
 val n_nodes : t -> int
 val node : t -> int -> node
 val outputs : t -> int array
-val fanouts : t -> int -> int list
-(** Gate ids consuming this node's output (precomputed). *)
+val is_output : t -> int -> bool
+
+(** {2 CSR view}
+
+    The arrays below are shared with the netlist: read them, never
+    mutate them. *)
+
+val fanin_start : t -> int array
+(** Offsets into {!fanin_ids}, length [n_nodes + 1]: node [i]'s fanins
+    are [fanin_ids.(fanin_start.(i)) .. fanin_ids.(fanin_start.(i+1)-1)]
+    in pin order (none for a primary input). *)
+
+val fanin_ids : t -> int array
+
+val fanout_start : t -> int array
+(** Offsets into {!fanout_ids}, length [n_nodes + 1]. *)
+
+val fanout_ids : t -> int array
+(** Consumers of each node in descending id.  A gate that reads the
+    node on several pins is listed once per pin (adjacently), so load
+    sums charge every pin. *)
+
+val n_fanouts : t -> int -> int
+(** Number of fanout entries (pins) driven by the node. *)
+
+val iter_fanouts : t -> int -> (int -> unit) -> unit
+(** The node's fanout entries in {!fanout_ids} order. *)
+
+(** {2 Loads} *)
+
+val output_load : float
+(** Load on every primary output (4.0: an FO4-ish flip-flop input), in
+    minimum-inverter-cap units. *)
+
+val fold_load :
+  t -> int -> cap:('a -> int -> 'a) -> po:('a -> float -> 'a) -> 'a -> 'a
+(** The load formula of node [i] over any value domain: fold [cap]
+    over the consumer of every fanout entry in {!fanout_ids} order,
+    then apply [po] with {!output_load} for a primary output and 0.0
+    otherwise. *)
+
+val loads : t -> float array
+(** Load per node under the current sizes: {!fold_load} with the
+    consumers' {!Cell.input_cap} summed from 0.0.  Built on the first
+    query; {!set_size} keeps it current by refolding the resized
+    gate's fanins from scratch, {!restore_sizes} drops it, {!copy}
+    copies it.  Shared: do not mutate, and do not keep it across a
+    {!restore_sizes}. *)
+
+val load : t -> int -> float
 
 val is_gate : t -> int -> bool
 val gate_ids : t -> int array
@@ -33,7 +86,8 @@ val n_gates : t -> int
 
 val size : t -> int -> float
 val set_size : t -> int -> float -> unit
-(** Raises [Invalid_argument] for a non-gate node or non-positive size. *)
+(** Raises [Invalid_argument] for a non-gate node or non-positive size.
+    Refreshes the loads of the gate's fanins when they are built. *)
 
 val sizes_snapshot : t -> float array
 val restore_sizes : t -> float array -> unit
@@ -42,7 +96,7 @@ val area : t -> float
 (** Sum over gates of [Cell.area_per_size * size]. *)
 
 val copy : t -> t
-(** Deep copy (sizes independent). *)
+(** Deep copy (sizes and loads independent). *)
 
 val eval : t -> inputs:bool array -> bool array
 (** Functional simulation: returns the value at every node given

@@ -13,35 +13,14 @@ type state =
   | Extend of { rev_gates : int list; acc : float; head : int }
   | Emit of { rev_gates : int list; total : float }
 
-let k_longest_paths ?(output_load = 4.0) tech net ~k =
+let k_longest_paths tech net ~k =
   if k <= 0 then invalid_arg "Report.k_longest_paths: k <= 0";
-  let sta = Sta.run ~output_load tech net in
+  let sta = Sta.run tech net in
   let delays = sta.Sta.gate_delays in
-  let n = Netlist.n_nodes net in
-  let is_output =
-    let flags = Array.make n false in
-    Array.iter (fun o -> flags.(o) <- true) (Netlist.outputs net);
-    flags
-  in
-  (* suffix.(v): largest achievable remaining delay from v (inclusive of
-     v's own delay) to some primary output, following gate fanouts. *)
-  let suffix = Array.make n neg_infinity in
-  for v = n - 1 downto 0 do
-    if Netlist.is_gate net v then begin
-      let best_fanout =
-        List.fold_left
-          (fun acc f -> Float.max acc suffix.(f))
-          neg_infinity (Netlist.fanouts net v)
-      in
-      let continue_ = if best_fanout = neg_infinity then None else Some best_fanout in
-      suffix.(v) <-
-        (match (is_output.(v), continue_) with
-        | true, Some c -> delays.(v) +. Float.max 0.0 c
-        | true, None -> delays.(v)
-        | false, Some c -> delays.(v) +. c
-        | false, None -> neg_infinity)
-    end
-  done;
+  (* suffix v: largest achievable remaining delay from gate v (inclusive
+     of v's own delay) to some primary output, following gate fanouts. *)
+  let down = Sta.down net delays in
+  let suffix v = delays.(v) +. down.(v) in
   (* Entry gates: gates with at least one primary-input fanin (a path
      begins where data enters the cloud). *)
   let heap = Spv_stats.Heap.create () in
@@ -52,9 +31,9 @@ let k_longest_paths ?(output_load = 4.0) tech net ~k =
       | Netlist.Gate { fanin; _ } ->
           if
             Array.exists (fun f -> not (Netlist.is_gate net f)) fanin
-            && suffix.(v) > neg_infinity
+            && suffix v > neg_infinity
           then
-            Spv_stats.Heap.push heap ~priority:suffix.(v)
+            Spv_stats.Heap.push heap ~priority:(suffix v)
               (Extend { rev_gates = []; acc = 0.0; head = v }))
     (Netlist.gate_ids net);
   let results = ref [] in
@@ -79,38 +58,36 @@ let k_longest_paths ?(output_load = 4.0) tech net ~k =
         let rev_gates = head :: rev_gates in
         (* Ending at an output and continuing through fanouts are
            distinct paths; schedule both. *)
-        if is_output.(head) then
+        if Netlist.is_output net head then
           Spv_stats.Heap.push heap ~priority:acc (Emit { rev_gates; total = acc });
         (* A gate reading [head] on several pins is one consumer: its
-           entries are adjacent in the fanout list, so skip repeats. *)
-        ignore
-          (List.fold_left
-             (fun prev f ->
-               if f <> prev && suffix.(f) > neg_infinity then
-                 Spv_stats.Heap.push heap
-                   ~priority:(acc +. suffix.(f))
-                   (Extend { rev_gates; acc; head = f });
-               f)
-             (-1) (Netlist.fanouts net head))
+           fanout entries are adjacent, so skip repeats. *)
+        let prev = ref (-1) in
+        Netlist.iter_fanouts net head (fun f ->
+            if f <> !prev && suffix f > neg_infinity then
+              Spv_stats.Heap.push heap
+                ~priority:(acc +. suffix f)
+                (Extend { rev_gates; acc; head = f });
+            prev := f)
   done;
   Array.of_list (List.rev !results)
 
 let path_yield path ~t_target =
   Spv_stats.Gaussian.cdf (Gd.to_gaussian path.statistical) t_target
 
-let render ?(output_load = 4.0) ?(k = 5) ?t_target tech net =
+let render ?(k = 5) ?t_target tech net =
   (match t_target with
   | Some t when not (Float.is_finite t) ->
       invalid_arg "Report.render: non-finite t_target"
   | _ -> ());
   let buf = Buffer.create 1024 in
-  let sta = Sta.run ~output_load tech net in
+  let sta = Sta.run tech net in
   Buffer.add_string buf
     (Format.asprintf "%a@." Netlist.pp_stats net);
   Buffer.add_string buf
     (Printf.sprintf "critical delay %.1f ps, logic depth %d\n" sta.Sta.delay
        (Topo.depth net));
-  let paths = k_longest_paths ~output_load tech net ~k in
+  let paths = k_longest_paths tech net ~k in
   Buffer.add_string buf (Printf.sprintf "top %d paths:\n" (Array.length paths));
   Array.iteri
     (fun rank p ->
@@ -127,7 +104,7 @@ let render ?(output_load = 4.0) ?(k = 5) ?t_target tech net =
            (rank + 1) p.nominal (Spv_stats.Gaussian.mu g)
            (Spv_stats.Gaussian.sigma g) (List.length p.gates) yield_txt))
     paths;
-  let block = Block_ssta.run ~output_load tech net in
+  let block = Block_ssta.run tech net in
   let ranked =
     Array.to_list (Netlist.gate_ids net)
     |> List.map (fun i -> (i, block.Block_ssta.criticality.(i)))

@@ -3,9 +3,10 @@
 
     Path enumeration is best-first over path prefixes: the
     priority of a prefix ending at node v is its accumulated delay plus
-    the exact best completion [suffix v] (longest remaining gate-path
-    to any primary output), so paths pop in exact descending order of
-    total delay and only O(k x fanout) states are expanded. *)
+    the exact best completion [suffix v] (v's delay plus {!Sta.down}:
+    the longest remaining gate-path to any primary output), so paths
+    pop in exact descending order of total delay and only
+    O(k x fanout) states are expanded. *)
 
 type path = {
   gates : int list;  (** gate ids, input side first *)
@@ -15,16 +16,17 @@ type path = {
 }
 
 val k_longest_paths :
-  ?output_load:float -> Spv_process.Tech.t -> Netlist.t -> k:int -> path array
+  Spv_process.Tech.t -> Netlist.t -> k:int -> path array
 (** The [k] slowest input-to-output paths in exact descending nominal
-    order (fewer if the circuit has fewer distinct paths).  Requires
+    order (fewer if the circuit has fewer distinct paths).  A gate
+    reading one signal on several pins extends a path once.  Requires
     [k > 0]. *)
 
 val path_yield : path -> t_target:float -> float
 (** Pr{this path meets the target} under its decomposed Gaussian. *)
 
 val render :
-  ?output_load:float -> ?k:int -> ?t_target:float -> Spv_process.Tech.t ->
+  ?k:int -> ?t_target:float -> Spv_process.Tech.t ->
   Netlist.t -> string
 (** Multi-line report: circuit summary, the top-[k] (default 5) paths
     with nominal and mu/sigma delays (plus per-path yield when

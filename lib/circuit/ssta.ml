@@ -7,8 +7,8 @@ type stage_analysis = {
   nominal : Sta.result;
 }
 
-let analyse_stage ?(output_load = 4.0) ?ff tech net =
-  let nominal = Sta.run ~output_load tech net in
+let analyse_stage ?ff tech net =
+  let nominal = Sta.run tech net in
   let comb =
     List.fold_left
       (fun acc i ->
@@ -23,8 +23,8 @@ let analyse_stage ?(output_load = 4.0) ?ff tech net =
   in
   { comb; total; nominal }
 
-let stage_gaussian ?output_load ?ff tech net =
-  Gd.to_gaussian (analyse_stage ?output_load ?ff tech net).total
+let stage_gaussian ?ff tech net =
+  Gd.to_gaussian (analyse_stage ?ff tech net).total
 
 (* Per-trial machinery shared by the stage and pipeline samplers: one
    delay factor per node from (inter + systematic at the stage's
@@ -61,7 +61,6 @@ let ff_overhead_sample ?(exact = false) tech ff ~inter ~sys_field rng =
 type sampler = {
   s_tech : Spv_process.Tech.t;
   s_nets : Netlist.t array;
-  s_output_load : float;
   s_exact : bool;
   s_ff : Spv_process.Flipflop.t option;
   s_spatial : Spv_process.Sample.t;
@@ -69,14 +68,13 @@ type sampler = {
   s_delays : float array;
 }
 
-let sampler ?(output_load = 4.0) ?(exact = false) ?(pitch = 1.0) ?ff tech nets =
+let sampler ?(exact = false) ?(pitch = 1.0) ?ff tech nets =
   let n_stages = Array.length nets in
   if n_stages = 0 then invalid_arg "Ssta.sampler: no stages";
   let positions = Spv_process.Spatial.row_positions ~n:n_stages ~pitch in
   {
     s_tech = tech;
     s_nets = nets;
-    s_output_load = output_load;
     s_exact = exact;
     s_ff = ff;
     s_spatial = Spv_process.Sample.create tech ~positions;
@@ -92,8 +90,7 @@ let draw_stage_delays_into s rng out =
     fill_factors ~exact:s.s_exact s.s_tech s.s_nets.(st) ~inter ~sys_field
       rng s.s_factors.(st);
     let sta =
-      Sta.run_with_factors ~output_load:s.s_output_load s.s_tech s.s_nets.(st)
-        ~factors:s.s_factors.(st)
+      Sta.run_with_factors s.s_tech s.s_nets.(st) ~factors:s.s_factors.(st)
     in
     out.(st) <-
       sta.Sta.delay

@@ -18,13 +18,13 @@ type stage_analysis = {
 }
 
 val analyse_stage :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
   Netlist.t -> stage_analysis
 (** Analytic per-stage delay decomposition. Flip-flop overhead is
     included when [ff] is given. *)
 
 val stage_gaussian :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
   Netlist.t -> Spv_stats.Gaussian.t
 (** Convenience: total stage delay as N(mu, sigma). *)
 
@@ -43,7 +43,7 @@ type sampler
     draws. *)
 
 val sampler :
-  ?output_load:float -> ?exact:bool -> ?pitch:float ->
+  ?exact:bool -> ?pitch:float ->
   ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> Netlist.t array ->
   sampler
 (** Build a sampler for a pipeline of stages laid out in a row at

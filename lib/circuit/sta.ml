@@ -1,3 +1,68 @@
+module type DOMAIN = sig
+  type t
+
+  val input : int -> t
+  val start : t -> t
+  val join : t -> t -> t
+  val gate : int -> t -> t
+end
+
+module type BACKWARD = sig
+  type t
+
+  val seed : int -> t
+  val join : t -> int -> t -> t
+  val finish : int -> t -> t
+end
+
+let forward (type a) (module D : DOMAIN with type t = a) net =
+  let n = Netlist.n_nodes net in
+  let start = Netlist.fanin_start net and ids = Netlist.fanin_ids net in
+  (* Node 0 is always a primary input: a gate needs a lower fanin. *)
+  let values = Array.make n (D.input 0) in
+  for i = 1 to n - 1 do
+    let lo = start.(i) and hi = start.(i + 1) in
+    if lo = hi then values.(i) <- D.input i
+    else begin
+      let acc = ref (D.start values.(ids.(lo))) in
+      for e = lo + 1 to hi - 1 do
+        acc := D.join !acc values.(ids.(e))
+      done;
+      values.(i) <- D.gate i !acc
+    end
+  done;
+  values
+
+let backward (type a) (module D : BACKWARD with type t = a) net =
+  let n = Netlist.n_nodes net in
+  let start = Netlist.fanout_start net and ids = Netlist.fanout_ids net in
+  (* The last node has no consumers: every consumer has a higher id. *)
+  let values = Array.make n (D.finish (n - 1) (D.seed (n - 1))) in
+  for i = n - 2 downto 0 do
+    let acc = ref (D.seed i) in
+    for e = start.(i) to start.(i + 1) - 1 do
+      let g = ids.(e) in
+      acc := D.join !acc g values.(g)
+    done;
+    values.(i) <- D.finish i !acc
+  done;
+  values
+
+let down net gate_delays =
+  backward
+    (module struct
+      type t = float
+
+      let seed i = if Netlist.is_output net i then 0.0 else neg_infinity
+
+      let join acc g down_g =
+        let via = gate_delays.(g) +. down_g in
+        if via > acc then via else acc
+
+      let finish _ acc = acc
+    end)
+    net
+
 type result = {
   arrival : float array;
   gate_delays : float array;
@@ -6,95 +71,80 @@ type result = {
   critical_path : int list;
 }
 
-let loads net ~output_load =
-  let n = Netlist.n_nodes net in
-  let loads = Array.make n 0.0 in
-  let is_output = Array.make n false in
-  Array.iter (fun o -> is_output.(o) <- true) (Netlist.outputs net);
-  for i = 0 to n - 1 do
-    let fanout_cap =
-      List.fold_left
-        (fun acc j ->
-          match Netlist.node net j with
-          | Netlist.Gate { kind; _ } ->
-              acc +. Cell.input_cap kind ~size:(Netlist.size net j)
-          | Netlist.Primary_input _ -> acc)
-        0.0 (Netlist.fanouts net i)
-    in
-    let po_cap = if is_output.(i) then output_load else 0.0 in
-    loads.(i) <- fanout_cap +. po_cap
-  done;
-  loads
+let delay_of (tech : Spv_process.Tech.t) net loads i kind =
+  tech.tau *. (Cell.parasitic kind +. (loads.(i) /. Netlist.size net i))
 
-let run_internal ~output_load (tech : Spv_process.Tech.t) net ~factors =
-  let n = Netlist.n_nodes net in
-  let loads = loads net ~output_load in
-  let arrival = Array.make n 0.0 in
-  let gate_delays = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> ()
-    | Netlist.Gate { kind; fanin } ->
-        let d =
-          tech.tau
-          *. (Cell.parasitic kind +. (loads.(i) /. Netlist.size net i))
-        in
-        let d =
-          match factors with None -> d | Some f -> d *. f.(i)
-        in
-        gate_delays.(i) <- d;
-        let latest =
-          Array.fold_left (fun acc f -> Float.max acc arrival.(f)) 0.0 fanin
-        in
-        arrival.(i) <- latest +. d
-  done;
-  let critical_output =
-    Array.fold_left
-      (fun best o -> if arrival.(o) > arrival.(best) then o else best)
-      (Netlist.outputs net).(0)
-      (Netlist.outputs net)
+let gate_delay tech net i =
+  match Netlist.node net i with
+  | Netlist.Primary_input _ -> 0.0
+  | Netlist.Gate { kind; _ } -> delay_of tech net (Netlist.loads net) i kind
+
+(* Float STA over [forward]: [seed] folds into the first fanin's
+   arrival (0.0 for late mode, +inf for early mode) and [join] is the
+   max or min.  Gate delays are recorded on the way. *)
+let float_sta tech net ~seed ~join ~factors =
+  let loads = Netlist.loads net in
+  let gate_delays = Array.make (Netlist.n_nodes net) 0.0 in
+  let arrival =
+    forward
+      (module struct
+        type t = float
+
+        let input _ = 0.0
+        let start a = join seed a
+        let join = join
+
+        let gate i latest =
+          match Netlist.node net i with
+          | Netlist.Primary_input _ -> assert false
+          | Netlist.Gate { kind; _ } ->
+              let d = delay_of tech net loads i kind in
+              let d = match factors with None -> d | Some f -> d *. f.(i) in
+              gate_delays.(i) <- d;
+              latest +. d
+      end)
+      net
   in
-  (* Trace the critical path back through the latest-arriving fanins. *)
-  let rec trace i acc =
+  (arrival, gate_delays)
+
+(* First-index-wins extreme of [values] over [ids]. *)
+let argbest better values ids =
+  Array.fold_left
+    (fun best o -> if better values.(o) values.(best) then o else best)
+    ids.(0) ids
+
+(* Gate ids of the path into [out] through the extreme fanin at every
+   step, input side first. *)
+let trace better net values out =
+  let rec go i acc =
     match Netlist.node net i with
     | Netlist.Primary_input _ -> acc
-    | Netlist.Gate { fanin; _ } ->
-        let pred =
-          Array.fold_left
-            (fun best f ->
-              match best with
-              | None -> Some f
-              | Some b -> if arrival.(f) > arrival.(b) then Some f else best)
-            None fanin
-        in
-        let acc = i :: acc in
-        (match pred with
-        | None -> acc
-        | Some p -> trace p acc)
+    | Netlist.Gate { fanin; _ } -> go (argbest better values fanin) (i :: acc)
   in
-  let critical_path =
-    match Netlist.node net critical_output with
-    | Netlist.Gate _ -> trace critical_output []
-    | Netlist.Primary_input _ -> []
+  go out []
+
+let later (a : float) b = a > b
+let earlier (a : float) b = a < b
+
+let run_internal tech net ~factors =
+  let arrival, gate_delays =
+    float_sta tech net ~seed:0.0 ~join:Float.max ~factors
   in
+  let critical_output = argbest later arrival (Netlist.outputs net) in
   {
     arrival;
     gate_delays;
     delay = arrival.(critical_output);
     critical_output;
-    critical_path;
+    critical_path = trace later net arrival critical_output;
   }
 
-let run ?(output_load = 4.0) tech net =
-  run_internal ~output_load tech net ~factors:None
+let run tech net = run_internal tech net ~factors:None
 
-let run_with_factors ?(output_load = 4.0) tech net ~factors =
+let run_with_factors tech net ~factors =
   if Array.length factors <> Netlist.n_nodes net then
     invalid_arg "Sta.run_with_factors: factors length mismatch";
-  run_internal ~output_load tech net ~factors:(Some factors)
-
-let path_delay result path =
-  List.fold_left (fun acc i -> acc +. result.gate_delays.(i)) 0.0 path
+  run_internal tech net ~factors:(Some factors)
 
 type min_result = {
   min_arrival : float array;
@@ -103,52 +153,14 @@ type min_result = {
   shortest_path : int list;
 }
 
-let run_min ?(output_load = 4.0) (tech : Spv_process.Tech.t) net =
-  let n = Netlist.n_nodes net in
-  let loads = loads net ~output_load in
-  let min_arrival = Array.make n 0.0 in
-  let gate_delays = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> ()
-    | Netlist.Gate { kind; fanin } ->
-        let d =
-          tech.Spv_process.Tech.tau
-          *. (Cell.parasitic kind +. (loads.(i) /. Netlist.size net i))
-        in
-        gate_delays.(i) <- d;
-        let earliest =
-          Array.fold_left
-            (fun acc f -> Float.min acc min_arrival.(f))
-            infinity fanin
-        in
-        min_arrival.(i) <- earliest +. d
-  done;
-  let shortest_output =
-    Array.fold_left
-      (fun best o -> if min_arrival.(o) < min_arrival.(best) then o else best)
-      (Netlist.outputs net).(0)
-      (Netlist.outputs net)
+let run_min tech net =
+  let min_arrival, _ =
+    float_sta tech net ~seed:infinity ~join:Float.min ~factors:None
   in
-  let rec trace i acc =
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> acc
-    | Netlist.Gate { fanin; _ } ->
-        let pred =
-          Array.fold_left
-            (fun best f ->
-              match best with
-              | None -> Some f
-              | Some b -> if min_arrival.(f) < min_arrival.(b) then Some f else best)
-            None fanin
-        in
-        let acc = i :: acc in
-        (match pred with None -> acc | Some p -> trace p acc)
-  in
-  let shortest_path =
-    match Netlist.node net shortest_output with
-    | Netlist.Gate _ -> trace shortest_output []
-    | Netlist.Primary_input _ -> []
-  in
-  { min_arrival; min_delay = min_arrival.(shortest_output); shortest_output;
-    shortest_path }
+  let shortest_output = argbest earlier min_arrival (Netlist.outputs net) in
+  {
+    min_arrival;
+    min_delay = min_arrival.(shortest_output);
+    shortest_output;
+    shortest_path = trace earlier net min_arrival shortest_output;
+  }

@@ -1,10 +1,66 @@
-(** Deterministic static timing analysis.
+(** Deterministic static timing analysis, and the one propagation core
+    every gate-level pass is written on.
 
     Gate delay follows the logical-effort model
-    [tau * (p + load / size)], with [load] the sum of fanout input
-    capacitances (plus [output_load] for primary-output drivers, in
-    minimum-inverter-cap units).  Arrival times propagate in topological
-    order; the critical path is traced back from the latest output. *)
+    [tau * (p + load / size)], with [load] the netlist's own
+    {!Netlist.loads} (fanout input capacitances plus
+    {!Netlist.output_load} on primary outputs, in minimum-inverter-cap
+    units).  Arrival times propagate in topological order; the critical
+    path is traced back from the latest output. *)
+
+(** {1 Propagation core} *)
+
+(** A value domain for {!forward}.  At each gate the fanin values are
+    folded left in pin order: [start] applied to the first fanin's
+    value, then [join] with each further fanin's value; [gate] turns
+    the folded value into the gate's own.  A domain whose fold starts
+    from a constant [z] writes [start a = join z a]; one that starts
+    from the first fanin writes [start a = a].  The fold start and
+    order are part of a domain's contract: [Affine.max2] is not
+    associative, so reordering moves bits. *)
+module type DOMAIN = sig
+  type t
+
+  val input : int -> t
+  (** Value at primary input [i]. *)
+
+  val start : t -> t
+  val join : t -> t -> t
+
+  val gate : int -> t -> t
+  (** Value at gate [i] from its folded fanin value. *)
+end
+
+val forward : (module DOMAIN with type t = 'a) -> Netlist.t -> 'a array
+(** One levelised walk: nodes in id order, fanins in CSR
+    ({!Netlist.fanin_ids}) order, so every fanin edge is visited once,
+    in CSR order.  Returns the value of every node. *)
+
+(** A value domain for {!backward}.  Node [i]'s value is [seed i]
+    folded with [join acc g v] over the consumer [g] (value [v]) of
+    every fanout entry in {!Netlist.fanout_ids} order (descending id,
+    one entry per pin), then [finish i]. *)
+module type BACKWARD = sig
+  type t
+
+  val seed : int -> t
+  val join : t -> int -> t -> t
+  val finish : int -> t -> t
+end
+
+val backward : (module BACKWARD with type t = 'a) -> Netlist.t -> 'a array
+(** One reverse walk: nodes in descending id, so every consumer's
+    value is final before its drivers fold it in. *)
+
+val down : Netlist.t -> float array -> float array
+(** [down net gate_delays]: per node, the longest sum of
+    [gate_delays] over a gate path from the node (exclusive) to a
+    primary output: 0.0 at an output that drives nothing further,
+    [neg_infinity] for a node that reaches no output.  Max is exact,
+    so [gate_delays.(g) +. down.(g)] is the longest output-bound path
+    through gate [g] bit for bit. *)
+
+(** {1 Timing} *)
 
 type result = {
   arrival : float array;  (** per node, ps; primary inputs are 0 *)
@@ -14,22 +70,18 @@ type result = {
   critical_path : int list;  (** gate ids, input side first *)
 }
 
-val loads : Netlist.t -> output_load:float -> float array
-(** Capacitive load per node under current sizes (gate input caps). *)
+val gate_delay : Spv_process.Tech.t -> Netlist.t -> int -> float
+(** Nominal delay of one node under the current sizes (0 for a primary
+    input): the [gate_delays] entry of {!run}. *)
 
-val run : ?output_load:float -> Spv_process.Tech.t -> Netlist.t -> result
-(** Nominal timing. [output_load] defaults to 4.0 (an FO4-ish
-    flip-flop input). *)
+val run : Spv_process.Tech.t -> Netlist.t -> result
+(** Nominal timing: {!forward} over floats, fold from 0.0 with max. *)
 
 val run_with_factors :
-  ?output_load:float -> Spv_process.Tech.t -> Netlist.t ->
-  factors:float array -> result
+  Spv_process.Tech.t -> Netlist.t -> factors:float array -> result
 (** Timing with a per-node multiplicative delay factor (Monte-Carlo
     variation samples). [factors] must have one entry per node; entries
     for input nodes are ignored. *)
-
-val path_delay : result -> int list -> float
-(** Sum of gate delays along a node list. *)
 
 type min_result = {
   min_arrival : float array;  (** per node: earliest possible arrival *)
@@ -38,6 +90,7 @@ type min_result = {
   shortest_path : int list;  (** gate ids of the fastest input-to-output path *)
 }
 
-val run_min : ?output_load:float -> Spv_process.Tech.t -> Netlist.t -> min_result
-(** Shortest-path (early-mode) timing: the race-path delay that a hold
-    check compares against the clk-to-Q + hold window. *)
+val run_min : Spv_process.Tech.t -> Netlist.t -> min_result
+(** Shortest-path (early-mode) timing: {!forward} over floats, fold
+    from +inf with min — the race-path delay that a hold check compares
+    against the clk-to-Q + hold window. *)

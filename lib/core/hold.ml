@@ -8,9 +8,9 @@ let min2 g1 g2 ~rho = negate (Clark.max2 (negate g1) (negate g2) ~rho)
 let min_n ?order gs ~corr =
   negate (Clark.max_n ?order (Array.map negate gs) ~corr)
 
-let short_path_delay ?(output_load = 4.0) tech net =
-  let late = Spv_circuit.Sta.run ~output_load tech net in
-  let early = Spv_circuit.Sta.run_min ~output_load tech net in
+let short_path_delay tech net =
+  let late = Spv_circuit.Sta.run tech net in
+  let early = Spv_circuit.Sta.run_min tech net in
   List.fold_left
     (fun acc i ->
       let d = late.Spv_circuit.Sta.gate_delays.(i) in
@@ -18,23 +18,23 @@ let short_path_delay ?(output_load = 4.0) tech net =
         (Gd.of_nominal tech ~nominal:d ~size:(Spv_circuit.Netlist.size net i)))
     Gd.zero early.Spv_circuit.Sta.shortest_path
 
-let race_margin ?output_load tech ~(ff : Spv_process.Flipflop.t) net =
+let race_margin tech ~(ff : Spv_process.Flipflop.t) net =
   (* clk-to-Q and the data path sit in the same locale: their shared
      variation components add coherently, so the fast tail of the race
      margin is fatter than independence would give. *)
-  Gd.add ff.Spv_process.Flipflop.clk_to_q (short_path_delay ?output_load tech net)
+  Gd.add ff.Spv_process.Flipflop.clk_to_q (short_path_delay tech net)
 
 let check_hold ~where hold_ps =
   if not (Float.is_finite hold_ps) then invalid_arg (where ^ ": non-finite hold");
   if hold_ps < 0.0 then invalid_arg (where ^ ": negative hold")
 
-let hold_yield_stage ?output_load tech ~ff ~hold_ps net =
+let hold_yield_stage tech ~ff ~hold_ps net =
   check_hold ~where:"Hold.hold_yield_stage" hold_ps;
-  let margin = Gd.to_gaussian (race_margin ?output_load tech ~ff net) in
+  let margin = Gd.to_gaussian (race_margin tech ~ff net) in
   if G.sigma margin = 0.0 then if G.mu margin >= hold_ps then 1.0 else 0.0
   else G.sf margin hold_ps
 
-let hold_yield_pipeline ?output_load ?corr_length ?(pitch = 1.0) tech ~ff
+let hold_yield_pipeline ?corr_length ?(pitch = 1.0) tech ~ff
     ~hold_ps nets =
   let n = Array.length nets in
   if n = 0 then invalid_arg "Hold.hold_yield_pipeline: no stages";
@@ -43,7 +43,7 @@ let hold_yield_pipeline ?output_load ?corr_length ?(pitch = 1.0) tech ~ff
     Option.value corr_length ~default:tech.Spv_process.Tech.corr_length
   in
   let positions = Spv_process.Spatial.row_positions ~n ~pitch in
-  let margins = Array.map (race_margin ?output_load tech ~ff) nets in
+  let margins = Array.map (race_margin tech ~ff) nets in
   let corr =
     Spv_stats.Correlation.of_function ~n (fun i j ->
         let sys_rho =

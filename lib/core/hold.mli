@@ -23,14 +23,14 @@ val min_n :
 (** Approximate distribution of [min_i X_i]. *)
 
 val short_path_delay :
-  ?output_load:float -> Spv_process.Tech.t -> Spv_circuit.Netlist.t ->
+  Spv_process.Tech.t -> Spv_circuit.Netlist.t ->
   Spv_process.Gate_delay.t
 (** Decomposed delay of the netlist's shortest input-to-output path
     (early-mode composition, mirroring
     {!Spv_circuit.Ssta.analyse_stage}). *)
 
 val hold_yield_stage :
-  ?output_load:float -> Spv_process.Tech.t -> ff:Spv_process.Flipflop.t ->
+  Spv_process.Tech.t -> ff:Spv_process.Flipflop.t ->
   hold_ps:float -> Spv_circuit.Netlist.t -> float
 (** Pr{T_C-Q + D_min >= hold_ps} for one stage.  The clk-to-Q and the
     data path share the die's variation components, so their shared
@@ -39,7 +39,7 @@ val hold_yield_stage :
     on a negative or non-finite [hold_ps]. *)
 
 val hold_yield_pipeline :
-  ?output_load:float -> ?corr_length:float -> ?pitch:float ->
+  ?corr_length:float -> ?pitch:float ->
   Spv_process.Tech.t -> ff:Spv_process.Flipflop.t -> hold_ps:float ->
   Spv_circuit.Netlist.t array -> float
 (** Pr{every stage passes its hold check}: the min over stages of the

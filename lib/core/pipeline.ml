@@ -38,7 +38,7 @@ let of_stages ?(corr_length = Spv_process.Tech.bptm70.Spv_process.Tech.corr_leng
     source = Derived corr_length;
   }
 
-let of_circuits ?output_load ?(pitch = 1.0) ?ff tech nets =
+let of_circuits ?(pitch = 1.0) ?ff tech nets =
   check_stages nets;
   let positions =
     Spv_process.Spatial.row_positions ~n:(Array.length nets) ~pitch
@@ -46,7 +46,7 @@ let of_circuits ?output_load ?(pitch = 1.0) ?ff tech nets =
   let stages =
     Array.mapi
       (fun i net ->
-        Stage.of_circuit ?output_load ?ff ~position:positions.(i) tech net)
+        Stage.of_circuit ?ff ~position:positions.(i) tech net)
       nets
   in
   of_stages ~corr_length:tech.Spv_process.Tech.corr_length stages

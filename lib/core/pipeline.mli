@@ -17,7 +17,7 @@ val of_stages : ?corr_length:float -> Stage.t array -> t
     {!Spv_process.Tech.bptm70}'s). *)
 
 val of_circuits :
-  ?output_load:float -> ?pitch:float -> ?ff:Spv_process.Flipflop.t ->
+  ?pitch:float -> ?ff:Spv_process.Flipflop.t ->
   Spv_process.Tech.t -> Spv_circuit.Netlist.t array -> t
 (** Analytic SSTA on each netlist, stages laid out in a row at [pitch]
     (default 1.0) die units. *)

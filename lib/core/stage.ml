@@ -18,13 +18,13 @@ let of_moments ?name ?position ~mu ~sigma () =
 
 type timing_method = Path_based | Block_based
 
-let of_circuit ?output_load ?ff ?position ?(timing = Path_based) tech net =
+let of_circuit ?ff ?position ?(timing = Path_based) tech net =
   let total =
     match timing with
     | Path_based ->
-        (Spv_circuit.Ssta.analyse_stage ?output_load ?ff tech net)
+        (Spv_circuit.Ssta.analyse_stage ?ff tech net)
           .Spv_circuit.Ssta.total
-    | Block_based -> Spv_circuit.Block_ssta.stage_delay ?output_load ?ff tech net
+    | Block_based -> Spv_circuit.Block_ssta.stage_delay ?ff tech net
   in
   make ~name:(Spv_circuit.Netlist.name net) ?position total
 

@@ -25,7 +25,7 @@ type timing_method =
                      which also counts near-critical paths *)
 
 val of_circuit :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t ->
+  ?ff:Spv_process.Flipflop.t ->
   ?position:Spv_process.Spatial.position -> ?timing:timing_method ->
   Spv_process.Tech.t -> Spv_circuit.Netlist.t -> t
 (** Stage from a gate-level netlist (default timing: [Path_based],

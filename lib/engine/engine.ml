@@ -33,7 +33,6 @@ module Ctx = struct
   type gate = {
     tech : Spv_process.Tech.t;
     nets : Netlist.t array;
-    output_load : float;
     pitch : float;
     ff : Spv_process.Flipflop.t option;
     analyses : Ssta.stage_analysis array;
@@ -88,8 +87,8 @@ module Ctx = struct
           analyses.(i).Ssta.total)
       nets
 
-  let of_circuits ?(mode = Flat) ?macro_table ?block_gates
-      ?(output_load = 4.0) ?(pitch = 1.0) ?ff tech nets =
+  let of_circuits ?(mode = Flat) ?macro_table ?block_gates ?(pitch = 1.0) ?ff
+      tech nets =
     if Array.length nets = 0 then
       invalid_arg "Engine.Ctx.of_circuits: no stages";
     let positions =
@@ -101,7 +100,7 @@ module Ctx = struct
       | Flat ->
           let analyses =
             Array.map
-              (fun net -> Ssta.analyse_stage ~output_load ?ff tech net)
+              (fun net -> Ssta.analyse_stage ?ff tech net)
               nets
           in
           let pipeline =
@@ -115,7 +114,7 @@ module Ctx = struct
             | Some t -> t
             | None -> Macro.Table.create ()
           in
-          let fp = Macro.Table.fingerprint ~output_load ?ff tech in
+          let fp = Macro.Table.fingerprint ?ff tech in
           (* Hash each distinct physical netlist once per build: a
              pipeline instantiating one block RTL many times (the
              hierarchical sweet spot) would otherwise re-hash the same
@@ -125,14 +124,14 @@ module Ctx = struct
             Array.mapi
               (fun i net ->
                 Macro.Table.stage table ~fp ~stage_key:stage_keys.(i)
-                  ?target_gates:block_gates ~output_load tech net)
+                  ?target_gates:block_gates tech net)
               nets
           in
           let analyses =
             Array.mapi
               (fun i net ->
                 Macro.Table.flat_analysis table ~fp ~stage_key:stage_keys.(i)
-                  ~output_load ?ff tech net)
+                  ?ff tech net)
               nets
           in
           let hier_stages =
@@ -173,7 +172,6 @@ module Ctx = struct
         {
           tech;
           nets;
-          output_load;
           pitch;
           ff;
           analyses;
@@ -231,7 +229,6 @@ module Ctx = struct
     (g.s_vth, g.s_leff)
 
   let tech t = (require_gate ~where:"Engine.Ctx.tech" t).tech
-  let output_load t = (require_gate ~where:"Engine.Ctx.output_load" t).output_load
   let pitch t = (require_gate ~where:"Engine.Ctx.pitch" t).pitch
   let flipflop t = (require_gate ~where:"Engine.Ctx.flipflop" t).ff
 
@@ -266,11 +263,10 @@ module Ctx = struct
   let refreshed_flat_analysis g i =
     match g.hier with
     | None ->
-        Ssta.analyse_stage ~output_load:g.output_load ?ff:g.ff g.tech
-          g.nets.(i)
+        Ssta.analyse_stage ?ff:g.ff g.tech g.nets.(i)
     | Some h ->
-        Macro.Table.flat_analysis h.h_table ~fp:h.h_fp
-          ~output_load:g.output_load ?ff:g.ff g.tech g.nets.(i)
+        Macro.Table.flat_analysis h.h_table ~fp:h.h_fp ?ff:g.ff g.tech
+          g.nets.(i)
 
   let refresh_stage t i =
     let g = require_gate ~where:"Engine.Ctx.refresh_stage" t in
@@ -296,9 +292,8 @@ module Ctx = struct
            whose gates are untouched hit the cache, so only the blocks
            a resize actually reached are re-characterised. *)
         let entry =
-          Macro.Table.stage h.h_table ~fp:h.h_fp
-            ?target_gates:h.h_block_gates ~output_load:g.output_load g.tech
-            g.nets.(i)
+          Macro.Table.stage h.h_table ~fp:h.h_fp ?target_gates:h.h_block_gates
+            g.tech g.nets.(i)
         in
         let comb = entry.Macro.Table.se_delay in
         let total =
@@ -334,7 +329,7 @@ module Ctx = struct
 
   (* Canonical fingerprint of everything the estimators read from a
      context.  Gate-level: the characterisation fingerprint (tech,
-     boundary load, flip-flop) plus the per-stage structure+sizes
+     flip-flop) plus the per-stage structure+sizes
      hashes; moments-level: the stage delay decompositions, positions
      and the full correlation matrix, all as exact float bits.  Two
      contexts with equal fingerprints answer every estimator query
@@ -347,8 +342,7 @@ module Ctx = struct
     Buffer.add_char b '|';
     (match t.gate with
     | Some g ->
-        Buffer.add_string b
-          (Macro.Table.fingerprint ~output_load:g.output_load ?ff:g.ff g.tech);
+        Buffer.add_string b (Macro.Table.fingerprint ?ff:g.ff g.tech);
         Buffer.add_char b '|';
         f g.pitch;
         Array.iter
@@ -994,8 +988,7 @@ let sample_delays ?jobs ?(shards = default_shards) ?(seed = default_seed) ctx
 let gate_sampler ~where ?exact ctx =
   let g = Ctx.require_gate ~where ctx in
   fun () ->
-    Ssta.sampler ~output_load:g.Ctx.output_load ?exact ~pitch:g.Ctx.pitch
-      ?ff:g.Ctx.ff g.Ctx.tech g.Ctx.nets
+    Ssta.sampler ?exact ~pitch:g.Ctx.pitch ?ff:g.Ctx.ff g.Ctx.tech g.Ctx.nets
 
 let gate_level_delays ?exact ?jobs ?(shards = default_shards)
     ?(seed = default_seed) ctx ~n =

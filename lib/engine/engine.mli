@@ -59,9 +59,8 @@ module Ctx : sig
 
   val of_circuits :
     ?mode:mode -> ?macro_table:Spv_circuit.Macro.Table.t ->
-    ?block_gates:int -> ?output_load:float -> ?pitch:float ->
-    ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
-    Spv_circuit.Netlist.t array -> t
+    ?block_gates:int -> ?pitch:float -> ?ff:Spv_process.Flipflop.t ->
+    Spv_process.Tech.t -> Spv_circuit.Netlist.t array -> t
   (** Gate-level context: runs analytic SSTA once per netlist (stages
       laid out in a row at [pitch], default 1.0, die units) and caches
       the nominal STA results alongside the derived pipeline.
@@ -156,9 +155,6 @@ module Ctx : sig
       Gate-level contexts only; raises [Invalid_argument] out of
       range. *)
 
-  val output_load : t -> float
-  (** Primary-output load the context's STA uses.  Gate-level only. *)
-
   val pitch : t -> float
   (** Stage-to-stage die pitch of the context's layout.  Gate-level
       only. *)
@@ -189,8 +185,8 @@ module Ctx : sig
   (** Canonical fingerprint of everything the estimators read from the
       context.  Gate-level contexts encode the characterisation
       fingerprint ({!Spv_circuit.Macro.Table.fingerprint}: technology
-      parameters, boundary load, flip-flop overhead), the layout pitch
-      and the per-stage structure+sizes hashes
+      parameters, flip-flop overhead), the layout pitch and the
+      per-stage structure+sizes hashes
       ({!Spv_circuit.Macro.hash}); moments-level contexts encode the
       per-stage delay decompositions, die positions and the full
       correlation matrix as exact ([%.17g]) float bits.  The evaluation

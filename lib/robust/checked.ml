@@ -165,11 +165,11 @@ module Engine = Spv_engine.Engine
 let engine_ctx_of_pipeline pipeline =
   protect ~where:"engine context" (fun () -> Engine.Ctx.of_pipeline pipeline)
 
-let engine_ctx_of_circuits ?mode ?macro_table ?block_gates ?output_load
-    ?pitch ?ff tech nets =
+let engine_ctx_of_circuits ?mode ?macro_table ?block_gates ?pitch ?ff tech
+    nets =
   protect ~where:"engine context" (fun () ->
-      Engine.Ctx.of_circuits ?mode ?macro_table ?block_gates ?output_load
-        ?pitch ?ff tech nets)
+      Engine.Ctx.of_circuits ?mode ?macro_table ?block_gates ?pitch ?ff tech
+        nets)
 
 let checked_probability ~where (e : Engine.estimate) =
   let* _ = Guard.finite ~where e.Engine.value in
@@ -345,10 +345,10 @@ let certificate_error (c : Certify.t) =
 
 (* ---- circuit-level entry points ------------------------------------- *)
 
-let ssta_stage ?output_load ?ff tech net =
+let ssta_stage ?ff tech net =
   let* g =
     protect ~where:"SSTA" (fun () ->
-        Spv_circuit.Ssta.stage_gaussian ?output_load ?ff tech net)
+        Spv_circuit.Ssta.stage_gaussian ?ff tech net)
   in
   Guard.finite_gaussian ~where:"SSTA" g
 

@@ -78,7 +78,7 @@ val engine_ctx_of_pipeline :
 val engine_ctx_of_circuits :
   ?mode:Spv_engine.Engine.mode ->
   ?macro_table:Spv_circuit.Macro.Table.t -> ?block_gates:int ->
-  ?output_load:float -> ?pitch:float -> ?ff:Spv_process.Flipflop.t ->
+  ?pitch:float -> ?ff:Spv_process.Flipflop.t ->
   Spv_process.Tech.t -> Spv_circuit.Netlist.t array ->
   (Spv_engine.Engine.Ctx.t, Errors.t) result
 
@@ -172,7 +172,7 @@ val certificate_error : Spv_analysis.Certify.t -> Errors.t option
 (** {1 Circuit timing and sizing} *)
 
 val ssta_stage :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
   Spv_circuit.Netlist.t -> (Spv_stats.Gaussian.t, Errors.t) result
 
 val size_stage :

@@ -166,7 +166,7 @@ let check_netlist net =
     (Net.gate_ids net);
   Array.iter
     (fun id ->
-      if Net.fanouts net id = [] && not reachable.(id) then
+      if Net.n_fanouts net id = 0 && not reachable.(id) then
         emit
           (diagnostic ~severity:Warn ~code:"unused-input"
              ~signal:(node_name net id)

@@ -484,8 +484,8 @@ let check_ctx ?(tolerances = default_tolerances) ?(invariants = all_invariants)
          let nets = Array.init n (E.Ctx.netlist ctx) in
          let hctx =
            E.Ctx.of_circuits ~mode:E.Hierarchical ?macro_table
-             ~output_load:(E.Ctx.output_load ctx) ~pitch:(E.Ctx.pitch ctx)
-             ?ff:(E.Ctx.flipflop ctx) (E.Ctx.tech ctx) nets
+             ~pitch:(E.Ctx.pitch ctx) ?ff:(E.Ctx.flipflop ctx) (E.Ctx.tech ctx)
+             nets
          in
          let bound e =
            match e.E.hier_bound with
@@ -545,7 +545,6 @@ let check_ctx ?(tolerances = default_tolerances) ?(invariants = all_invariants)
      let module Gd = Spv_process.Gate_delay in
      guarded "deriv" (fun () ->
          let tech = E.Ctx.tech ctx in
-         let output_load = E.Ctx.output_load ctx in
          let ff = E.Ctx.flipflop ctx in
          let n = E.Ctx.n_stages ctx in
          let stage_list = if n = 1 then [ 0 ] else [ 0; n - 1 ] in
@@ -575,7 +574,7 @@ let check_ctx ?(tolerances = default_tolerances) ?(invariants = all_invariants)
                  in
                  let moments_at v =
                    at_size v (fun () ->
-                       let a = Ssta.analyse_stage ~output_load ?ff tech net in
+                       let a = Ssta.analyse_stage ?ff tech net in
                        (a.Ssta.total.Gd.nominal, Gd.total_sigma a.Ssta.total))
                  in
                  let mu0, sg0 = moments_at x in

@@ -18,12 +18,6 @@ type result = {
   order : int array;
 }
 
-let ctx_of ?options ?ff ~pitch tech nets =
-  let output_load =
-    (Option.value options ~default:Lagrangian.default_options)
-      .Lagrangian.output_load
-  in
-  Engine.Ctx.of_circuits ~output_load ~pitch ?ff tech nets
 
 (* The eq. 8 product of stage yields: the arithmetic the paper's Tables
    II/III report. *)
@@ -58,7 +52,7 @@ let individually_optimised_ctx ?options ?ff ?(pitch = 1.0) tech nets ~t_target
     nets;
   let targets = Array.make n t_target in
   let order = Array.init n (fun i -> i) in
-  let ctx = ctx_of ?options ?ff ~pitch tech nets in
+  let ctx = Engine.Ctx.of_circuits ~pitch ?ff tech nets in
   (build_result ctx nets ~targets ~t_target ~order, ctx)
 
 let individually_optimised ?options ?ff ?pitch tech nets ~t_target ~yield_target =
@@ -74,7 +68,7 @@ let ri_order ?options ?ff tech nets ~z ~ascending =
     Array.map
       (fun net ->
         let model = Area_delay.stage_model ?options ?ff ~n_points:7 tech net ~z in
-        let current = (Lagrangian.statistical_delay ?options ?ff tech net ~z) in
+        let current = (Lagrangian.statistical_delay ?ff tech net ~z) in
         let lo, hi = Balance.delay_bounds model in
         let at = Float.max lo (Float.min hi current) in
         Balance.ri model ~delay:at)

@@ -8,12 +8,10 @@ type options = {
   max_size : float;
   step : float;
   max_moves : int;
-  output_load : float;
 }
 
 let default_options =
-  { min_size = 1.0; max_size = 16.0; step = 1.3; max_moves = 2000;
-    output_load = 4.0 }
+  { min_size = 1.0; max_size = 16.0; step = 1.3; max_moves = 2000 }
 
 type report = {
   moves : int;
@@ -23,11 +21,8 @@ type report = {
   area : float;
 }
 
-let stat_delay_of ~options ?ff tech net ~z =
-  let ctx =
-    Spv_engine.Engine.Ctx.of_circuits ~output_load:options.output_load ?ff tech
-      [| net |]
-  in
+let stat_delay_of ?ff tech net ~z =
+  let ctx = Spv_engine.Engine.Ctx.of_circuits ?ff tech [| net |] in
   ( Spv_engine.Engine.Ctx.stage_delay_model ctx 0,
     Spv_engine.Engine.Ctx.stat_delay ctx ~stage:0 ~z )
 
@@ -36,7 +31,7 @@ let size_stage ?options ?ff tech net ~t_target ~z =
   if t_target <= 0.0 then invalid_arg "Greedy.size_stage: t_target <= 0";
   Array.iter (fun i -> Net.set_size net i options.min_size) (Net.gate_ids net);
   let moves = ref 0 in
-  let current = ref (snd (stat_delay_of ~options ?ff tech net ~z)) in
+  let current = ref (snd (stat_delay_of ?ff tech net ~z)) in
   let progress = ref true in
   while !current > t_target && !progress && !moves < options.max_moves do
     progress := false;
@@ -44,7 +39,7 @@ let size_stage ?options ?ff tech net ~t_target ~z =
        their gate fanins — upsizing a critical gate loads its (also
        critical) driver, so sometimes the useful move is one level
        back. *)
-    let sta = Sta.run ~output_load:options.output_load tech net in
+    let sta = Sta.run tech net in
     let candidates =
       let seen = Hashtbl.create 64 in
       List.iter
@@ -95,7 +90,7 @@ let size_stage ?options ?ff tech net ~t_target ~z =
                 Sens_hook.stats.Sens_hook.moves_evaluated + 1;
             let i = mv.Sens_hook.mv_node in
             Net.set_size net i mv.Sens_hook.mv_to;
-            let _, trial = stat_delay_of ~options ?ff tech net ~z in
+            let _, trial = stat_delay_of ?ff tech net ~z in
             Net.set_size net i mv.Sens_hook.mv_from;
             let gain =
               (!current -. trial) /. Float.max mv.Sens_hook.mv_darea 1e-9
@@ -119,7 +114,6 @@ let size_stage ?options ?ff tech net ~t_target ~z =
             {
               Sens_hook.pe_tech = tech;
               pe_net = net;
-              pe_output_load = options.output_load;
               pe_ff = ff;
               pe_z = z;
             }
@@ -145,12 +139,12 @@ let size_stage ?options ?ff tech net ~t_target ~z =
     (match !best with
     | Some (i, _, bigger) ->
         Net.set_size net i bigger;
-        current := snd (stat_delay_of ~options ?ff tech net ~z);
+        current := snd (stat_delay_of ?ff tech net ~z);
         incr moves;
         progress := true
     | None -> ())
   done;
-  let achieved, stat_delay = stat_delay_of ~options ?ff tech net ~z in
+  let achieved, stat_delay = stat_delay_of ?ff tech net ~z in
   let converged = stat_delay <= t_target *. 1.005 in
   let g = Gd.to_gaussian achieved in
   Certify_hook.postcondition ~where:"Greedy.size_stage" ~t_target ~z ~converged

@@ -15,7 +15,6 @@ type options = {
   max_size : float;
   step : float;  (** multiplicative upsize factor per move (default 1.3) *)
   max_moves : int;  (** default 2000 *)
-  output_load : float;
 }
 
 val default_options : options

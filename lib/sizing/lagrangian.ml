@@ -9,7 +9,6 @@ type options = {
   max_iterations : int;
   tolerance : float;
   theta_fraction : float;
-  output_load : float;
 }
 
 let default_options =
@@ -19,7 +18,6 @@ let default_options =
     max_iterations = 120;
     tolerance = 5e-3;
     theta_fraction = 0.05;
-    output_load = 4.0;
   }
 
 type report = {
@@ -31,30 +29,33 @@ type report = {
   lambda : float;
 }
 
-let analyse ?options ?ff tech net =
-  let options = Option.value options ~default:default_options in
-  (Spv_circuit.Ssta.analyse_stage ~output_load:options.output_load ?ff tech net)
-    .Spv_circuit.Ssta.total
+let analyse ?ff tech net =
+  (Spv_circuit.Ssta.analyse_stage ?ff tech net).Spv_circuit.Ssta.total
 
-let statistical_delay ?options ?ff tech net ~z =
-  let total = analyse ?options ?ff tech net in
+let statistical_delay ?ff tech net ~z =
+  let total = analyse ?ff tech net in
   total.Gd.nominal +. (z *. Gd.total_sigma total)
 
 (* Backward pass: required times and slacks given an STA result.  The
    required time at every primary output is the overall delay, so the
    global critical path has zero slack. *)
 let slacks net (sta : Sta.result) =
-  let n = Net.n_nodes net in
-  let required = Array.make n infinity in
-  Array.iter (fun o -> required.(o) <- sta.Sta.delay) (Net.outputs net);
-  for i = n - 1 downto 0 do
-    List.iter
-      (fun j ->
-        let candidate = required.(j) -. sta.Sta.gate_delays.(j) in
-        if candidate < required.(i) then required.(i) <- candidate)
-      (Net.fanouts net i)
-  done;
-  Array.init n (fun i ->
+  let required =
+    Sta.backward
+      (module struct
+        type t = float
+
+        let seed i = if Net.is_output net i then sta.Sta.delay else infinity
+
+        let join req j req_j =
+          let candidate = req_j -. sta.Sta.gate_delays.(j) in
+          if candidate < req then candidate else req
+
+        let finish _ req = req
+      end)
+      net
+  in
+  Array.init (Net.n_nodes net) (fun i ->
       if required.(i) = infinity then infinity
       else required.(i) -. sta.Sta.arrival.(i))
 
@@ -66,19 +67,17 @@ let size_stage ?options ?ff tech net ~t_target ~z =
      reproducible regardless of the netlist's previous state. *)
   Array.iter (fun i -> Net.set_size net i opts.min_size) gate_ids;
   let tau = tech.Spv_process.Tech.tau in
-  let stat () = statistical_delay ~options:opts ?ff tech net ~z in
+  let stat () = statistical_delay ?ff tech net ~z in
   let best_sizes = ref (Net.sizes_snapshot net) in
   let best_feasible = ref None in
   let best_delay = ref (stat ()) in
   let lambda = ref 1.0 in
   let iterations = ref 0 in
-  let is_output = Array.make (Net.n_nodes net) false in
-  Array.iter (fun o -> is_output.(o) <- true) (Net.outputs net);
   let clamp x = Float.max opts.min_size (Float.min opts.max_size x) in
   (try
      for iter = 1 to opts.max_iterations do
        iterations := iter;
-       let sta = Sta.run ~output_load:opts.output_load tech net in
+       let sta = Sta.run tech net in
        let slack = slacks net sta in
        let theta = Float.max (opts.theta_fraction *. sta.Sta.delay) 1e-9 in
        let weight i =
@@ -102,18 +101,8 @@ let size_stage ?options ?ff tech net ~t_target ~z =
                    else acc)
                  0.0 fanin
              in
-             (* Refresh this gate's load under current fanout sizes. *)
-             let load =
-               List.fold_left
-                 (fun acc j ->
-                   match Net.node net j with
-                   | Net.Gate { kind = kj; _ } ->
-                       acc +. Cell.input_cap kj ~size:(Net.size net j)
-                   | Net.Primary_input _ -> acc)
-                 (if is_output.(i) then opts.output_load else 0.0)
-                 (Net.fanouts net i)
-             in
-             let numerator = !lambda *. tau *. weight i *. load in
+             (* The netlist keeps this load current as fanouts resize. *)
+             let numerator = !lambda *. tau *. weight i *. Net.load net i in
              let denominator =
                area_coeff +. (!lambda *. tau *. fanin_pressure)
              in
@@ -149,7 +138,7 @@ let size_stage ?options ?ff tech net ~t_target ~z =
   (match !best_feasible with
   | Some (sizes, _) -> Net.restore_sizes net sizes
   | None -> Net.restore_sizes net !best_sizes);
-  let achieved = analyse ~options:opts ?ff tech net in
+  let achieved = analyse ?ff tech net in
   let stat_delay = achieved.Gd.nominal +. (z *. Gd.total_sigma achieved) in
   let converged = stat_delay <= t_target *. (1.0 +. opts.tolerance) in
   let g = Gd.to_gaussian achieved in
@@ -179,6 +168,6 @@ let relaxed_delay ?options ?ff tech net ~z =
   Array.iter
     (fun i -> Net.set_size net i opts.min_size)
     (Net.gate_ids net);
-  let d = statistical_delay ~options:opts ?ff tech net ~z in
+  let d = statistical_delay ?ff tech net ~z in
   Net.restore_sizes net snapshot;
   d

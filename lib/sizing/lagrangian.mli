@@ -28,7 +28,6 @@ type options = {
   theta_fraction : float;
       (** criticality temperature as a fraction of current delay
           (default 0.05) *)
-  output_load : float;  (** load on primary outputs (default 4.0) *)
 }
 
 val default_options : options
@@ -43,8 +42,8 @@ type report = {
 }
 
 val statistical_delay :
-  ?options:options -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
-  Spv_circuit.Netlist.t -> z:float -> float
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> Spv_circuit.Netlist.t ->
+  z:float -> float
 (** Current [mu + z * sigma] of the stage (analytic SSTA). *)
 
 val size_stage :

@@ -24,9 +24,9 @@ let delay_factors net a =
     invalid_arg "Multi_vth.delay_factors: assignment size mismatch";
   Array.map (fun h -> if h then a.delay_penalty else 1.0) a.high_vth
 
-let stat_delay ?(output_load = 4.0) ?ff tech net a ~z =
+let stat_delay ?ff tech net a ~z =
   let sta =
-    Sta.run_with_factors ~output_load tech net ~factors:(delay_factors net a)
+    Sta.run_with_factors tech net ~factors:(delay_factors net a)
   in
   let comb =
     List.fold_left
@@ -79,17 +79,17 @@ type result = {
   stat_delay_after : float;
 }
 
-let optimise ?(output_load = 4.0) ?ff ?(delay_penalty = 1.15)
+let optimise ?ff ?(delay_penalty = 1.15)
     ?(vth_offset = 0.08) tech net ~t_target ~z =
   if not (Float.is_finite t_target) then
     invalid_arg "Multi_vth.optimise: non-finite t_target";
   let a = all_low net ~delay_penalty ~vth_offset in
   let leakage_before = leakage tech net a in
-  if stat_delay ~output_load ?ff tech net a ~z > t_target then
+  if stat_delay ?ff tech net a ~z > t_target then
     invalid_arg "Multi_vth.optimise: all-low design misses the target";
   (* Visit gates in ascending criticality: the most off-path gates have
      the most slack to sell. *)
-  let block = Spv_circuit.Block_ssta.run ~output_load tech net in
+  let block = Spv_circuit.Block_ssta.run tech net in
   let order = Array.copy (Net.gate_ids net) in
   Array.sort
     (fun i j ->
@@ -100,7 +100,7 @@ let optimise ?(output_load = 4.0) ?ff ?(delay_penalty = 1.15)
   Array.iter
     (fun i ->
       a.high_vth.(i) <- true;
-      if stat_delay ~output_load ?ff tech net a ~z <= t_target then incr swapped
+      if stat_delay ?ff tech net a ~z <= t_target then incr swapped
       else a.high_vth.(i) <- false)
     order;
   {
@@ -108,5 +108,5 @@ let optimise ?(output_load = 4.0) ?ff ?(delay_penalty = 1.15)
     swapped = !swapped;
     leakage_before;
     leakage_after = leakage tech net a;
-    stat_delay_after = stat_delay ~output_load ?ff tech net a ~z;
+    stat_delay_after = stat_delay ?ff tech net a ~z;
   }

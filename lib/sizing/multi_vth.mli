@@ -30,7 +30,7 @@ val delay_factors : Spv_circuit.Netlist.t -> assignment -> float array
 (** Per-node delay multipliers for {!Spv_circuit.Sta.run_with_factors}. *)
 
 val stat_delay :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
+  ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
   Spv_circuit.Netlist.t -> assignment -> z:float -> float
 (** [mu + z sigma] of the stage under the assignment (critical-path
     composition on the factored timing). *)
@@ -49,7 +49,7 @@ type result = {
 }
 
 val optimise :
-  ?output_load:float -> ?ff:Spv_process.Flipflop.t ->
+  ?ff:Spv_process.Flipflop.t ->
   ?delay_penalty:float -> ?vth_offset:float -> Spv_process.Tech.t ->
   Spv_circuit.Netlist.t -> t_target:float -> z:float -> result
 (** Greedy criticality-guided assignment under the statistical delay

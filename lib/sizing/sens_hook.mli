@@ -35,7 +35,6 @@ type move = {
 type prune_env = {
   pe_tech : Spv_process.Tech.t;
   pe_net : Spv_circuit.Netlist.t;
-  pe_output_load : float;
   pe_ff : Spv_process.Flipflop.t option;
   pe_z : float;  (** the sizer's statistical-delay quantile *)
 }

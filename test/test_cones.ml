@@ -170,11 +170,9 @@ let mc_gate_criticality ctx ~stage ~forms ~n ~rng =
     in
     for i = n_nodes - 1 downto 0 do
       if is_output.(i) then down.(i) <- 0.0;
-      List.iter
-        (fun g ->
+      Netlist.iter_fanouts net i (fun g ->
           if Netlist.is_gate net g && down.(g) > neg_infinity then
             down.(i) <- Float.max down.(i) (delay.(g) +. down.(g)))
-        (Netlist.fanouts net i)
     done;
     let eps = 1e-7 *. Float.max 1.0 (Float.abs d) in
     for i = 0 to n_nodes - 1 do

@@ -80,12 +80,12 @@ let test_partition_deterministic () =
    series fold adds nothing. *)
 let test_single_macro_is_block_ssta () =
   let net = Gen.random_logic ~name:"s" ~inputs:6 ~gates:80 ~depth:8 ~seed:3 in
-  let m = Macro.characterise ~output_load:4.0 tech net in
+  let m = Macro.characterise tech net in
   Alcotest.(check int) "macro covers all gates" (Netlist.n_gates net)
     m.Macro.n_gates;
   check_gd "singleton series == Block_ssta stage_delay"
     (Macro.stage_delay [| m |])
-    (Block_ssta.stage_delay ~output_load:4.0 tech net)
+    (Block_ssta.stage_delay tech net)
 
 (* Macros replace the closed-form stage model only; the Monte-Carlo
    samplers re-run STA on the original netlists, so gate-level draws

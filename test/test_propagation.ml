@@ -49,7 +49,7 @@ let nets () =
   [ Gen.c432 (); Gen.alu_slice ~bits:8 (); corner_net () ] @ fuzz_nets ()
 
 let output_drives_gate net =
-  Array.exists (fun o -> Net.fanouts net o <> []) (Net.outputs net)
+  Array.exists (fun o -> Net.n_fanouts net o > 0) (Net.outputs net)
 
 let repeated_fanin net =
   Array.exists
@@ -191,6 +191,87 @@ let test_digest () =
   Alcotest.(check bool) "some gate repeats a fanin" true
     (List.exists repeated_fanin all);
   Alcotest.(check string) "propagation digest"
-    "ead90d90147647475070c1313d9352c0" (propagation_digest ())
+    "2ec9417b09fb8274a22fbcf5854ee4d1" (propagation_digest ())
 
-let suite = [ quick "propagation passes golden digest" test_digest ]
+(* ---- the load invariant ------------------------------------------------ *)
+
+(* Independent reference: consumers in descending id, a consumer's
+   later pins first, summed from 0.0, the output cap added last. *)
+let reference_load net i =
+  let acc = ref 0.0 in
+  for j = Net.n_nodes net - 1 downto i + 1 do
+    match Net.node net j with
+    | Net.Primary_input _ -> ()
+    | Net.Gate { kind; fanin } ->
+        for k = Array.length fanin - 1 downto 0 do
+          if fanin.(k) = i then
+            acc :=
+              !acc +. Spv_circuit.Cell.input_cap kind ~size:(Net.size net j)
+        done
+  done;
+  !acc +. if Net.is_output net i then Net.output_load else 0.0
+
+let check_loads what net =
+  Array.iteri
+    (fun i l ->
+      let r = reference_load net i in
+      if Int64.bits_of_float l <> Int64.bits_of_float r then
+        Alcotest.failf "%s: %s node %d load %h, from scratch %h" what
+          (Net.name net) i l r)
+    (Net.loads net)
+
+(* Random interleavings of resizes, restores, copies and queries:
+   every query must see a from-scratch fold, and a resized copy must
+   leave its original alone. *)
+let test_load_invariant () =
+  List.iteri
+    (fun seed net ->
+      let rng = Rng.create ~seed in
+      let gates = Net.gate_ids net in
+      let net = ref (Net.copy net) in
+      let snapshots = ref [ Net.sizes_snapshot !net ] in
+      for step = 1 to 300 do
+        let what = Printf.sprintf "seed %d step %d" seed step in
+        match Rng.int rng ~bound:5 with
+        | 0 | 1 ->
+            let g = gates.(Rng.int rng ~bound:(Array.length gates)) in
+            Net.set_size !net g (0.25 *. float_of_int (1 + Rng.int rng ~bound:32))
+        | 2 ->
+            let snaps = !snapshots in
+            Net.restore_sizes !net
+              (List.nth snaps (Rng.int rng ~bound:(List.length snaps)));
+            snapshots := Net.sizes_snapshot !net :: snaps
+        | 3 ->
+            let original = !net in
+            let before = Array.copy (Net.loads original) in
+            let c = Net.copy original in
+            check_loads (what ^ " copy") c;
+            let g = gates.(Rng.int rng ~bound:(Array.length gates)) in
+            Net.set_size c g (Net.size c g *. 1.5);
+            if Net.loads original <> before then
+              Alcotest.failf "%s: resizing a copy moved the original's loads"
+                what;
+            net := c
+        | _ -> check_loads what !net
+      done;
+      check_loads "final" !net)
+    (corner_net () :: Gen.c432 () :: fuzz_nets ())
+
+let test_corner_loads () =
+  (* g1 (node 3) is an output that drives g2 on both pins and g3 once:
+     2 x nand2 + nor2 input caps, then the output cap. *)
+  let net = corner_net () in
+  let cap k = Spv_circuit.Cell.input_cap k ~size:1.0 in
+  let expected =
+    cap Spv_circuit.Cell.Nor2 +. cap Spv_circuit.Cell.Nand2
+    +. cap Spv_circuit.Cell.Nand2 +. Net.output_load
+  in
+  Alcotest.(check (float 0.0)) "output with fanout" expected (Net.load net 3);
+  check_loads "corner" net
+
+let suite =
+  [
+    quick "propagation passes golden digest" test_digest;
+    quick "loads follow resizes, restores and copies" test_load_invariant;
+    quick "loads of an output with fanout" test_corner_loads;
+  ]

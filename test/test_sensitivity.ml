@@ -386,8 +386,7 @@ let test_dominance_prune_direct () =
      sizer's acceptance or lose to a kept move, checked concretely. *)
   let net, _ = greedy_fixture () in
   let env =
-    { Hook.pe_tech = tech; pe_net = net; pe_output_load = 4.0;
-      pe_ff = Some ff; pe_z = z }
+    { Hook.pe_tech = tech; pe_net = net; pe_ff = Some ff; pe_z = z }
   in
   let moves =
     List.map

@@ -39,12 +39,13 @@ let test_generated_depths () =
 
 let test_chain_delay_closed_form () =
   (* Uniform inverter chain: every inverter drives one same-size
-     inverter (load g = 1) except the last, which drives output_load.
+     inverter (load g = 1) except the last, which drives the
+     primary-output load.
      delay = (depth-1) * tau * (p + 1) + tau * (p + load). *)
   let depth = 6 in
   let net = G.inverter_chain ~depth () in
-  let output_load = 4.0 in
-  let sta = Sta.run ~output_load tech net in
+  let output_load = Net.output_load in
+  let sta = Sta.run tech net in
   let tau = tech.Spv_process.Tech.tau in
   let expected =
     (float_of_int (depth - 1) *. tau *. 2.0) +. (tau *. (1.0 +. output_load))
@@ -91,11 +92,13 @@ let test_arrival_monotone_along_path () =
   in
   check_path sta.Sta.critical_path;
   check_close ~rel:1e-12 "path delay sums to total" sta.Sta.delay
-    (Sta.path_delay sta sta.Sta.critical_path)
+    (List.fold_left
+       (fun acc i -> acc +. sta.Sta.gate_delays.(i))
+       0.0 sta.Sta.critical_path)
 
 let test_loads () =
   let net = G.inverter_chain ~depth:2 () in
-  let loads = Sta.loads net ~output_load:4.0 in
+  let loads = Net.loads net in
   (* First inverter drives the second (inv cin = size = 1). *)
   check_float "internal load" 1.0 loads.(1);
   check_float "po load" 4.0 loads.(2)
