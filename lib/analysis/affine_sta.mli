@@ -74,12 +74,9 @@ val stage_factor_form :
 val stage_forms :
   k:float -> Spv_engine.Engine.Ctx.t -> sys_row:float array -> stage:int ->
   Affine.t array * Affine.t array
-(** Per-node gate delay forms ([0] at inputs) and arrival forms of one
-    stage: the Affine instance of {!Spv_circuit.Sta.forward}, each gate
-    folding its fanins with {!Affine.max2} from [Affine.const 0.0] in
-    pin order.  A gate form is its {!stage_factor_form} scaled by the
-    nominal gate delay.  The stage's [sta_form] is the max of the
-    output arrivals plus the flip-flop. *)
+(** Per-node gate forms (factor form x nominal delay, 0 at inputs) and
+    arrival forms of one stage: {!Spv_circuit.Sta.forward} with
+    {!Affine.max2} folded from [Affine.const 0.0]. *)
 
 val model_form : Spv_stats.Mvn.t -> int -> Affine.t
 (** Exact affine form of one stage's delay in the MVN's Cholesky

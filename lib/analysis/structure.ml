@@ -12,27 +12,35 @@ type stem = {
   max_paths : float;
 }
 
-(* Per-stem path-count propagation: node ids are topological, so one
-   forward scan accumulates the number of distinct stem-to-node paths.
-   Counts are floats and saturate instead of overflowing. *)
+(* Number of distinct paths from stem [s] to every node: one forward
+   scan.  Counts are floats and saturate instead of overflowing. *)
+let path_counts net s =
+  Spv_circuit.Sta.forward
+    (module struct
+      type t = float
+
+      let input i = if i = s then 1.0 else 0.0
+      let start c = 0.0 +. c
+      let join = ( +. )
+      let gate i c = if i = s then 1.0 else c
+    end)
+    net
+
 let stem_of net s =
-  let n = Netlist.n_nodes net in
-  let paths = Array.make n 0.0 in
-  paths.(s) <- 1.0;
   let reconv = ref 0 and max_paths = ref 1.0 in
-  for i = s + 1 to n - 1 do
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> ()
-    | Netlist.Gate { fanin; _ } ->
-        let c = Array.fold_left (fun acc f -> acc +. paths.(f)) 0.0 fanin in
-        paths.(i) <- c;
-        if c >= 2.0 then begin
-          incr reconv;
-          if c > !max_paths then max_paths := c
-        end
-  done;
-  let branches = Netlist.n_fanouts net s in
-  { stem = s; branches; reconvergence_count = !reconv; max_paths = !max_paths }
+  Array.iter
+    (fun c ->
+      if c >= 2.0 then begin
+        incr reconv;
+        if c > !max_paths then max_paths := c
+      end)
+    (path_counts net s);
+  {
+    stem = s;
+    branches = Netlist.n_fanouts net s;
+    reconvergence_count = !reconv;
+    max_paths = !max_paths;
+  }
 
 let stems net =
   let n = Netlist.n_nodes net in
@@ -48,22 +56,12 @@ let stems net =
 (* Union of all reconvergence nodes across stems (gates reached by >= 2
    paths from at least one stem). *)
 let reconvergent_region net sts =
-  let n = Netlist.n_nodes net in
-  let mark = Array.make n false in
+  let mark = Array.make (Netlist.n_nodes net) false in
   List.iter
     (fun st ->
-      let paths = Array.make n 0.0 in
-      paths.(st.stem) <- 1.0;
-      for i = st.stem + 1 to n - 1 do
-        match Netlist.node net i with
-        | Netlist.Primary_input _ -> ()
-        | Netlist.Gate { fanin; _ } ->
-            let c =
-              Array.fold_left (fun acc f -> acc +. paths.(f)) 0.0 fanin
-            in
-            paths.(i) <- c;
-            if c >= 2.0 then mark.(i) <- true
-      done)
+      Array.iteri
+        (fun i c -> if c >= 2.0 then mark.(i) <- true)
+        (path_counts net st.stem))
     sts;
   Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 mark
 

@@ -8,14 +8,22 @@ type result = {
 
 let run tech net =
   let n = Netlist.n_nodes net in
-  (* Tightness weight of every fanin edge, in CSR order: the share of
-     its gate's max the fanin won.  [forward] visits the edges once, in
-     that order, so a running cursor is the edge index. *)
+  (* Clark max with dominance bookkeeping over [w]: the running max's
+     contributors w.(first .. e-1) share its tightness t, the newcomer
+     w.(e) gets 1 - t. *)
+  let absorb w ~first e acc b =
+    let t = Canonical.tightness acc b in
+    for e' = first to e - 1 do
+      w.(e') <- w.(e') *. t
+    done;
+    w.(e) <- 1.0 -. t;
+    Canonical.max acc b
+  in
+  (* Forward: arrival = Clark max over fanin arrivals + own delay, with
+     a weight per fanin edge in CSR order.  [forward] visits the edges
+     once, in that order, so a running cursor is the edge index. *)
   let weights = Array.make (Array.length (Netlist.fanin_ids net)) 0.0 in
   let edge = ref 0 and first = ref 0 in
-  (* Forward propagation: arrival = Clark max over fanin arrivals +
-     own delay.  Previous contributors of a max share its tightness t;
-     the newcomer gets 1 - t. *)
   let arrivals =
     Sta.forward
       (module struct
@@ -30,43 +38,33 @@ let run tech net =
           a
 
         let join acc b =
-          let t = Canonical.tightness acc b in
-          for e = !first to !edge - 1 do
-            weights.(e) <- weights.(e) *. t
-          done;
-          weights.(!edge) <- 1.0 -. t;
+          let m = absorb weights ~first:!first !edge acc b in
           incr edge;
-          Canonical.max acc b
+          m
 
         let gate i latest =
-          let own =
-            Canonical.of_gate_delay
-              (Gd.of_nominal tech ~nominal:(Sta.gate_delay tech net i)
-                 ~size:(Netlist.size net i))
-          in
-          Canonical.add latest own
+          Canonical.add latest
+            (Canonical.of_gate_delay
+               (Gd.of_nominal tech ~nominal:(Sta.gate_delay tech net i)
+                  ~size:(Netlist.size net i)))
       end)
       net
   in
   (* Max over primary outputs, with the same dominance bookkeeping. *)
   let outputs = Netlist.outputs net in
-  let out_weights = Array.make (Array.length outputs) 0.0 in
+  let out_weights = Array.make (Array.length outputs) 1.0 in
   let output = ref arrivals.(outputs.(0)) in
-  out_weights.(0) <- 1.0;
   for k = 1 to Array.length outputs - 1 do
-    let b = arrivals.(outputs.(k)) in
-    let t = Canonical.tightness !output b in
-    for k' = 0 to k - 1 do
-      out_weights.(k') <- out_weights.(k') *. t
-    done;
-    out_weights.(k) <- 1.0 -. t;
-    output := Canonical.max !output b
+    output := absorb out_weights ~first:0 k !output arrivals.(outputs.(k))
   done;
   (* Backward criticality: distribute each node's criticality over its
      fanins with the recorded tightness weights. *)
   let criticality = Array.make n 0.0 in
-  Array.iteri (fun k o -> criticality.(o) <- criticality.(o) +. out_weights.(k)) outputs;
-  let fanin_start = Netlist.fanin_start net and fanin_ids = Netlist.fanin_ids net in
+  Array.iteri
+    (fun k o -> criticality.(o) <- criticality.(o) +. out_weights.(k))
+    outputs;
+  let fanin_start = Netlist.fanin_start net in
+  let fanin_ids = Netlist.fanin_ids net in
   for i = n - 1 downto 0 do
     if criticality.(i) > 0.0 then
       for e = fanin_start.(i) to fanin_start.(i + 1) - 1 do

@@ -211,10 +211,8 @@ let split_stage net ~at_level =
         in
         nodes1 := node :: !nodes1;
         sizes1 := sizes.(i) :: !sizes1;
-        if
-          boundary.(i)
-          || Array.exists (fun o -> o = i) (Netlist.outputs net)
-        then outs1 := map1.(i) :: !outs1
+        if boundary.(i) || Netlist.is_output net i then
+          outs1 := map1.(i) :: !outs1
       end
     done;
     (* Second part: one fresh primary input per boundary node, then

@@ -111,20 +111,13 @@ let plan ?(target_gates = default_block_gates) net =
   done;
   (* Which gates feed a later band (or are parent outputs)?  Those are
      the exposed outputs of their own band. *)
-  let exposed = Array.make n false in
-  for i = 0 to n - 1 do
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> ()
-    | Netlist.Gate { fanin; _ } ->
-        Array.iter
-          (fun f ->
-            if Netlist.is_gate net f && band_of_node.(f) <> band_of_node.(i)
-            then exposed.(f) <- true)
-          fanin
-  done;
-  Array.iter
-    (fun o -> if Netlist.is_gate net o then exposed.(o) <- true)
-    (Netlist.outputs net);
+  let exposed =
+    Array.init n (fun f ->
+        Netlist.is_gate net f
+        && (Netlist.is_output net f
+           || Netlist.exists_fanout net f (fun i ->
+                  band_of_node.(i) <> band_of_node.(f))))
+  in
   let members = Array.make n_bands [] in
   for i = n - 1 downto 0 do
     let b = band_of_node.(i) in
@@ -193,18 +186,9 @@ let materialise_band net pl b =
     (if !outputs = [] then
        (* A band of dangling gates (no consumer anywhere): expose its
           in-band sinks so the block still has a well-defined delay. *)
-       let consumed = Array.make n false in
-       Array.iter
-         (fun i ->
-           match Netlist.node net i with
-           | Netlist.Gate { fanin; _ } ->
-               Array.iter
-                 (fun f -> if member f then consumed.(f) <- true)
-                 fanin
-           | Netlist.Primary_input _ -> ())
-         gates;
        for i = n - 1 downto 0 do
-         if member i && not consumed.(i) then outputs := local.(i) :: !outputs
+         if member i && not (Netlist.exists_fanout net i member) then
+           outputs := local.(i) :: !outputs
        done);
     let b_net =
       Netlist.make
@@ -266,7 +250,6 @@ module Table = struct
   type key = int64 * string
 
   type t = {
-    blocks_tbl : (key, macro) Hashtbl.t;
     stages_tbl : (key, stage_entry) Hashtbl.t;
     flat_tbl : (key, Ssta.stage_analysis) Hashtbl.t;
     (* Band plans keyed on (structure_hash, target_gates): partitioning
@@ -288,7 +271,6 @@ module Table = struct
 
   let create () =
     {
-      blocks_tbl = Hashtbl.create 64;
       stages_tbl = Hashtbl.create 64;
       flat_tbl = Hashtbl.create 64;
       plans_tbl = Hashtbl.create 64;
@@ -335,36 +317,6 @@ module Table = struct
         g ff.Spv_process.Flipflop.setup);
     Buffer.contents b
 
-  let stage_hash t net =
-    let sh =
-      match List.find_opt (fun (n, _) -> n == net) t.struct_cache with
-      | Some (_, sh) -> sh
-      | None ->
-          let sh = structure_hash net in
-          t.struct_cache <- (net, sh) :: t.struct_cache;
-          sh
-    in
-    combine sh (sizes_hash net)
-
-  let block_macro t ~fp tech block =
-    let key = (hash block.b_net, fp) in
-    match Hashtbl.find_opt t.blocks_tbl key with
-    | Some m ->
-        t.hits <- t.hits + 1;
-        m
-    | None ->
-        t.misses <- t.misses + 1;
-        let m = characterise tech block.b_net in
-        Hashtbl.replace t.blocks_tbl key m;
-        m
-
-  let compose_blocks macros =
-    let total = ref macros.(0) in
-    for i = 1 to Array.length macros - 1 do
-      total := series !total macros.(i)
-    done;
-    Canonical.to_gate_delay (!total).delay
-
   let structure_hash_of t net =
     match List.find_opt (fun (n, _) -> n == net) t.struct_cache with
     | Some (_, sh) -> sh
@@ -372,6 +324,8 @@ module Table = struct
         let sh = structure_hash net in
         t.struct_cache <- (net, sh) :: t.struct_cache;
         sh
+
+  let stage_hash t net = combine (structure_hash_of t net) (sizes_hash net)
 
   let plan_for t ~target_gates net =
     let pk = mix_int (mix fnv_offset (structure_hash_of t net)) target_gates in
@@ -428,7 +382,7 @@ module Table = struct
         in
         let se_blocks = Array.map fst pairs in
         let se_macros = Array.map snd pairs in
-        let e = { se_blocks; se_macros; se_delay = compose_blocks se_macros } in
+        let e = { se_blocks; se_macros; se_delay = stage_delay se_macros } in
         Hashtbl.replace t.stages_tbl key e;
         e
 

@@ -116,10 +116,6 @@ module Table : sig
       (sound: netlist structure is immutable; sizes are re-hashed on
       every call). *)
 
-  val block_macro :
-    t -> fp:string -> Spv_process.Tech.t -> block -> macro
-  (** Memoised {!characterise} of one block, counting a hit or miss. *)
-
   val stage :
     t -> fp:string -> ?stage_key:int64 -> ?target_gates:int ->
     Spv_process.Tech.t -> Netlist.t -> stage_entry

@@ -48,33 +48,20 @@ let make ~name ~nodes ~outputs ~sizes =
       if o < 0 || o >= n then invalid_arg "Netlist.make: bad output id")
     outputs;
   if Array.length outputs = 0 then invalid_arg "Netlist.make: no outputs";
-  (* CSR fanins in pin order and fanouts in descending consumer id
-     (a consumer reading a node on several pins is listed once per
-     pin, later pins first). *)
-  let fanin_of = function Primary_input _ -> [||] | Gate { fanin; _ } -> fanin in
-  let fanin_start = Array.make (n + 1) 0 in
-  let fanout_start = Array.make (n + 1) 0 in
+  (* CSR fanins in pin order; fanouts in descending consumer id, a
+     consumer once per pin (later pins first). *)
+  let fanins =
+    Array.map (function Primary_input _ -> [||] | Gate { fanin; _ } -> fanin) nodes
+  in
+  let fanouts = Array.make n [] in
   Array.iteri
-    (fun i node ->
-      let fanin = fanin_of node in
-      fanin_start.(i + 1) <- fanin_start.(i) + Array.length fanin;
-      Array.iter (fun f -> fanout_start.(f + 1) <- fanout_start.(f + 1) + 1) fanin)
-    nodes;
-  for i = 0 to n - 1 do
-    fanout_start.(i + 1) <- fanout_start.(i + 1) + fanout_start.(i)
-  done;
-  let fanin_ids = Array.make fanin_start.(n) 0 in
-  let fanout_ids = Array.make fanout_start.(n) 0 in
-  let fill = Array.init n (fun f -> fanout_start.(f + 1)) in
-  Array.iteri
-    (fun i node ->
-      Array.iteri
-        (fun k f ->
-          fanin_ids.(fanin_start.(i) + k) <- f;
-          fill.(f) <- fill.(f) - 1;
-          fanout_ids.(fill.(f)) <- i)
-        (fanin_of node))
-    nodes;
+    (fun i -> Array.iter (fun f -> fanouts.(f) <- i :: fanouts.(f)))
+    fanins;
+  let starts lengths =
+    let s = Array.make (n + 1) 0 in
+    Array.iteri (fun i l -> s.(i + 1) <- s.(i) + l) lengths;
+    s
+  in
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) outputs;
   let ids pred =
@@ -91,10 +78,10 @@ let make ~name ~nodes ~outputs ~sizes =
     nodes = Array.copy nodes;
     outputs = Array.copy outputs;
     sizes = Array.copy sizes;
-    fanin_start;
-    fanin_ids;
-    fanout_start;
-    fanout_ids;
+    fanin_start = starts (Array.map Array.length fanins);
+    fanin_ids = Array.concat (Array.to_list fanins);
+    fanout_start = starts (Array.map List.length fanouts);
+    fanout_ids = Array.of_list (List.concat (Array.to_list fanouts));
     is_output;
     gate_ids;
     input_ids;
@@ -108,14 +95,18 @@ let outputs t = t.outputs
 let is_output t i = t.is_output.(i)
 let fanin_start t = t.fanin_start
 let fanin_ids t = t.fanin_ids
-let fanout_start t = t.fanout_start
-let fanout_ids t = t.fanout_ids
 let n_fanouts t i = t.fanout_start.(i + 1) - t.fanout_start.(i)
 
 let iter_fanouts t i f =
   for e = t.fanout_start.(i) to t.fanout_start.(i + 1) - 1 do
     f t.fanout_ids.(e)
   done
+
+let exists_fanout t i p =
+  let rec go e =
+    e < t.fanout_start.(i + 1) && (p t.fanout_ids.(e) || go (e + 1))
+  in
+  go t.fanout_start.(i)
 
 let is_gate t i =
   match t.nodes.(i) with Gate _ -> true | Primary_input _ -> false
@@ -149,8 +140,6 @@ let loads t =
       Atomic.set t.loads (Some l);
       l
 
-let load t i = (loads t).(i)
-
 let set_size t i v =
   if not (is_gate t i) then invalid_arg "Netlist.set_size: not a gate";
   if v <= 0.0 then invalid_arg "Netlist.set_size: size <= 0";
@@ -179,11 +168,8 @@ let area t =
     0.0 t.gate_ids
 
 let copy t =
-  {
-    t with
-    sizes = Array.copy t.sizes;
-    loads = Atomic.make (Option.map Array.copy (Atomic.get t.loads));
-  }
+  let loads = Atomic.make (Option.map Array.copy (Atomic.get t.loads)) in
+  { t with sizes = Array.copy t.sizes; loads }
 
 let eval t ~inputs =
   if Array.length inputs <> Array.length t.input_ids then

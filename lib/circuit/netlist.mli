@@ -30,54 +30,38 @@ val node : t -> int -> node
 val outputs : t -> int array
 val is_output : t -> int -> bool
 
-(** {2 CSR view}
+(** {2 Timing view}
 
-    The arrays below are shared with the netlist: read them, never
-    mutate them. *)
+    Compressed-sparse-row (CSR) adjacency.  Node [i]'s fanins are
+    [fanin_ids.(fanin_start.(i)) .. fanin_ids.(fanin_start.(i+1) - 1)]
+    in pin order (shared arrays: never mutate them).  Its fanouts are
+    kept in descending consumer id, a consumer reading it on several
+    pins listed once per pin (adjacently), so load sums charge every
+    pin. *)
 
 val fanin_start : t -> int array
-(** Offsets into {!fanin_ids}, length [n_nodes + 1]: node [i]'s fanins
-    are [fanin_ids.(fanin_start.(i)) .. fanin_ids.(fanin_start.(i+1)-1)]
-    in pin order (none for a primary input). *)
-
 val fanin_ids : t -> int array
-
-val fanout_start : t -> int array
-(** Offsets into {!fanout_ids}, length [n_nodes + 1]. *)
-
-val fanout_ids : t -> int array
-(** Consumers of each node in descending id.  A gate that reads the
-    node on several pins is listed once per pin (adjacently), so load
-    sums charge every pin. *)
-
 val n_fanouts : t -> int -> int
-(** Number of fanout entries (pins) driven by the node. *)
-
 val iter_fanouts : t -> int -> (int -> unit) -> unit
-(** The node's fanout entries in {!fanout_ids} order. *)
-
-(** {2 Loads} *)
+val exists_fanout : t -> int -> (int -> bool) -> bool
 
 val output_load : float
-(** Load on every primary output (4.0: an FO4-ish flip-flop input), in
+(** Load on every primary output (an FO4-ish flip-flop input), in
     minimum-inverter-cap units. *)
 
 val fold_load :
   t -> int -> cap:('a -> int -> 'a) -> po:('a -> float -> 'a) -> 'a -> 'a
-(** The load formula of node [i] over any value domain: fold [cap]
-    over the consumer of every fanout entry in {!fanout_ids} order,
-    then apply [po] with {!output_load} for a primary output and 0.0
-    otherwise. *)
+(** The load formula of node [i] over any domain: [cap] folded over
+    its fanout consumers in CSR order, then [po] with {!output_load}
+    (0.0 unless [i] is a primary output). *)
 
 val loads : t -> float array
-(** Load per node under the current sizes: {!fold_load} with the
-    consumers' {!Cell.input_cap} summed from 0.0.  Built on the first
-    query; {!set_size} keeps it current by refolding the resized
-    gate's fanins from scratch, {!restore_sizes} drops it, {!copy}
-    copies it.  Shared: do not mutate, and do not keep it across a
+(** Per-node loads under the current sizes ({!fold_load} of the
+    consumers' {!Cell.input_cap}s from 0.0).  Built on the first query;
+    {!set_size} refolds the resized gate's fanins, {!restore_sizes}
+    drops them, {!copy} copies them, so every entry equals a
+    from-scratch fold.  Shared: do not mutate or keep across a
     {!restore_sizes}. *)
-
-val load : t -> int -> float
 
 val is_gate : t -> int -> bool
 val gate_ids : t -> int array

@@ -7,14 +7,18 @@ type stage_analysis = {
   nominal : Sta.result;
 }
 
+let compose_path tech net ~gate_delays path =
+  List.fold_left
+    (fun acc i ->
+      Gd.add acc
+        (Gd.of_nominal tech ~nominal:gate_delays.(i) ~size:(Netlist.size net i)))
+    Gd.zero path
+
 let analyse_stage ?ff tech net =
   let nominal = Sta.run tech net in
   let comb =
-    List.fold_left
-      (fun acc i ->
-        let d = nominal.Sta.gate_delays.(i) in
-        Gd.add acc (Gd.of_nominal tech ~nominal:d ~size:(Netlist.size net i)))
-      Gd.zero nominal.Sta.critical_path
+    compose_path tech net ~gate_delays:nominal.Sta.gate_delays
+      nominal.Sta.critical_path
   in
   let total =
     match ff with

@@ -17,6 +17,12 @@ type stage_analysis = {
   nominal : Sta.result;
 }
 
+val compose_path :
+  Spv_process.Tech.t -> Netlist.t -> gate_delays:float array -> int list ->
+  Spv_process.Gate_delay.t
+(** Decomposed delay of a gate path: each gate's delay as
+    [Gate_delay.of_nominal], summed in path order. *)
+
 val analyse_stage :
   ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t ->
   Netlist.t -> stage_analysis

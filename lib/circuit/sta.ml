@@ -35,15 +35,11 @@ let forward (type a) (module D : DOMAIN with type t = a) net =
 
 let backward (type a) (module D : BACKWARD with type t = a) net =
   let n = Netlist.n_nodes net in
-  let start = Netlist.fanout_start net and ids = Netlist.fanout_ids net in
   (* The last node has no consumers: every consumer has a higher id. *)
   let values = Array.make n (D.finish (n - 1) (D.seed (n - 1))) in
   for i = n - 2 downto 0 do
     let acc = ref (D.seed i) in
-    for e = start.(i) to start.(i + 1) - 1 do
-      let g = ids.(e) in
-      acc := D.join !acc g values.(g)
-    done;
+    Netlist.iter_fanouts net i (fun g -> acc := D.join !acc g values.(g));
     values.(i) <- D.finish i !acc
   done;
   values
@@ -71,19 +67,17 @@ type result = {
   critical_path : int list;
 }
 
-let delay_of (tech : Spv_process.Tech.t) net loads i kind =
-  tech.tau *. (Cell.parasitic kind +. (loads.(i) /. Netlist.size net i))
-
-let gate_delay tech net i =
+let gate_delay (tech : Spv_process.Tech.t) net i =
   match Netlist.node net i with
   | Netlist.Primary_input _ -> 0.0
-  | Netlist.Gate { kind; _ } -> delay_of tech net (Netlist.loads net) i kind
+  | Netlist.Gate { kind; _ } ->
+      tech.tau
+      *. (Cell.parasitic kind +. ((Netlist.loads net).(i) /. Netlist.size net i))
 
 (* Float STA over [forward]: [seed] folds into the first fanin's
    arrival (0.0 for late mode, +inf for early mode) and [join] is the
    max or min.  Gate delays are recorded on the way. *)
 let float_sta tech net ~seed ~join ~factors =
-  let loads = Netlist.loads net in
   let gate_delays = Array.make (Netlist.n_nodes net) 0.0 in
   let arrival =
     forward
@@ -95,13 +89,10 @@ let float_sta tech net ~seed ~join ~factors =
         let join = join
 
         let gate i latest =
-          match Netlist.node net i with
-          | Netlist.Primary_input _ -> assert false
-          | Netlist.Gate { kind; _ } ->
-              let d = delay_of tech net loads i kind in
-              let d = match factors with None -> d | Some f -> d *. f.(i) in
-              gate_delays.(i) <- d;
-              latest +. d
+          let d = gate_delay tech net i in
+          let d = match factors with None -> d | Some f -> d *. f.(i) in
+          gate_delays.(i) <- d;
+          latest +. d
       end)
       net
   in

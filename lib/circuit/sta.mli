@@ -1,45 +1,33 @@
-(** Deterministic static timing analysis, and the one propagation core
+(** Deterministic static timing analysis over the one propagation core
     every gate-level pass is written on.
 
     Gate delay follows the logical-effort model
     [tau * (p + load / size)], with [load] the netlist's own
-    {!Netlist.loads} (fanout input capacitances plus
-    {!Netlist.output_load} on primary outputs, in minimum-inverter-cap
-    units).  Arrival times propagate in topological order; the critical
-    path is traced back from the latest output. *)
-
-(** {1 Propagation core} *)
+    {!Netlist.loads}.  Arrival times propagate in topological order;
+    the critical path is traced back from the latest output. *)
 
 (** A value domain for {!forward}.  At each gate the fanin values are
-    folded left in pin order: [start] applied to the first fanin's
-    value, then [join] with each further fanin's value; [gate] turns
-    the folded value into the gate's own.  A domain whose fold starts
-    from a constant [z] writes [start a = join z a]; one that starts
-    from the first fanin writes [start a = a].  The fold start and
-    order are part of a domain's contract: [Affine.max2] is not
-    associative, so reordering moves bits. *)
+    folded left in pin order: [start] on the first fanin's value,
+    [join] with each further one, then [gate i].  A fold from a
+    constant [z] writes [start a = join z a]; one from the first fanin
+    writes [start a = a].  Each instance keeps its fold start and
+    order: [Affine.max2] is not associative. *)
 module type DOMAIN = sig
   type t
 
   val input : int -> t
-  (** Value at primary input [i]. *)
-
   val start : t -> t
   val join : t -> t -> t
-
   val gate : int -> t -> t
-  (** Value at gate [i] from its folded fanin value. *)
 end
 
 val forward : (module DOMAIN with type t = 'a) -> Netlist.t -> 'a array
-(** One levelised walk: nodes in id order, fanins in CSR
-    ({!Netlist.fanin_ids}) order, so every fanin edge is visited once,
-    in CSR order.  Returns the value of every node. *)
+(** Nodes in id order; every fanin edge is visited once, in CSR
+    ({!Netlist.fanin_ids}) order. *)
 
-(** A value domain for {!backward}.  Node [i]'s value is [seed i]
-    folded with [join acc g v] over the consumer [g] (value [v]) of
-    every fanout entry in {!Netlist.fanout_ids} order (descending id,
-    one entry per pin), then [finish i]. *)
+(** A value domain for {!backward}: node [i] is [seed i] folded with
+    [join acc g v] over each fanout entry's consumer [g] (value [v]) in
+    CSR order, then [finish i]. *)
 module type BACKWARD = sig
   type t
 
@@ -49,18 +37,14 @@ module type BACKWARD = sig
 end
 
 val backward : (module BACKWARD with type t = 'a) -> Netlist.t -> 'a array
-(** One reverse walk: nodes in descending id, so every consumer's
-    value is final before its drivers fold it in. *)
+(** Nodes in descending id, so consumers are final before drivers. *)
 
 val down : Netlist.t -> float array -> float array
-(** [down net gate_delays]: per node, the longest sum of
-    [gate_delays] over a gate path from the node (exclusive) to a
-    primary output: 0.0 at an output that drives nothing further,
-    [neg_infinity] for a node that reaches no output.  Max is exact,
-    so [gate_delays.(g) +. down.(g)] is the longest output-bound path
-    through gate [g] bit for bit. *)
-
-(** {1 Timing} *)
+(** [down net gate_delays]: per node, the longest [gate_delays] sum
+    over a gate path from the node (exclusive) to a primary output,
+    [neg_infinity] where none.  Max is exact, so
+    [gate_delays.(g) +. down.(g)] is the longest output-bound path
+    through [g] bit for bit. *)
 
 type result = {
   arrival : float array;  (** per node, ps; primary inputs are 0 *)
@@ -71,11 +55,10 @@ type result = {
 }
 
 val gate_delay : Spv_process.Tech.t -> Netlist.t -> int -> float
-(** Nominal delay of one node under the current sizes (0 for a primary
-    input): the [gate_delays] entry of {!run}. *)
+(** Nominal delay of one node (0 for a primary input). *)
 
 val run : Spv_process.Tech.t -> Netlist.t -> result
-(** Nominal timing: {!forward} over floats, fold from 0.0 with max. *)
+(** Nominal timing: {!forward} over floats, max folded from 0.0. *)
 
 val run_with_factors :
   Spv_process.Tech.t -> Netlist.t -> factors:float array -> result
@@ -91,6 +74,6 @@ type min_result = {
 }
 
 val run_min : Spv_process.Tech.t -> Netlist.t -> min_result
-(** Shortest-path (early-mode) timing: {!forward} over floats, fold
-    from +inf with min — the race-path delay that a hold check compares
-    against the clk-to-Q + hold window. *)
+(** Shortest-path (early-mode) timing, min folded from +inf: the
+    race-path delay that a hold check compares against the clk-to-Q +
+    hold window. *)

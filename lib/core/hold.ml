@@ -11,12 +11,9 @@ let min_n ?order gs ~corr =
 let short_path_delay tech net =
   let late = Spv_circuit.Sta.run tech net in
   let early = Spv_circuit.Sta.run_min tech net in
-  List.fold_left
-    (fun acc i ->
-      let d = late.Spv_circuit.Sta.gate_delays.(i) in
-      Gd.add acc
-        (Gd.of_nominal tech ~nominal:d ~size:(Spv_circuit.Netlist.size net i)))
-    Gd.zero early.Spv_circuit.Sta.shortest_path
+  Spv_circuit.Ssta.compose_path tech net
+    ~gate_delays:late.Spv_circuit.Sta.gate_delays
+    early.Spv_circuit.Sta.shortest_path
 
 let race_margin tech ~(ff : Spv_process.Flipflop.t) net =
   (* clk-to-Q and the data path sit in the same locale: their shared

@@ -144,17 +144,9 @@ let check_netlist net =
   let n = Net.n_nodes net in
   if Net.n_gates net = 0 then
     emit (diagnostic ~code:"empty-circuit" "circuit contains no gates");
-  (* Reachability from the outputs, walking fanins. *)
-  let reachable = Array.make n false in
-  let rec mark id =
-    if not reachable.(id) then begin
-      reachable.(id) <- true;
-      match Net.node net id with
-      | Net.Primary_input _ -> ()
-      | Net.Gate { fanin; _ } -> Array.iter mark fanin
-    end
-  in
-  Array.iter mark (Net.outputs net);
+  (* A node reaches an output iff its longest path to one is finite. *)
+  let down = Spv_circuit.Sta.down net (Array.make n 0.0) in
+  let reachable = Array.map (fun d -> d > neg_infinity) down in
   Array.iter
     (fun id ->
       if not reachable.(id) then
@@ -174,12 +166,6 @@ let check_netlist net =
     (Net.input_ids net);
   Array.iter
     (fun id ->
-      (match Net.node net id with
-      | Net.Gate { fanin = [||]; _ } ->
-          emit
-            (diagnostic ~code:"zero-fanin" ~signal:(node_name net id)
-               (Printf.sprintf "gate %s has no inputs" (node_name net id)))
-      | _ -> ());
       let size = Net.size net id in
       if not (Float.is_finite size && size > 0.0) then
         emit

@@ -7,8 +7,8 @@
       references are still representable (a valid {!Spv_circuit.Netlist.t}
       rules them out by construction);
     - {!check_netlist} inspects a built netlist for defects that
-      survive construction: unreachable gates, unused inputs, gates
-      with no fanin, degenerate drive sizes, gate-less circuits.
+      survive construction: unreachable gates, unused inputs,
+      degenerate drive sizes, gate-less circuits.
 
     Both return typed {!Errors.diagnostic}s instead of letting
     [Topo]/[Sta]/[Ssta] fail (or silently mis-analyse) deep inside.

@@ -266,7 +266,8 @@ let test_corner_loads () =
     cap Spv_circuit.Cell.Nor2 +. cap Spv_circuit.Cell.Nand2
     +. cap Spv_circuit.Cell.Nand2 +. Net.output_load
   in
-  Alcotest.(check (float 0.0)) "output with fanout" expected (Net.load net 3);
+  Alcotest.(check (float 0.0)) "output with fanout" expected
+    (Net.loads net).(3);
   check_loads "corner" net
 
 let suite =
