@@ -199,14 +199,14 @@ let gate_criticalities ~k ctx ~sys_row ~stage =
           if not reaches.(g) then acc
           else
             let via = nominal.Sta.gate_delays.(g) +. down_nom.(g) in
+            let through form = Affine.add gate_form.(g) form in
             let path =
               match acc.path with
               | None when via = down_nom.(acc.node) ->
-                  Some
-                    (Affine.add gate_form.(g) (Option.value v.path ~default:zero))
+                  Some (through (Option.value v.path ~default:zero))
               | p -> p
             in
-            { acc with cands = Affine.add gate_form.(g) v.form :: acc.cands; path }
+            { acc with cands = through v.form :: acc.cands; path }
 
         let finish _ acc =
           match acc.cands with

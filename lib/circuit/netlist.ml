@@ -51,7 +51,9 @@ let make ~name ~nodes ~outputs ~sizes =
   (* CSR fanins in pin order; fanouts in descending consumer id, a
      consumer once per pin (later pins first). *)
   let fanins =
-    Array.map (function Primary_input _ -> [||] | Gate { fanin; _ } -> fanin) nodes
+    Array.map
+      (function Primary_input _ -> [||] | Gate { fanin; _ } -> fanin)
+      nodes
   in
   let fanouts = Array.make n [] in
   Array.iteri

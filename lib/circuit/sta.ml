@@ -71,8 +71,8 @@ let gate_delay (tech : Spv_process.Tech.t) net i =
   match Netlist.node net i with
   | Netlist.Primary_input _ -> 0.0
   | Netlist.Gate { kind; _ } ->
-      tech.tau
-      *. (Cell.parasitic kind +. ((Netlist.loads net).(i) /. Netlist.size net i))
+      let load = (Netlist.loads net).(i) in
+      tech.tau *. (Cell.parasitic kind +. (load /. Netlist.size net i))
 
 (* Float STA over [forward]: [seed] folds into the first fanin's
    arrival (0.0 for late mode, +inf for early mode) and [join] is the

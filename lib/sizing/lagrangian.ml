@@ -102,7 +102,8 @@ let size_stage ?options ?ff tech net ~t_target ~z =
                  0.0 fanin
              in
              (* The netlist keeps this load current as fanouts resize. *)
-             let numerator = !lambda *. tau *. weight i *. (Net.loads net).(i) in
+             let load = (Net.loads net).(i) in
+             let numerator = !lambda *. tau *. weight i *. load in
              let denominator =
                area_coeff +. (!lambda *. tau *. fanin_pressure)
              in

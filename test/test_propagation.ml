@@ -115,7 +115,9 @@ let render_net b net =
   Printf.bprintf b "== %s\n" (Net.name net);
   let n = Net.n_nodes net in
   sta_result b (Sta.run tech net);
-  let factors = Array.init n (fun i -> 0.8 +. (0.05 *. float_of_int (i mod 9))) in
+  let factors =
+    Array.init n (fun i -> 0.8 +. (0.05 *. float_of_int (i mod 9)))
+  in
   sta_result b (Sta.run_with_factors tech net ~factors);
   let m = Sta.run_min tech net in
   floats b m.Sta.min_arrival;
@@ -193,6 +195,18 @@ let test_digest () =
   Alcotest.(check string) "propagation digest"
     "2ec9417b09fb8274a22fbcf5854ee4d1" (propagation_digest ())
 
+(* ---- fold start ------------------------------------------------------- *)
+
+let test_late_fold_start () =
+  (* Negative factors make every gate delay negative, so a late-mode
+     fold seeded with 0.0 differs from one seeded with the first
+     fanin: each inverter restarts from max(0, fanin) = 0. *)
+  let net = Gen.inverter_chain ~depth:3 () in
+  let factors = Array.make (Net.n_nodes net) (-1.0) in
+  let r = Sta.run_with_factors tech net ~factors in
+  Alcotest.(check (float 0.0)) "late mode folds from 0.0"
+    r.Sta.gate_delays.(r.Sta.critical_output) r.Sta.delay
+
 (* ---- the load invariant ------------------------------------------------ *)
 
 (* Independent reference: consumers in descending id, a consumer's
@@ -224,6 +238,14 @@ let check_loads what net =
    every query must see a from-scratch fold, and a resized copy must
    leave its original alone. *)
 let test_load_invariant () =
+  (* The reference itself, on g1 (node 3): an output that drives g2 on
+     both pins and g3 once — two nand2 pins, one nor2 pin, then the
+     output cap. *)
+  let cap k = Spv_circuit.Cell.input_cap k ~size:1.0 in
+  Alcotest.(check (float 0.0)) "output with fanout"
+    (cap Spv_circuit.Cell.Nor2 +. cap Spv_circuit.Cell.Nand2
+    +. cap Spv_circuit.Cell.Nand2 +. Net.output_load)
+    (reference_load (corner_net ()) 3);
   List.iteri
     (fun seed net ->
       let rng = Rng.create ~seed in
@@ -235,7 +257,8 @@ let test_load_invariant () =
         match Rng.int rng ~bound:5 with
         | 0 | 1 ->
             let g = gates.(Rng.int rng ~bound:(Array.length gates)) in
-            Net.set_size !net g (0.25 *. float_of_int (1 + Rng.int rng ~bound:32))
+            let size = 0.25 *. float_of_int (1 + Rng.int rng ~bound:32) in
+            Net.set_size !net g size
         | 2 ->
             let snaps = !snapshots in
             Net.restore_sizes !net
@@ -243,8 +266,8 @@ let test_load_invariant () =
             snapshots := Net.sizes_snapshot !net :: snaps
         | 3 ->
             let original = !net in
-            let before = Array.copy (Net.loads original) in
             let c = Net.copy original in
+            let before = Array.copy (Net.loads original) in
             check_loads (what ^ " copy") c;
             let g = gates.(Rng.int rng ~bound:(Array.length gates)) in
             Net.set_size c g (Net.size c g *. 1.5);
@@ -257,22 +280,9 @@ let test_load_invariant () =
       check_loads "final" !net)
     (corner_net () :: Gen.c432 () :: fuzz_nets ())
 
-let test_corner_loads () =
-  (* g1 (node 3) is an output that drives g2 on both pins and g3 once:
-     2 x nand2 + nor2 input caps, then the output cap. *)
-  let net = corner_net () in
-  let cap k = Spv_circuit.Cell.input_cap k ~size:1.0 in
-  let expected =
-    cap Spv_circuit.Cell.Nor2 +. cap Spv_circuit.Cell.Nand2
-    +. cap Spv_circuit.Cell.Nand2 +. Net.output_load
-  in
-  Alcotest.(check (float 0.0)) "output with fanout" expected
-    (Net.loads net).(3);
-  check_loads "corner" net
-
 let suite =
   [
     quick "propagation passes golden digest" test_digest;
+    quick "late-mode fold starts from 0.0" test_late_fold_start;
     quick "loads follow resizes, restores and copies" test_load_invariant;
-    quick "loads of an output with fanout" test_corner_loads;
   ]
