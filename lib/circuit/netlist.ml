@@ -49,21 +49,34 @@ let make ~name ~nodes ~outputs ~sizes =
     outputs;
   if Array.length outputs = 0 then invalid_arg "Netlist.make: no outputs";
   (* CSR fanins in pin order; fanouts in descending consumer id, a
-     consumer once per pin (later pins first). *)
-  let fanins =
-    Array.map
-      (function Primary_input _ -> [||] | Gate { fanin; _ } -> fanin)
-      nodes
+     consumer once per pin (later pins first).  Plain loops: the fuzzer
+     builds thousands of netlists that are never timed. *)
+  let fanin_of i =
+    match nodes.(i) with Primary_input _ -> [||] | Gate { fanin; _ } -> fanin
   in
-  let fanouts = Array.make n [] in
-  Array.iteri
-    (fun i -> Array.iter (fun f -> fanouts.(f) <- i :: fanouts.(f)))
-    fanins;
-  let starts lengths =
-    let s = Array.make (n + 1) 0 in
-    Array.iteri (fun i l -> s.(i + 1) <- s.(i) + l) lengths;
-    s
-  in
+  let fanin_start = Array.make (n + 1) 0 in
+  let fanout_start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let fanin = fanin_of i in
+    fanin_start.(i + 1) <- fanin_start.(i) + Array.length fanin;
+    Array.iter (fun f -> fanout_start.(f) <- fanout_start.(f) + 1) fanin
+  done;
+  for i = 1 to n do
+    fanout_start.(i) <- fanout_start.(i) + fanout_start.(i - 1)
+  done;
+  (* [fanout_start.(f)] now ends f's range; filling backwards from the
+     end leaves it at the range's start. *)
+  let fanin_ids = Array.make fanin_start.(n) 0 in
+  let fanout_ids = Array.make fanout_start.(n) 0 in
+  for i = 0 to n - 1 do
+    let fanin = fanin_of i in
+    Array.blit fanin 0 fanin_ids fanin_start.(i) (Array.length fanin);
+    Array.iter
+      (fun f ->
+        fanout_start.(f) <- fanout_start.(f) - 1;
+        fanout_ids.(fanout_start.(f)) <- i)
+      fanin
+  done;
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) outputs;
   let ids pred =
@@ -80,10 +93,10 @@ let make ~name ~nodes ~outputs ~sizes =
     nodes = Array.copy nodes;
     outputs = Array.copy outputs;
     sizes = Array.copy sizes;
-    fanin_start = starts (Array.map Array.length fanins);
-    fanin_ids = Array.concat (Array.to_list fanins);
-    fanout_start = starts (Array.map List.length fanouts);
-    fanout_ids = Array.of_list (List.concat (Array.to_list fanouts));
+    fanin_start;
+    fanin_ids;
+    fanout_start;
+    fanout_ids;
     is_output;
     gate_ids;
     input_ids;
