@@ -59,7 +59,9 @@ let make ~name ~nodes ~outputs ~sizes =
   for i = 0 to n - 1 do
     let fanin = fanin_of i in
     fanin_start.(i + 1) <- fanin_start.(i) + Array.length fanin;
-    Array.iter (fun f -> fanout_start.(f) <- fanout_start.(f) + 1) fanin
+    for k = 0 to Array.length fanin - 1 do
+      fanout_start.(fanin.(k)) <- fanout_start.(fanin.(k)) + 1
+    done
   done;
   for i = 1 to n do
     fanout_start.(i) <- fanout_start.(i) + fanout_start.(i - 1)
@@ -70,24 +72,32 @@ let make ~name ~nodes ~outputs ~sizes =
   let fanout_ids = Array.make fanout_start.(n) 0 in
   for i = 0 to n - 1 do
     let fanin = fanin_of i in
-    Array.blit fanin 0 fanin_ids fanin_start.(i) (Array.length fanin);
-    Array.iter
-      (fun f ->
-        fanout_start.(f) <- fanout_start.(f) - 1;
-        fanout_ids.(fanout_start.(f)) <- i)
-      fanin
+    for k = 0 to Array.length fanin - 1 do
+      let f = fanin.(k) in
+      fanin_ids.(fanin_start.(i) + k) <- f;
+      fanout_start.(f) <- fanout_start.(f) - 1;
+      fanout_ids.(fanout_start.(f)) <- i
+    done
   done;
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) outputs;
-  let ids pred =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if pred nodes.(i) then acc := i :: !acc
+  (* Gates are exactly the nodes with fanins (every cell has arity >= 1). *)
+  let ids gate =
+    let is i = fanin_start.(i + 1) > fanin_start.(i) = gate in
+    let count = ref 0 in
+    for i = 0 to n - 1 do
+      if is i then incr count
     done;
-    Array.of_list !acc
+    let ids = Array.make !count 0 and k = ref 0 in
+    for i = 0 to n - 1 do
+      if is i then begin
+        ids.(!k) <- i;
+        incr k
+      end
+    done;
+    ids
   in
-  let gate_ids = ids (function Gate _ -> true | Primary_input _ -> false) in
-  let input_ids = ids (function Primary_input _ -> true | Gate _ -> false) in
+  let gate_ids = ids true and input_ids = ids false in
   {
     name;
     nodes = Array.copy nodes;

@@ -74,10 +74,27 @@ let gate_delay (tech : Spv_process.Tech.t) net i =
       let load = (Netlist.loads net).(i) in
       tech.tau *. (Cell.parasitic kind +. (load /. Netlist.size net i))
 
+(* First-index-wins extreme of [values] over [ids]. *)
+let argbest better values ids =
+  Array.fold_left
+    (fun best o -> if better values.(o) values.(best) then o else best)
+    ids.(0) ids
+
+(* Gate ids of the path into [out] through the extreme fanin at every
+   step, input side first. *)
+let trace better net values out =
+  let rec go i acc =
+    match Netlist.node net i with
+    | Netlist.Primary_input _ -> acc
+    | Netlist.Gate { fanin; _ } -> go (argbest better values fanin) (i :: acc)
+  in
+  go out []
+
 (* Float STA over [forward]: [seed] folds into the first fanin's
-   arrival (0.0 for late mode, +inf for early mode) and [join] is the
-   max or min.  Gate delays are recorded on the way. *)
-let float_sta tech net ~seed ~join ~factors =
+   arrival, [join] is the max (late mode) or min (early mode) and
+   [better] the matching comparison that picks the output and traces
+   its path. *)
+let float_sta tech net ~seed ~join ~better ~factors =
   let gate_delays = Array.make (Netlist.n_nodes net) 0.0 in
   let arrival =
     forward
@@ -96,62 +113,27 @@ let float_sta tech net ~seed ~join ~factors =
       end)
       net
   in
-  (arrival, gate_delays)
-
-(* First-index-wins extreme of [values] over [ids]. *)
-let argbest better values ids =
-  Array.fold_left
-    (fun best o -> if better values.(o) values.(best) then o else best)
-    ids.(0) ids
-
-(* Gate ids of the path into [out] through the extreme fanin at every
-   step, input side first. *)
-let trace better net values out =
-  let rec go i acc =
-    match Netlist.node net i with
-    | Netlist.Primary_input _ -> acc
-    | Netlist.Gate { fanin; _ } -> go (argbest better values fanin) (i :: acc)
-  in
-  go out []
+  let out = argbest better arrival (Netlist.outputs net) in
+  {
+    arrival;
+    gate_delays;
+    delay = arrival.(out);
+    critical_output = out;
+    critical_path = trace better net arrival out;
+  }
 
 let later (a : float) b = a > b
 let earlier (a : float) b = a < b
 
-let run_internal tech net ~factors =
-  let arrival, gate_delays =
-    float_sta tech net ~seed:0.0 ~join:Float.max ~factors
-  in
-  let critical_output = argbest later arrival (Netlist.outputs net) in
-  {
-    arrival;
-    gate_delays;
-    delay = arrival.(critical_output);
-    critical_output;
-    critical_path = trace later net arrival critical_output;
-  }
-
-let run tech net = run_internal tech net ~factors:None
+let run tech net =
+  float_sta tech net ~seed:0.0 ~join:Float.max ~better:later ~factors:None
 
 let run_with_factors tech net ~factors =
   if Array.length factors <> Netlist.n_nodes net then
     invalid_arg "Sta.run_with_factors: factors length mismatch";
-  run_internal tech net ~factors:(Some factors)
-
-type min_result = {
-  min_arrival : float array;
-  min_delay : float;
-  shortest_output : int;
-  shortest_path : int list;
-}
+  float_sta tech net ~seed:0.0 ~join:Float.max ~better:later
+    ~factors:(Some factors)
 
 let run_min tech net =
-  let min_arrival, _ =
-    float_sta tech net ~seed:infinity ~join:Float.min ~factors:None
-  in
-  let shortest_output = argbest earlier min_arrival (Netlist.outputs net) in
-  {
-    min_arrival;
-    min_delay = min_arrival.(shortest_output);
-    shortest_output;
-    shortest_path = trace earlier net min_arrival shortest_output;
-  }
+  float_sta tech net ~seed:infinity ~join:Float.min ~better:earlier
+    ~factors:None

@@ -49,7 +49,7 @@ val down : Netlist.t -> float array -> float array
 type result = {
   arrival : float array;  (** per node, ps; primary inputs are 0 *)
   gate_delays : float array;  (** per node, ps; 0 for inputs *)
-  delay : float;  (** max arrival over primary outputs *)
+  delay : float;  (** max (min for {!run_min}) arrival over outputs *)
   critical_output : int;
   critical_path : int list;  (** gate ids, input side first *)
 }
@@ -66,14 +66,9 @@ val run_with_factors :
     variation samples). [factors] must have one entry per node; entries
     for input nodes are ignored. *)
 
-type min_result = {
-  min_arrival : float array;  (** per node: earliest possible arrival *)
-  min_delay : float;  (** min over primary outputs of their earliest arrival *)
-  shortest_output : int;
-  shortest_path : int list;  (** gate ids of the fastest input-to-output path *)
-}
-
-val run_min : Spv_process.Tech.t -> Netlist.t -> min_result
-(** Shortest-path (early-mode) timing, min folded from +inf: the
-    race-path delay that a hold check compares against the clk-to-Q +
-    hold window. *)
+val run_min : Spv_process.Tech.t -> Netlist.t -> result
+(** Shortest-path (early-mode) timing, min folded from +inf: [arrival]
+    is each node's earliest arrival, [delay] the min over primary
+    outputs and [critical_path] the fastest input-to-output path — the
+    race path a hold check compares against the clk-to-Q + hold
+    window. *)

@@ -9,11 +9,10 @@ let min_n ?order gs ~corr =
   negate (Clark.max_n ?order (Array.map negate gs) ~corr)
 
 let short_path_delay tech net =
-  let late = Spv_circuit.Sta.run tech net in
   let early = Spv_circuit.Sta.run_min tech net in
   Spv_circuit.Ssta.compose_path tech net
-    ~gate_delays:late.Spv_circuit.Sta.gate_delays
-    early.Spv_circuit.Sta.shortest_path
+    ~gate_delays:early.Spv_circuit.Sta.gate_delays
+    early.Spv_circuit.Sta.critical_path
 
 let race_margin tech ~(ff : Spv_process.Flipflop.t) net =
   (* clk-to-Q and the data path sit in the same locale: their shared

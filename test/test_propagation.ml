@@ -120,9 +120,9 @@ let render_net b net =
   in
   sta_result b (Sta.run_with_factors tech net ~factors);
   let m = Sta.run_min tech net in
-  floats b m.Sta.min_arrival;
-  Printf.bprintf b "%h|%d|" m.Sta.min_delay m.Sta.shortest_output;
-  ints b m.Sta.shortest_path;
+  floats b m.Sta.arrival;
+  Printf.bprintf b "%h|%d|" m.Sta.delay m.Sta.critical_output;
+  ints b m.Sta.critical_path;
   let bl = Block_ssta.run tech net in
   Array.iter (canonical b) bl.Block_ssta.arrivals;
   canonical b bl.Block_ssta.output;
