@@ -81,23 +81,15 @@ let make ~name ~nodes ~outputs ~sizes =
   done;
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) outputs;
-  (* Gates are exactly the nodes with fanins (every cell has arity >= 1). *)
-  let ids gate =
-    let is i = fanin_start.(i + 1) > fanin_start.(i) = gate in
-    let count = ref 0 in
-    for i = 0 to n - 1 do
-      if is i then incr count
+  let ids pred =
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      if pred nodes.(i) then acc := i :: !acc
     done;
-    let ids = Array.make !count 0 and k = ref 0 in
-    for i = 0 to n - 1 do
-      if is i then begin
-        ids.(!k) <- i;
-        incr k
-      end
-    done;
-    ids
+    Array.of_list !acc
   in
-  let gate_ids = ids true and input_ids = ids false in
+  let gate_ids = ids (function Gate _ -> true | Primary_input _ -> false) in
+  let input_ids = ids (function Primary_input _ -> true | Gate _ -> false) in
   {
     name;
     nodes = Array.copy nodes;
