@@ -12,19 +12,20 @@ type stem = {
   max_paths : float;
 }
 
-(* Number of distinct paths from stem [s] to every node: one forward
-   scan.  Counts are floats and saturate instead of overflowing. *)
+(* Number of distinct paths from stem [s] to every node: node ids are
+   topological, so one forward scan from [s] accumulates them.  Counts
+   are floats and saturate instead of overflowing. *)
 let path_counts net s =
-  Spv_circuit.Sta.forward
-    (module struct
-      type t = float
-
-      let input i = if i = s then 1.0 else 0.0
-      let start c = 0.0 +. c
-      let join = ( +. )
-      let gate i c = if i = s then 1.0 else c
-    end)
-    net
+  let n = Netlist.n_nodes net in
+  let paths = Array.make n 0.0 in
+  paths.(s) <- 1.0;
+  for i = s + 1 to n - 1 do
+    match Netlist.node net i with
+    | Netlist.Primary_input _ -> ()
+    | Netlist.Gate { fanin; _ } ->
+        paths.(i) <- Array.fold_left (fun acc f -> acc +. paths.(f)) 0.0 fanin
+  done;
+  paths
 
 let stem_of net s =
   let reconv = ref 0 and max_paths = ref 1.0 in
