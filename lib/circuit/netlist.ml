@@ -15,7 +15,8 @@ type t = {
   gate_ids : int array;
   input_ids : int array;
   loads : float array option Atomic.t;
-      (* built on the first timing query, then kept in step with sizes *)
+      (* built on the first timing query, never mutated: a resize drops
+         it *)
 }
 
 let output_load = 4.0
@@ -157,17 +158,14 @@ let loads t =
       Atomic.set t.loads (Some l);
       l
 
+let load t i =
+  match Atomic.get t.loads with Some l -> l.(i) | None -> fresh_load t i
+
 let set_size t i v =
   if not (is_gate t i) then invalid_arg "Netlist.set_size: not a gate";
   if v <= 0.0 then invalid_arg "Netlist.set_size: size <= 0";
   t.sizes.(i) <- v;
-  match Atomic.get t.loads with
-  | None -> ()
-  | Some l ->
-      for e = t.fanin_start.(i) to t.fanin_start.(i + 1) - 1 do
-        let f = t.fanin_ids.(e) in
-        l.(f) <- fresh_load t f
-      done
+  Atomic.set t.loads None
 
 let sizes_snapshot t = Array.copy t.sizes
 let restore_sizes t snapshot =
@@ -185,8 +183,7 @@ let area t =
     0.0 t.gate_ids
 
 let copy t =
-  let loads = Atomic.make (Option.map Array.copy (Atomic.get t.loads)) in
-  { t with sizes = Array.copy t.sizes; loads }
+  { t with sizes = Array.copy t.sizes; loads = Atomic.make (Atomic.get t.loads) }
 
 let eval t ~inputs =
   if Array.length inputs <> Array.length t.input_ids then

@@ -57,11 +57,14 @@ val fold_load :
 
 val loads : t -> float array
 (** Per-node loads under the current sizes ({!fold_load} of the
-    consumers' {!Cell.input_cap}s from 0.0).  Built on the first query;
-    {!set_size} refolds the resized gate's fanins, {!restore_sizes}
-    drops them, {!copy} copies them, so every entry equals a
-    from-scratch fold.  Shared: do not mutate or keep across a
-    {!restore_sizes}. *)
+    consumers' {!Cell.input_cap}s from 0.0), built on the first query
+    and kept until a {!set_size} or {!restore_sizes} drops them; a
+    {!copy} shares them.  Never mutated, so every entry is a
+    from-scratch fold.  Do not mutate the array. *)
+
+val load : t -> int -> float
+(** One entry of {!loads}, folded on the spot when they are not built
+    (a sizer reading loads between resizes does not rebuild them). *)
 
 val is_gate : t -> int -> bool
 val gate_ids : t -> int array
@@ -71,7 +74,7 @@ val n_gates : t -> int
 val size : t -> int -> float
 val set_size : t -> int -> float -> unit
 (** Raises [Invalid_argument] for a non-gate node or non-positive size.
-    Refreshes the loads of the gate's fanins when they are built. *)
+    Drops the built {!loads}. *)
 
 val sizes_snapshot : t -> float array
 val restore_sizes : t -> float array -> unit
@@ -80,7 +83,7 @@ val area : t -> float
 (** Sum over gates of [Cell.area_per_size * size]. *)
 
 val copy : t -> t
-(** Deep copy (sizes and loads independent). *)
+(** Deep copy (sizes independent). *)
 
 val eval : t -> inputs:bool array -> bool array
 (** Functional simulation: returns the value at every node given

@@ -101,9 +101,7 @@ let size_stage ?options ?ff tech net ~t_target ~z =
                    else acc)
                  0.0 fanin
              in
-             (* The netlist keeps this load current as fanouts resize. *)
-             let load = (Net.loads net).(i) in
-             let numerator = !lambda *. tau *. weight i *. load in
+             let numerator = !lambda *. tau *. weight i *. Net.load net i in
              let denominator =
                area_coeff +. (!lambda *. tau *. fanin_pressure)
              in

@@ -225,14 +225,18 @@ let reference_load net i =
   done;
   !acc +. if Net.is_output net i then Net.output_load else 0.0
 
+(* Both read paths: [load] before the array is (re)built, then [loads]. *)
 let check_loads what net =
-  Array.iteri
-    (fun i l ->
-      let r = reference_load net i in
-      if Int64.bits_of_float l <> Int64.bits_of_float r then
-        Alcotest.failf "%s: %s node %d load %h, from scratch %h" what
-          (Net.name net) i l r)
-    (Net.loads net)
+  let check how i l =
+    let r = reference_load net i in
+    if Int64.bits_of_float l <> Int64.bits_of_float r then
+      Alcotest.failf "%s: %s %s node %d: %h, from scratch %h" what
+        (Net.name net) how i l r
+  in
+  for i = 0 to Net.n_nodes net - 1 do
+    check "load" i (Net.load net i)
+  done;
+  Array.iteri (check "loads") (Net.loads net)
 
 (* Random interleavings of resizes, restores, copies and queries:
    every query must see a from-scratch fold, and a resized copy must
