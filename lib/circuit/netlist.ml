@@ -25,21 +25,32 @@ let make ~name ~nodes ~outputs ~sizes =
   let n = Array.length nodes in
   if Array.length sizes <> n then
     invalid_arg "Netlist.make: sizes length mismatch";
+  (* The CSR view and the id arrays are counted during validation and
+     filled in one more pass, which keeps [make] as cheap as building
+     fanout lists was: the fuzzer builds thousands of netlists that are
+     never timed. *)
+  let fanin_start = Array.make (n + 1) 0 in
+  let fanout_start = Array.make (n + 1) 0 in
+  let n_inputs = ref 0 in
   Array.iteri
     (fun i node ->
       match node with
-      | Primary_input _ -> ()
+      | Primary_input _ ->
+          fanin_start.(i + 1) <- fanin_start.(i);
+          incr n_inputs
       | Gate { kind; fanin } ->
           if Array.length fanin <> Cell.arity kind then
             invalid_arg
               (Printf.sprintf "Netlist.make: node %d: %s expects %d inputs" i
                  (Cell.name kind) (Cell.arity kind));
+          fanin_start.(i + 1) <- fanin_start.(i) + Array.length fanin;
           Array.iter
             (fun f ->
               if f < 0 || f >= i then
                 invalid_arg
                   (Printf.sprintf
-                     "Netlist.make: node %d references %d (not topological)" i f))
+                     "Netlist.make: node %d references %d (not topological)" i f);
+              fanout_start.(f) <- fanout_start.(f) + 1)
             fanin;
           if sizes.(i) <= 0.0 then
             invalid_arg (Printf.sprintf "Netlist.make: node %d: size <= 0" i))
@@ -49,48 +60,34 @@ let make ~name ~nodes ~outputs ~sizes =
       if o < 0 || o >= n then invalid_arg "Netlist.make: bad output id")
     outputs;
   if Array.length outputs = 0 then invalid_arg "Netlist.make: no outputs";
-  (* CSR fanins in pin order; fanouts in descending consumer id, a
-     consumer once per pin (later pins first).  Plain loops: the fuzzer
-     builds thousands of netlists that are never timed. *)
-  let fanin_of i =
-    match nodes.(i) with Primary_input _ -> [||] | Gate { fanin; _ } -> fanin
-  in
-  let fanin_start = Array.make (n + 1) 0 in
-  let fanout_start = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let fanin = fanin_of i in
-    fanin_start.(i + 1) <- fanin_start.(i) + Array.length fanin;
-    for k = 0 to Array.length fanin - 1 do
-      fanout_start.(fanin.(k)) <- fanout_start.(fanin.(k)) + 1
-    done
-  done;
   for i = 1 to n do
     fanout_start.(i) <- fanout_start.(i) + fanout_start.(i - 1)
   done;
-  (* [fanout_start.(f)] now ends f's range; filling backwards from the
-     end leaves it at the range's start. *)
+  (* Fanins in pin order.  [fanout_start.(f)] now ends f's range;
+     filling it backwards leaves it at the range's start, with
+     consumers in descending id, a consumer once per pin (later pins
+     first). *)
   let fanin_ids = Array.make fanin_start.(n) 0 in
   let fanout_ids = Array.make fanout_start.(n) 0 in
+  let input_ids = Array.make !n_inputs 0 in
+  let gate_ids = Array.make (n - !n_inputs) 0 in
+  let inputs_seen = ref 0 in
   for i = 0 to n - 1 do
-    let fanin = fanin_of i in
-    for k = 0 to Array.length fanin - 1 do
-      let f = fanin.(k) in
-      fanin_ids.(fanin_start.(i) + k) <- f;
-      fanout_start.(f) <- fanout_start.(f) - 1;
-      fanout_ids.(fanout_start.(f)) <- i
-    done
+    match nodes.(i) with
+    | Primary_input _ ->
+        input_ids.(!inputs_seen) <- i;
+        incr inputs_seen
+    | Gate { fanin; _ } ->
+        gate_ids.(i - !inputs_seen) <- i;
+        for k = 0 to Array.length fanin - 1 do
+          let f = fanin.(k) in
+          fanin_ids.(fanin_start.(i) + k) <- f;
+          fanout_start.(f) <- fanout_start.(f) - 1;
+          fanout_ids.(fanout_start.(f)) <- i
+        done
   done;
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) outputs;
-  let ids pred =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if pred nodes.(i) then acc := i :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let gate_ids = ids (function Gate _ -> true | Primary_input _ -> false) in
-  let input_ids = ids (function Primary_input _ -> true | Gate _ -> false) in
   {
     name;
     nodes = Array.copy nodes;
