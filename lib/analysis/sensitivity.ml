@@ -410,8 +410,7 @@ let ctx_stage_duals ?cache ctx ~stage:st ~param ~box ~where =
   let compute () =
     let size_of, factor_of = knob_funs net ~param ~box in
     match
-      propagate ?ff:(Ctx.flipflop ctx)
-        (Ctx.tech ctx) net ~size_of ~factor_of
+      propagate ?ff:(Ctx.flipflop ctx) (Ctx.tech ctx) net ~size_of ~factor_of
     with
     | sd -> Some sd
     | exception Dual.Unbounded _ -> None
@@ -732,8 +731,8 @@ let yield_upper_bound_over_box ctx ~model ~stage:s ~lo ~hi ~t_target =
   let box = I.make ~lo ~hi in
   let size_of _ = Dual.make ~v:box ~d:(I.point 0.0) in
   match
-    propagate ?ff:(Ctx.flipflop ctx)
-      (Ctx.tech ctx) net ~size_of ~factor_of:(fun _ -> None)
+    propagate ?ff:(Ctx.flipflop ctx) (Ctx.tech ctx) net ~size_of
+      ~factor_of:(fun _ -> None)
   with
   | exception Dual.Unbounded _ -> None
   | sd -> (

@@ -302,7 +302,9 @@ let random_logic_with ~rng ~name ~inputs ~gates ~depth =
   let extra_outputs = ref [] in
   Array.iter
     (fun id ->
-      if Netlist.n_fanouts provisional id = 0 && not (Netlist.is_output provisional id)
+      if
+        Netlist.n_fanouts provisional id = 0
+        && not (Netlist.is_output provisional id)
       then extra_outputs := id :: !extra_outputs)
     (Netlist.gate_ids provisional);
   if !extra_outputs = [] then provisional

@@ -19,10 +19,10 @@
     block — per-gate canonical forms folded with the canonical Clark
     [max] — and keeps the resulting output form.  Block outputs drive
     the fixed {!Netlist.output_load} boundary load; the real fanout
-    load of the next band is {e not} seen.  This keeps blocks self-contained (and
-    hence memoisable per (hash, process) key) at the cost of a modelled
-    boundary-load gap, which the engine reports as the flat-vs-
-    hierarchical error bound.
+    load of the next band is {e not} seen.  This keeps blocks
+    self-contained (and hence memoisable per (hash, process) key) at
+    the cost of a modelled boundary-load gap, which the engine reports
+    as the flat-vs-hierarchical error bound.
 
     {b Composition.}  [series] is {!Canonical.add} — exact in the
     shared basis, so inter-block correlation through the global

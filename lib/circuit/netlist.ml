@@ -180,7 +180,8 @@ let area t =
     0.0 t.gate_ids
 
 let copy t =
-  { t with sizes = Array.copy t.sizes; loads = Atomic.make (Atomic.get t.loads) }
+  let loads = Atomic.make (Atomic.get t.loads) in
+  { t with sizes = Array.copy t.sizes; loads }
 
 let eval t ~inputs =
   if Array.length inputs <> Array.length t.input_ids then

@@ -44,7 +44,9 @@ let k_longest_paths tech net ~k =
     | Some (_, Emit { rev_gates; total }) ->
         incr count;
         let gates = List.rev rev_gates in
-        let statistical = Ssta.compose_path tech net ~gate_delays:delays gates in
+        let statistical =
+          Ssta.compose_path tech net ~gate_delays:delays gates
+        in
         results := { gates; nominal = total; statistical } :: !results
     | Some (_, Extend { rev_gates; acc; head }) ->
         let acc = acc +. delays.(head) in

@@ -10,8 +10,8 @@ type stage_analysis = {
 let compose_path tech net ~gate_delays path =
   List.fold_left
     (fun acc i ->
-      Gd.add acc
-        (Gd.of_nominal tech ~nominal:gate_delays.(i) ~size:(Netlist.size net i)))
+      let size = Netlist.size net i in
+      Gd.add acc (Gd.of_nominal tech ~nominal:gate_delays.(i) ~size))
     Gd.zero path
 
 let analyse_stage ?ff tech net =

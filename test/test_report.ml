@@ -136,7 +136,8 @@ let test_repeated_pin_is_one_path () =
      copies of the same gate sequence. *)
   let net =
     Spv_circuit.Bench_format.of_string ~name:"dup"
-      "INPUT(a)\nINPUT(b)\nOUTPUT(z)\ng1 = NAND(a, b)\ng2 = NAND(g1, g1)\nz = NOT(g2)\n"
+      "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n\
+       g1 = NAND(a, b)\ng2 = NAND(g1, g1)\nz = NOT(g2)\n"
   in
   let paths = R.k_longest_paths tech net ~k:5 in
   Alcotest.(check int) "one path" 1 (Array.length paths);
