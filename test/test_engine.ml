@@ -379,6 +379,51 @@ let test_golden_bytes () =
   Alcotest.(check string) "sampling estimates digest"
     "84139fe66ad0ca32a21fe68cef8508e4" (golden_digest ())
 
+(* A second digest over what the first does not reach, pinned before
+   the gate-level sampler became a plan plus per-shard scratch: the
+   exact alpha-power model, a pipeline without flip-flops, multi-input
+   gates (adder, ALU, decoder stages), a hierarchical context and the
+   per-stage samples at jobs 1 and 3. *)
+let gate_level_digest () =
+  let ff = Spv_process.Flipflop.default tech in
+  let mixed () =
+    [|
+      Gen.ripple_carry_adder ~bits:4;
+      Gen.inverter_chain ~depth:7 ();
+      Gen.alu_slice ~bits:2 ();
+      Gen.decoder ~select:2 ();
+    |]
+  in
+  let cases =
+    [
+      Engine.Ctx.of_circuits ~ff tech (mixed ());
+      Engine.Ctx.of_circuits ~pitch:2.5 tech (mixed ());
+      Engine.Ctx.of_circuits ~mode:Engine.Hierarchical ~block_gates:6 ~ff tech
+        (mixed ());
+      Engine.Ctx.of_circuits tech (Gen.variable_depth_pipeline ~depths:[| 3; 11 |] ());
+    ]
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun ctx ->
+      List.iter
+        (fun exact ->
+          render_samples b
+            (Engine.gate_level_delays ~exact ~jobs:2 ~seed:47 ctx ~n:90);
+          List.iter
+            (fun jobs ->
+              Array.iter (render_samples b)
+                (Engine.gate_level_stage_samples ~exact ~jobs ~seed:53 ctx
+                   ~n:70))
+            [ 1; 3 ])
+        [ false; true ])
+    cases;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_gate_level_golden_bytes () =
+  Alcotest.(check string) "gate-level samples digest" "5ec3ed3a526a0675b7e1a85ef82397f5"
+    (gate_level_digest ())
+
 (* ---- Par ------------------------------------------------------------- *)
 
 let test_par_run_preserves_order () =
@@ -426,6 +471,8 @@ let suite =
       test_rejects_bad_arguments;
     Alcotest.test_case "sampling estimates golden bytes" `Quick
       test_golden_bytes;
+    Alcotest.test_case "gate-level samples golden bytes" `Quick
+      test_gate_level_golden_bytes;
     Alcotest.test_case "Par.run preserves order" `Quick
       test_par_run_preserves_order;
     Alcotest.test_case "Par.run propagates exceptions" `Quick

@@ -188,6 +188,36 @@ let test_shuffle_permutation () =
   Alcotest.(check (array int)) "is a permutation" a sorted;
   Alcotest.(check bool) "actually shuffled" true (b <> a)
 
+(* The raw streams, pinned at the state-as-int64-fields generator:
+   999 draws cycling bits64, float, three gaussians (so the spare
+   is carried across the other draw kinds) and a bounded int, then a
+   copy taken with a spare pending, then split children.  Any change
+   to the state layout must leave every bit of this in place. *)
+let stream_fixture () =
+  let b = Buffer.create 65536 in
+  let mixed rng n =
+    for i = 0 to n - 1 do
+      match i mod 6 with
+      | 0 -> Printf.bprintf b "%Lx;" (Rng.bits64 rng)
+      | 1 -> Printf.bprintf b "%h;" (Rng.float rng)
+      | 5 -> Printf.bprintf b "%d;" (Rng.int rng ~bound:(1 + (i * 7919)))
+      | _ -> Printf.bprintf b "%h;" (Rng.gaussian rng)
+    done;
+    Buffer.add_char b '\n'
+  in
+  let rng = Rng.create ~seed:20260 in
+  mixed rng 999;
+  (* 999 draws hold 499 gaussians: the copy starts with a spare. *)
+  let twin = Rng.copy rng in
+  mixed twin 50;
+  mixed rng 50;
+  Array.iter (fun child -> mixed child 100) (Rng.split rng 3);
+  mixed rng 20;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_stream_fixture () =
+  Alcotest.(check string) "raw stream digest" "e0c7667ee97c293549ec01bf8956261a" (stream_fixture ())
+
 let suite =
   [
     quick "determinism" test_determinism;
@@ -208,5 +238,6 @@ let suite =
     quick "split golden fixture" test_split_golden;
     quick "split rejects n <= 0" test_split_rejects_nonpositive;
     quick "copy" test_copy;
+    quick "raw stream fixture" test_stream_fixture;
     quick "shuffle is a permutation" test_shuffle_permutation;
   ]
