@@ -143,15 +143,15 @@ let stage_factor_form ?(exact_rem = false) ~k (tech : Tech.t) ~sys_row ~stage
   Affine.make ~center:1.0 ~terms:!terms ~rem ()
 
 (* The sampler's spatial field is L z with L the Cholesky factor of
-   the stage-position correlation (Spatial.make_sampler); rebuilding
-   the same factor here makes the Sys basis match it bit-for-bit. *)
+   the stage-position correlation (Spatial.field_factor); building the
+   same factor here makes the Sys basis match it bit-for-bit. *)
 let spatial_rows ctx =
   let n = Engine.Ctx.n_stages ctx in
   let tech = Engine.Ctx.tech ctx in
   let positions =
     Spatial.row_positions ~n ~pitch:(Engine.Ctx.pitch ctx)
   in
-  let chol = Matrix.cholesky_psd (Spatial.correlation_matrix tech positions) in
+  let chol = Spatial.field_factor tech positions in
   Array.init n (fun i -> Array.init n (fun j -> Matrix.get chol i j))
 
 (* Affine levelisation, the Affine instance of [Sta.forward]:

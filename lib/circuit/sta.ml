@@ -122,6 +122,34 @@ let float_sta tech net ~seed ~join ~better ~factors =
     critical_path = trace better net arrival out;
   }
 
+(* The float fast path of [forward] for Monte-Carlo trials: the late
+   fold of [float_sta] over per-node gate delays, writing arrivals into
+   the caller's scratch and keeping only the worst output. *)
+let late_delay net ~delays ~arrival =
+  let n = Netlist.n_nodes net in
+  if Float.Array.length delays < n || Float.Array.length arrival < n then
+    invalid_arg "Sta.late_delay: scratch shorter than the netlist";
+  let start = Netlist.fanin_start net and ids = Netlist.fanin_ids net in
+  Float.Array.unsafe_set arrival 0 0.0;
+  for i = 1 to n - 1 do
+    let lo = start.(i) and hi = start.(i + 1) in
+    if lo = hi then Float.Array.unsafe_set arrival i 0.0
+    else begin
+      let acc = ref (Float.max 0.0 (Float.Array.unsafe_get arrival ids.(lo))) in
+      for e = lo + 1 to hi - 1 do
+        acc := Float.max !acc (Float.Array.unsafe_get arrival ids.(e))
+      done;
+      Float.Array.unsafe_set arrival i (!acc +. Float.Array.unsafe_get delays i)
+    end
+  done;
+  let outs = Netlist.outputs net in
+  let worst = ref (Float.Array.unsafe_get arrival outs.(0)) in
+  for k = 1 to Array.length outs - 1 do
+    let a = Float.Array.unsafe_get arrival outs.(k) in
+    if a > !worst then worst := a
+  done;
+  !worst
+
 let later (a : float) b = a > b
 let earlier (a : float) b = a < b
 

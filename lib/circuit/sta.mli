@@ -66,6 +66,17 @@ val run_with_factors :
     variation samples). [factors] must have one entry per node; entries
     for input nodes are ignored. *)
 
+val late_delay :
+  Netlist.t -> delays:Float.Array.t -> arrival:Float.Array.t -> float
+(** The float fast path of {!run_with_factors} for Monte-Carlo trials:
+    [late_delay net ~delays ~arrival] is the [delay] field of the
+    result whose per-node gate delays are [delays], bit for bit.  It
+    folds each gate's fanins as {!run} does ([Float.max 0.0] on the
+    first, then the others in CSR order), writes the arrivals into
+    [arrival], traces no path and allocates nothing but its result.
+    Both arrays need at least [n_nodes net] entries; entries of
+    [delays] at inputs are ignored. *)
+
 val run_min : Spv_process.Tech.t -> Netlist.t -> result
 (** Shortest-path (early-mode) timing, min folded from +inf: [arrival]
     is each node's earliest arrival, [delay] the min over primary

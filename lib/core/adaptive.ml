@@ -122,31 +122,53 @@ let yield_gain ?policy pipeline ~t_target =
 
 (* ---- single-trial sampler kernel ------------------------------------ *)
 
-type sampler = {
-  sm_policy : policy;
-  sm_d : decomposition;
-  sm_residual_mvn : Spv_stats.Mvn.t;
+type plan = {
+  p_policy : policy;
+  p_d : decomposition;
+  p_residual : Spv_stats.Mvn.t;
 }
 
-let sampler ?(policy = default_policy) pipeline =
+let plan ?(policy = default_policy) pipeline =
   check policy;
   let d = decompose pipeline in
   let k = Array.length d.mus in
-  let residual_mvn =
+  let residual =
     Spv_stats.Mvn.create ~mus:(Array.make k 0.0) ~sigmas:d.residual
       ~corr:d.corr_res
   in
-  { sm_policy = policy; sm_d = d; sm_residual_mvn = residual_mvn }
+  { p_policy = policy; p_d = d; p_residual = residual }
+
+type sampler = {
+  plan : plan;
+  i_std : Float.Array.t;  (** one slot: the trial's inter-die draw *)
+  z : Float.Array.t;
+  res : Float.Array.t;
+}
+
+let sampler plan =
+  let k = Array.length plan.p_d.mus in
+  {
+    plan;
+    i_std = Float.Array.make 1 0.0;
+    z = Float.Array.make k 0.0;
+    res = Float.Array.make k 0.0;
+  }
 
 let sample_delay sm rng =
-  let d = sm.sm_d in
+  let d = sm.plan.p_d in
   let k = Array.length d.mus in
-  let i_std = Spv_stats.Rng.gaussian rng in
-  let c = correction sm.sm_policy d ~i_std in
-  let res = Spv_stats.Mvn.sample sm.sm_residual_mvn rng in
+  Spv_stats.Rng.gaussians_into rng sm.i_std ~pos:0 ~len:1;
+  let i_std = Float.Array.unsafe_get sm.i_std 0 in
+  let c = correction sm.plan.p_policy d ~i_std in
+  Spv_stats.Rng.gaussians_into rng sm.z ~pos:0 ~len:k;
+  Spv_stats.Mvn.transform_into sm.plan.p_residual sm.z sm.res;
   let worst = ref neg_infinity in
   for s = 0 to k - 1 do
-    let delay = c *. (d.mus.(s) +. (d.s_inter.(s) *. i_std) +. res.(s)) in
+    let delay =
+      c
+      *. (d.mus.(s) +. (d.s_inter.(s) *. i_std)
+         +. Float.Array.unsafe_get sm.res s)
+    in
     if delay > !worst then worst := delay
   done;
   !worst

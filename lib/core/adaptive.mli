@@ -40,15 +40,21 @@ val yield_gain : ?policy:policy -> Pipeline.t -> t_target:float -> float
 (** [yield_with_abb - clark_gaussian yield]; >= 0 up to quadrature
     noise whenever an inter-die component exists. *)
 
-type sampler
-(** Immutable single-trial sampler for the biased pipeline delay: the
-    decomposition and residual MVN factorisation, built once per
-    (policy, pipeline).  Safe to share across domains; pair with one
-    {!Spv_stats.Rng.t} per domain. *)
+type plan
+(** The biased pipeline delay's immutable trial plan: the decomposition
+    and the residual MVN factorisation, built once per (policy,
+    pipeline).  Safe to share across domains. *)
 
-val sampler : ?policy:policy -> Pipeline.t -> sampler
-(** Build the sampler.  Default range 0.10; raises [Invalid_argument]
-    on a negative or non-finite range. *)
+val plan : ?policy:policy -> Pipeline.t -> plan
+(** Build the plan.  Default range 0.10; raises [Invalid_argument] on
+    a negative or non-finite range. *)
+
+type sampler
+(** One shard's draw state: a shared {!plan} plus the scratch a trial
+    draws into.  Use one sampler and one {!Spv_stats.Rng.t} per
+    domain. *)
+
+val sampler : plan -> sampler
 
 val sample_delay : sampler -> Spv_stats.Rng.t -> float
 (** One Monte-Carlo trial of the ABB-corrected pipeline delay (samples

@@ -734,6 +734,12 @@ let fill ~jobs ~shards ~seed ~n ~make_trial =
 
 (* ---- estimators ------------------------------------------------------ *)
 
+(* A shard's pipeline-delay draw: its own MVN scratch, built in the
+   shard's [make]. *)
+let max_sampler mvn rng =
+  let s = Mvn.sampler mvn in
+  fun () -> Mvn.sample_max s rng
+
 let sampled ~method_ ~stop ~n ?ess ?used value std_error =
   {
     value;
@@ -782,7 +788,7 @@ let importance_loss ~where ~jobs ~shards ~seed ~n ctx ~t_target =
     (* Body target: every useful shift is ~0, so reweighted sampling
        is plain sampling with extra variance in the bookkeeping.  Run
        the plain Bernoulli estimator and say so. *)
-    let make_sample rng () = Mvn.sample_max mvn rng in
+    let make_sample = max_sampler mvn in
     let fails, _, _ =
       count ~jobs ~shards ~seed ~budget ~side:Misses ~targets:[| t_target |]
         ~make_sample
@@ -791,7 +797,10 @@ let importance_loss ~where ~jobs ~shards ~seed ~n ctx ~t_target =
     (p, binomial_se p n, float_of_int fails.(0), Prop_plain)
   end
   else begin
-    let make_sample rng () = Spv_stats.Importance.draw_weight plan rng in
+    let make_sample rng =
+      let s = Spv_stats.Importance.sampler plan in
+      fun () -> Spv_stats.Importance.draw_weight s rng
+    in
     let (n_run, mean, m2), _ =
       moments ~jobs ~shards ~seed ~budget ~make_sample
     in
@@ -884,7 +893,7 @@ let probability ~where ~side ?(method_ = Adaptive_mc) ?jobs
   let hits budget targets =
     let jobs = resolve_jobs ~where jobs in
     let mvn = Ctx.mvn ctx in
-    let make_sample rng () = Mvn.sample_max mvn rng in
+    let make_sample = max_sampler mvn in
     let counts, drawn, stop =
       count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample
     in
@@ -950,7 +959,7 @@ let delay_mean ?(method_ = Adaptive_mc) ?jobs ?(shards = default_shards)
   let sampled_mean budget =
     let jobs = resolve_jobs ~where jobs in
     let mvn = Ctx.mvn ctx in
-    let make_sample rng () = Mvn.sample_max mvn rng in
+    let make_sample = max_sampler mvn in
     let (drawn, mean, m2), stop =
       moments ~jobs ~shards ~seed ~budget ~make_sample
     in
@@ -981,14 +990,14 @@ let sample_delays ?jobs ?(shards = default_shards) ?(seed = default_seed) ctx
   check_positive ~where "n" n;
   let mvn = Ctx.mvn ctx in
   let out = Array.make n 0.0 in
-  fill ~jobs ~shards ~seed ~n ~make_trial:(fun rng k ->
-      out.(k) <- Mvn.sample_max mvn rng);
+  fill ~jobs ~shards ~seed ~n ~make_trial:(fun rng ->
+      let sample = max_sampler mvn rng in
+      fun k -> out.(k) <- sample ());
   out
 
-let gate_sampler ~where ?exact ctx =
+let gate_plan ~where ?exact ctx =
   let g = Ctx.require_gate ~where ctx in
-  fun () ->
-    Ssta.sampler ?exact ~pitch:g.Ctx.pitch ?ff:g.Ctx.ff g.Ctx.tech g.Ctx.nets
+  Ssta.plan ?exact ~pitch:g.Ctx.pitch ?ff:g.Ctx.ff g.Ctx.tech g.Ctx.nets
 
 let gate_level_delays ?exact ?jobs ?(shards = default_shards)
     ?(seed = default_seed) ctx ~n =
@@ -996,10 +1005,10 @@ let gate_level_delays ?exact ?jobs ?(shards = default_shards)
   let jobs = resolve_jobs ~where jobs in
   check_positive ~where "shards" shards;
   check_positive ~where "n" n;
-  let fresh_sampler = gate_sampler ~where ?exact ctx in
+  let plan = gate_plan ~where ?exact ctx in
   let out = Array.make n 0.0 in
   fill ~jobs ~shards ~seed ~n ~make_trial:(fun rng ->
-      let smp = fresh_sampler () in
+      let smp = Ssta.sampler plan in
       fun k -> out.(k) <- Ssta.draw_pipeline_delay smp rng);
   out
 
@@ -1009,14 +1018,16 @@ let gate_level_stage_samples ?exact ?jobs ?(shards = default_shards)
   let jobs = resolve_jobs ~where jobs in
   check_positive ~where "shards" shards;
   check_positive ~where "n" n;
-  let fresh_sampler = gate_sampler ~where ?exact ctx in
-  let out = Array.init (Ctx.n_stages ctx) (fun _ -> Array.make n 0.0) in
+  let plan = gate_plan ~where ?exact ctx in
+  let n_stages = Ctx.n_stages ctx in
+  let out = Array.init n_stages (fun _ -> Array.make n 0.0) in
   fill ~jobs ~shards ~seed ~n ~make_trial:(fun rng ->
-      let smp = fresh_sampler () in
+      let smp = Ssta.sampler plan and stages = Float.Array.make n_stages 0.0 in
       fun k ->
-        Array.iteri
-          (fun s d -> out.(s).(k) <- d)
-          (Ssta.draw_stage_delays smp rng));
+        Ssta.draw_stage_delays_into smp rng stages;
+        for s = 0 to n_stages - 1 do
+          out.(s).(k) <- Float.Array.get stages s
+        done);
   out
 
 let abb_mc_yield ?policy ?jobs ?(shards = default_shards)
@@ -1026,8 +1037,11 @@ let abb_mc_yield ?policy ?jobs ?(shards = default_shards)
   let jobs = resolve_jobs ~where jobs in
   check_positive ~where "shards" shards;
   let budget = fixed ~where n in
-  let sm = Spv_core.Adaptive.sampler ?policy (Ctx.pipeline ctx) in
-  let make_sample rng () = Spv_core.Adaptive.sample_delay sm rng in
+  let plan = Spv_core.Adaptive.plan ?policy (Ctx.pipeline ctx) in
+  let make_sample rng =
+    let sm = Spv_core.Adaptive.sampler plan in
+    fun () -> Spv_core.Adaptive.sample_delay sm rng
+  in
   let hits, drawn, stop =
     count ~jobs ~shards ~seed ~budget ~side:Meets ~targets:[| t_target |]
       ~make_sample

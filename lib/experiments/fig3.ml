@@ -41,8 +41,9 @@ let error_vs_correlation () =
           ~corr
       in
       let rng = Common.rng () in
+      let sampler = Spv_stats.Mvn.sampler mvn in
       let samples =
-        Array.init 400_000 (fun _ -> Spv_stats.Mvn.sample_max mvn rng)
+        Array.init 400_000 (fun _ -> Spv_stats.Mvn.sample_max sampler rng)
       in
       let ref_mu = Spv_stats.Descriptive.mean samples in
       let ref_std = Spv_stats.Descriptive.std samples in

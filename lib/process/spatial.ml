@@ -18,15 +18,5 @@ let correlation_matrix tech positions =
   Spv_stats.Correlation.of_function ~n (fun i j ->
       correlation tech positions.(i) positions.(j))
 
-type field_sampler = { chol : Spv_stats.Matrix.t; n : int }
-
-let make_sampler tech positions =
-  let corr = correlation_matrix tech positions in
-  {
-    chol = Spv_stats.Matrix.cholesky_psd corr;
-    n = Array.length positions;
-  }
-
-let sample_field fs rng =
-  let z = Array.init fs.n (fun _ -> Spv_stats.Rng.gaussian rng) in
-  Spv_stats.Matrix.mat_vec fs.chol z
+let field_factor tech positions =
+  Spv_stats.Matrix.cholesky_psd (correlation_matrix tech positions)

@@ -19,9 +19,7 @@ val correlation : Tech.t -> position -> position -> float
 
 val correlation_matrix : Tech.t -> position array -> Spv_stats.Correlation.t
 
-type field_sampler
-(** Precomputed Cholesky factor for repeated field draws. *)
-
-val make_sampler : Tech.t -> position array -> field_sampler
-val sample_field : field_sampler -> Spv_stats.Rng.t -> float array
-(** Unit-variance correlated normals, one per position. *)
+val field_factor : Tech.t -> position array -> Spv_stats.Matrix.t
+(** Cholesky factor [L] of {!correlation_matrix} (jitter-tolerant):
+    [L z] for standard normals [z] is one unit-variance field value
+    per position. *)

@@ -1,30 +1,5 @@
 type shift = { dvth : float; dleff_rel : float }
 
-let zero_shift = { dvth = 0.0; dleff_rel = 0.0 }
-
-let add_shift a b =
-  { dvth = a.dvth +. b.dvth; dleff_rel = a.dleff_rel +. b.dleff_rel }
-
-let sample_inter (tech : Tech.t) rng =
-  {
-    dvth = Spv_stats.Rng.gaussian_mu_sigma rng ~mu:0.0 ~sigma:tech.sigma_vth_inter;
-    dleff_rel =
-      Spv_stats.Rng.gaussian_mu_sigma rng ~mu:0.0 ~sigma:tech.sigma_leff_rel_inter;
-  }
-
-(* The systematic Vth and Leff deviations track the same underlying
-   spatial disturbance (focus/dose), hence a single field value. *)
-let sample_sys_scaled (tech : Tech.t) ~field =
-  {
-    dvth = tech.sigma_vth_sys *. field;
-    dleff_rel = tech.sigma_leff_rel_sys *. field;
-  }
-
-let sample_rand (tech : Tech.t) ~size rng =
-  assert (size > 0.0);
-  let sigma = tech.sigma_vth_rand /. sqrt size in
-  { dvth = Spv_stats.Rng.gaussian_mu_sigma rng ~mu:0.0 ~sigma; dleff_rel = 0.0 }
-
 let quadrature a b = sqrt ((a *. a) +. (b *. b))
 
 let rel_sigma_inter (tech : Tech.t) =

@@ -14,19 +14,6 @@
 type shift = { dvth : float; dleff_rel : float }
 (** A joint parameter displacement. *)
 
-val zero_shift : shift
-val add_shift : shift -> shift -> shift
-
-val sample_inter : Tech.t -> Spv_stats.Rng.t -> shift
-(** One inter-die draw (shared by the whole die). *)
-
-val sample_sys_scaled : Tech.t -> field:float -> shift
-(** Systematic shift at a die location whose unit-variance spatial
-    field value is [field]. *)
-
-val sample_rand : Tech.t -> size:float -> Spv_stats.Rng.t -> shift
-(** Per-device random draw; RDF sigma scales as 1/sqrt(size). *)
-
 val rel_sigma_inter : Tech.t -> float
 (** Relative delay sigma of the inter-die component (linearised,
     Vth and Leff contributions combined in quadrature). *)

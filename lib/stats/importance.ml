@@ -36,22 +36,6 @@ let default_mixture mvn ~threshold =
       let total = Array.fold_left ( +. ) 0.0 ws in
       (shifts, Array.map (fun w -> w /. total) ws)
 
-let mixture_weight ~shifts ~alphas z =
-  (* w(z) = phi(z) / sum_j alpha_j phi(z - theta_j)
-          = 1 / sum_j alpha_j exp(theta_j . z - |theta_j|^2 / 2). *)
-  let denom = ref 0.0 in
-  Array.iteri
-    (fun j theta ->
-      let dot = ref 0.0 and sq = ref 0.0 in
-      Array.iteri
-        (fun i t ->
-          dot := !dot +. (t *. z.(i));
-          sq := !sq +. (t *. t))
-        theta;
-      denom := !denom +. (alphas.(j) *. exp (!dot -. (!sq /. 2.0))))
-    shifts;
-  if !denom <= 0.0 then 0.0 else 1.0 /. !denom
-
 (* ---- single-trial sampler kernel ------------------------------------ *)
 
 type plan = {
@@ -60,6 +44,7 @@ type plan = {
   p_shifts : float array array;
   p_alphas : float array;
   p_cumulative : float array;
+  p_half_sq : float array;  (** |theta_j|^2 / 2 per shift *)
 }
 
 (* Below this whitened-shift norm the proposal is statistically
@@ -115,12 +100,20 @@ let plan ?z_shifts ?z_alphas mvn ~threshold =
         !acc)
       alphas
   in
+  let half_sq theta =
+    let sq = ref 0.0 in
+    for i = 0 to Array.length theta - 1 do
+      sq := !sq +. (theta.(i) *. theta.(i))
+    done;
+    !sq /. 2.0
+  in
   {
     p_mvn = mvn;
     p_threshold = threshold;
     p_shifts = shifts;
     p_alphas = alphas;
     p_cumulative = cumulative;
+    p_half_sq = Array.map half_sq shifts;
   }
 
 let max_shift_norm p =
@@ -130,19 +123,43 @@ let max_shift_norm p =
       Float.max acc (sqrt sq))
     0.0 p.p_shifts
 
-let draw_weight p rng =
-  let k = Array.length p.p_shifts in
-  let pick_mode u =
-    let rec go j =
-      if j >= k - 1 || u < p.p_cumulative.(j) then j else go (j + 1)
-    in
-    go 0
-  in
-  let j = pick_mode (Rng.float rng) in
+(* w(z) = phi(z) / sum_j alpha_j phi(z - theta_j)
+        = 1 / sum_j alpha_j exp(theta_j . z - |theta_j|^2 / 2). *)
+let mixture_weight p z =
+  let denom = ref 0.0 in
+  for j = 0 to Array.length p.p_shifts - 1 do
+    let theta = p.p_shifts.(j) in
+    let dot = ref 0.0 in
+    for i = 0 to Array.length theta - 1 do
+      dot := !dot +. (theta.(i) *. Float.Array.unsafe_get z i)
+    done;
+    denom := !denom +. (p.p_alphas.(j) *. exp (!dot -. p.p_half_sq.(j)))
+  done;
+  if !denom <= 0.0 then 0.0 else 1.0 /. !denom
+
+type sampler = { plan : plan; z : Float.Array.t; x : Float.Array.t }
+
+let sampler p =
   let d = Mvn.dim p.p_mvn in
-  let z = Array.init d (fun i -> p.p_shifts.(j).(i) +. Rng.gaussian rng) in
-  let x = Mvn.transform p.p_mvn z in
-  let worst = Array.fold_left Float.max neg_infinity x in
-  if worst > p.p_threshold then
-    mixture_weight ~shifts:p.p_shifts ~alphas:p.p_alphas z
-  else 0.0
+  { plan = p; z = Float.Array.make d 0.0; x = Float.Array.make d 0.0 }
+
+let draw_weight s rng =
+  let p = s.plan in
+  let k = Array.length p.p_shifts in
+  let u = Rng.float rng in
+  let j = ref 0 in
+  while !j < k - 1 && not (u < p.p_cumulative.(!j)) do
+    incr j
+  done;
+  let d = Mvn.dim p.p_mvn in
+  Rng.gaussians_into rng s.z ~pos:0 ~len:d;
+  let shift = p.p_shifts.(!j) in
+  for i = 0 to d - 1 do
+    Float.Array.unsafe_set s.z i (shift.(i) +. Float.Array.unsafe_get s.z i)
+  done;
+  Mvn.transform_into p.p_mvn s.z s.x;
+  let worst = ref neg_infinity in
+  for i = 0 to d - 1 do
+    worst := Float.max !worst (Float.Array.unsafe_get s.x i)
+  done;
+  if !worst > p.p_threshold then mixture_weight p s.z else 0.0

@@ -17,7 +17,8 @@
 type plan
 (** Immutable single-trial sampler: the mixture of mean shifts and
     their weights, built once per (mvn, threshold).  Safe to share
-    across domains; pair with one {!Rng.t} per domain. *)
+    across domains; pair it with one {!sampler} and one {!Rng.t} per
+    domain. *)
 
 val plan :
   ?z_shifts:float array array -> ?z_alphas:float array -> Mvn.t ->
@@ -41,7 +42,13 @@ val max_shift_norm : plan -> float
 (** Largest L2 norm over the plan's whitened mixture shifts (0 for the
     degenerate every-component-past-the-barrier plan). *)
 
-val draw_weight : plan -> Rng.t -> float
+type sampler
+(** One shard's draw state: a shared {!plan} plus its own [z] and [x]
+    scratch, so a trial allocates nothing beyond its boxed result. *)
+
+val sampler : plan -> sampler
+
+val draw_weight : sampler -> Rng.t -> float
 (** One importance-sampling trial: the reweighted failure indicator
     (0 when the draw does not fail).  The mean of these values over
     many trials estimates P{max_i X_i > threshold}. *)

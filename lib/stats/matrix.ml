@@ -51,6 +51,21 @@ let mat_vec a x =
       done;
       !acc)
 
+(* [get] is not inlined across calls here, and each call boxes its
+   result: read [data] directly so a draw allocates nothing. *)
+let mat_vec_into a x out =
+  if a.c <> Float.Array.length x || a.r <> Float.Array.length out then
+    invalid_arg "Matrix.mat_vec_into: dimension mismatch";
+  let d = a.data and c = a.c in
+  for i = 0 to a.r - 1 do
+    let row = i * c in
+    let acc = ref 0.0 in
+    for j = 0 to c - 1 do
+      acc := !acc +. (Array.unsafe_get d (row + j) *. Float.Array.unsafe_get x j)
+    done;
+    Float.Array.unsafe_set out i !acc
+  done
+
 let scale a k = init ~rows:a.r ~cols:a.c (fun i j -> k *. get a i j)
 
 let add a b =

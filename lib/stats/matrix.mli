@@ -20,6 +20,12 @@ val copy : t -> t
 val transpose : t -> t
 val mul : t -> t -> t
 val mat_vec : t -> float array -> float array
+val mat_vec_into : t -> Float.Array.t -> Float.Array.t -> unit
+(** [mat_vec_into a x out] writes [a x] to [out] with the sums of
+    {!mat_vec}, bit for bit, and allocates nothing.  [x] must have
+    [cols a] entries and [out] [rows a]; raises [Invalid_argument]
+    otherwise. *)
+
 val scale : t -> float -> t
 val add : t -> t -> t
 

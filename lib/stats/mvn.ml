@@ -38,9 +38,30 @@ let sample t rng =
 
 let sample_many t rng ~n = Array.init n (fun _ -> sample t rng)
 
-let sample_max t rng =
-  let x = sample t rng in
-  Array.fold_left Float.max neg_infinity x
+let transform_into t z x =
+  let n = dim t in
+  if Float.Array.length z <> n || Float.Array.length x <> n then
+    invalid_arg "Mvn.transform_into: dimension mismatch";
+  Matrix.mat_vec_into t.chol z x;
+  for i = 0 to n - 1 do
+    Float.Array.unsafe_set x i (t.mus.(i) +. Float.Array.unsafe_get x i)
+  done
+
+type sampler = { mvn : t; z : Float.Array.t; x : Float.Array.t }
+
+let sampler t =
+  let n = dim t in
+  { mvn = t; z = Float.Array.make n 0.0; x = Float.Array.make n 0.0 }
+
+let sample_max s rng =
+  let n = dim s.mvn in
+  Rng.gaussians_into rng s.z ~pos:0 ~len:n;
+  transform_into s.mvn s.z s.x;
+  let worst = ref neg_infinity in
+  for i = 0 to n - 1 do
+    worst := Float.max !worst (Float.Array.unsafe_get s.x i)
+  done;
+  !worst
 
 let cholesky_row t i =
   let n = dim t in

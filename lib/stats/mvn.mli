@@ -23,8 +23,20 @@ val transform : t -> float array -> float array
 val sample_many : t -> Rng.t -> n:int -> float array array
 (** [n] joint draws (rows). *)
 
-val sample_max : t -> Rng.t -> float
-(** Max component of one joint draw — a pipeline-delay sample. *)
+val transform_into : t -> Float.Array.t -> Float.Array.t -> unit
+(** [transform_into t z x] writes {!transform}[ t z] to [x], bit for
+    bit, without allocating.  Both arrays need [dim t] entries. *)
+
+type sampler
+(** One shard's draw state: the distribution plus its own [z] and [x]
+    scratch, so a draw allocates nothing.  Use one sampler per domain;
+    the distribution itself is shared read-only. *)
+
+val sampler : t -> sampler
+
+val sample_max : sampler -> Rng.t -> float
+(** Max component of one joint draw — a pipeline-delay sample.  Draws
+    the same normals as {!sample} and returns the max of its result. *)
 
 val cholesky_row : t -> int -> float array
 (** Row [i] of the covariance's Cholesky factor L (so component i is

@@ -6,7 +6,9 @@
     experiments are reproducible from a fixed seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the four xoshiro words in a 32-byte
+    buffer and the spare polar-method normal in a float array, so no
+    draw boxes an [int64] or a [float] kept in the state. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator deterministically from [seed].
@@ -43,6 +45,14 @@ val int : t -> bound:int -> int
 val gaussian : t -> float
 (** Standard normal draw (Marsaglia polar method, both antithetic
     values used). *)
+
+val gaussians_into : t -> Float.Array.t -> pos:int -> len:int -> unit
+(** [gaussians_into rng out ~pos ~len] writes [len] standard normals
+    to [out.(pos)] .. [out.(pos + len - 1)]: the same values, in the
+    same order, as [len] calls of {!gaussian}, spare included.  It
+    allocates nothing, which is how other modules draw normals without
+    boxing them.  Raises [Invalid_argument] if the range does not fit
+    in [out]. *)
 
 val gaussian_mu_sigma : t -> mu:float -> sigma:float -> float
 (** Normal draw with mean [mu] and standard deviation [sigma >= 0]. *)

@@ -65,7 +65,8 @@ let test_max2_against_mc () =
       ~corr:(C.uniform ~n:2 ~rho)
   in
   let rng = Spv_stats.Rng.create ~seed:120 in
-  let xs = Array.init 200_000 (fun _ -> Spv_stats.Mvn.sample_max mvn rng) in
+  let sampler = Spv_stats.Mvn.sampler mvn in
+  let xs = Array.init 200_000 (fun _ -> Spv_stats.Mvn.sample_max sampler rng) in
   let m = Clark.max2_moments g1 g2 ~rho in
   let mc_mean = Spv_stats.Descriptive.mean xs in
   let mc_std = Spv_stats.Descriptive.std xs in

@@ -307,9 +307,10 @@ let test_slack_form_and_attribution () =
 let legacy_loss ~n ctx ~t_target =
   let plan = Imp.plan (Engine.Ctx.mvn ctx) ~threshold:t_target in
   let rng = Rng.create ~seed:Engine.default_seed in
+  let s = Imp.sampler plan in
   let sum = ref 0.0 and sum_sq = ref 0.0 in
   for _ = 1 to n do
-    let w = Imp.draw_weight plan rng in
+    let w = Imp.draw_weight s rng in
     sum := !sum +. w;
     sum_sq := !sum_sq +. (w *. w)
   done;

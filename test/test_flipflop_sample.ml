@@ -1,6 +1,7 @@
 open Helpers
 module Ff = Spv_process.Flipflop
-module Sample = Spv_process.Sample
+module Ssta = Spv_circuit.Ssta
+module Gen = Spv_circuit.Generators
 module Tech = Spv_process.Tech
 module Gd = Spv_process.Gate_delay
 
@@ -35,44 +36,38 @@ let test_ff_no_variation () =
   let ff = Ff.default (Tech.no_variation Tech.bptm70) in
   check_float "no sigma" 0.0 (Gd.total_sigma (Ff.overhead ff))
 
-(* --- Sample ----------------------------------------------------------- *)
+(* --- The gate-level kernel ------------------------------------------- *)
 
 let test_sampler_basic () =
   let tech = Tech.bptm70 in
-  let positions = Spv_process.Spatial.row_positions ~n:4 ~pitch:1.0 in
-  let s = Sample.create tech ~positions in
-  Alcotest.(check int) "locations" 4 (Sample.n_locations s);
+  let nets = Array.init 4 (fun _ -> Gen.inverter_chain ~depth:3 ()) in
+  let s = Ssta.sampler (Ssta.plan tech nets) in
   let rng = Spv_stats.Rng.create ~seed:100 in
-  let w = Sample.draw s rng in
-  Alcotest.(check int) "field per location" 4 (Array.length w.Sample.sys_field)
+  let out = Float.Array.make 4 nan in
+  Ssta.draw_stage_delays_into s rng out;
+  Alcotest.(check bool) "one positive delay per stage" true
+    (Float.Array.for_all (fun d -> Float.is_finite d && d > 0.0) out)
 
 let test_world_shares_inter () =
-  let tech = Tech.bptm70 in
-  let positions = Spv_process.Spatial.row_positions ~n:2 ~pitch:1.0 in
-  let s = Sample.create tech ~positions in
+  (* Only the inter-die shift varies: every stage of one trial moves
+     the same way, bit for bit. *)
+  let tech = Tech.with_inter_vth (Tech.no_variation Tech.bptm70) ~sigma_mv:40.0 in
+  let nets = Array.init 2 (fun _ -> Gen.inverter_chain ~depth:3 ()) in
+  let s = Ssta.sampler (Ssta.plan ~pitch:5.0 tech nets) in
   let rng = Spv_stats.Rng.create ~seed:101 in
-  (* The inter-die shift is identical for all devices of one world; we
-     verify by zeroing the other components. *)
-  let tech0 = Tech.no_variation tech in
-  let tech0 = Tech.with_inter_vth tech0 ~sigma_mv:40.0 in
-  let s0 = Sample.create tech0 ~positions in
-  let w = Sample.draw s0 rng in
-  let sh0 = Sample.shift_at s0 w ~location:0 ~size:1.0 rng in
-  let sh1 = Sample.shift_at s0 w ~location:1 ~size:1.0 rng in
-  check_float ~eps:1e-12 "same inter dvth" sh0.Spv_process.Variation.dvth
-    sh1.Spv_process.Variation.dvth;
-  ignore s
+  let out = Float.Array.make 2 0.0 in
+  for _ = 1 to 20 do
+    Ssta.draw_stage_delays_into s rng out;
+    check_float ~eps:0.0 "same delay" (Float.Array.get out 0)
+      (Float.Array.get out 1)
+  done;
+  let nominal = (Spv_circuit.Sta.run tech nets.(0)).Spv_circuit.Sta.delay in
+  Alcotest.(check bool) "the shift moved the stage" true
+    (Float.Array.get out 0 <> nominal)
 
 let test_delay_factor_mean () =
   let tech = Tech.bptm70 in
-  let positions = Spv_process.Spatial.row_positions ~n:1 ~pitch:1.0 in
-  let s = Sample.create tech ~positions in
-  let rng = Spv_stats.Rng.create ~seed:102 in
-  let xs =
-    Array.init 20_000 (fun _ ->
-        let w = Sample.draw s rng in
-        Sample.delay_factor s w ~location:0 ~size:1.0 rng)
-  in
+  let xs = inverter_factors tech ~seed:102 ~n:20_000 in
   check_in_range "mean factor ~ 1" ~lo:0.99 ~hi:1.01
     (Spv_stats.Descriptive.mean xs);
   (* Combined relative sigma: inter + sys + rand in quadrature. *)
@@ -86,13 +81,17 @@ let test_delay_factor_mean () =
     (Spv_stats.Descriptive.std xs)
 
 let test_location_bounds () =
+  (* A stage is a die location: the kernel writes exactly one delay per
+     stage and needs at least one. *)
   let tech = Tech.bptm70 in
-  let positions = Spv_process.Spatial.row_positions ~n:2 ~pitch:1.0 in
-  let s = Sample.create tech ~positions in
+  let nets = Array.init 2 (fun _ -> Gen.inverter_chain ~depth:2 ()) in
+  let s = Ssta.sampler (Ssta.plan tech nets) in
   let rng = Spv_stats.Rng.create ~seed:103 in
-  let w = Sample.draw s rng in
-  check_raises_invalid "bad location" (fun () ->
-      Sample.shift_at s w ~location:5 ~size:1.0 rng)
+  check_raises_invalid "too few locations" (fun () ->
+      Ssta.draw_stage_delays_into s rng (Float.Array.make 1 0.0));
+  check_raises_invalid "too many locations" (fun () ->
+      Ssta.draw_stage_delays_into s rng (Float.Array.make 5 0.0));
+  check_raises_invalid "no location" (fun () -> Ssta.plan tech [||])
 
 let suite =
   [

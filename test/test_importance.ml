@@ -77,9 +77,10 @@ let test_is_variance_advantage () =
 (* Effective sample size (sum w)^2 / sum w^2 of [n] kernel draws. *)
 let kernel_ess plan ~seed ~n =
   let rng = Rng.create ~seed in
+  let s = I.sampler plan in
   let sum = ref 0.0 and sum_sq = ref 0.0 in
   for _ = 1 to n do
-    let w = I.draw_weight plan rng in
+    let w = I.draw_weight s rng in
     sum := !sum +. w;
     sum_sq := !sum_sq +. (w *. w)
   done;
@@ -147,6 +148,23 @@ let test_validation () =
   check_raises_invalid "shift dims" (fun () ->
       ignore (I.plan ~z_shifts:[| [| 1.0; 2.0 |] |] mvn ~threshold:1.0))
 
+let test_draw_allocation () =
+  let n = 16 in
+  let mvn =
+    Mvn.create
+      ~mus:(Array.make n 100.0)
+      ~sigmas:(Array.init n (fun i -> 2.0 +. (0.1 *. float_of_int i)))
+      ~corr:(C.uniform ~n ~rho:0.3)
+  in
+  (* A threshold near the body so both branches (a weight and a 0)
+     are taken. *)
+  let s = I.sampler (I.plan mvn ~threshold:104.0) in
+  let rng = Rng.create ~seed:219 in
+  let words = words_per_call ~n:5000 (fun () -> ignore (I.draw_weight s rng)) in
+  (* The uniform mode pick and the result are boxed; nothing scales
+     with the dimension or the mixture size. *)
+  check_in_range "words per draw" ~lo:0.0 ~hi:8.0 words
+
 let suite =
   [
     slow "single gaussian tails" test_single_gaussian_tail;
@@ -157,4 +175,5 @@ let suite =
     slow "pipeline integration" test_pipeline_integration;
     slow "highly correlated pipeline" test_highly_correlated_pipeline;
     quick "validation" test_validation;
+    quick "draw allocation" test_draw_allocation;
   ]

@@ -59,7 +59,7 @@ let test_zero_sigma () =
   let d = Mvn.sample mvn rng in
   check_float "deterministic x" 5.0 d.(0);
   check_float "deterministic y" 1.0 d.(1);
-  check_float "max" 5.0 (Mvn.sample_max mvn rng)
+  check_float "max" 5.0 (Mvn.sample_max (Mvn.sampler mvn) rng)
 
 let test_sample_max () =
   let mvn =
@@ -67,8 +67,36 @@ let test_sample_max () =
       ~corr:(Spv_stats.Correlation.independent ~n:3)
   in
   let rng = Spv_stats.Rng.create ~seed:63 in
-  let m = Mvn.sample_max mvn rng in
+  let m = Mvn.sample_max (Mvn.sampler mvn) rng in
   check_in_range "dominated max" ~lo:90.0 ~hi:110.0 m
+
+let test_sample_max_allocation () =
+  let n = 16 in
+  let mvn =
+    Mvn.create
+      ~mus:(Array.init n float_of_int)
+      ~sigmas:(Array.make n 2.0)
+      ~corr:(Spv_stats.Correlation.uniform ~n ~rho:0.4)
+  in
+  let s = Mvn.sampler mvn and rng = Spv_stats.Rng.create ~seed:64 in
+  let words =
+    words_per_call ~n:5000 (fun () -> ignore (Mvn.sample_max s rng))
+  in
+  (* The boxed result only: nothing per dimension. *)
+  check_in_range "words per draw" ~lo:0.0 ~hi:4.0 words
+
+let test_sample_max_matches_sample () =
+  let mvn =
+    Mvn.create ~mus:[| 1.0; -2.0; 3.0 |] ~sigmas:[| 1.5; 0.5; 2.0 |]
+      ~corr:(Spv_stats.Correlation.uniform ~n:3 ~rho:0.6)
+  in
+  let a = Spv_stats.Rng.create ~seed:65 and b = Spv_stats.Rng.create ~seed:65 in
+  let s = Mvn.sampler mvn in
+  for _ = 1 to 50 do
+    let full = Array.fold_left Float.max neg_infinity (Mvn.sample mvn a) in
+    Alcotest.(check int64) "same bits" (Int64.bits_of_float full)
+      (Int64.bits_of_float (Mvn.sample_max s b))
+  done
 
 let suite =
   [
@@ -78,4 +106,6 @@ let suite =
     quick "perfect correlation" test_perfect_correlation;
     quick "zero sigma degenerate" test_zero_sigma;
     quick "sample max" test_sample_max;
+    quick "sample max matches sample" test_sample_max_matches_sample;
+    quick "sample max allocation" test_sample_max_allocation;
   ]

@@ -78,38 +78,63 @@ let test_rel_sigma_components () =
   check_float "no variation inter" 0.0 (V.rel_sigma_inter zero);
   check_float "no variation rand" 0.0 (V.rel_sigma_rand zero ~size:1.0)
 
+(* The sampling tests below run the gate-level kernel on one inverter
+   under a technology with a single variation component, and read the
+   component back from the delay factor. *)
+let only_component (t : Tech.t) ~vth_inter ~leff_inter ~vth_sys ~leff_sys
+    ~vth_rand =
+  {
+    t with
+    Tech.sigma_vth_inter = (if vth_inter then t.Tech.sigma_vth_inter else 0.0);
+    sigma_leff_rel_inter = (if leff_inter then t.Tech.sigma_leff_rel_inter else 0.0);
+    sigma_vth_sys = (if vth_sys then t.Tech.sigma_vth_sys else 0.0);
+    sigma_leff_rel_sys = (if leff_sys then t.Tech.sigma_leff_rel_sys else 0.0);
+    sigma_vth_rand = (if vth_rand then t.Tech.sigma_vth_rand else 0.0);
+  }
+
+(* dVth of each trial, from a linear factor 1 + S_vth dVth. *)
+let dvth_samples ?size t ~seed =
+  let s_vth = Tech.delay_sensitivity_vth t in
+  Array.map
+    (fun f -> (f -. 1.0) /. s_vth)
+    (inverter_factors ?size t ~seed ~n:20_000)
+
 let test_sample_inter_moments () =
-  let t = Tech.bptm70 in
-  let rng = Spv_stats.Rng.create ~seed:80 in
-  let xs = Array.init 20_000 (fun _ -> (V.sample_inter t rng).V.dvth) in
+  let t =
+    only_component Tech.bptm70 ~vth_inter:true ~leff_inter:false ~vth_sys:false
+      ~leff_sys:false ~vth_rand:false
+  in
+  let xs = dvth_samples t ~seed:80 in
   check_in_range "inter dvth std" ~lo:0.038 ~hi:0.042
     (Spv_stats.Descriptive.std xs);
   check_in_range "inter dvth mean" ~lo:(-0.001) ~hi:0.001
     (Spv_stats.Descriptive.mean xs)
 
 let test_sample_rand_size_scaling () =
-  let t = Tech.bptm70 in
-  let rng = Spv_stats.Rng.create ~seed:81 in
-  let std_at size =
-    let xs = Array.init 20_000 (fun _ -> (V.sample_rand t ~size rng).V.dvth) in
-    Spv_stats.Descriptive.std xs
+  let t =
+    only_component Tech.bptm70 ~vth_inter:false ~leff_inter:false
+      ~vth_sys:false ~leff_sys:false ~vth_rand:true
   in
+  let std_at size = Spv_stats.Descriptive.std (dvth_samples ~size t ~seed:81) in
   let s1 = std_at 1.0 and s4 = std_at 4.0 in
   check_in_range "scaling ratio" ~lo:1.9 ~hi:2.1 (s1 /. s4)
 
+(* One stage's field is the trial's first normal (a 1x1 factor of 1):
+   the systematic Vth and Leff shifts are that value times their
+   sigmas, both in the factor. *)
 let test_sys_scaled_deterministic () =
-  let t = Tech.bptm70 in
-  let s = V.sample_sys_scaled t ~field:1.5 in
-  check_close ~rel:1e-12 "dvth" (1.5 *. t.Tech.sigma_vth_sys) s.V.dvth;
-  check_close ~rel:1e-12 "dleff" (1.5 *. t.Tech.sigma_leff_rel_sys) s.V.dleff_rel
-
-let test_shift_algebra () =
-  let a = { V.dvth = 0.01; dleff_rel = 0.02 } in
-  let b = { V.dvth = -0.005; dleff_rel = 0.01 } in
-  let s = V.add_shift a b in
-  check_float "dvth" 0.005 s.V.dvth;
-  check_float ~eps:1e-12 "dleff" 0.03 s.V.dleff_rel;
-  check_float "zero" 0.0 V.zero_shift.V.dvth
+  let t =
+    only_component Tech.bptm70 ~vth_inter:false ~leff_inter:false
+      ~vth_sys:true ~leff_sys:true ~vth_rand:false
+  in
+  let field = Spv_stats.Rng.gaussian (Spv_stats.Rng.create ~seed:82) in
+  let expected =
+    1.0
+    +. (Tech.delay_sensitivity_vth t *. (field *. t.Tech.sigma_vth_sys))
+    +. (Tech.delay_sensitivity_leff t *. (field *. t.Tech.sigma_leff_rel_sys))
+  in
+  check_close ~rel:1e-12 "factor" expected
+    (inverter_factors t ~seed:82 ~n:1).(0)
 
 let test_delay_factor_consistency () =
   let t = Tech.bptm70 in
@@ -134,6 +159,5 @@ let suite =
     slow "inter sampling moments" test_sample_inter_moments;
     slow "rdf size scaling" test_sample_rand_size_scaling;
     quick "systematic scaling" test_sys_scaled_deterministic;
-    quick "shift algebra" test_shift_algebra;
     quick "delay factor consistency" test_delay_factor_consistency;
   ]

@@ -218,6 +218,34 @@ let stream_fixture () =
 let test_stream_fixture () =
   Alcotest.(check string) "raw stream digest" "e0c7667ee97c293549ec01bf8956261a" (stream_fixture ())
 
+let test_gaussians_into_matches_gaussian () =
+  let a = Rng.create ~seed:31 and b = Rng.create ~seed:31 in
+  ignore (Rng.gaussian a);
+  ignore (Rng.gaussian b);
+  (* A spare is pending: the batch must start with it. *)
+  let out = Float.Array.make 13 nan in
+  Rng.gaussians_into a out ~pos:2 ~len:9;
+  for i = 2 to 10 do
+    Alcotest.(check int64)
+      (Printf.sprintf "draw %d" i)
+      (Int64.bits_of_float (Rng.gaussian b))
+      (Int64.bits_of_float (Float.Array.get out i))
+  done;
+  Alcotest.(check bool) "outside the range untouched" true
+    (Float.is_nan (Float.Array.get out 1) && Float.is_nan (Float.Array.get out 11));
+  check_raises_invalid "range past the end" (fun () ->
+      Rng.gaussians_into a out ~pos:5 ~len:9)
+
+let test_gaussians_into_allocates_nothing () =
+  let rng = Rng.create ~seed:37 in
+  let out = Float.Array.make 64 0.0 in
+  let words =
+    words_per_call ~n:2000 (fun () -> Rng.gaussians_into rng out ~pos:0 ~len:64)
+  in
+  (* The counter read itself boxes a float: allow that, not a word per
+     draw. *)
+  check_in_range "words per 64 draws" ~lo:0.0 ~hi:0.01 words
+
 let suite =
   [
     quick "determinism" test_determinism;
@@ -239,5 +267,7 @@ let suite =
     quick "split rejects n <= 0" test_split_rejects_nonpositive;
     quick "copy" test_copy;
     quick "raw stream fixture" test_stream_fixture;
+    quick "gaussians_into matches gaussian" test_gaussians_into_matches_gaussian;
+    quick "gaussians_into allocates nothing" test_gaussians_into_allocates_nothing;
     quick "shuffle is a permutation" test_shuffle_permutation;
   ]

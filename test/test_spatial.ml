@@ -36,10 +36,16 @@ let test_correlation_matrix_valid () =
 let test_field_sampler_statistics () =
   let t = Tech.bptm70 in
   let ps = Sp.row_positions ~n:3 ~pitch:1.0 in
-  let fs = Sp.make_sampler t ps in
+  let factor = Sp.field_factor t ps in
   let rng = Spv_stats.Rng.create ~seed:90 in
   let n = 30_000 in
-  let draws = Array.init n (fun _ -> Sp.sample_field fs rng) in
+  let z = Float.Array.make 3 0.0 and field = Float.Array.make 3 0.0 in
+  let draws =
+    Array.init n (fun _ ->
+        Spv_stats.Rng.gaussians_into rng z ~pos:0 ~len:3;
+        Spv_stats.Matrix.mat_vec_into factor z field;
+        Array.init 3 (Float.Array.get field))
+  in
   let col i = Array.map (fun d -> d.(i)) draws in
   (* Unit variance per location. *)
   check_in_range "std loc0" ~lo:0.98 ~hi:1.02 (Spv_stats.Descriptive.std (col 0));

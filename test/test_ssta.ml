@@ -117,6 +117,38 @@ let test_exact_factor_mode () =
   Alcotest.(check bool) "exact more right-skewed" true
     (D.skewness ext > D.skewness lin -. 0.05)
 
+(* The fast pass is the [delay] of [run_with_factors] bit for bit, on
+   multi-input gates and random factors. *)
+let test_late_delay_matches_run_with_factors () =
+  let rng = Spv_stats.Rng.create ~seed:61 in
+  List.iter
+    (fun net ->
+      let n = Spv_circuit.Netlist.n_nodes net in
+      let delays = Float.Array.make n 0.0 and arrival = Float.Array.make n 0.0 in
+      for _ = 1 to 20 do
+        let factors = Array.init n (fun _ -> 0.5 +. Spv_stats.Rng.float rng) in
+        Array.iteri
+          (fun i f ->
+            Float.Array.set delays i (Spv_circuit.Sta.gate_delay tech net i *. f))
+          factors;
+        Alcotest.(check int64) "same bits"
+          (Int64.bits_of_float
+             (Spv_circuit.Sta.run_with_factors tech net ~factors).Spv_circuit.Sta.delay)
+          (Int64.bits_of_float (Spv_circuit.Sta.late_delay net ~delays ~arrival))
+      done)
+    [ G.c432 (); G.ripple_carry_adder ~bits:6; G.decoder ~select:3 () ]
+
+let test_linear_trial_allocation () =
+  let nets = Array.init 4 (fun _ -> G.c432 ()) in
+  let s = Ssta.sampler (Ssta.plan ~ff tech nets) in
+  let rng = Spv_stats.Rng.create ~seed:62 in
+  let words =
+    words_per_call ~n:300 (fun () -> ignore (Ssta.draw_pipeline_delay s rng))
+  in
+  (* One boxed float per stage from the timing pass plus the result:
+     nothing per gate. *)
+  check_in_range "words per trial" ~lo:0.0 ~hi:16.0 words
+
 let suite =
   [
     quick "analytic matches STA" test_analytic_matches_sta;
@@ -127,4 +159,7 @@ let suite =
     slow "pipeline max property" test_pipeline_max_property;
     slow "stage correlation decomposition" test_stage_correlation_from_components;
     slow "exact factor mode" test_exact_factor_mode;
+    quick "late_delay matches run_with_factors"
+      test_late_delay_matches_run_with_factors;
+    quick "linear trial allocation" test_linear_trial_allocation;
   ]
