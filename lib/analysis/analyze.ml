@@ -132,8 +132,11 @@ let hier_findings ?t_target ctx =
     stage_findings @ [ pipeline_finding ]
 
 let run ?k ?t_target ?(hier = false) ctx =
-  let bounds = Bounds.of_ctx ?k ctx in
+  (* The affine pass builds the interval bounds and the cone pass the
+     corner proofs: read both back instead of re-running their corner
+     STAs. *)
   let affine = Affine_sta.of_ctx ?k ctx in
+  let bounds = affine.Affine_sta.bounds in
   let gate = Engine.Ctx.gate_level ctx in
   let n = Engine.Ctx.n_stages ctx in
   let bounds_findings = Bounds.findings bounds in
@@ -148,13 +151,11 @@ let run ?k ?t_target ?(hier = false) ctx =
         (List.init n (fun i ->
              Structure.netlist_findings ~stage:i (Engine.Ctx.netlist ctx i)))
   in
+  let cones = Cones.analyse ?k ?t_target ctx in
   let criticality =
-    if not gate then None
-    else
-      Some
-        (Array.init n (fun i ->
-             Static_criticality.analyse ?k (Engine.Ctx.tech ctx)
-               (Engine.Ctx.netlist ctx i)))
+    Option.map
+      (Array.map (fun sg -> sg.Cones.sg_static))
+      cones.Cones.co_gates
   in
   let crit_findings =
     match criticality with
@@ -165,7 +166,6 @@ let run ?k ?t_target ?(hier = false) ctx =
              (fun i c -> Static_criticality.findings ~stage:i c)
              (Array.to_list cs))
   in
-  let cones = Cones.analyse ?k ?t_target ctx in
   let cone_findings = Cones.findings cones in
   let sensitivity = Dominance.analyse ?t_target ctx in
   let sens_findings = Dominance.findings sensitivity in

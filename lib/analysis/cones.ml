@@ -131,6 +131,7 @@ type stage_gates = {
                                      gates reaching no output *)
   sg_reaches : bool array;  (** reaches a primary output *)
   sg_escape : float;  (** escape budget of the stage's chord-max form *)
+  sg_static : Static_criticality.t;  (** the corner proof behind the clamp *)
 }
 
 (* Stages with at most this many input-to-output gate paths get the
@@ -327,7 +328,7 @@ let gate_criticalities ~k ctx ~sys_row ~stage =
           Interval.make ~lo:(Float.min lower upper) ~hi:upper
         end)
   in
-  { sg_bounds = bounds; sg_reaches = reaches; sg_escape = escape }
+  { sg_bounds = bounds; sg_reaches = reaches; sg_escape = escape; sg_static = static }
 
 (* ---- dominant failure cones ------------------------------------------ *)
 

@@ -60,6 +60,9 @@ type stage_gates = {
   sg_escape : float;
       (** escape budget of the stage's chord-max delay form — the
           clamp applied to statically inactive gates *)
+  sg_static : Static_criticality.t;
+      (** the stage's corner proof ({!Static_criticality.analyse} at the
+          pass's [k]) that decides which gates are inactive *)
 }
 
 type cone = {

@@ -21,10 +21,13 @@ type report = {
   area : float;
 }
 
+(* The stage's critical-path SSTA model and its [mu + z sigma]: the
+   one stage a trial move changes, without building a pipeline
+   context around it. *)
 let stat_delay_of ?ff tech net ~z =
-  let ctx = Spv_engine.Engine.Ctx.of_circuits ?ff tech [| net |] in
-  ( Spv_engine.Engine.Ctx.stage_delay_model ctx 0,
-    Spv_engine.Engine.Ctx.stat_delay ctx ~stage:0 ~z )
+  let total = (Spv_circuit.Ssta.analyse_stage ?ff tech net).Spv_circuit.Ssta.total in
+  let g = Spv_core.Stage.gaussian (Spv_core.Stage.make total) in
+  (total, Spv_stats.Gaussian.mu g +. (z *. Spv_stats.Gaussian.sigma g))
 
 let size_stage ?options ?ff tech net ~t_target ~z =
   let options = Option.value options ~default:default_options in
