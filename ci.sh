@@ -53,13 +53,16 @@ fi
 # model, the clock-skew and corner extensions, the library-side
 # equivalence guard (a test helper now), the Topo helpers only
 # tests called, the private load fold of Sta (the netlist owns its
-# loads), the output-load option (one constant, Netlist.output_load)
-# and the test-only Sta.path_delay (\b keeps Hold.short_path_delay);
-# no document or source may cite any of them.
+# loads), the output-load option (one constant, Netlist.output_load),
+# the test-only Sta.path_delay (\b keeps Hold.short_path_delay) and
+# the record-based sampling path the gate-level kernel retired
+# (Spv_process.Sample, Spatial's field sampler, Variation's shift
+# samplers and algebra, Ssta's per-trial factor fill); no document or
+# source may cite any of them.
 # CHANGES.md and ROADMAP.md are history and stay exempt.
 echo "==> no citations of BENCH_*.json, bench/main.exe <id>, a proposal option or a retired API"
 if grep -rEn \
-  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:|with_prune|without_prune|prune_masks|prune_ctx|masks_for_ctx|Spv_circuit\.Wire|Wire\.model|Spv_core\.Skew|Spv_process\.Corners|Spv_circuit\.Equivalence|longest_path_lengths|nodes_at_level|transitive_fanin_count|\?active:|Sta\.loads|\?output_load|~output_load|Ctx\.output_load|pe_output_load|\bpath_delay' \
+  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:|with_prune|without_prune|prune_masks|prune_ctx|masks_for_ctx|Spv_circuit\.Wire|Wire\.model|Spv_core\.Skew|Spv_process\.Corners|Spv_circuit\.Equivalence|longest_path_lengths|nodes_at_level|transitive_fanin_count|\?active:|Sta\.loads|\?output_load|~output_load|Ctx\.output_load|pe_output_load|\bpath_delay|Spv_process\.Sample|\bSample\.|sample_field|field_sampler|make_sampler|sample_inter|sample_rand|sample_sys_scaled|add_shift|zero_shift|fill_factors|ff_overhead_sample|\bs_factors' \
   README.md DESIGN.md EXPERIMENTS.md .claude examples lib bin test; then
   echo "ci.sh: stale citation of a retired bench study, proposal option or API (above)" >&2
   exit 1

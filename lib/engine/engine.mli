@@ -24,8 +24,14 @@
 
     All sampling loops in the library live here, on one shard driver;
     the lower layers provide only the single-trial kernels it calls
-    ({!Spv_stats.Mvn.sample_max}, {!Spv_circuit.Ssta.sampler},
-    {!Spv_core.Adaptive.sampler}, {!Spv_stats.Importance.draw_weight}). *)
+    ({!Spv_stats.Mvn.sample_max}, {!Spv_circuit.Ssta.draw_pipeline_delay},
+    {!Spv_core.Adaptive.sample_delay}, {!Spv_stats.Importance.draw_weight}).
+    Each kernel is split into an immutable plan, built once per call and
+    shared read-only by the shards (the context's MVN, an importance or
+    ABB plan, a gate-level {!Spv_circuit.Ssta.plan}), and one sampler per
+    shard, built when the shard is set up, that owns the float scratch
+    its trials draw into.  So a trial allocates nothing but its boxed
+    result, and nothing is built per trial or per domain. *)
 
 (** {1 Evaluation modes} *)
 
@@ -406,11 +412,12 @@ val sample_delays :
 val gate_level_delays :
   ?exact:bool -> ?jobs:int -> ?shards:int -> ?seed:int -> Ctx.t -> n:int ->
   float array
-(** [n] gate-level Monte-Carlo pipeline delays: per trial, sample a
-    variation world, re-run STA with per-gate delay factors
+(** [n] gate-level Monte-Carlo pipeline delays: per trial, sample the
+    die's variation, time every stage with per-gate delay factors
     ([exact] uses the alpha-power law directly instead of its
-    linearisation), take the max stage delay.  Gate-level contexts
-    only. *)
+    linearisation), take the max stage delay.  The netlists' sizes
+    are read once, when the call plans its trials.  Gate-level
+    contexts only. *)
 
 val gate_level_stage_samples :
   ?exact:bool -> ?jobs:int -> ?shards:int -> ?seed:int -> Ctx.t -> n:int ->

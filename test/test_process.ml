@@ -99,7 +99,7 @@ let dvth_samples ?size t ~seed =
     (fun f -> (f -. 1.0) /. s_vth)
     (inverter_factors ?size t ~seed ~n:20_000)
 
-let test_sample_inter_moments () =
+let test_inter_moments () =
   let t =
     only_component Tech.bptm70 ~vth_inter:true ~leff_inter:false ~vth_sys:false
       ~leff_sys:false ~vth_rand:false
@@ -110,7 +110,7 @@ let test_sample_inter_moments () =
   check_in_range "inter dvth mean" ~lo:(-0.001) ~hi:0.001
     (Spv_stats.Descriptive.mean xs)
 
-let test_sample_rand_size_scaling () =
+let test_rdf_size_scaling () =
   let t =
     only_component Tech.bptm70 ~vth_inter:false ~leff_inter:false
       ~vth_sys:false ~leff_sys:false ~vth_rand:true
@@ -156,8 +156,8 @@ let suite =
     quick "linearisation error" test_linearisation_error_small;
     quick "current/delay reciprocal" test_current_delay_reciprocal;
     quick "relative sigmas" test_rel_sigma_components;
-    slow "inter sampling moments" test_sample_inter_moments;
-    slow "rdf size scaling" test_sample_rand_size_scaling;
+    slow "inter sampling moments" test_inter_moments;
+    slow "rdf size scaling" test_rdf_size_scaling;
     quick "systematic scaling" test_sys_scaled_deterministic;
     quick "delay factor consistency" test_delay_factor_consistency;
   ]

@@ -33,7 +33,7 @@ let test_correlation_matrix_valid () =
   Alcotest.(check bool) "valid correlation matrix" true
     (Spv_stats.Correlation.is_valid m)
 
-let test_field_sampler_statistics () =
+let test_field_statistics () =
   let t = Tech.bptm70 in
   let ps = Sp.row_positions ~n:3 ~pitch:1.0 in
   let factor = Sp.field_factor t ps in
@@ -64,5 +64,5 @@ let suite =
     quick "row positions" test_row_positions;
     quick "correlation decay" test_correlation_decay;
     quick "correlation matrix validity" test_correlation_matrix_valid;
-    slow "field sampler statistics" test_field_sampler_statistics;
+    slow "field sampler statistics" test_field_statistics;
   ]
