@@ -134,14 +134,8 @@ let gaussians_into t out ~pos ~len =
   done
 
 let gaussian t =
-  if t.has_spare then begin
-    t.has_spare <- false;
-    Float.Array.unsafe_get t.spare 0
-  end
-  else begin
-    polar_into t t.spare 1;
-    Float.Array.unsafe_get t.spare 1
-  end
+  gaussians_into t t.spare ~pos:1 ~len:1;
+  Float.Array.unsafe_get t.spare 1
 
 let gaussian_mu_sigma t ~mu ~sigma =
   assert (sigma >= 0.0);
