@@ -44,7 +44,7 @@ type plan = {
   sigma_rand : Float.Array.t array;  (** per stage, per node: RDF Vth sigma *)
   field : Spv_stats.Matrix.t;  (** Cholesky factor over stage positions *)
   ff_nominal : float option;  (** clk-to-Q + setup, when there is a flip-flop *)
-  ff_sigma_rand : float;
+  ff_sigma_rand : float;  (** one draw for the whole overhead, at size 2 *)
   s_vth : float;
   s_leff : float;
   n_normals : int;  (** per trial, after the field's *)

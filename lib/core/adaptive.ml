@@ -138,27 +138,16 @@ let plan ?(policy = default_policy) pipeline =
   in
   { p_policy = policy; p_d = d; p_residual = residual }
 
-type sampler = {
-  plan : plan;
-  i_std : Float.Array.t;  (** one slot: the trial's inter-die draw *)
-  z : Float.Array.t;
-  res : Float.Array.t;
-}
+type sampler = { plan : plan; z : Float.Array.t; res : Float.Array.t }
 
 let sampler plan =
   let k = Array.length plan.p_d.mus in
-  {
-    plan;
-    i_std = Float.Array.make 1 0.0;
-    z = Float.Array.make k 0.0;
-    res = Float.Array.make k 0.0;
-  }
+  { plan; z = Float.Array.make k 0.0; res = Float.Array.make k 0.0 }
 
 let sample_delay sm rng =
   let d = sm.plan.p_d in
   let k = Array.length d.mus in
-  Spv_stats.Rng.gaussians_into rng sm.i_std ~pos:0 ~len:1;
-  let i_std = Float.Array.unsafe_get sm.i_std 0 in
+  let i_std = Spv_stats.Rng.gaussian rng in
   let c = correction sm.plan.p_policy d ~i_std in
   Spv_stats.Rng.gaussians_into rng sm.z ~pos:0 ~len:k;
   Spv_stats.Mvn.transform_into sm.plan.p_residual sm.z sm.res;
