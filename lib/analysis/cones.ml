@@ -328,7 +328,12 @@ let gate_criticalities ~k ctx ~sys_row ~stage =
           Interval.make ~lo:(Float.min lower upper) ~hi:upper
         end)
   in
-  { sg_bounds = bounds; sg_reaches = reaches; sg_escape = escape; sg_static = static }
+  {
+    sg_bounds = bounds;
+    sg_reaches = reaches;
+    sg_escape = escape;
+    sg_static = static;
+  }
 
 (* ---- dominant failure cones ------------------------------------------ *)
 

@@ -74,7 +74,8 @@ let plan ?(exact = false) ?(pitch = 1.0) ?ff (tech : Tech.t) nets =
     s_leff = Tech.delay_sensitivity_leff tech;
     n_normals =
       Array.fold_left (fun acc net -> acc + Netlist.n_gates net + ff_draws) 2 nets;
-    max_nodes = Array.fold_left (fun acc net -> max acc (Netlist.n_nodes net)) 0 nets;
+    max_nodes =
+      Array.fold_left (fun acc net -> max acc (Netlist.n_nodes net)) 0 nets;
   }
 
 (* One shard's scratch: a trial writes into these and nowhere else. *)
@@ -123,7 +124,9 @@ let draw_stage_delays_into s rng out =
   let inter_leff =
     0.0 +. (tech.sigma_leff_rel_inter *. Float.Array.unsafe_get normals 0)
   in
-  let inter_vth = 0.0 +. (tech.sigma_vth_inter *. Float.Array.unsafe_get normals 1) in
+  let inter_vth =
+    0.0 +. (tech.sigma_vth_inter *. Float.Array.unsafe_get normals 1)
+  in
   let next = ref 2 in
   for st = 0 to n_stages - 1 do
     let net = p.nets.(st) in
@@ -157,7 +160,9 @@ let draw_stage_delays_into s rng out =
     match p.ff_nominal with
     | None -> Float.Array.unsafe_set out st (comb +. 0.0)
     | Some ff_nominal ->
-        let rand = 0.0 +. (p.ff_sigma_rand *. Float.Array.unsafe_get normals !next) in
+        let rand =
+          0.0 +. (p.ff_sigma_rand *. Float.Array.unsafe_get normals !next)
+        in
         incr next;
         let dvth = inter_vth +. (sys_vth +. rand) in
         if p.exact then

@@ -25,8 +25,10 @@ type report = {
    one stage a trial move changes, without building a pipeline
    context around it. *)
 let stat_delay_of ?ff tech net ~z =
-  let total = (Spv_circuit.Ssta.analyse_stage ?ff tech net).Spv_circuit.Ssta.total in
-  let g = Spv_core.Stage.gaussian (Spv_core.Stage.make total) in
+  let total =
+    (Spv_circuit.Ssta.analyse_stage ?ff tech net).Spv_circuit.Ssta.total
+  in
+  let g = Gd.to_gaussian total in
   (total, Spv_stats.Gaussian.mu g +. (z *. Spv_stats.Gaussian.sigma g))
 
 let size_stage ?options ?ff tech net ~t_target ~z =

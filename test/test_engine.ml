@@ -400,7 +400,8 @@ let gate_level_digest () =
       Engine.Ctx.of_circuits ~pitch:2.5 tech (mixed ());
       Engine.Ctx.of_circuits ~mode:Engine.Hierarchical ~block_gates:6 ~ff tech
         (mixed ());
-      Engine.Ctx.of_circuits tech (Gen.variable_depth_pipeline ~depths:[| 3; 11 |] ());
+      Engine.Ctx.of_circuits tech
+        (Gen.variable_depth_pipeline ~depths:[| 3; 11 |] ());
     ]
   in
   let b = Buffer.create 65536 in
@@ -421,7 +422,8 @@ let gate_level_digest () =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_gate_level_golden_bytes () =
-  Alcotest.(check string) "gate-level samples digest" "5ec3ed3a526a0675b7e1a85ef82397f5"
+  Alcotest.(check string) "gate-level samples digest"
+    "5ec3ed3a526a0675b7e1a85ef82397f5"
     (gate_level_digest ())
 
 (* ---- Par ------------------------------------------------------------- *)

@@ -216,7 +216,8 @@ let stream_fixture () =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_stream_fixture () =
-  Alcotest.(check string) "raw stream digest" "e0c7667ee97c293549ec01bf8956261a" (stream_fixture ())
+  Alcotest.(check string) "raw stream digest"
+    "e0c7667ee97c293549ec01bf8956261a" (stream_fixture ())
 
 let test_gaussians_into_matches_gaussian () =
   let a = Rng.create ~seed:31 and b = Rng.create ~seed:31 in

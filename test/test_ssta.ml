@@ -133,7 +133,8 @@ let test_late_delay_matches_run_with_factors () =
           factors;
         Alcotest.(check int64) "same bits"
           (Int64.bits_of_float
-             (Spv_circuit.Sta.run_with_factors tech net ~factors).Spv_circuit.Sta.delay)
+             (Spv_circuit.Sta.run_with_factors tech net ~factors)
+               .Spv_circuit.Sta.delay)
           (Int64.bits_of_float (Spv_circuit.Sta.late_delay net ~delays ~arrival))
       done)
     [ G.c432 (); G.ripple_carry_adder ~bits:6; G.decoder ~select:3 () ]
