@@ -68,6 +68,16 @@ if grep -rEn \
   exit 1
 fi
 
+# Domain gate: Par's pool is the one budget for domains in the process
+# (Serve's workers and the engine's jobs share it), so no other code
+# may spawn one.
+echo "==> Domain.spawn only in lib/engine/par.ml"
+if grep -rn 'Domain\.spawn' lib bin bench test |
+  grep -v '^lib/engine/par\.ml:'; then
+  echo "ci.sh: Domain.spawn outside Par's pool (above)" >&2
+  exit 1
+fi
+
 # Non-finite gate: a huge but finite target saturates the closed forms
 # instead of overflowing to NaN, and a NaN or negative requirement is a
 # Domain error (exactly exit 6) with nothing printed on stdout, never a

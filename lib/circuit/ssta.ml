@@ -120,7 +120,7 @@ let draw_stage_delays_into s rng out =
     invalid_arg "Ssta.draw_stage_delays_into: one entry per stage expected";
   Spv_stats.Rng.gaussians_into rng s.z ~pos:0 ~len:n_stages;
   Spv_stats.Rng.gaussians_into rng normals ~pos:0 ~len:p.n_normals;
-  Spv_stats.Matrix.mat_vec_into p.field s.z s.sys;
+  Spv_stats.Matrix.lower_mat_vec_into p.field s.z s.sys;
   let inter_leff =
     0.0 +. (tech.sigma_leff_rel_inter *. Float.Array.unsafe_get normals 0)
   in

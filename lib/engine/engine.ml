@@ -587,17 +587,30 @@ let adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples =
   Adaptive { batch; min_samples; rel_se_target; max_samples }
 
 (* The one shard driver.  [make] builds each shard's trial state from
-   its stream once, before the first round; the function it returns
-   runs [count] trials, numbered from [first] within the round, and
-   reports the shard's cumulative partial result.  A round of [size]
-   trials gives each shard [size / shards] of them, the first
+   a copy of its stream once, in the lane that first runs the shard:
+   the domain that writes the Rng state, scratch and counters on every
+   trial allocates them, instead of the caller packing every shard's
+   next to each other, where two lanes would write neighbouring cache
+   lines (a copy draws the same bits as its original).  The function
+   [make] returns runs [count] trials, numbered from [first] within the
+   round, and reports the shard's cumulative partial result.  A round
+   of [size] trials gives each shard [size / shards] of them, the first
    [size mod shards] shards one more, so a fixed-[n] run draws exactly
    what the first round of an adaptive run with [batch = n] draws.
    After each adaptive round, [summary] maps the partials and the
    trials drawn so far to (estimate, standard error) pairs; the run has
    converged once every estimate is within [rel_se_target]. *)
 let drive ~jobs ~shards ~seed ~budget ~make ~summary =
-  let shard = Array.map make (Rng.split (Rng.create ~seed) shards) in
+  let streams = Rng.split (Rng.create ~seed) shards in
+  let shard = Array.make shards None in
+  let run i ~first ~count =
+    match shard.(i) with
+    | Some trials -> trials ~first ~count
+    | None ->
+        let trials = make (Rng.copy streams.(i)) in
+        shard.(i) <- Some trials;
+        trials ~first ~count
+  in
   let rec round drawn =
     let size =
       match budget with
@@ -615,7 +628,7 @@ let drive ~jobs ~shards ~seed ~budget ~make ~summary =
     let parts =
       Par.run ~jobs
         (Array.init shards (fun i () ->
-             shard.(i) ~first:first.(i) ~count:counts.(i)))
+             run i ~first:first.(i) ~count:counts.(i)))
     in
     let drawn = drawn + size in
     match budget with

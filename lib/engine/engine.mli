@@ -18,7 +18,7 @@
       results are merged in fixed shard order (integer success counts
       exactly; means/variances by Welford accumulation per shard and
       Chan's parallel merge).  Shards are scheduled over [jobs]
-      domains by {!Par.run}, and because shard state never depends on
+      lanes by {!Par.run}, and because shard state never depends on
       the schedule, results are bit-for-bit identical for any [jobs]
       given the same [(seed, shards)].
 
@@ -29,8 +29,12 @@
     Each kernel is split into an immutable plan, built once per call and
     shared read-only by the shards (the context's MVN, an importance or
     ABB plan, a gate-level {!Spv_circuit.Ssta.plan}), and one sampler per
-    shard, built when the shard is set up, that owns the float scratch
-    its trials draw into.  So a trial allocates nothing but its boxed
+    shard that owns the float scratch its trials draw into.  A shard's
+    state (its sampler, its counters and a copy of its RNG stream,
+    which draws the same bits) is built once, by the lane that first
+    runs the shard, so the memory a lane writes on every trial is
+    allocated by the domain that runs it instead of next to another
+    lane's on the caller.  So a trial allocates nothing but its boxed
     result, and nothing is built per trial or per domain. *)
 
 (** {1 Evaluation modes} *)

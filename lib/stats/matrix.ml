@@ -52,15 +52,19 @@ let mat_vec a x =
       !acc)
 
 (* [get] is not inlined across calls here, and each call boxes its
-   result: read [data] directly so a draw allocates nothing. *)
-let mat_vec_into a x out =
-  if a.c <> Float.Array.length x || a.r <> Float.Array.length out then
-    invalid_arg "Matrix.mat_vec_into: dimension mismatch";
-  let d = a.data and c = a.c in
-  for i = 0 to a.r - 1 do
-    let row = i * c in
+   result: read [data] directly so a draw allocates nothing.  The upper
+   triangle is skipped: a term there is [0 * x] in a Cholesky factor,
+   and for finite [x] adding it never changes a sum that starts at
+   +0.0. *)
+let lower_mat_vec_into l x out =
+  let n = l.r in
+  if l.c <> n || Float.Array.length x <> n || Float.Array.length out <> n then
+    invalid_arg "Matrix.lower_mat_vec_into: dimension mismatch";
+  let d = l.data in
+  for i = 0 to n - 1 do
+    let row = i * n in
     let acc = ref 0.0 in
-    for j = 0 to c - 1 do
+    for j = 0 to i do
       acc := !acc +. (Array.unsafe_get d (row + j) *. Float.Array.unsafe_get x j)
     done;
     Float.Array.unsafe_set out i !acc

@@ -20,11 +20,14 @@ val copy : t -> t
 val transpose : t -> t
 val mul : t -> t -> t
 val mat_vec : t -> float array -> float array
-val mat_vec_into : t -> Float.Array.t -> Float.Array.t -> unit
-(** [mat_vec_into a x out] writes [a x] to [out] with the sums of
-    {!mat_vec}, bit for bit, and allocates nothing.  [x] must have
-    [cols a] entries and [out] [rows a]; raises [Invalid_argument]
-    otherwise. *)
+val lower_mat_vec_into : t -> Float.Array.t -> Float.Array.t -> unit
+(** [lower_mat_vec_into l x out] writes [l x] to [out] for a square
+    lower-triangular [l], such as a {!cholesky} factor, and allocates
+    nothing.  Only the lower triangle, diagonal included, is read: the
+    upper triangle is ignored as if it were zero.  For a
+    lower-triangular [l] and finite [x] the sums equal {!mat_vec}'s
+    bit for bit.  [l] must be square with as many rows as [x] and
+    [out] have entries; raises [Invalid_argument] otherwise. *)
 
 val scale : t -> float -> t
 val add : t -> t -> t

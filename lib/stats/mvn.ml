@@ -42,7 +42,7 @@ let transform_into t z x =
   let n = dim t in
   if Float.Array.length z <> n || Float.Array.length x <> n then
     invalid_arg "Mvn.transform_into: dimension mismatch";
-  Matrix.mat_vec_into t.chol z x;
+  Matrix.lower_mat_vec_into t.chol z x;
   for i = 0 to n - 1 do
     Float.Array.unsafe_set x i (t.mus.(i) +. Float.Array.unsafe_get x i)
   done

@@ -440,6 +440,86 @@ let test_par_run_propagates_exceptions () =
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure _ -> ()
 
+(* Runs [f note] and returns how many distinct domains called [note]. *)
+let distinct_domains f =
+  let seen = Hashtbl.create 8 and m = Mutex.create () in
+  let note () =
+    let id = (Domain.self () :> int) in
+    Mutex.protect m (fun () -> Hashtbl.replace seen id ())
+  in
+  f note;
+  Hashtbl.length seen
+
+let test_par_pool_reuses_domains () =
+  let ids =
+    distinct_domains (fun note ->
+        for call = 1 to 200 do
+          let got =
+            Par.run ~jobs:4
+              (Array.init 8 (fun i () ->
+                   note ();
+                   call + i))
+          in
+          Alcotest.(check (array int))
+            "order" (Array.init 8 (fun i -> call + i)) got
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct domains over 200 calls" ids)
+    true
+    (ids <= Domain.recommended_domain_count ())
+
+(* Far more lanes than the runtime allows domains: the pool's cap, not
+   [jobs], bounds the domains in use. *)
+let test_par_oversized_jobs () =
+  let ids =
+    distinct_domains (fun note ->
+        let got =
+          Par.run ~jobs:10_000
+            (Array.init 300 (fun i () ->
+                 note ();
+                 i * 3))
+        in
+        Alcotest.(check (array int))
+          "order" (Array.init 300 (fun i -> i * 3)) got)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct domains" ids)
+    true
+    (ids <= Domain.recommended_domain_count ())
+
+let test_par_nested () =
+  let got =
+    Par.run ~jobs:2
+      (Array.init 6 (fun i () ->
+           Par.run ~jobs:4 (Array.init 10 (fun j () -> (10 * i) + j))))
+  in
+  Alcotest.(check (array (array int)))
+    "nested results in order"
+    (Array.init 6 (fun i -> Array.init 10 (fun j -> (10 * i) + j)))
+    got
+
+(* Lanes 1 and 2 fail, lane 1 last; the caller sees lane 1's exception,
+   and only once every lane has ended. *)
+let test_par_exception_order () =
+  let ended = Atomic.make 0 in
+  let task i () =
+    if i >= 6 then begin
+      Unix.sleepf (if i = 7 then 0.03 else 0.01);
+      Atomic.incr ended;
+      if i > 6 then failwith (Printf.sprintf "lane %d" (i mod 3))
+    end;
+    i
+  in
+  (match Par.run ~jobs:3 (Array.init 9 task) with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+      Alcotest.(check string) "lowest failing lane" "lane 1" msg;
+      Alcotest.(check int) "every lane ended first" 3 (Atomic.get ended));
+  Alcotest.(check (array int))
+    "the pool still serves" (Array.init 9 Fun.id)
+    (Par.run ~jobs:3 (Array.init 9 (fun i () -> i)))
+
 let suite =
   [
     Alcotest.test_case "adaptive yield is jobs-invariant" `Slow
@@ -479,4 +559,11 @@ let suite =
       test_par_run_preserves_order;
     Alcotest.test_case "Par.run propagates exceptions" `Quick
       test_par_run_propagates_exceptions;
+    Alcotest.test_case "Par.run reuses its domains" `Quick
+      test_par_pool_reuses_domains;
+    Alcotest.test_case "Par.run caps oversized jobs" `Quick
+      test_par_oversized_jobs;
+    Alcotest.test_case "Par.run nests" `Quick test_par_nested;
+    Alcotest.test_case "Par.run raises the lowest lane's exception" `Quick
+      test_par_exception_order;
   ]

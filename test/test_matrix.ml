@@ -59,6 +59,31 @@ let test_cholesky_psd () =
   let rebuilt = M.mul l (M.transpose l) in
   check_float ~eps:1e-4 "rebuilt[0,1]" 1.0 (M.get rebuilt 0 1)
 
+let test_lower_mat_vec_into () =
+  let l = M.cholesky spd_example in
+  let xs = [| -1.25; 0.5; 3.0 |] in
+  let x = Float.Array.map_from_array Fun.id xs in
+  let out = Float.Array.make 3 nan in
+  M.lower_mat_vec_into l x out;
+  let fbits = Float.Array.map_to_array Int64.bits_of_float in
+  Alcotest.(check (array int64))
+    "bit-equal to mat_vec"
+    (Array.map Int64.bits_of_float (M.mat_vec l xs))
+    (fbits out);
+  (* The upper triangle is never read. *)
+  let junk = M.copy l in
+  M.set junk 0 1 1e300;
+  M.set junk 0 2 nan;
+  M.set junk 1 2 (-7.0);
+  let out' = Float.Array.make 3 nan in
+  M.lower_mat_vec_into junk x out';
+  Alcotest.(check (array int64))
+    "upper triangle ignored" (fbits out) (fbits out');
+  check_raises_invalid "not square" (fun () ->
+      M.lower_mat_vec_into
+        (M.of_arrays [| [| 1.0; 2.0 |] |])
+        (Float.Array.make 2 0.0) (Float.Array.make 1 0.0))
+
 let test_solve_spd () =
   let b = [| 1.0; 2.0; 3.0 |] in
   let x = M.solve_spd spd_example b in
@@ -120,6 +145,7 @@ let suite =
     quick "known product" test_mul_known;
     quick "transpose" test_transpose;
     quick "mat_vec" test_mat_vec;
+    quick "lower_mat_vec_into" test_lower_mat_vec_into;
     quick "cholesky reconstruction" test_cholesky_reconstruction;
     quick "cholesky rejects non-SPD" test_cholesky_rejects_non_spd;
     quick "cholesky PSD jitter" test_cholesky_psd;

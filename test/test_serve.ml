@@ -130,6 +130,26 @@ let hier_grid_text =
    samples 1000\n\
    shards 4\n"
 
+(* More groups than the runtime allows domains, at a [workers] far
+   beyond that: the rows are the serial ones. *)
+let test_oversized_workers () =
+  let grid =
+    String.concat ""
+      (List.init 150 (fun i ->
+           Printf.sprintf "stages %d,5 95,4\n" (90 + (i mod 20))))
+    ^ "targets 110\nmethod clark,mc\nsamples 64\nshards 2\n"
+  in
+  let d = Serve.create () in
+  let serve rid workers =
+    rows_of ~request_id:rid
+      (Serve.handle_line d
+         (Serve.request_line ~request_id:rid ~seed:7 ~jobs:2 ~workers ~grid ()))
+  in
+  let serial = serve "w1" 1 in
+  Alcotest.(check int) "row count" 300 (List.length serial);
+  Alcotest.(check (list string))
+    "workers 100000 = workers 1" serial (serve "wmax" 100_000)
+
 let test_hier_rows_contract () =
   let grid =
     match Grid.of_string hier_grid_text with
@@ -500,6 +520,8 @@ let suite =
                         jobs and workers" `Quick test_transcript_byte_identical;
     Alcotest.test_case "served rows = one-shot sweep JSONL" `Quick
       test_rows_match_one_shot_sweep;
+    Alcotest.test_case "oversized workers: rows = workers 1" `Quick
+      test_oversized_workers;
     Alcotest.test_case "hierarchical rows = one-shot but for macro counters"
       `Quick test_hier_rows_contract;
     Alcotest.test_case "done rows report deterministic cache counters" `Quick

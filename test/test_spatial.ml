@@ -43,7 +43,7 @@ let test_field_statistics () =
   let draws =
     Array.init n (fun _ ->
         Spv_stats.Rng.gaussians_into rng z ~pos:0 ~len:3;
-        Spv_stats.Matrix.mat_vec_into factor z field;
+        Spv_stats.Matrix.lower_mat_vec_into factor z field;
         Array.init 3 (Float.Array.get field))
   in
   let col i = Array.map (fun d -> d.(i)) draws in
