@@ -105,6 +105,22 @@ done
 # both and exits nonzero on any mismatch).
 run "$CLI" sweep --smoke
 
+# Sampling gate: the checked-in 8- and 64-stage grid through mc,
+# adaptive and importance must reproduce the pinned JSONL digest at
+# --jobs 1 and 2.  The digest was computed before the adaptive sweep
+# shared one sampling pass over its targets and the importance
+# proposal read the Cholesky factor in place; both keep every byte.
+SAMPLING_MD5=2ea4c57704c4dca14287a30bd2f8d056
+for jobs in 1 2; do
+  echo "==> $CLI sweep -g examples/grids/sampling_sweep.grid --jobs $jobs (md5 $SAMPLING_MD5)"
+  sum=$("$CLI" sweep -g examples/grids/sampling_sweep.grid --jobs "$jobs" |
+    md5sum | cut -d' ' -f1)
+  if [ "$sum" != "$SAMPLING_MD5" ]; then
+    echo "ci.sh: sampling grid digest $sum at --jobs $jobs, want $SAMPLING_MD5" >&2
+    exit 1
+  fi
+done
+
 # Hierarchical gates: the macro-layer test suite, then the smoke grid
 # re-run in hierarchical mode — the binary additionally runs the flat
 # smoke sweep and asserts every hierarchical row agrees with its flat

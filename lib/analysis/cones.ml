@@ -1,5 +1,6 @@
 module Engine = Spv_engine.Engine
 module Mvn = Spv_stats.Mvn
+module Matrix = Spv_stats.Matrix
 module Special = Spv_stats.Special
 module Netlist = Spv_circuit.Netlist
 module Sta = Spv_circuit.Sta
@@ -65,46 +66,120 @@ let dust_eps a b =
   let scale f = Float.abs (Affine.center f) +. Affine.sigma f in
   1e-9 *. Float.max 1.0 (Float.max (scale a) (scale b))
 
-(* P{a > b} for two purely affine forms: their difference is an exact
-   Gaussian, so this is a plain Phi evaluation (step function when the
-   forms are proportional or tied — including ties up to cancellation
-   dust, where Phi(mu/sigma) of two dust quantities would be
-   garbage). *)
-let prob_exceeds a b =
-  let d = Affine.sub a b in
-  let mu = Affine.center d and sigma = Affine.sigma d in
-  let eps = dust_eps a b in
-  if sigma > eps then Special.big_phi (mu /. sigma)
+(* ---- stage criticality kernel ---------------------------------------
+
+   The stage model forms are X_s = mu_s + sum_k L_sk z_k over the
+   stage MVN's Cholesky factor L, so every pairwise difference
+   X_j - X_s is the exact Gaussian with mean mu_j - mu_s and variance
+   sum_k (L_jk - L_sk)^2.  The kernel reads the means and the factor in
+   place and sums that variance over ascending k up to max(j, s): the
+   factor is lower triangular, and a zero term never changes a sum
+   that starts at +0.0.  That is the arithmetic [Affine.sub] and
+   [Affine.sigma] perform on the model forms, so the bounds keep their
+   bits, and nothing is allocated: a float would be boxed per pair
+   otherwise (DESIGN §3b). *)
+
+type crit_scratch = {
+  lower : Float.Array.t;  (** per stage: criticality lower bound *)
+  upper : Float.Array.t;  (** per stage: criticality upper bound *)
+  scale : Float.Array.t;  (** per stage: |mu_s| + sigma_s, for [dust_eps] *)
+  cell : Float.Array.t;  (** one Phi argument, evaluated in place *)
+}
+
+let crit_scratch n =
+  {
+    lower = Float.Array.make n 0.0;
+    upper = Float.Array.make n 0.0;
+    scale = Float.Array.make n 0.0;
+    cell = Float.Array.make 1 0.0;
+  }
+
+(* P{X_j > X_s}: Phi(mu / sigma) of the difference, or the step
+   function when sigma is within the cancellation floor of
+   [dust_eps] (tied or proportional stages), where Phi of two dust
+   quantities would be garbage. *)
+let[@inline] prob_exceeds w l mus ~n j s =
+  let rj = j * n and rs = s * n in
+  let var = ref 0.0 in
+  for k = 0 to Int.max j s do
+    let d = Array.unsafe_get l (rj + k) -. Array.unsafe_get l (rs + k) in
+    var := !var +. (d *. d)
+  done;
+  let mu = Array.unsafe_get mus j -. Array.unsafe_get mus s in
+  let sigma = sqrt !var in
+  let eps =
+    1e-9
+    *. Float.max 1.0
+         (Float.max
+            (Float.Array.unsafe_get w.scale j)
+            (Float.Array.unsafe_get w.scale s))
+  in
+  if sigma > eps then begin
+    Float.Array.unsafe_set w.cell 0 (mu /. sigma);
+    Special.big_phi_into w.cell ~pos:0 ~len:1;
+    Float.Array.unsafe_get w.cell 0
+  end
   else if mu > eps then 1.0
   else 0.0
 
-let stage_criticalities mvn ~model_forms ~t_target =
-  let n = Array.length model_forms in
-  (* Reference stage: largest marginal mean; for the reference itself,
-     the runner-up. *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b -> compare (Mvn.mean mvn b, a) (Mvn.mean mvn a, b))
-    order;
-  let best = order.(0) in
-  let second = if n > 1 then order.(1) else best in
+(* Criticality bounds of every stage into [w.lower] / [w.upper]: below,
+   the union bound 1 - sum_{j <> s} P{X_j > X_s} (clamped at 0);
+   above, 1 - P{X_c > X_s} for the reference stage c, the largest-mean
+   other stage (ties to the lower index).  The union sum runs over
+   ascending j and stops once it reaches 1: further terms only grow it,
+   so the clamped bound is 0 either way.  Raises [Invalid_argument] on
+   a NaN mean or factor entry, as building the model forms does. *)
+let stage_bounds_into mvn w =
+  let n = Mvn.dim mvn in
+  let l = Matrix.data (Mvn.cholesky mvn) and mus = Mvn.means mvn in
+  for s = 0 to n - 1 do
+    let m = Array.unsafe_get mus s in
+    if Float.is_nan m then invalid_arg "Cones: NaN stage mean";
+    let var = ref 0.0 in
+    for k = 0 to s do
+      let c = Array.unsafe_get l ((s * n) + k) in
+      if Float.is_nan c then invalid_arg "Cones: NaN Cholesky entry";
+      var := !var +. (c *. c)
+    done;
+    Float.Array.unsafe_set w.scale s (Float.abs m +. sqrt !var)
+  done;
+  (* Reference stage: largest mean, lowest index on ties; for the
+     reference itself, the runner-up. *)
+  let best = ref 0 in
+  for i = 1 to n - 1 do
+    if Array.unsafe_get mus i > Array.unsafe_get mus !best then best := i
+  done;
+  let best = !best in
+  let second = ref (if best = 0 && n > 1 then 1 else 0) in
+  for i = 0 to n - 1 do
+    if i <> best && Array.unsafe_get mus i > Array.unsafe_get mus !second then
+      second := i
+  done;
+  let second = if n > 1 then !second else best in
+  for s = 0 to n - 1 do
+    if n = 1 then begin
+      Float.Array.unsafe_set w.lower s 1.0;
+      Float.Array.unsafe_set w.upper s 1.0
+    end
+    else begin
+      let miss = ref 0.0 and j = ref 0 in
+      while !j < n && !miss < 1.0 do
+        if !j <> s then miss := !miss +. prob_exceeds w l mus ~n !j s;
+        incr j
+      done;
+      Float.Array.unsafe_set w.lower s (Float.max 0.0 (1.0 -. !miss));
+      let c = if s = best then second else best in
+      Float.Array.unsafe_set w.upper s (1.0 -. prob_exceeds w l mus ~n c s)
+    end
+  done
+
+let stage_criticalities mvn ~t_target =
+  let n = Mvn.dim mvn in
+  let w = crit_scratch n in
+  stage_bounds_into mvn w;
   Array.init n (fun s ->
-      let form = model_forms.(s) in
-      let lower =
-        if n = 1 then 1.0
-        else
-          let miss = ref 0.0 in
-          for j = 0 to n - 1 do
-            if j <> s then miss := !miss +. prob_exceeds model_forms.(j) form
-          done;
-          Float.max 0.0 (1.0 -. !miss)
-      in
-      let upper =
-        if n = 1 then 1.0
-        else
-          let c = if s = best then second else best in
-          1.0 -. prob_exceeds model_forms.(c) form
-      in
+      let lower = Float.Array.get w.lower s
+      and upper = Float.Array.get w.upper s in
       let depth =
         match t_target with
         | None -> None
@@ -415,7 +490,7 @@ let analyse ?(k = 6.0) ?(threshold = default_threshold) ?t_target ctx =
   let n = Engine.Ctx.n_stages ctx in
   let model_forms = Array.init n (Affine_sta.model_form mvn) in
   let pipe_model = Affine.max_many ~k model_forms in
-  let stages = stage_criticalities mvn ~model_forms ~t_target in
+  let stages = stage_criticalities mvn ~t_target in
   let slack =
     Option.map (fun t -> Affine.sub (Affine.const t) pipe_model) t_target
   in
@@ -510,34 +585,73 @@ let proposal ?(k = 6.0) ?(threshold = default_threshold) ctx ~t_target =
     invalid_arg "Cones.proposal: non-finite t_target";
   let mvn = Engine.Ctx.mvn ctx in
   let n = Mvn.dim mvn in
-  let model_forms = Array.init n (Affine_sta.model_form mvn) in
-  let stages =
-    stage_criticalities mvn ~model_forms ~t_target:(Some t_target)
-  in
-  let dominates =
-    Array.exists (fun s -> Interval.lo s.sc_crit >= threshold) stages
-  in
-  if not dominates then None
+  let l = Matrix.data (Mvn.cholesky mvn) in
+  let mus = Mvn.means mvn and sigmas = Mvn.sigmas mvn in
+  for s = 0 to n - 1 do
+    if
+      not
+        (Float.is_finite (Array.unsafe_get mus s)
+        && Float.is_finite (Array.unsafe_get sigmas s))
+    then invalid_arg "Cones.proposal: non-finite stage moment"
+  done;
+  let w = crit_scratch n in
+  stage_bounds_into mvn w;
+  (* [w.lower] becomes [sc_crit]'s lower end, as [stage_criticalities]
+     builds it, and [depth] each stage's crossing depth (0 for a
+     deterministic stage, which gets no mode). *)
+  let crit_lo = w.lower and depth = Float.Array.make n 0.0 in
+  let dominates = ref false and modes = ref 0 in
+  for s = 0 to n - 1 do
+    let lo = Float.min (Float.Array.get crit_lo s) (Float.Array.get w.upper s) in
+    Float.Array.set crit_lo s lo;
+    if lo >= threshold then dominates := true;
+    let sigma = Array.unsafe_get sigmas s in
+    if sigma > 0.0 then begin
+      let d = (t_target -. Array.unsafe_get mus s) /. sigma in
+      Float.Array.set depth s d;
+      if d > 0.0 then incr modes
+    end
+  done;
+  if not !dominates then None
+  else if !modes = 0 then
+    (* Barrier at or below every stage mean: a body target.  Hand the
+       engine an explicit zero shift so its body detection reports the
+       plain-MC fallback. *)
+    Some ([| Array.make n 0.0 |], [| 1.0 |])
   else begin
-    let shifts = ref [] and alphas = ref [] in
-    for s = n - 1 downto 0 do
-      match (stage_unit_shift mvn s, stages.(s).sc_depth) with
-      | Some u, Some depth when depth > 0.0 ->
-          shifts := Array.map (fun c -> c *. depth) u :: !shifts;
-          (* Criticality-weighted marginal exceedance, floored so that
-             no mode and no alpha degenerates to an exact zero. *)
-          let crit = Float.max (Interval.lo stages.(s).sc_crit) 1e-3 in
-          let tail = Float.max (Special.upper_tail depth) 1e-300 in
-          alphas := (crit *. tail) :: !alphas
-      | _ -> ()
+    (* One mode per stage with a positive depth, shifted to its
+       design point: depth along row_s / sigma_s. *)
+    let shifts = Array.make !modes [||] in
+    let tails = Float.Array.make !modes 0.0 in
+    let m = ref 0 in
+    for s = 0 to n - 1 do
+      let d = Float.Array.get depth s in
+      if d > 0.0 then begin
+        let sigma = Array.unsafe_get sigmas s in
+        let shift = Array.make n 0.0 in
+        for k = 0 to n - 1 do
+          Array.unsafe_set shift k
+            (Array.unsafe_get l ((s * n) + k) /. sigma *. d)
+        done;
+        shifts.(!m) <- shift;
+        Float.Array.set tails !m d;
+        incr m
+      end
     done;
-    match !shifts with
-    | [] ->
-        (* Barrier at or below every stage mean: a body target.  Hand
-           the engine an explicit zero shift so its body detection
-           reports the plain-MC fallback. *)
-        Some ([| Array.make n 0.0 |], [| 1.0 |])
-    | ss -> Some (Array.of_list ss, Array.of_list !alphas)
+    Special.upper_tail_into tails ~pos:0 ~len:!modes;
+    (* Criticality-weighted marginal exceedance, floored so that no mode
+       and no alpha degenerates to an exact zero. *)
+    let alphas = Array.make !modes 0.0 in
+    let m = ref 0 in
+    for s = 0 to n - 1 do
+      if Float.Array.get depth s > 0.0 then begin
+        let crit = Float.max (Float.Array.get crit_lo s) 1e-3 in
+        let tail = Float.max (Float.Array.get tails !m) 1e-300 in
+        Array.unsafe_set alphas !m (crit *. tail);
+        incr m
+      end
+    done;
+    Some (shifts, alphas)
   end
 
 let install_engine_proposal () =

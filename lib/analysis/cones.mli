@@ -127,7 +127,12 @@ val proposal :
     unnormalised weights criticality x marginal exceedance.  A barrier
     at or below every stage mean returns one zero shift, which the
     engine's body detection turns into the explicit plain-MC
-    fallback. *)
+    fallback.  The criticality bounds are the ones {!analyse}
+    reports, bit for bit, computed from the stage MVN read in place:
+    the call allocates what it returns plus a few arrays of one entry
+    per stage, nothing per stage pair.  Raises [Invalid_argument] on
+    invalid [k], a non-finite [t_target] or a non-finite stage mean or
+    sigma. *)
 
 val install_engine_proposal : unit -> unit
 (** Register {!proposal} (with default [k] and [threshold]) as the

@@ -597,9 +597,18 @@ let adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples =
    of [size] trials gives each shard [size / shards] of them, the first
    [size mod shards] shards one more, so a fixed-[n] run draws exactly
    what the first round of an adaptive run with [batch = n] draws.
-   After each adaptive round, [summary] maps the partials and the
-   trials drawn so far to (estimate, standard error) pairs; the run has
-   converged once every estimate is within [rel_se_target]. *)
+
+   After each round, [summary] maps the partials and the trials drawn
+   so far to one (snapshot, estimate, standard error) per entry — for
+   [count], one per target, whose snapshot is that target's total.  In
+   an adaptive run each entry stops at the first round where it
+   converges (its estimate is within [rel_se_target] once [min_samples]
+   are in) or at [max_samples], and the run ends once every entry has
+   stopped.  A fixed-[n] run is one round.  Returns, per entry, the
+   snapshot, trials drawn and stop reason of its stopping round.  A
+   shard's stream does not depend on which entries are still running,
+   so each entry's result is the one a run with that entry alone
+   returns. *)
 let drive ~jobs ~shards ~seed ~budget ~make ~summary =
   let streams = Rng.split (Rng.create ~seed) shards in
   let shard = Array.make shards None in
@@ -611,7 +620,7 @@ let drive ~jobs ~shards ~seed ~budget ~make ~summary =
         shard.(i) <- Some trials;
         trials ~first ~count
   in
-  let rec round drawn =
+  let rec round drawn stopped =
     let size =
       match budget with
       | Fixed n -> n
@@ -631,20 +640,30 @@ let drive ~jobs ~shards ~seed ~budget ~make ~summary =
              run i ~first:first.(i) ~count:counts.(i)))
     in
     let drawn = drawn + size in
+    let entries = summary parts ~drawn in
     match budget with
-    | Fixed _ -> (parts, drawn, Fixed_n)
+    | Fixed _ -> Array.map (fun (snap, _, _) -> (snap, drawn, Fixed_n)) entries
     | Adaptive a ->
-        let converged (value, se) =
-          Float.abs value > 0.0 && se /. Float.abs value <= a.rel_se_target
+        let stop_at (snap, value, se) =
+          if
+            drawn >= a.min_samples
+            && Float.abs value > 0.0
+            && se /. Float.abs value <= a.rel_se_target
+          then Some (snap, drawn, Converged)
+          else if drawn >= a.max_samples then Some (snap, drawn, Sample_cap)
+          else None
         in
-        if
-          drawn >= a.min_samples
-          && Array.for_all converged (summary parts ~drawn)
-        then (parts, drawn, Converged)
-        else if drawn >= a.max_samples then (parts, drawn, Sample_cap)
-        else round drawn
+        let stopped =
+          if Array.length stopped = 0 then Array.map stop_at entries
+          else
+            Array.map2
+              (fun prev e -> match prev with None -> stop_at e | Some _ -> prev)
+              stopped entries
+        in
+        if Array.for_all Option.is_some stopped then Array.map Option.get stopped
+        else round drawn stopped
   in
-  round 0
+  round 0 [||]
 
 (* Which side of a target a trial's event is: the pipeline delay meets
    it ([x <= t], yield) or misses it ([x > t], loss). *)
@@ -653,15 +672,12 @@ type side = Meets | Misses
 let binomial_se p n = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n)
 
 (* Counting core: one sample per trial, one event counter per target.
-   A T_target sweep pays for the sampling once, and each target's count
-   equals that of a single-target run at the same (seed, shards,
-   budget).  Returns the per-target counts and the trials drawn. *)
+   A T_target sweep pays for the sampling once, adaptive or not, and
+   each target's count, trials drawn and stop reason equal those of a
+   single-target run at the same (seed, shards, budget).  Returns them
+   per target. *)
 let count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample =
   let nt = Array.length targets in
-  let totals parts =
-    Array.init nt (fun k ->
-        Array.fold_left (fun acc hits -> acc + hits.(k)) 0 parts)
-  in
   let make rng =
     let sample = make_sample rng and hits = Array.make nt 0 in
     fun ~first:_ ~count ->
@@ -679,14 +695,12 @@ let count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample =
       hits
   in
   let summary parts ~drawn =
-    Array.map
-      (fun hits ->
+    Array.init nt (fun k ->
+        let hits = Array.fold_left (fun acc hits -> acc + hits.(k)) 0 parts in
         let p = float_of_int hits /. float_of_int drawn in
-        (p, binomial_se p drawn))
-      (totals parts)
+        (hits, p, binomial_se p drawn))
   in
-  let parts, drawn, stop = drive ~jobs ~shards ~seed ~budget ~make ~summary in
-  (totals parts, drawn, stop)
+  drive ~jobs ~shards ~seed ~budget ~make ~summary
 
 (* Moments core: Welford accumulation per shard, Chan's parallel merge
    across shards (applied in fixed shard order). *)
@@ -728,9 +742,13 @@ let moments ~jobs ~shards ~seed ~budget ~make_sample =
       done;
       (m.m_n, m.m_mean, m.m_m2)
   in
-  let summary parts ~drawn:_ = [| mean_se (merge parts) |] in
-  let parts, _, stop = drive ~jobs ~shards ~seed ~budget ~make ~summary in
-  (merge parts, stop)
+  let summary parts ~drawn:_ =
+    let m = merge parts in
+    let mean, se = mean_se m in
+    [| (m, mean, se) |]
+  in
+  let m, _, stop = (drive ~jobs ~shards ~seed ~budget ~make ~summary).(0) in
+  (m, stop)
 
 (* Fill core: trial [k] of a fixed-[n] run writes its own output slot,
    so the sample order is the shard order whatever [jobs] is. *)
@@ -803,11 +821,11 @@ let importance_loss ~where ~jobs ~shards ~seed ~n ctx ~t_target =
        the plain Bernoulli estimator and say so. *)
     let make_sample = max_sampler mvn in
     let fails, _, _ =
-      count ~jobs ~shards ~seed ~budget ~side:Misses ~targets:[| t_target |]
-        ~make_sample
+      (count ~jobs ~shards ~seed ~budget ~side:Misses ~targets:[| t_target |]
+         ~make_sample).(0)
     in
-    let p = float_of_int fails.(0) /. float_of_int n in
-    (p, binomial_se p n, float_of_int fails.(0), Prop_plain)
+    let p = float_of_int fails /. float_of_int n in
+    (p, binomial_se p n, float_of_int fails, Prop_plain)
   end
   else begin
     let make_sample rng =
@@ -892,10 +910,11 @@ let check_target ~where t_target =
     invalid_arg (where ^ ": non-finite t_target")
 
 (* [P{delay <= t}] ([Meets]) or [P{delay > t}] ([Misses]) for every
-   target.  [Mc] shares one sampling pass across the targets; adaptive
-   runs stop on per-target criteria, so they and the other methods
-   evaluate target by target.  Registered oracles check yield
-   semantics, so only the [Meets] side runs the postcondition. *)
+   target.  [Mc] and [Adaptive_mc] share one sampling pass across the
+   targets (an adaptive target stops counting at its own round); the
+   closed forms and importance sampling evaluate target by target.
+   Registered oracles check yield semantics, so only the [Meets] side
+   runs the postcondition. *)
 let probability ~where ~side ?(method_ = Adaptive_mc) ?jobs
     ?(shards = default_shards) ?(seed = default_seed) ?(n = 10_000)
     ?(batch = 1024) ?(min_samples = 1000) ?(rel_se_target = 0.01)
@@ -907,10 +926,9 @@ let probability ~where ~side ?(method_ = Adaptive_mc) ?jobs
     let jobs = resolve_jobs ~where jobs in
     let mvn = Ctx.mvn ctx in
     let make_sample = max_sampler mvn in
-    let counts, drawn, stop =
-      count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample
-    in
-    Array.map (binomial ~method_ ~stop ~n:drawn) counts
+    Array.map
+      (fun (hits, drawn, stop) -> binomial ~method_ ~stop ~n:drawn hits)
+      (count ~jobs ~shards ~seed ~budget ~side ~targets ~make_sample)
   in
   let estimates =
     match method_ with
@@ -923,10 +941,9 @@ let probability ~where ~side ?(method_ = Adaptive_mc) ?jobs
           t_targets
     | Mc -> hits (fixed ~where n) t_targets
     | Adaptive_mc ->
-        let budget =
-          adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples
-        in
-        Array.map (fun t -> (hits budget [| t |]).(0)) t_targets
+        hits
+          (adaptive ~where ~batch ~min_samples ~rel_se_target ~max_samples)
+          t_targets
     | Importance ->
         Array.map
           (fun t_target ->
@@ -1056,7 +1073,7 @@ let abb_mc_yield ?policy ?jobs ?(shards = default_shards)
     fun () -> Spv_core.Adaptive.sample_delay sm rng
   in
   let hits, drawn, stop =
-    count ~jobs ~shards ~seed ~budget ~side:Meets ~targets:[| t_target |]
-      ~make_sample
+    (count ~jobs ~shards ~seed ~budget ~side:Meets ~targets:[| t_target |]
+       ~make_sample).(0)
   in
-  binomial ~method_:Mc ~stop ~n:drawn hits.(0)
+  binomial ~method_:Mc ~stop ~n:drawn hits

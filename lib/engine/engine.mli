@@ -376,14 +376,17 @@ val yield_targets :
   ?batch:int -> ?min_samples:int -> ?rel_se_target:float ->
   ?max_samples:int -> Ctx.t -> t_targets:float array -> estimate array
 (** {!yield} over a whole [t_target] sweep, one estimate per target
-    (same defaults).  For [Mc] with more than one target the sampling
-    pass is shared: each trial draws one pipeline delay and updates
-    every target's counter, so a sweep costs one Monte-Carlo run yet
-    each returned estimate is bit-identical to the single-target
-    {!yield} at the same [(seed, shards, n)].  Other methods evaluate
-    per target (closed forms are cheap; adaptive runs stop on
-    per-target criteria and cannot share draws without changing their
-    results).  Raises [Invalid_argument] on an empty target array. *)
+    (same defaults).  For [Mc] and [Adaptive_mc] the sampling pass is
+    shared: each trial draws one pipeline delay and updates every
+    target's counter.  An adaptive target stops at the first round
+    where it converges, or at [max_samples], and keeps the count of
+    that round; the pass ends when every target has stopped.  The
+    shards' streams do not depend on which targets are counted, so a
+    sweep costs one run (as long as its slowest target's) and each
+    estimate, [n_samples] and [stop] included, is bit-identical to the
+    single-target {!yield} at the same parameters.  The closed forms
+    and [Importance] evaluate per target.  Raises [Invalid_argument]
+    on an empty target array. *)
 
 val yield_loss :
   ?method_:method_ -> ?jobs:int -> ?shards:int -> ?seed:int -> ?n:int ->

@@ -6,6 +6,7 @@ let create ~rows ~cols =
 
 let rows t = t.r
 let cols t = t.c
+let data t = t.data
 let get t i j = t.data.((i * t.c) + j)
 let set t i j v = t.data.((i * t.c) + j) <- v
 

@@ -15,6 +15,12 @@ val init : rows:int -> cols:int -> (int -> int -> float) -> t
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float
+
+val data : t -> float array
+(** The row-major storage itself, not a copy: entry [(i, j)] sits at
+    [i * cols + j].  For kernels that read many entries and must not
+    box a float per {!get} call; never write to it. *)
+
 val set : t -> int -> int -> float -> unit
 val copy : t -> t
 val transpose : t -> t

@@ -68,6 +68,9 @@ let cholesky_row t i =
   if i < 0 || i >= n then invalid_arg "Mvn.cholesky_row: index out of range";
   Array.init n (fun j -> Matrix.get t.chol i j)
 
+let cholesky t = t.chol
+let means t = t.mus
+let sigmas t = t.sigmas
 let mean t i = t.mus.(i)
 let marginal t i = Gaussian.make ~mu:t.mus.(i) ~sigma:t.sigmas.(i)
 let covariance t i j = Matrix.get t.corr i j *. t.sigmas.(i) *. t.sigmas.(j)

@@ -42,6 +42,19 @@ val cholesky_row : t -> int -> float array
 (** Row [i] of the covariance's Cholesky factor L (so component i is
     [mu_i + row_i . z]); the geometry rare-event shifts need. *)
 
+val cholesky : t -> Matrix.t
+(** The Cholesky factor L itself, not a copy: lower triangular, with
+    exact zeros above the diagonal.  With {!means} and {!sigmas} it
+    lets a kernel read the distribution in place through
+    {!Matrix.data} instead of boxing a float per {!mean} or
+    {!cholesky_row} entry.  Never write to any of the three. *)
+
+val means : t -> float array
+(** The mean vector itself, not a copy. *)
+
+val sigmas : t -> float array
+(** The marginal standard deviations themselves, not a copy. *)
+
 val mean : t -> int -> float
 val marginal : t -> int -> Gaussian.t
 val covariance : t -> int -> int -> float

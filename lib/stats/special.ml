@@ -7,21 +7,24 @@
 
 let gamma_half = sqrt Float.pi
 
+(* The erfc chain is marked [@inline] and written with loops over local
+   refs, not recursion, so [big_phi_into] and [upper_tail_into] compile
+   it into their own loops and box no float (DESIGN §3b); the
+   arithmetic, and so every result bit, is the same either way. *)
+
 (* Series for P(a, x) with a = 1/2, valid for x < a + 1. *)
-let gammp_half_series x =
+let[@inline] gammp_half_series x =
   let a = 0.5 in
-  let rec loop ap sum del =
-    if abs_float del < abs_float sum *. 1e-16 then sum
-    else
-      let ap = ap +. 1.0 in
-      let del = del *. x /. ap in
-      loop ap (sum +. del) del
-  in
-  let sum = loop a (1.0 /. a) (1.0 /. a) in
-  sum *. exp ((-.x) +. (a *. log x)) /. gamma_half
+  let ap = ref a and sum = ref (1.0 /. a) and del = ref (1.0 /. a) in
+  while not (abs_float !del < abs_float !sum *. 1e-16) do
+    ap := !ap +. 1.0;
+    del := !del *. x /. !ap;
+    sum := !sum +. !del
+  done;
+  !sum *. exp ((-.x) +. (a *. log x)) /. gamma_half
 
 (* Continued fraction for Q(a, x) with a = 1/2, valid for x >= a + 1. *)
-let gammq_half_cf x =
+let[@inline] gammq_half_cf x =
   let a = 0.5 in
   let fpmin = 1e-300 in
   let b = ref (x +. 1.0 -. a) in
@@ -54,7 +57,7 @@ let erf x =
     in
     if x > 0.0 then v else -.v
 
-let erfc_pos x =
+let[@inline] erfc_pos x =
   let z = x *. x in
   if z = 0.0 then 1.0
   (* |x| >~ 1.34e154 (or inf): x *. x overflows and the continued
@@ -63,7 +66,7 @@ let erfc_pos x =
   else if z < 1.5 then 1.0 -. gammp_half_series z
   else gammq_half_cf z
 
-let erfc x = if x < 0.0 then 2.0 -. erfc_pos (-.x) else erfc_pos x
+let[@inline] erfc x = if x < 0.0 then 2.0 -. erfc_pos (-.x) else erfc_pos x
 
 let sqrt2 = sqrt 2.0
 
@@ -77,6 +80,21 @@ let big_phi x = 0.5 *. erfc (-.x /. sqrt2)
    the double range (x ~ 38), through the same continued fraction the
    Mills-ratio expansion in [log_big_phi] backs onto. *)
 let upper_tail x = 0.5 *. erfc (x /. sqrt2)
+
+let big_phi_into a ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Float.Array.length a then
+    invalid_arg "Special.big_phi_into: range out of bounds";
+  for i = pos to pos + len - 1 do
+    Float.Array.unsafe_set a i
+      (0.5 *. erfc (-.Float.Array.unsafe_get a i /. sqrt2))
+  done
+
+let upper_tail_into a ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Float.Array.length a then
+    invalid_arg "Special.upper_tail_into: range out of bounds";
+  for i = pos to pos + len - 1 do
+    Float.Array.unsafe_set a i (0.5 *. erfc (Float.Array.unsafe_get a i /. sqrt2))
+  done
 
 let log_big_phi x =
   if x > -8.0 then log (big_phi x)

@@ -30,6 +30,16 @@ val upper_tail : float -> float
     is ~6.2e-16 where the naive [1. -. big_phi 8.0] rounds to 0.
     Underflows to 0 only past x ~ 38. *)
 
+val big_phi_into : Float.Array.t -> pos:int -> len:int -> unit
+(** [big_phi_into a ~pos ~len] replaces each of the [len] entries from
+    [pos] with its {!big_phi}, bit for bit, and allocates nothing: a
+    kernel that evaluates Phi per entry in a loop calls this (with
+    [len = 1] if need be) instead of boxing a float per {!big_phi}
+    call.  Raises [Invalid_argument] if the range is out of bounds. *)
+
+val upper_tail_into : Float.Array.t -> pos:int -> len:int -> unit
+(** {!upper_tail} in place, as {!big_phi_into} does {!big_phi}. *)
+
 val normal_cdf : mu:float -> sigma:float -> float -> float
 (** CDF of N(mu, sigma) at a point. [sigma = 0] degenerates to a step. *)
 

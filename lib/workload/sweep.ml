@@ -64,28 +64,21 @@ let ctx_for ?(mode = Engine.Flat) ?macro_table ~tech source
    estimators take the complement of their own counts, which is exact
    at Monte-Carlo resolution; importance sampling estimates the loss
    directly and the yield is derived from it (bit-identical to
-   [Engine.yield], which computes [1 - p_fail] the same way). *)
+   [Engine.yield], which computes [1 - p_fail] the same way).
+   [should_stop] is polled before each target, except that mc and
+   adaptive evaluate the whole sweep in one shared sampling pass and
+   poll once before it. *)
 let eval_method ?(should_stop = fun () -> false) ~jobs ~seed ~n ~shards ctx
     method_ targets =
   let check () = if should_stop () then raise Stopped in
   match (method_ : Engine.method_) with
-  | Mc ->
+  | Mc | Adaptive_mc ->
       check ();
-      let estimates =
-        Engine.yield_targets ~method_ ?jobs ~shards ~seed ~n ctx
-          ~t_targets:targets
-      in
       Array.map
         (fun (e : Engine.estimate) ->
           (e, Float.max 0.0 (1.0 -. e.Engine.value)))
-        estimates
-  | Adaptive_mc ->
-      Array.map
-        (fun t_target ->
-          check ();
-          let e = Engine.yield ~method_ ?jobs ~shards ~seed ctx ~t_target in
-          (e, Float.max 0.0 (1.0 -. e.Engine.value)))
-        targets
+        (Engine.yield_targets ~method_ ?jobs ~shards ~seed ~n ctx
+           ~t_targets:targets)
   | Importance ->
       Array.map
         (fun t_target ->

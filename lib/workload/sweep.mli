@@ -11,8 +11,8 @@
     [seed] through the engine's shard machinery, so each row is
     bit-identical to the corresponding single-scenario engine call at
     the same [(seed, shards, n)] — and [jobs] never changes results,
-    only wall-clock time.  For the [Mc] method all targets of a
-    (source, process) pair share one sampling pass
+    only wall-clock time.  For the [Mc] and [Adaptive_mc] methods all
+    targets of a (source, process) pair share one sampling pass
     ({!Spv_engine.Engine.yield_targets}), which is itself bit-identical
     to per-target runs. *)
 
@@ -96,7 +96,8 @@ val group_rows :
     numbered from [first] (methods outer, targets inner).  Group [g]
     starts at [g x |methods| x |targets|]; the groups' rows in order
     are {!run}'s rows.  [should_stop] is polled before each
-    per-target estimator call. *)
+    per-target estimator call of the closed forms and importance, and
+    once before each shared mc or adaptive pass. *)
 
 val run :
   ?mode:Spv_engine.Engine.mode -> ?jobs:int -> ?seed:int ->
@@ -125,7 +126,8 @@ val run :
     deltas to stamp on that pair's rows (benchmarks use it to time
     context builds).
     [should_stop] (default [fun () -> false]) is polled before each
-    context build and before each per-target estimator call; when it
+    context build, before each per-target call of the closed forms and
+    importance, and once before each shared mc or adaptive pass; when it
     returns [true], {!Stopped} is raised and no partial result
     escapes.
     Raises [Invalid_argument] when {!Grid.validate} rejects the

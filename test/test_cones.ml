@@ -485,6 +485,201 @@ let test_cone_guided_jobs_determinism () =
   Alcotest.(check bool) "gate-level MC stream independent of jobs" true
     (after1 = after3)
 
+(* ---- stage criticality kernel: the affine-form reference ---------------- *)
+
+(* The stage bounds as they were computed before the kernel read the
+   Cholesky factor in place: one affine model form per stage, the
+   difference of two forms through [Affine.sub], its sigma through
+   [Affine.sigma], every term of the union sum, and the reference
+   stage from a sort of the means.  The kernel must match it bit for
+   bit. *)
+let ref_dust_eps a b =
+  let scale f = Float.abs (A.center f) +. A.sigma f in
+  1e-9 *. Float.max 1.0 (Float.max (scale a) (scale b))
+
+let ref_prob_exceeds a b =
+  let d = A.sub a b in
+  let mu = A.center d and sigma = A.sigma d in
+  let eps = ref_dust_eps a b in
+  if sigma > eps then Special.big_phi (mu /. sigma)
+  else if mu > eps then 1.0
+  else 0.0
+
+(* Per stage: (lower, upper) before they are made an interval. *)
+let ref_stage_bounds mvn =
+  let n = Mvn.dim mvn in
+  let forms = Array.init n (As.model_form mvn) in
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> compare (Mvn.mean mvn b, a) (Mvn.mean mvn a, b)) order;
+  let best = order.(0) in
+  let second = if n > 1 then order.(1) else best in
+  Array.init n (fun s ->
+      if n = 1 then (1.0, 1.0)
+      else begin
+        let miss = ref 0.0 in
+        for j = 0 to n - 1 do
+          if j <> s then miss := !miss +. ref_prob_exceeds forms.(j) forms.(s)
+        done;
+        let c = if s = best then second else best in
+        ( Float.max 0.0 (1.0 -. !miss),
+          1.0 -. ref_prob_exceeds forms.(c) forms.(s) )
+      end)
+
+let ref_depth mvn s ~t_target =
+  let g = Mvn.marginal mvn s in
+  let sigma = Spv_stats.Gaussian.sigma g in
+  if sigma > 0.0 then Some ((t_target -. Spv_stats.Gaussian.mu g) /. sigma)
+  else None
+
+let ref_proposal ctx ~t_target =
+  let mvn = Engine.Ctx.mvn ctx in
+  let n = Mvn.dim mvn in
+  let crit =
+    Array.map (fun (lower, upper) -> Float.min lower upper) (ref_stage_bounds mvn)
+  in
+  if not (Array.exists (fun lo -> lo >= 0.05) crit) then None
+  else begin
+    let shifts = ref [] and alphas = ref [] in
+    for s = n - 1 downto 0 do
+      let sigma = Spv_stats.Gaussian.sigma (Mvn.marginal mvn s) in
+      match ref_depth mvn s ~t_target with
+      | Some depth when sigma > 0.0 && depth > 0.0 ->
+          let u = Array.map (fun l -> l /. sigma) (Mvn.cholesky_row mvn s) in
+          shifts := Array.map (fun c -> c *. depth) u :: !shifts;
+          let crit = Float.max crit.(s) 1e-3 in
+          let tail = Float.max (Special.upper_tail depth) 1e-300 in
+          alphas := (crit *. tail) :: !alphas
+      | _ -> ()
+    done;
+    match !shifts with
+    | [] -> Some ([| Array.make n 0.0 |], [| 1.0 |])
+    | ss -> Some (Array.of_list ss, Array.of_list !alphas)
+  end
+
+let bits = Int64.bits_of_float
+
+let check_same_bits name a b =
+  if bits a <> bits b then Alcotest.failf "%s: %h <> reference %h" name a b
+
+let moments_ctx ~rho stages =
+  let n = Array.length stages in
+  Engine.Ctx.of_pipeline
+    (Spv_core.Pipeline.make
+       (Array.map
+          (fun (mu, sigma) -> Spv_core.Stage.of_moments ~mu ~sigma ())
+          stages)
+       ~corr:(Spv_stats.Correlation.uniform ~n ~rho))
+
+(* [analyse]'s stage bounds and depths and [proposal]'s shifts and
+   alphas against the reference, on one context over a target sweep
+   from below the body to the far tail. *)
+let check_against_reference name ctx =
+  let mvn = Engine.Ctx.mvn ctx in
+  let reference = ref_stage_bounds mvn in
+  let d = Engine.Ctx.delay_distribution ctx in
+  List.iter
+    (fun k ->
+      let t_target =
+        Spv_stats.Gaussian.mu d +. (k *. Spv_stats.Gaussian.sigma d)
+      in
+      let name = Printf.sprintf "%s, t = mu %+g sigma" name k in
+      let co = Cn.analyse ~t_target ctx in
+      Array.iteri
+        (fun s (sc : Cn.stage_crit) ->
+          let lower, upper = reference.(s) in
+          let what = Printf.sprintf "%s: stage %d" name s in
+          check_same_bits (what ^ " crit lo") (Float.min lower upper)
+            (I.lo sc.Cn.sc_crit);
+          check_same_bits (what ^ " crit hi") upper (I.hi sc.Cn.sc_crit);
+          match (ref_depth mvn s ~t_target, sc.Cn.sc_depth) with
+          | None, None -> ()
+          | Some a, Some b -> check_same_bits (what ^ " depth") a b
+          | _ -> Alcotest.failf "%s: depth presence differs" what)
+        co.Cn.co_stages;
+      match (ref_proposal ctx ~t_target, Cn.proposal ctx ~t_target) with
+      | None, None -> ()
+      | Some (rs, ra), Some (ks, ka) ->
+          Alcotest.(check int) (name ^ ": modes") (Array.length rs)
+            (Array.length ks);
+          Array.iteri
+            (fun m r ->
+              check_same_bits (Printf.sprintf "%s: alpha %d" name m) r ka.(m);
+              Array.iteri
+                (fun i x ->
+                  check_same_bits
+                    (Printf.sprintf "%s: shift %d.%d" name m i)
+                    x ks.(m).(i))
+                rs.(m))
+            ra
+      | _ -> Alcotest.failf "%s: proposal presence differs" name)
+    [ -1.0; 0.0; 1.5; 3.0; 6.0 ]
+
+(* Random 1-64-stage contexts at rho 0, 0.3 and 0.6, each also with a
+   dominant stage (so the proposal returns many modes), with the
+   largest mean duplicated (tied reference stages) and with a zero-sigma
+   stage; plus an all-deterministic pipeline, where every pair is a
+   step function and equal means or means within the cancellation
+   floor tie. *)
+let test_stage_kernel_matches_reference () =
+  let st = Random.State.make [| 26 |] in
+  let draw n =
+    Array.init n (fun _ ->
+        ( 95.0 +. Random.State.float st 10.0,
+          3.0 +. Random.State.float st 4.0 ))
+  in
+  List.iteri
+    (fun i n ->
+      let rho = [| 0.0; 0.3; 0.6 |].(i mod 3) in
+      let base = draw n in
+      let top = ref 0 in
+      Array.iteri (fun s (mu, _) -> if mu > fst base.(!top) then top := s) base;
+      let variant label f =
+        let stages = Array.copy base in
+        f stages;
+        check_against_reference
+          (Printf.sprintf "%d stages, rho %g, %s" n rho label)
+          (moments_ctx ~rho stages)
+      in
+      variant "plain" ignore;
+      variant "dominant" (fun a ->
+          a.(n / 2) <- (fst a.(n / 2) +. 25.0, snd a.(n / 2)));
+      if n > 1 then begin
+        variant "tied" (fun a -> a.((!top + 1) mod n) <- a.(!top));
+        variant "zero sigma" (fun a -> a.(n - 1) <- (fst a.(n - 1), 0.0))
+      end)
+    [ 1; 2; 3; 5; 8; 13; 21; 32; 47; 64 ];
+  check_against_reference "deterministic"
+    (moments_ctx ~rho:0.3
+       [| (100.0, 0.0); (100.0, 0.0); (95.0, 0.0); (100.00000001, 0.0) |])
+
+(* The proposal allocates what it returns — the shift rows, the alphas
+   and the option around them — plus five float arrays of at most
+   [n] entries of scratch, and nothing per stage pair: 64 stages have
+   4,032 ordered pairs, so a float boxed per pair would show. *)
+let test_proposal_allocates_its_shifts () =
+  let n = 64 in
+  let st = Random.State.make [| 5 |] in
+  let stages =
+    Array.init n (fun i ->
+        ( (if i = 0 then 140.0 else 95.0 +. Random.State.float st 10.0),
+          3.0 +. Random.State.float st 4.0 ))
+  in
+  let ctx = moments_ctx ~rho:0.3 stages in
+  let t_target = 155.0 in
+  let modes =
+    match Cn.proposal ctx ~t_target with
+    | Some (shifts, _) -> Array.length shifts
+    | None -> Alcotest.fail "expected a cone proposal"
+  in
+  Alcotest.(check int) "every stage is a mode" n modes;
+  let returned = (modes * (n + 1)) + (2 * (modes + 1)) + 5 in
+  let words =
+    words_per_call ~n:20 (fun () ->
+        ignore (Sys.opaque_identity (Cn.proposal ctx ~t_target)))
+  in
+  if words > float_of_int (returned + (5 * (n + 1)) + 8) then
+    Alcotest.failf "proposal allocates %.0f words; returns %d" words returned
+
 (* ---- validation -------------------------------------------------------- *)
 
 let test_validation () =
@@ -534,5 +729,8 @@ let suite =
     quick "body target falls back to plain" test_proposal_body_falls_back_to_plain;
     quick "no dominant stage keeps legacy" test_proposal_no_dominant_stage_keeps_legacy;
     slow "cone-guided runs are jobs-deterministic" test_cone_guided_jobs_determinism;
+    quick "stage kernel matches the affine-form reference"
+      test_stage_kernel_matches_reference;
+    quick "proposal allocates only its shifts" test_proposal_allocates_its_shifts;
     quick "validation" test_validation;
   ]

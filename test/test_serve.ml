@@ -487,6 +487,49 @@ let test_generous_deadline_does_not_fire () =
     (rows_of ~request_id:"q" expected)
     (rows_of ~request_id:"q" out)
 
+(* An adaptive grid polls its deadline once per shared sampling pass:
+   two moments pairs give two context-build polls and two pass polls,
+   not one per target.  Whichever poll the budget runs out at — even
+   the last, after the first pair's pass has finished — the response
+   is exactly one deadline_exceeded row and no partial rows. *)
+let test_deadline_on_adaptive_grid () =
+  let grid =
+    "stages 100,6 100,6 95,5\n\
+     rho 0.3\n\
+     stages 100,5 98,4\n\
+     targets 100,106,112\n\
+     method adaptive\n"
+  in
+  let polls = ref 0 in
+  let counting () =
+    let tick = ticking_clock () in
+    fun () ->
+      incr polls;
+      tick ()
+  in
+  let request deadline_ms =
+    polls := 0;
+    let d = Serve.create ~clock:(counting ()) () in
+    Serve.handle_line d
+      (Serve.request_line ~request_id:"a" ~seed:7 ~deadline_ms ~grid ())
+  in
+  let full = request 10_000_000 in
+  Alcotest.(check int) "6 rows + done" 7 (List.length full);
+  Alcotest.(check int) "start + 2 builds + 2 shared passes" 5 !polls;
+  for k = 0 to 3 do
+    match request ((10 * k) + 5) with
+    | [ e ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "expiry at poll %d: deadline_exceeded" (k + 1))
+          true
+          (contains e "\"status\":\"deadline_exceeded\"")
+    | other ->
+        Alcotest.failf "expiry at poll %d: expected one error row, got %d line(s)"
+          (k + 1) (List.length other)
+  done;
+  Alcotest.(check (list string)) "a budget past the last poll changes nothing"
+    full (request 45)
+
 (* ---- transports ------------------------------------------------------ *)
 
 let test_serve_channels_round_trip () =
@@ -542,6 +585,8 @@ let suite =
       test_deadline_yields_single_error_row;
     Alcotest.test_case "deadline: generous budget changes nothing" `Quick
       test_generous_deadline_does_not_fire;
+    Alcotest.test_case "deadline: adaptive grid, one error row" `Quick
+      test_deadline_on_adaptive_grid;
     Alcotest.test_case "serve_channels round-trips a transcript" `Quick
       test_serve_channels_round_trip;
   ]

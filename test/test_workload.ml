@@ -5,7 +5,8 @@
 
    2. Caching honesty: every row is bit-identical to the corresponding
       single-scenario engine call with the same (seed, shards, n);
-      sharing a context (or, for Mc, a sampling pass) across scenarios
+      sharing a context (or, for mc and adaptive, a sampling pass)
+      across scenarios
       must never change an answer.
 
    3. Grid files: parse errors carry the 1-based offending line, and
@@ -183,6 +184,12 @@ let test_context_count_is_pair_count () =
 
 (* ---- engine multi-target sharing ------------------------------------ *)
 
+(* A shared pass must hand every target the estimate of its own
+   single-target run: value, standard error, samples drawn and stop
+   reason.  The adaptive targets cover each way a target can stop: at
+   the first round past [min_samples] (130), after several rounds
+   (110), at the sample cap while its error is still too wide (104),
+   and at the cap because p = 0 never converges (50). *)
 let test_yield_targets_bit_identical_to_single () =
   let stages =
     Array.init 5 (fun i ->
@@ -196,6 +203,16 @@ let test_yield_targets_bit_identical_to_single () =
       (Spv_core.Pipeline.make stages
          ~corr:(Spv_stats.Correlation.uniform ~n:5 ~rho:0.2))
   in
+  let same name (single : Engine.estimate) (shared : Engine.estimate) =
+    check_bits (name ^ ": value") single.Engine.value shared.Engine.value;
+    check_bits (name ^ ": std_error") single.Engine.std_error
+      shared.Engine.std_error;
+    Alcotest.(check int) (name ^ ": n_samples") single.Engine.n_samples
+      shared.Engine.n_samples;
+    Alcotest.(check string) (name ^ ": stop")
+      (Engine.stop_reason_name single.Engine.stop)
+      (Engine.stop_reason_name shared.Engine.stop)
+  in
   let t_targets = [| 104.0; 110.0; 118.0; 130.0 |] in
   let multi =
     Engine.yield_targets ~method_:Engine.Mc ~jobs:3 ~seed:17 ~n:4096 ctx
@@ -207,10 +224,45 @@ let test_yield_targets_bit_identical_to_single () =
         Engine.yield ~method_:Engine.Mc ~jobs:1 ~seed:17 ~n:4096 ctx
           ~t_target:t
       in
-      check_bits
-        (Printf.sprintf "target %g: shared pass = single pass" t)
-        single.Engine.value multi.(i).Engine.value)
-    t_targets
+      same (Printf.sprintf "mc target %g: shared pass = single pass" t)
+        single multi.(i))
+    t_targets;
+  let t_targets = [| 130.0; 104.0; 50.0; 110.0 |] in
+  let method_ = Engine.Adaptive_mc
+  and batch = 512
+  and min_samples = 1000
+  and max_samples = 6144 in
+  let singles =
+    Array.map
+      (fun t_target ->
+        Engine.yield ~method_ ~jobs:1 ~seed:17 ~batch ~min_samples
+          ~max_samples ctx ~t_target)
+      t_targets
+  in
+  let stop_of i = Engine.stop_reason_name singles.(i).Engine.stop in
+  Alcotest.(check (list string)) "adaptive stop reasons"
+    [ "converged"; "sample-cap"; "sample-cap"; "converged" ]
+    (List.init 4 stop_of);
+  Alcotest.(check int) "130 stops at the first round past min_samples" 1024
+    singles.(0).Engine.n_samples;
+  Alcotest.(check bool) "110 needs several rounds" true
+    (singles.(3).Engine.n_samples > 1024
+    && singles.(3).Engine.n_samples < 6144);
+  check_bits "50: p = 0" 0.0 singles.(2).Engine.value;
+  List.iter
+    (fun jobs ->
+      let multi =
+        Engine.yield_targets ~method_ ~jobs ~seed:17 ~batch ~min_samples
+          ~max_samples ctx ~t_targets
+      in
+      Array.iteri
+        (fun i t ->
+          same
+            (Printf.sprintf "adaptive jobs %d target %g: shared = single" jobs
+               t)
+            singles.(i) multi.(i))
+        t_targets)
+    [ 1; 3 ]
 
 (* ---- deep-tail loss -------------------------------------------------- *)
 
