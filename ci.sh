@@ -121,6 +121,27 @@ for jobs in 1 2; do
   fi
 done
 
+# Sizing gate: Tables II/III, Fig. 7 and the c432 sizing run with both
+# sizers must reproduce their pinned stdout digests.  The digests were
+# computed before the Fig. 9 loop computed each stage's fastest delay
+# and area-delay model once per call and the Lagrangian sizer timed
+# each sizing once; both keep every byte.
+for entry in "experiment table2:dbbec64f297967f0fb83eddd5215cf11" \
+  "experiment table3:879df10afcc1d4ccccb99a339661088d" \
+  "experiment fig7:745728bfd51aa60755c14187ebc40559" \
+  "size -c c432 -t 560 --sizer lagrangian:58c8c85de2984de30ceea4d7bea95bf9" \
+  "size -c c432 -t 560 --sizer greedy:9143819c0c4f5dd43ff727d54ad561f0"; do
+  args=${entry%%:*}
+  want=${entry##*:}
+  echo "==> $CLI $args (md5 $want)"
+  # shellcheck disable=SC2086
+  sum=$("$CLI" $args | md5sum | cut -d' ' -f1)
+  if [ "$sum" != "$want" ]; then
+    echo "ci.sh: $args stdout digest $sum, want $want" >&2
+    exit 1
+  fi
+done
+
 # Hierarchical gates: the macro-layer test suite, then the smoke grid
 # re-run in hierarchical mode — the binary additionally runs the flat
 # smoke sweep and asserts every hierarchical row agrees with its flat

@@ -1,7 +1,9 @@
 module Balance = Spv_core.Balance
 module Gd = Spv_process.Gate_delay
 
-let curve_points ?options ?ff ?(n_points = 9) tech net ~z =
+type profile = { d_fast : float; model : Balance.stage_model }
+
+let profile ?options ?ff ?(n_points = 9) tech net ~z =
   if n_points < 2 then invalid_arg "Area_delay.curve_points: n_points < 2";
   let snapshot = Spv_circuit.Netlist.sizes_snapshot net in
   let d_fast = Lagrangian.minimum_achievable_delay ?options ?ff tech net ~z in
@@ -46,11 +48,13 @@ let curve_points ?options ?ff ?(n_points = 9) tech net ~z =
   let pts = Array.of_list (List.rev frontier) in
   if Array.length pts < 2 then
     failwith "Area_delay.curve_points: degenerate curve (fewer than 2 points)";
-  pts
+  { d_fast; model = Balance.stage_model ~name:(Spv_circuit.Netlist.name net) pts }
 
 let stage_model ?options ?ff ?n_points tech net ~z =
-  let pts = curve_points ?options ?ff ?n_points tech net ~z in
-  Balance.stage_model ~name:(Spv_circuit.Netlist.name net) pts
+  (profile ?options ?ff ?n_points tech net ~z).model
+
+let curve_points ?options ?ff ?n_points tech net ~z =
+  Balance.points (stage_model ?options ?ff ?n_points tech net ~z)
 
 let normalised pts =
   let n = Array.length pts in

@@ -5,6 +5,23 @@
     packages the result as a {!Spv_core.Balance.stage_model} so the
     balance/imbalance machinery can interpolate on it. *)
 
+type profile = {
+  d_fast : float;
+      (** {!Lagrangian.minimum_achievable_delay}: the fastest statistical
+          delay the sizer reaches *)
+  model : Spv_core.Balance.stage_model;  (** the area-delay curve *)
+}
+(** What sizing a stage can trade.  Both parts depend only on the
+    stage's topology, [tech], [ff], the sizer options and [z], never on
+    its current sizes: every sizing run starts from minimum sizes, and
+    the caller's sizes are restored afterwards. *)
+
+val profile :
+  ?options:Lagrangian.options -> ?ff:Spv_process.Flipflop.t -> ?n_points:int ->
+  Spv_process.Tech.t -> Spv_circuit.Netlist.t -> z:float -> profile
+(** The stage's fastest delay and its {!curve_points} as a stage model,
+    from one fastest-delay sizing run. *)
+
 val curve_points :
   ?options:Lagrangian.options -> ?ff:Spv_process.Flipflop.t -> ?n_points:int ->
   Spv_process.Tech.t -> Spv_circuit.Netlist.t -> z:float ->

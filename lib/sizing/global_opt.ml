@@ -62,13 +62,13 @@ let individually_optimised ?options ?ff ?pitch tech nets ~t_target ~yield_target
 
 (* Slope order (eq. 14) from per-stage area-delay curves evaluated at
    each stage's current nominal delay. *)
-let ri_order ?options ?ff tech nets ~z ~ascending =
+let ri_order ?ff tech nets profiles ~z ~ascending =
   let n = Array.length nets in
   let ri =
-    Array.map
-      (fun net ->
-        let model = Area_delay.stage_model ?options ?ff ~n_points:7 tech net ~z in
-        let current = (Lagrangian.statistical_delay ?ff tech net ~z) in
+    Array.mapi
+      (fun s net ->
+        let model = profiles.(s).Area_delay.model in
+        let current = Lagrangian.statistical_delay ?ff tech net ~z in
         let lo, hi = Balance.delay_bounds model in
         let at = Float.max lo (Float.min hi current) in
         Balance.ri model ~delay:at)
@@ -83,22 +83,25 @@ let ri_order ?options ?ff tech nets ~z ~ascending =
 (* Both loops stop after this many improving passes. *)
 let max_rounds = 25
 
-let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) tech nets ~t_target
-    ~yield_target =
-  let base, ctx0 =
-    individually_optimised_ctx ?options ?ff ~pitch tech nets ~t_target
+(* The baseline both loops start from, and what they read of each
+   stage's area-delay trade-off: its fastest delay and its 7-point
+   curve.  Neither depends on the sizes the loops reach (see
+   {!Area_delay.profile}), so one call computes them once per stage. *)
+let baseline ?options ?ff ?pitch tech nets ~t_target ~yield_target =
+  let base, ctx =
+    individually_optimised_ctx ?options ?ff ?pitch tech nets ~t_target
       ~yield_target
   in
-  let n = Array.length base.nets in
-  let z = per_stage_z ~yield_target ~n in
+  let z = per_stage_z ~yield_target ~n:(Array.length base.nets) in
+  let profiles =
+    Array.map (fun net -> Area_delay.profile ?options ?ff ~n_points:7 tech net ~z) base.nets
+  in
+  (base, ctx, z, profiles)
+
+let ensure_loop ?options ?ff tech ~t_target ~yield_target (base, ctx0, z, profiles) =
   let nets = base.nets in
   let targets = Array.copy base.stage_targets in
-  let min_achievable =
-    Array.map
-      (fun net -> Lagrangian.minimum_achievable_delay ?options ?ff tech net ~z)
-      nets
-  in
-  let order = ri_order ?options ?ff tech nets ~z ~ascending:true in
+  let order = ri_order ?ff tech nets profiles ~z ~ascending:true in
   (* The context is refreshed one stage at a time as the optimiser
      mutates gate sizes: each yield probe re-analyses only the touched
      stage instead of rebuilding the whole pipeline. *)
@@ -139,7 +142,7 @@ let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) tech nets ~t_target
           (fun s ->
             if not !improved then begin
               let candidate = targets.(s) *. (1.0 -. 0.03) in
-              if candidate > min_achievable.(s) then begin
+              if candidate > profiles.(s).Area_delay.d_fast then begin
                 if probe_certified_rejected ~current s then
                   Sens_hook.stats.Sens_hook.probes_skipped <-
                     Sens_hook.stats.Sens_hook.probes_skipped + 1
@@ -175,22 +178,19 @@ let ensure_yield_ctx ?options ?ff ?(pitch = 1.0) tech nets ~t_target
   (build_result !ctx nets ~targets ~t_target ~order, !ctx)
 
 let ensure_yield ?options ?ff ?pitch tech nets ~t_target ~yield_target =
-  fst (ensure_yield_ctx ?options ?ff ?pitch tech nets ~t_target ~yield_target)
+  fst
+    (ensure_loop ?options ?ff tech ~t_target ~yield_target
+       (baseline ?options ?ff ?pitch tech nets ~t_target ~yield_target))
 
-let minimise_area ?options ?ff ?(pitch = 1.0) tech nets ~t_target ~yield_target =
-  let ensured, ctx0 =
-    ensure_yield_ctx ?options ?ff ~pitch tech nets ~t_target ~yield_target
+let minimise_area ?options ?ff ?pitch tech nets ~t_target ~yield_target =
+  let ((_, _, z, profiles) as start) =
+    baseline ?options ?ff ?pitch tech nets ~t_target ~yield_target
   in
+  let ensured, ctx0 = ensure_loop ?options ?ff tech ~t_target ~yield_target start in
   let n = Array.length ensured.nets in
-  let z = per_stage_z ~yield_target ~n in
   let nets = ensured.nets in
   let targets = Array.copy ensured.stage_targets in
-  let min_achievable =
-    Array.map
-      (fun net -> Lagrangian.minimum_achievable_delay ?options ?ff tech net ~z)
-      nets
-  in
-  let order = ri_order ?options ?ff tech nets ~z ~ascending:false in
+  let order = ri_order ?ff tech nets profiles ~z ~ascending:false in
   let tighten_step = 0.015 in
   let ctx = ref ctx0 in
   let refresh s = ctx := Engine.Ctx.refresh_stage !ctx s in
@@ -233,7 +233,7 @@ let minimise_area ?options ?ff ?(pitch = 1.0) tech nets ~t_target ~yield_target 
           else
             let st = tighten_candidates.(k mod m) in
             let candidate = targets.(st) *. (1.0 -. tighten_step) in
-            if candidate > min_achievable.(st) then Some (st, candidate, k)
+            if candidate > profiles.(st).Area_delay.d_fast then Some (st, candidate, k)
             else next (attempts - 1) (k + 1)
         in
         match next m cursor with

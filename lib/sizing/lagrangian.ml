@@ -1,5 +1,6 @@
 module Net = Spv_circuit.Netlist
 module Sta = Spv_circuit.Sta
+module Ssta = Spv_circuit.Ssta
 module Cell = Spv_circuit.Cell
 module Gd = Spv_process.Gate_delay
 
@@ -29,12 +30,10 @@ type report = {
   lambda : float;
 }
 
-let analyse ?ff tech net =
-  (Spv_circuit.Ssta.analyse_stage ?ff tech net).Spv_circuit.Ssta.total
+let stat_of (total : Gd.t) ~z = total.Gd.nominal +. (z *. Gd.total_sigma total)
 
 let statistical_delay ?ff tech net ~z =
-  let total = analyse ?ff tech net in
-  total.Gd.nominal +. (z *. Gd.total_sigma total)
+  stat_of (Ssta.analyse_stage ?ff tech net).Ssta.total ~z
 
 (* Backward pass: required times and slacks given an STA result.  The
    required time at every primary output is the overall delay, so the
@@ -67,21 +66,24 @@ let size_stage ?options ?ff tech net ~t_target ~z =
      reproducible regardless of the netlist's previous state. *)
   Array.iter (fun i -> Net.set_size net i opts.min_size) gate_ids;
   let tau = tech.Spv_process.Tech.tau in
-  let stat () = statistical_delay ?ff tech net ~z in
+  (* One timing per sizing: the SSTA that scores a sizing carries the
+     nominal STA the next iteration's slacks are computed from. *)
+  let analysis = ref (Ssta.analyse_stage ?ff tech net) in
   let best_sizes = ref (Net.sizes_snapshot net) in
   let best_feasible = ref None in
-  let best_delay = ref (stat ()) in
+  let best_delay = ref (stat_of !analysis.Ssta.total ~z) in
   let lambda = ref 1.0 in
   let iterations = ref 0 in
   let clamp x = Float.max opts.min_size (Float.min opts.max_size x) in
   (try
      for iter = 1 to opts.max_iterations do
        iterations := iter;
-       let sta = Sta.run tech net in
-       let slack = slacks net sta in
+       let sta = !analysis.Ssta.nominal in
        let theta = Float.max (opts.theta_fraction *. sta.Sta.delay) 1e-9 in
-       let weight i =
-         if slack.(i) = infinity then 0.0 else exp (-.slack.(i) /. theta)
+       let weight =
+         Array.map
+           (fun s -> if s = infinity then 0.0 else exp (-.s /. theta))
+           (slacks net sta)
        in
        (* Gauss-Seidel coordinate pass in reverse topological order:
           loads of downstream gates are already refreshed when their
@@ -97,11 +99,11 @@ let size_stage ?options ?ff tech net ~t_target ~z =
                Array.fold_left
                  (fun acc f ->
                    if Net.is_gate net f then
-                     acc +. (weight f *. g_i /. Net.size net f)
+                     acc +. (weight.(f) *. g_i /. Net.size net f)
                    else acc)
                  0.0 fanin
              in
-             let numerator = !lambda *. tau *. weight i *. Net.load net i in
+             let numerator = !lambda *. tau *. weight.(i) *. Net.load net i in
              let denominator =
                area_coeff +. (!lambda *. tau *. fanin_pressure)
              in
@@ -112,7 +114,8 @@ let size_stage ?options ?ff tech net ~t_target ~z =
              let x_new = clamp (0.5 *. (Net.size net i +. x_star)) in
              Net.set_size net i x_new
        done;
-       let d = stat () in
+       analysis := Ssta.analyse_stage ?ff tech net;
+       let d = stat_of !analysis.Ssta.total ~z in
        let area = Net.area net in
        (match !best_feasible with
        | Some (_, best_area) when d <= t_target && area < best_area ->
@@ -137,8 +140,8 @@ let size_stage ?options ?ff tech net ~t_target ~z =
   (match !best_feasible with
   | Some (sizes, _) -> Net.restore_sizes net sizes
   | None -> Net.restore_sizes net !best_sizes);
-  let achieved = analyse ?ff tech net in
-  let stat_delay = achieved.Gd.nominal +. (z *. Gd.total_sigma achieved) in
+  let achieved = (Ssta.analyse_stage ?ff tech net).Ssta.total in
+  let stat_delay = stat_of achieved ~z in
   let converged = stat_delay <= t_target *. (1.0 +. opts.tolerance) in
   let g = Gd.to_gaussian achieved in
   Certify_hook.postcondition ~where:"Lagrangian.size_stage" ~t_target ~z ~converged

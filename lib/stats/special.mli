@@ -5,10 +5,15 @@
     implemented from scratch (no external numerics dependency). *)
 
 val erf : float -> float
-(** Error function, |abs error| < 1.5e-7 (Abramowitz–Stegun 7.1.26). *)
+(** Error function, through the regularised incomplete gamma function
+    P(1/2, x{^2}) (power series below x{^2} = 1.5, continued fraction
+    above): within a few ulps, e.g. relative error under 3e-16 at
+    x = 0.1, 0.5, 1, 2 and 3. *)
 
 val erfc : float -> float
-(** Complementary error function, accurate in the tails. *)
+(** Complementary error function, computed directly in the tails so
+    it keeps its relative precision there (under 1.6e-15 at x = 1, 3
+    and 5) instead of cancelling as [1 - erf x] would. *)
 
 val phi : float -> float
 (** Standard normal probability density. *)

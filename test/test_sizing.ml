@@ -100,6 +100,64 @@ let test_normalised () =
   check_float "slowest normalised to 1 (delay)" 1.0 last_d;
   check_float "slowest normalised to 1 (area)" 1.0 last_a
 
+(* --- Sizing is a function of the stage's topology ------------------------ *)
+
+(* [size_stage] starts from minimum sizes, so neither its report nor the
+   sizes it leaves may depend on the sizes it was handed; the fastest
+   delay and the area-delay curve, which the Fig. 9 loop computes once
+   per stage and reuses, rest on this. *)
+let bits = Int64.bits_of_float
+
+let bits_of_gd (g : Gd.t) =
+  List.map bits [ g.Gd.nominal; g.Gd.sigma_inter; g.Gd.sigma_sys; g.Gd.sigma_rand ]
+
+let sizes_bits net = Array.map bits (Net.sizes_snapshot net)
+
+let randomise_sizes net ~seed =
+  let st = Random.State.make [| seed |] in
+  Array.iter
+    (fun i -> Net.set_size net i (1.0 +. Random.State.float st 15.0))
+    (Net.gate_ids net)
+
+let invariance_stages () =
+  [
+    ("chain", (G.variable_depth_pipeline ~depths:[| 8 |] ()).(0));
+    ("alu-decoder", (G.alu_decoder_stages ~bits:4).(1));
+    ("c432", G.c432 ());
+  ]
+
+let test_size_stage_ignores_start () =
+  List.iteri
+    (fun k (name, net) ->
+      let slow = L.relaxed_delay ~ff tech net ~z in
+      let fast = L.minimum_achievable_delay ~ff tech net ~z in
+      let t_target = fast +. (0.4 *. (slow -. fast)) in
+      let from_min = Net.copy net and from_random = Net.copy net in
+      randomise_sizes from_random ~seed:(17 + k);
+      let a = L.size_stage ~ff tech from_min ~t_target ~z in
+      let b = L.size_stage ~ff tech from_random ~t_target ~z in
+      let same what x y = Alcotest.(check bool) (name ^ ": " ^ what) true (x = y) in
+      same "stat_delay" (bits a.L.stat_delay) (bits b.L.stat_delay);
+      same "area" (bits a.L.area) (bits b.L.area);
+      same "lambda" (bits a.L.lambda) (bits b.L.lambda);
+      same "iterations" a.L.iterations b.L.iterations;
+      same "achieved" (bits_of_gd a.L.achieved) (bits_of_gd b.L.achieved);
+      same "final sizes" (sizes_bits from_min) (sizes_bits from_random))
+    (invariance_stages ())
+
+let test_profiles_restore_sizes () =
+  List.iteri
+    (fun k (name, net) ->
+      randomise_sizes net ~seed:(41 + k);
+      let before = sizes_bits net in
+      ignore (L.minimum_achievable_delay ~ff tech net ~z);
+      Alcotest.(check bool) (name ^ ": fastest delay restores sizes") true
+        (sizes_bits net = before);
+      ignore (Ad.curve_points ~ff ~n_points:5 tech net ~z);
+      Alcotest.(check bool) (name ^ ": curve restores sizes") true
+        (sizes_bits net = before))
+    (invariance_stages ())
+
 (* --- Global optimisation ---------------------------------------------- *)
 
 let pipeline_fixture () =
@@ -149,6 +207,54 @@ let test_minimise_area_keeps_yield () =
     (mini.GO.pipeline_yield >= 0.8 -. 1e-9
     || mini.GO.pipeline_yield >= base.GO.pipeline_yield -. 1e-9)
 
+(* One digest over the exact bits of the Fig. 9 optimiser's results on
+   two pipelines, both operations and two yield targets, pinned before
+   the loop stopped recomputing each stage's fastest delay and
+   area-delay model. *)
+let fig9_digest () =
+  let tech = Spv_experiments.Common.optimisation_tech in
+  let ff = Spv_process.Flipflop.default tech in
+  let b = Buffer.create 4096 in
+  let add_float x = Buffer.add_string b (Int64.to_string (bits x) ^ ";") in
+  let add_floats = Array.iter add_float in
+  List.iter
+    (fun nets ->
+      List.iter
+        (fun yield_target ->
+          let z =
+            Spv_stats.Special.big_phi_inv
+              (Spv_core.Yield.per_stage_yield_target ~yield:yield_target
+                 ~n_stages:(Array.length nets))
+          in
+          let fastest =
+            Array.fold_left
+              (fun acc net -> Float.max acc (L.minimum_achievable_delay ~ff tech net ~z))
+              0.0 nets
+          in
+          (* Below the slowest stage's fastest delay the baseline misses
+             the yield target and the ensure loop has to tighten; 5 %
+             above it the area loop has slack to relax. *)
+          List.iter
+            (fun (op, f) ->
+              let r = op ~t_target:(f *. fastest) in
+              add_floats r.GO.stage_targets;
+              add_floats r.GO.stage_areas;
+              add_float r.GO.pipeline_yield;
+              Array.iter (fun net -> add_floats (Net.sizes_snapshot net)) r.GO.nets;
+              Array.iter (fun s -> Buffer.add_string b (string_of_int s ^ ",")) r.GO.order;
+              Buffer.add_char b '\n')
+            [
+              ((fun ~t_target -> GO.ensure_yield ~ff tech nets ~t_target ~yield_target), 0.97);
+              ((fun ~t_target -> GO.minimise_area ~ff tech nets ~t_target ~yield_target), 1.05);
+            ])
+        [ 0.8; 0.9 ])
+    [ G.variable_depth_pipeline ~depths:[| 4; 8; 12 |] (); G.alu_decoder_stages ~bits:4 ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_fig9_digest () =
+  Alcotest.(check string) "Fig. 9 results digest" "6b8fd40f439f40028f49fecbf1581104"
+    (fig9_digest ())
+
 let suite =
   [
     quick "relaxed vs min delay" test_relaxed_vs_min_delay;
@@ -160,7 +266,10 @@ let suite =
     quick "curve monotone" test_curve_monotone;
     quick "curve restores sizes" test_curve_restores_sizes;
     quick "curve normalised" test_normalised;
+    quick "size_stage ignores starting sizes" test_size_stage_ignores_start;
+    quick "profiles restore sizes" test_profiles_restore_sizes;
     slow "individually optimised" test_individually_optimised;
     slow "ensure_yield improves" test_ensure_yield_improves;
     slow "minimise_area keeps yield" test_minimise_area_keeps_yield;
+    slow "Fig. 9 golden digest" test_fig9_digest;
   ]

@@ -1,22 +1,30 @@
 open Helpers
 module S = Spv_stats.Special
 
-(* Reference values from Abramowitz & Stegun / standard tables. *)
+(* Reference values from Abramowitz & Stegun / standard tables.  erf and
+   erfc go through the incomplete gamma series and continued fraction,
+   so they hold to a few ulps; [check_rel] has no absolute floor, so
+   the deep-tail erfc values are checked in relative terms too. *)
+
+let check_rel ?(rel = 1e-14) name expected actual =
+  if not (abs_float (actual -. expected) <= rel *. abs_float expected) then
+    Alcotest.failf "%s: %.17g, want %.17g (rel %.1e)" name actual expected rel
 
 let test_erf_values () =
-  check_float ~eps:1e-9 "erf(0)" 0.0 (S.erf 0.0);
-  check_float ~eps:1e-8 "erf(1)" 0.8427007929497149 (S.erf 1.0);
-  check_float ~eps:1e-8 "erf(0.5)" 0.5204998778130465 (S.erf 0.5);
-  check_float ~eps:1e-8 "erf(2)" 0.9953222650189527 (S.erf 2.0);
-  check_float ~eps:1e-8 "erf(-1)" (-0.8427007929497149) (S.erf (-1.0))
+  check_float ~eps:0.0 "erf(0)" 0.0 (S.erf 0.0);
+  check_rel "erf(0.1)" 0.1124629160182849 (S.erf 0.1);
+  check_rel "erf(0.5)" 0.5204998778130465 (S.erf 0.5);
+  check_rel "erf(1)" 0.8427007929497149 (S.erf 1.0);
+  check_rel "erf(2)" 0.9953222650189527 (S.erf 2.0);
+  check_rel "erf(3)" 0.9999779095030014 (S.erf 3.0);
+  check_rel "erf(-1)" (-0.8427007929497149) (S.erf (-1.0))
 
 let test_erfc_values () =
-  check_float ~eps:1e-8 "erfc(0)" 1.0 (S.erfc 0.0);
-  check_close ~rel:1e-8 "erfc(1)" 0.15729920705028513 (S.erfc 1.0);
-  check_close ~rel:1e-7 "erfc(3)" 2.209049699858544e-05 (S.erfc 3.0);
-  (* Deep tail must stay accurate in relative terms. *)
-  check_close ~rel:1e-6 "erfc(5)" 1.5374597944280351e-12 (S.erfc 5.0);
-  check_float ~eps:1e-8 "erfc(-1)" (2.0 -. 0.15729920705028513) (S.erfc (-1.0))
+  check_float ~eps:0.0 "erfc(0)" 1.0 (S.erfc 0.0);
+  check_rel "erfc(1)" 0.15729920705028513 (S.erfc 1.0);
+  check_rel "erfc(3)" 2.2090496998585441e-05 (S.erfc 3.0);
+  check_rel "erfc(5)" 1.5374597944280349e-12 (S.erfc 5.0);
+  check_rel "erfc(-1)" (2.0 -. 0.15729920705028513) (S.erfc (-1.0))
 
 let test_erf_erfc_complementarity () =
   List.iter
