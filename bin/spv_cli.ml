@@ -121,7 +121,8 @@ let engine_ctx_of_sources ?(mode = Engine.Flat) s =
           Checked.pipeline_of_moments ~on_warning:warn ~mus:(Array.of_list mus)
             ~sigmas:(Array.of_list s.sigmas) ~rho:s.rho ()
         in
-        Checked.engine_ctx_of_pipeline p
+        Checked.protect ~where:"engine context" (fun () ->
+            Engine.Ctx.of_pipeline p)
   | names, [] ->
       let* nets =
         List.fold_left
@@ -131,8 +132,8 @@ let engine_ctx_of_sources ?(mode = Engine.Flat) s =
             Ok (net :: acc))
           (Ok []) names
       in
-      Checked.engine_ctx_of_circuits ~mode ~ff tech
-        (Array.of_list (List.rev nets))
+      Checked.protect ~where:"engine context" (fun () ->
+          Engine.Ctx.of_circuits ~mode ~ff tech (Array.of_list (List.rev nets)))
 
 (* ---- shared sizing argument ---------------------------------------- *)
 
@@ -268,7 +269,10 @@ let yield_cmd =
        let* p =
          Checked.pipeline_of_moments ~on_warning:warn ~mus ~sigmas ~rho ()
        in
-       let* ctx = Checked.engine_ctx_of_pipeline p in
+       let* ctx =
+         Checked.protect ~where:"engine context" (fun () ->
+             Engine.Ctx.of_pipeline p)
+       in
        let tp = Engine.Ctx.delay_distribution ctx in
        Printf.printf "pipeline delay ~ N(%.2f, %.2f) ps\n"
          (Spv_stats.Gaussian.mu tp) (Spv_stats.Gaussian.sigma tp);
@@ -357,7 +361,10 @@ let mc_cmd =
     let* p =
       Checked.pipeline_of_moments ~on_warning:warn ~mus ~sigmas ~rho:0.2 ()
     in
-    let* ctx = Checked.engine_ctx_of_pipeline p in
+    let* ctx =
+      Checked.protect ~where:"engine context" (fun () ->
+          Engine.Ctx.of_pipeline p)
+    in
     let* mc =
       Checked.engine_yield ~method_:Engine.Adaptive_mc ~seed
         ~max_samples:400_000 ctx ~t_target
@@ -691,16 +698,21 @@ let fmax_cmd =
        let* p =
          Checked.pipeline_of_moments ~on_warning:warn ~mus ~sigmas ~rho ()
        in
-       let* mean, std =
-         Checked.protect ~where:"FMAX" (fun () -> Spv_core.Fmax.mean_std p)
+       (* Every quantile is computed before anything is printed, so a
+          non-positive delay quantile fails with empty stdout. *)
+       let* (mean, std), quantiles =
+         Checked.protect ~where:"FMAX" (fun () ->
+             ( Spv_core.Fmax.mean_std p,
+               List.map
+                 (fun q -> (q, Spv_core.Fmax.quantile p ~p:q))
+                 [ 0.05; 0.25; 0.5; 0.75; 0.95 ] ))
        in
        Printf.printf "FMAX mean %.4f GHz, sigma %.4f GHz\n" (1000.0 *. mean)
          (1000.0 *. std);
        List.iter
-         (fun q ->
-           Printf.printf "  P%02.0f: %.4f GHz\n" (100.0 *. q)
-             (1000.0 *. Spv_core.Fmax.quantile p ~p:q))
-         [ 0.05; 0.25; 0.5; 0.75; 0.95 ];
+         (fun (q, f) ->
+           Printf.printf "  P%02.0f: %.4f GHz\n" (100.0 *. q) (1000.0 *. f))
+         quantiles;
        Ok ())
   in
   Cmd.v
@@ -983,8 +995,9 @@ let certify_cmd =
                       (fun mu sigma -> { Spv_core.Design_space.mu; sigma })
                       mus sigmas)
                in
-               Checked.certify_points ~nonneg_correlation:nonneg ~t_target:t
-                 ~yield points
+               Checked.protect ~where:"certify" (fun () ->
+                   Spv_analysis.Certify.of_points ~nonneg_correlation:nonneg
+                     ~t_target:t ~yield points)
        in
        let report =
          Spv_analysis.Report.sorted

@@ -57,14 +57,37 @@ fi
 # the test-only Sta.path_delay (\b keeps Hold.short_path_delay) and
 # the record-based sampling path the gate-level kernel retired
 # (Spv_process.Sample, Spatial's field sampler, Variation's shift
-# samplers and algebra, Ssta's per-trial factor fill); no document or
-# source may cite any of them.
+# samplers and algebra, Ssta's per-trial factor fill), and the
+# test-only library code: the fault corpus (now test/inject.ml), the
+# stage-count partitioner, the correlation-matrix repair chain with its
+# eigensolver, the result-returning statistics twins and the Checked
+# wrappers only the corpus called; no document or source may cite any
+# of them.
 # CHANGES.md and ROADMAP.md are history and stay exempt.
 echo "==> no citations of BENCH_*.json, bench/main.exe <id>, a proposal option or a retired API"
 if grep -rEn \
-  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:|with_prune|without_prune|prune_masks|prune_ctx|masks_for_ctx|Spv_circuit\.Wire|Wire\.model|Spv_core\.Skew|Spv_process\.Corners|Spv_circuit\.Equivalence|longest_path_lengths|nodes_at_level|transitive_fanin_count|\?active:|Sta\.loads|\?output_load|~output_load|Ctx\.output_load|pe_output_load|\bpath_delay|Spv_process\.Sample|\bSample\.|sample_field|field_sampler|make_sampler|sample_inter|sample_rand|sample_sys_scaled|add_shift|zero_shift|fill_factors|ff_overhead_sample|\bs_factors' \
+  'BENCH_|bench/main\.exe( --)? +[a-z0-9-]|--proposal|Cone_guided|~proposal:|register_estimate_check|add_estimate_check|groups_of_grid|SPV_CERTIFY_SIZING|SPV_DEBUG_SENSITIVITY|set_debug_cross_check|yield_model|Clark_gaussian|is_refutation|~certify:|with_prune|without_prune|prune_masks|prune_ctx|masks_for_ctx|Spv_circuit\.Wire|Wire\.model|Spv_core\.Skew|Spv_process\.Corners|Spv_circuit\.Equivalence|longest_path_lengths|nodes_at_level|transitive_fanin_count|\?active:|Sta\.loads|\?output_load|~output_load|Ctx\.output_load|pe_output_load|\bpath_delay|Spv_process\.Sample|\bSample\.|sample_field|field_sampler|make_sampler|sample_inter|sample_rand|sample_sys_scaled|add_shift|zero_shift|fill_factors|ff_overhead_sample|\bs_factors|Spv_robust\.Inject|Spv_core\.Partition|repair_correlation|psd_report|sym_eig|pipeline_of_matrix|of_samples_checked|against_gaussian_checked|ks_against_gaussian|engine_ctx_of_pipeline' \
   README.md DESIGN.md EXPERIMENTS.md .claude examples lib bin test; then
   echo "ci.sh: stale citation of a retired bench study, proposal option or API (above)" >&2
+  exit 1
+fi
+
+# Library gate: every lib/ module must be named by some other source
+# under lib/, bin/ or bench/suite/.  A module only tests reach belongs
+# under test/, not in the library.
+echo "==> every lib/ module is named outside itself in lib/, bin/ or bench/suite/"
+orphans=""
+for f in $(find lib -name '*.ml' | sort); do
+  base=$(basename "$f" .ml)
+  first=$(printf '%s' "$base" | cut -c1 | tr '[:lower:]' '[:upper:]')
+  mod="$first$(printf '%s' "$base" | cut -c2-)"
+  if ! grep -rlw --include='*.ml' "$mod" lib bin bench/suite |
+    grep -qv "^$f\$"; then
+    orphans="$orphans $f"
+  fi
+done
+if [ -n "$orphans" ]; then
+  echo "ci.sh: test-only library modules (no lib/, bin/ or bench/suite/ user):$orphans" >&2
   exit 1
 fi
 
@@ -79,12 +102,13 @@ if grep -rn 'Domain\.spawn' lib bin bench test |
 fi
 
 # Non-finite gate: a huge but finite target saturates the closed forms
-# instead of overflowing to NaN, and a NaN or negative requirement is a
-# Domain error (exactly exit 6) with nothing printed on stdout, never a
-# printed "nan" or a partial report.
+# instead of overflowing to NaN, and a NaN or negative requirement (or
+# an FMAX quantile of a non-positive delay) is a Domain error (exactly
+# exit 6) with nothing printed on stdout, never a printed "nan" or a
+# partial report.
 run "$CLI" mc --mu 100 --sigma 5 -t 1e300 -m clark
 for args in "hold -c chain10 --hold nan" "hold -c chain10 --hold=-1" \
-  "vth -c chain10 --slack nan"; do
+  "vth -c chain10 --slack nan" "fmax --mu 5 --sigma 10"; do
   echo "==> $CLI $args (expect exit 6, empty stdout)"
   rc=0
   # shellcheck disable=SC2086

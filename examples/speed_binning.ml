@@ -1,18 +1,15 @@
-(* FMAX distribution, speed binning, and yield-aware pipelining depth.
+(* FMAX distribution and speed binning.
 
-   Two extensions built on the paper's model:
-
-   1. The pipeline delay distribution induces an FMAX distribution (the
-      paper's reference [1], Bowman et al.): we bin dies by measured
-      frequency and price the bins.
-   2. Choosing the number of pipeline stages with the statistical clock
-      instead of the nominal one (Section 3.1 turned into a design
-      rule).
+   An extension built on the paper's model: the pipeline delay
+   distribution induces an FMAX distribution (the paper's reference
+   [1], Bowman et al.), so dies can be binned by measured frequency and
+   the bins priced.  For the Section 3.1 stage-count study (intra- vs
+   inter-die variation against pipeline depth) run
+   `spv_cli experiment fig5`.
 
    Run with:  dune exec examples/speed_binning.exe *)
 
 module F = Spv_core.Fmax
-module Partition = Spv_core.Partition
 
 let ghz f_per_ps = 1000.0 *. f_per_ps (* 1/ps -> GHz *)
 
@@ -49,49 +46,3 @@ let () =
   let prices = [| 120.0; 180.0; 240.0 |] in
   Printf.printf "Expected selling price: $%.2f\n"
     (F.expected_price pipeline ~edges ~prices);
-
-  (* Yield-aware pipelining depth for a 120-level logic budget: the
-     statistical guardband (stat-clk / nominal) grows with the stage
-     count when intra-die variation dominates (Section 3.1), and is
-     flat when inter-die dominates. *)
-  let survey label tech =
-    Printf.printf "\n%s - pipelining 120 levels at 90%% yield:\n" label;
-    Printf.printf "  %7s %6s %13s %13s %11s %10s\n" "stages" "depth"
-      "nominal(ps)" "stat-clk(ps)" "thr (1/ns)" "guardband";
-    let cands =
-      Partition.all_divisor_candidates ~min_stages:2 ~max_stages:30 tech
-        ~total_levels:120 ~yield:0.9
-    in
-    Array.iter
-      (fun c ->
-        Printf.printf "  %7d %6d %13.1f %13.1f %11.3f %9.1f%%\n"
-          c.Partition.n_stages c.Partition.depth c.Partition.nominal_clock
-          c.Partition.statistical_clock
-          (1000.0 *. c.Partition.throughput)
-          (100.0
-          *. ((c.Partition.statistical_clock /. c.Partition.nominal_clock) -. 1.0)))
-      cands;
-    let best = Partition.best_throughput cands in
-    Printf.printf
-      "  best statistical throughput: %d stages at %.1f ps (guardband %.1f%%)\n"
-      best.Partition.n_stages best.Partition.statistical_clock
-      (100.0
-      *. ((best.Partition.statistical_clock /. best.Partition.nominal_clock) -. 1.0));
-    cands
-  in
-  let intra = Spv_process.Tech.with_inter_vth tech ~sigma_mv:0.0 in
-  let intra = Spv_process.Tech.with_sys_vth intra ~sigma_mv:0.0 in
-  let intra = { intra with Spv_process.Tech.sigma_leff_rel_inter = 0.0;
-                           sigma_leff_rel_sys = 0.0 } in
-  let intra_cands = survey "Intra-die (random) variation only" intra in
-  let inter = Spv_process.Tech.with_random_vth tech ~sigma_mv:0.0 in
-  let inter_cands = survey "Inter-die variation dominant" inter in
-  let guardband_spread cands =
-    let g c = (c.Partition.statistical_clock /. c.Partition.nominal_clock) -. 1.0 in
-    g cands.(Array.length cands - 1) /. g cands.(0)
-  in
-  Printf.printf
-    "\nDeep pipelining inflates the intra-die guardband %.1fx (first vs last\n\
-     row) but the inter-die guardband only %.1fx: exactly the paper's\n\
-     Section 3.1 asymmetry, priced in clock periods.\n"
-    (guardband_spread intra_cands) (guardband_spread inter_cands)

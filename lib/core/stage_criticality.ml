@@ -27,9 +27,16 @@ let probabilities_analytic_independent pipeline =
   let prob i =
     if G.sigma gs.(i) = 0.0 then
       (* A deterministic stage is critical iff every other stage stays
-         below its value. *)
+         below its value.  A tie with another deterministic stage goes
+         to the lowest index, as in [probabilities], so tied stages
+         are not each critical. *)
+      let x = G.mu gs.(i) in
       Array.to_list gs
-      |> List.mapi (fun j g -> if j = i then 1.0 else G.cdf g (G.mu gs.(i)))
+      |> List.mapi (fun j g ->
+             if j = i then 1.0
+             else if j < i && G.sigma g = 0.0 then
+               if G.mu g < x then 1.0 else 0.0
+             else G.cdf g x)
       |> List.fold_left ( *. ) 1.0
     else begin
       let f t =

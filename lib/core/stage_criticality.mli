@@ -21,7 +21,8 @@ val probabilities :
 val probabilities_analytic_independent : Pipeline.t -> float array
 (** For independent stages, exactly
     Pr{i critical} = int phi_i(t) prod_{j<>i} Phi_j(t) dt by
-    quadrature.  Ignores the correlation matrix. *)
+    quadrature.  Ignores the correlation matrix.  Tied deterministic
+    stages follow {!probabilities}: the lowest index is critical. *)
 
 val entropy : float array -> float
 (** Shannon entropy (nats) of a criticality distribution; zero terms

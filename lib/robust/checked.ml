@@ -98,7 +98,7 @@ let validate_moments ~mus ~sigmas =
       Error (Errors.domain ~param:"sigma" "negative sigma")
     else Ok n
 
-(* ---- pipeline / Clark / yield entry points -------------------------- *)
+(* ---- pipeline entry point ------------------------------------------- *)
 
 let pipeline_of_moments ?(on_warning = ignore) ~mus ~sigmas ~rho () =
   let* n = validate_moments ~mus ~sigmas in
@@ -116,60 +116,9 @@ let pipeline_of_moments ?(on_warning = ignore) ~mus ~sigmas ~rho () =
   in
   protect ~where:"pipeline" (fun () -> Spv_core.Pipeline.make stages ~corr)
 
-let pipeline_of_matrix ?(on_warning = ignore) ~mus ~sigmas ~corr () =
-  let* n = validate_moments ~mus ~sigmas in
-  if Spv_stats.Matrix.rows corr <> n || Spv_stats.Matrix.cols corr <> n then
-    Error
-      (Errors.domain ~param:"corr"
-         (Printf.sprintf "correlation is %dx%d for %d stages"
-            (Spv_stats.Matrix.rows corr)
-            (Spv_stats.Matrix.cols corr)
-            n))
-  else
-    let* corr, report = Guard.repair_correlation corr in
-    if report.Guard.repaired then
-      on_warning (Format.asprintf "%a" Guard.pp_psd_report report);
-    let stages =
-      Array.init n (fun i ->
-          Spv_core.Stage.of_moments ~mu:mus.(i) ~sigma:sigmas.(i) ())
-    in
-    protect ~where:"pipeline" (fun () -> Spv_core.Pipeline.make stages ~corr)
-
-let clark_max ?on_warning ?order ~mus ~sigmas ~corr () =
-  let* pipeline = pipeline_of_matrix ?on_warning ~mus ~sigmas ~corr () in
-  let* g =
-    protect ~where:"Clark iterated max" (fun () ->
-        Spv_core.Pipeline.delay_distribution ?order pipeline)
-  in
-  Guard.finite_gaussian ~where:"Clark iterated max" g
-
-let yield_estimate pipeline ~t_target =
-  if not (Float.is_finite t_target) then
-    Error (Errors.domain ~param:"t_target" "must be finite")
-  else
-    let* y =
-      protect ~where:"yield estimate" (fun () ->
-          Spv_core.Yield.estimate pipeline ~t_target)
-    in
-    let* y = Guard.finite ~where:"yield estimate" y in
-    if y < -1e-9 || y > 1.0 +. 1e-9 then
-      Error
-        (Errors.numeric ~where:"yield estimate"
-           (Printf.sprintf "probability %g outside [0, 1]" y))
-    else Ok (Float.max 0.0 (Float.min 1.0 y))
-
 (* ---- engine entry points -------------------------------------------- *)
 
 module Engine = Spv_engine.Engine
-
-let engine_ctx_of_pipeline pipeline =
-  protect ~where:"engine context" (fun () -> Engine.Ctx.of_pipeline pipeline)
-
-let engine_ctx_of_circuits ?mode ?macro_table ?block_gates ?pitch ?ff tech
-    nets =
-  protect ~where:"engine context" (fun () ->
-      Engine.Ctx.of_circuits ?mode ?macro_table ?block_gates ?pitch ?ff tech
-        nets)
 
 let checked_probability ~where (e : Engine.estimate) =
   let* _ = Guard.finite ~where e.Engine.value in
@@ -192,24 +141,6 @@ let engine_yield ?method_ ?jobs ?shards ?seed ?n ?batch ?min_samples
             ?rel_se_target ?max_samples ctx ~t_target)
     in
     checked_probability ~where:"engine yield" e
-
-let engine_delay_mean ?method_ ?jobs ?shards ?seed ?n ?batch ?min_samples
-    ?rel_se_target ?max_samples ctx =
-  let* e =
-    protect ~where:"engine delay mean" (fun () ->
-        Engine.delay_mean ?method_ ?jobs ?shards ?seed ?n ?batch ?min_samples
-          ?rel_se_target ?max_samples ctx)
-  in
-  let* _ = Guard.finite ~where:"engine delay mean" e.Engine.value in
-  Ok e
-
-let engine_gate_level_delays ?exact ?jobs ?shards ?seed ctx ~n =
-  let* samples =
-    protect ~where:"engine gate-level MC" (fun () ->
-        Engine.gate_level_delays ?exact ?jobs ?shards ?seed ctx ~n)
-  in
-  let* _ = Guard.finite_array ~where:"engine gate-level MC" samples in
-  Ok samples
 
 (* ---- sweep entry points ---------------------------------------------- *)
 
@@ -315,17 +246,15 @@ let analysis_errors (r : Analyze.result) =
 
 module Certify = Spv_analysis.Certify
 
-let certify_points ?nonneg_correlation ~t_target ~yield points =
-  protect ~where:"certify" (fun () ->
-      Certify.of_points ?nonneg_correlation ~t_target ~yield points)
-
 let certify_solution_file ?nonneg_correlation path =
   let* text = slurp path in
   match Certify.parse_solution text with
   | Error msg -> Error (Errors.parse ~path msg)
   | Ok sol ->
-      certify_points ?nonneg_correlation ~t_target:sol.Certify.sol_t_target
-        ~yield:sol.Certify.sol_yield sol.Certify.points
+      protect ~where:"certify" (fun () ->
+          Certify.of_points ?nonneg_correlation
+            ~t_target:sol.Certify.sol_t_target ~yield:sol.Certify.sol_yield
+            sol.Certify.points)
 
 let certificate_error (c : Certify.t) =
   match c.Certify.status with
@@ -368,15 +297,3 @@ let size_stage ?options ?ff tech net ~t_target ~z =
     in
     let* _ = Guard.finite ~where:"sizing (area)" r.Spv_sizing.Lagrangian.area in
     Ok r
-
-(* ---- statistics entry points ---------------------------------------- *)
-
-let ks_against_gaussian samples g =
-  match Spv_stats.Kstest.against_gaussian_checked samples g with
-  | Ok r -> Ok r
-  | Error e -> Error (Errors.of_sample_error ~where:"KS test" e)
-
-let histogram ?bins samples =
-  match Spv_stats.Histogram.of_samples_checked ?bins samples with
-  | Ok h -> Ok h
-  | Error e -> Error (Errors.of_sample_error ~where:"histogram" e)

@@ -4,8 +4,11 @@
     post-conditions (finiteness, probability ranges) verified on the
     way out.
 
-    The CLI builds exclusively on these, so every failure path maps to
-    a one-line stderr message and a documented exit code. *)
+    Each entry point beyond {!protect} adds a check its callee lacks:
+    input validation or a post-condition.  Where no such check exists
+    the CLI, serve and the oracle call {!protect} directly, so every
+    failure path maps to a one-line stderr message and a documented
+    exit code. *)
 
 val protect : where:string -> (unit -> 'a) -> ('a, Errors.t) result
 (** Run [f ()], converting escaped exceptions into typed errors:
@@ -47,40 +50,12 @@ val pipeline_of_moments :
     [[-1/(n-1), 1]]; rho within 1e-6 outside [-1, 1] is clamped with a
     warning. *)
 
-val pipeline_of_matrix :
-  ?on_warning:(string -> unit) -> mus:float array -> sigmas:float array ->
-  corr:Spv_stats.Matrix.t -> unit -> (Spv_core.Pipeline.t, Errors.t) result
-(** Stage moments + explicit correlation matrix; a non-PSD matrix is
-    repaired via {!Guard.repair_correlation} with a warning. *)
-
-val clark_max :
-  ?on_warning:(string -> unit) -> ?order:Spv_core.Clark.order ->
-  mus:float array -> sigmas:float array -> corr:Spv_stats.Matrix.t ->
-  unit -> (Spv_stats.Gaussian.t, Errors.t) result
-(** Clark iterated max of the stage delays, with the finiteness
-    post-condition checked on the result. *)
-
-val yield_estimate :
-  Spv_core.Pipeline.t -> t_target:float -> (float, Errors.t) result
-(** {!Spv_core.Yield.estimate} with [t_target] finiteness checked and
-    the result verified finite and clamped into [0, 1]. *)
-
 (** {1 Engine}
 
     Typed-error wrappers over {!Spv_engine.Engine}: the unified
     estimator entry points with parameter validation mapped to
     [Domain_error] and result post-conditions (finiteness,
     probability range with clamping) to [Numeric_error]. *)
-
-val engine_ctx_of_pipeline :
-  Spv_core.Pipeline.t -> (Spv_engine.Engine.Ctx.t, Errors.t) result
-
-val engine_ctx_of_circuits :
-  ?mode:Spv_engine.Engine.mode ->
-  ?macro_table:Spv_circuit.Macro.Table.t -> ?block_gates:int ->
-  ?pitch:float -> ?ff:Spv_process.Flipflop.t ->
-  Spv_process.Tech.t -> Spv_circuit.Netlist.t array ->
-  (Spv_engine.Engine.Ctx.t, Errors.t) result
 
 val engine_yield :
   ?method_:Spv_engine.Engine.method_ -> ?jobs:int -> ?shards:int ->
@@ -89,16 +64,6 @@ val engine_yield :
   t_target:float -> (Spv_engine.Engine.estimate, Errors.t) result
 (** {!Spv_engine.Engine.yield} with the estimate verified finite and
     clamped into [0, 1]. *)
-
-val engine_delay_mean :
-  ?method_:Spv_engine.Engine.method_ -> ?jobs:int -> ?shards:int ->
-  ?seed:int -> ?n:int -> ?batch:int -> ?min_samples:int ->
-  ?rel_se_target:float -> ?max_samples:int -> Spv_engine.Engine.Ctx.t ->
-  (Spv_engine.Engine.estimate, Errors.t) result
-
-val engine_gate_level_delays :
-  ?exact:bool -> ?jobs:int -> ?shards:int -> ?seed:int ->
-  Spv_engine.Engine.Ctx.t -> n:int -> (float array, Errors.t) result
 
 (** {1 Scenario sweeps} *)
 
@@ -150,13 +115,6 @@ val analysis_errors : Spv_analysis.Analyze.result -> Errors.t option
 
 (** {1 Sizing certificates} *)
 
-val certify_points :
-  ?nonneg_correlation:bool -> t_target:float -> yield:float ->
-  Spv_core.Design_space.point array ->
-  (Spv_analysis.Certify.t, Errors.t) result
-(** {!Spv_analysis.Certify.of_points} behind the typed-error boundary
-    (bad moments / targets map to [Domain_error]). *)
-
 val certify_solution_file :
   ?nonneg_correlation:bool -> string ->
   (Spv_analysis.Certify.t, Errors.t) result
@@ -179,12 +137,3 @@ val size_stage :
   ?options:Spv_sizing.Lagrangian.options -> ?ff:Spv_process.Flipflop.t ->
   Spv_process.Tech.t -> Spv_circuit.Netlist.t -> t_target:float -> z:float ->
   (Spv_sizing.Lagrangian.report, Errors.t) result
-
-(** {1 Statistics} *)
-
-val ks_against_gaussian :
-  float array -> Spv_stats.Gaussian.t ->
-  (Spv_stats.Kstest.result, Errors.t) result
-
-val histogram :
-  ?bins:int -> float array -> (Spv_stats.Histogram.t, Errors.t) result

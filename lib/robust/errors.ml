@@ -93,7 +93,3 @@ let deadline ~where ~budget_ms = Deadline_exceeded { where; budget_ms }
 
 let of_parse_error ?path (e : Spv_circuit.Bench_format.parse_error) =
   Parse_error { path; line = e.line; message = e.message }
-
-let of_sample_error ~where (e : Spv_stats.Descriptive.sample_error) =
-  Numeric_error
-    { where; message = Spv_stats.Descriptive.sample_error_to_string e }

@@ -75,4 +75,3 @@ val violation : invariant:string -> string -> t
 val deadline : where:string -> budget_ms:int -> t
 
 val of_parse_error : ?path:string -> Spv_circuit.Bench_format.parse_error -> t
-val of_sample_error : where:string -> Spv_stats.Descriptive.sample_error -> t

@@ -62,10 +62,6 @@ let add t x =
 
 let add_all t = Array.iter (add t)
 
-let of_samples_checked ?bins samples =
-  match Descriptive.validate_samples samples with
-  | Ok () -> Ok (of_samples ?bins samples)
-  | Error e -> Error e
 let bins t = Array.length t.counts
 
 let count t i =

@@ -11,11 +11,6 @@ val of_samples : ?bins:int -> float array -> t
     bins. Raises [Invalid_argument] on an empty or
     NaN/infinity-containing array. *)
 
-val of_samples_checked :
-  ?bins:int -> float array -> (t, Descriptive.sample_error) result
-(** Non-raising variant of {!of_samples}: a degenerate sample is a
-    typed error. *)
-
 val add : t -> float -> unit
 (** Insert one observation.  Values outside the range are counted in
     the under/overflow totals, not in any bin; non-finite values are

@@ -40,11 +40,3 @@ let against_cdf samples ~cdf =
   { statistic = !d; p_value = kolmogorov_sf lambda; n }
 
 let against_gaussian samples g = against_cdf samples ~cdf:(Gaussian.cdf g)
-
-let against_cdf_checked samples ~cdf =
-  match Descriptive.validate_samples samples with
-  | Ok () -> Ok (against_cdf samples ~cdf)
-  | Error e -> Error e
-
-let against_gaussian_checked samples g =
-  against_cdf_checked samples ~cdf:(Gaussian.cdf g)

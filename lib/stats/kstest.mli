@@ -16,11 +16,6 @@ val against_cdf : float array -> cdf:(float -> float) -> result
 
 val against_gaussian : float array -> Gaussian.t -> result
 
-val against_gaussian_checked :
-  float array ->
-  Gaussian.t ->
-  (result, Descriptive.sample_error) Stdlib.result
-
 val kolmogorov_sf : float -> float
 (** Survival function Q_KS(lambda) = 2 sum_{k>=1} (-1)^{k-1}
     exp(-2 k^2 lambda^2). *)

@@ -131,67 +131,6 @@ let cholesky_psd a =
     in
     attempt (1e-10 *. Float.max !dmax 1.0) 3
 
-let sym_eig a =
-  if a.r <> a.c then invalid_arg "Matrix.sym_eig: not square";
-  if not (is_symmetric ~eps:1e-8 a) then
-    invalid_arg "Matrix.sym_eig: not symmetric";
-  let n = a.r in
-  let m = copy a in
-  let v = identity n in
-  (* Cyclic Jacobi: rotate away each off-diagonal entry in turn until
-     the off-diagonal mass is negligible against the diagonal. *)
-  let off_norm () =
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        s := !s +. (2.0 *. get m i j *. get m i j)
-      done
-    done;
-    sqrt !s
-  in
-  let diag_scale () =
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      s := Float.max !s (abs_float (get m i i))
-    done;
-    Float.max !s 1.0
-  in
-  let sweep = ref 0 in
-  while !sweep < 64 && off_norm () > 1e-12 *. diag_scale () do
-    for p = 0 to n - 2 do
-      for q = p + 1 to n - 1 do
-        let apq = get m p q in
-        if abs_float apq > 1e-300 then begin
-          let app = get m p p and aqq = get m q q in
-          let theta = (aqq -. app) /. (2.0 *. apq) in
-          let t =
-            let sign = if theta >= 0.0 then 1.0 else -1.0 in
-            sign /. (abs_float theta +. sqrt ((theta *. theta) +. 1.0))
-          in
-          let c = 1.0 /. sqrt ((t *. t) +. 1.0) in
-          let s = t *. c in
-          for k = 0 to n - 1 do
-            let mkp = get m k p and mkq = get m k q in
-            set m k p ((c *. mkp) -. (s *. mkq));
-            set m k q ((s *. mkp) +. (c *. mkq))
-          done;
-          for k = 0 to n - 1 do
-            let mpk = get m p k and mqk = get m q k in
-            set m p k ((c *. mpk) -. (s *. mqk));
-            set m q k ((s *. mpk) +. (c *. mqk))
-          done;
-          for k = 0 to n - 1 do
-            let vkp = get v k p and vkq = get v k q in
-            set v k p ((c *. vkp) -. (s *. vkq));
-            set v k q ((s *. vkp) +. (c *. vkq))
-          done
-        end
-      done
-    done;
-    incr sweep
-  done;
-  (Array.init n (fun i -> get m i i), v)
-
 let solve_lower l b =
   let n = l.r in
   if Array.length b <> n then invalid_arg "Matrix.solve_lower: bad rhs";

@@ -51,13 +51,6 @@ val cholesky_psd : t -> t
     diagonal jitter (1e-10 of the largest diagonal entry, growing
     100-fold per retry, three tries) on failure. *)
 
-val sym_eig : t -> float array * t
-(** Eigendecomposition of a symmetric matrix by cyclic Jacobi
-    rotations (at most 64 sweeps): [(lambda, v)] with [a = v * diag lambda * v^T] and the
-    i-th eigenvector in column i of [v].  Eigenvalues are unsorted.
-    Raises [Invalid_argument] for a non-square or non-symmetric
-    input. *)
-
 val solve_lower : t -> float array -> float array
 (** Forward substitution [l x = b] with lower-triangular [l]. *)
 

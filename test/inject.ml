@@ -1,4 +1,7 @@
-module M = Spv_stats.Matrix
+module Errors = Spv_robust.Errors
+module Checked = Spv_robust.Checked
+module Oracle = Spv_robust.Oracle
+module Engine = Spv_engine.Engine
 module G = Spv_stats.Gaussian
 
 type expectation = Expect_error | Expect_ok | Expect_either
@@ -47,6 +50,26 @@ let show_gaussian name g =
 
 let ( let* ) = Result.bind
 
+let tech = Spv_process.Tech.bptm70
+
+let small_net () = Spv_circuit.Generators.inverter_chain ~depth:4 ()
+
+let ctx_of_pipeline p =
+  Checked.protect ~where:"engine context" (fun () -> Engine.Ctx.of_pipeline p)
+
+let ctx_of_circuits nets =
+  Checked.protect ~where:"engine context" (fun () ->
+      Engine.Ctx.of_circuits tech nets)
+
+(* The closed-form yield the engine recommends for the pipeline: eq. 8
+   for nearly independent stages, Clark's eq. 9 otherwise. *)
+let analytic_yield p ~t_target =
+  let* ctx = ctx_of_pipeline p in
+  let* e =
+    Checked.engine_yield ~method_:(Engine.recommended ctx) ctx ~t_target
+  in
+  Ok e.Engine.value
+
 let parse ?(expect = Expect_error) name text =
   {
     name;
@@ -64,7 +87,7 @@ let moments ?(expect = Expect_error) name ~mus ~sigmas ~rho ~t_target =
     run =
       (fun () ->
         let* p = Checked.pipeline_of_moments ~mus ~sigmas ~rho () in
-        let* y = Checked.yield_estimate p ~t_target in
+        let* y = analytic_yield p ~t_target in
         show "yield" y);
   }
 
@@ -79,24 +102,10 @@ let mc_budget ?(expect = Expect_error) name ~sigma ~t_target yield =
           Checked.pipeline_of_moments ~mus:[| 100.0 |] ~sigmas:[| sigma |]
             ~rho:0.0 ()
         in
-        let* ctx = Checked.engine_ctx_of_pipeline p in
+        let* ctx = ctx_of_pipeline p in
         let* e = yield ctx ~t_target in
-        show "mc yield" e.Spv_engine.Engine.value);
+        show "mc yield" e.Engine.value);
   }
-
-let clark ?(expect = Expect_error) name ~mus ~sigmas ~corr =
-  {
-    name;
-    expect;
-    run =
-      (fun () ->
-        let* g = Checked.clark_max ~mus ~sigmas ~corr () in
-        show_gaussian "max" g);
-  }
-
-let tech = Spv_process.Tech.bptm70
-
-let small_net () = Spv_circuit.Generators.inverter_chain ~depth:4 ()
 
 (* Analyzer cases report the finding count; error-severity findings
    (degenerate bounds, out-of-bound estimates) become the Lint-coded
@@ -117,7 +126,11 @@ let engine_ctx () =
     Checked.pipeline_of_moments ~mus:[| 100.0; 95.0; 90.0 |]
       ~sigmas:[| 5.0; 4.0; 3.0 |] ~rho:0.3 ()
   in
-  Checked.engine_ctx_of_pipeline p
+  ctx_of_pipeline p
+
+let gate_level_delays ctx =
+  Checked.protect ~where:"engine gate-level MC" (fun () ->
+      Engine.gate_level_delays ctx ~n:64)
 
 (* Adversarial near-violation inputs for the differential oracle: each
    one is a deterministic, seed-only repro sitting right at the edge of
@@ -221,6 +234,11 @@ let corpus () =
       ~sigmas:[| 5.0; 5.0; 5.0; 5.0 |] ~rho:(-0.5) ~t_target:110.0;
     moments ~expect:Expect_ok "moments/all-sigmas-zero"
       ~mus:[| 100.0; 90.0 |] ~sigmas:[| 0.0; 0.0 |] ~rho:0.0 ~t_target:95.0;
+    (* Equal means, zero sigmas, full correlation: Clark's max of two
+       identical point masses divides 0 by 0 unless it special-cases
+       the tie. *)
+    moments ~expect:Expect_ok "moments/equal-means-degenerate"
+      ~mus:[| 100.0; 100.0 |] ~sigmas:[| 0.0; 0.0 |] ~rho:1.0 ~t_target:100.0;
     moments ~expect:Expect_ok "moments/extreme-target-high"
       ~mus:[| 100.0; 90.0 |] ~sigmas:[| 5.0; 5.0 |] ~rho:0.3 ~t_target:1e30;
     moments ~expect:Expect_ok "moments/extreme-target-low"
@@ -235,7 +253,7 @@ let corpus () =
             Checked.pipeline_of_moments ~mus:[| 100.0 |] ~sigmas:[| 5.0 |]
               ~rho:0.0 ()
           in
-          let* y = Checked.yield_estimate p ~t_target:Float.nan in
+          let* y = analytic_yield p ~t_target:Float.nan in
           show "yield" y);
     };
     {
@@ -247,32 +265,9 @@ let corpus () =
             Checked.pipeline_of_moments ~mus:[| 100.0 |] ~sigmas:[| 5.0 |]
               ~rho:0.0 ()
           in
-          let* y = Checked.yield_estimate p ~t_target:Float.infinity in
+          let* y = analytic_yield p ~t_target:Float.infinity in
           show "yield" y);
     };
-    (* -- correlation matrices -- *)
-    clark ~expect:Expect_ok "corr/non-psd-repaired"
-      ~mus:[| 100.0; 95.0; 90.0 |] ~sigmas:[| 5.0; 5.0; 5.0 |]
-      ~corr:
-        (M.of_arrays
-           [|
-             [| 1.0; 0.9; 0.9 |]; [| 0.9; 1.0; -0.9 |]; [| 0.9; -0.9; 1.0 |];
-           |]);
-    clark "corr/non-symmetric" ~mus:[| 100.0; 95.0 |] ~sigmas:[| 5.0; 5.0 |]
-      ~corr:(M.of_arrays [| [| 1.0; 0.5 |]; [| -0.5; 1.0 |] |]);
-    clark "corr/nan-entry" ~mus:[| 100.0; 95.0 |] ~sigmas:[| 5.0; 5.0 |]
-      ~corr:(M.of_arrays [| [| 1.0; Float.nan |]; [| Float.nan; 1.0 |] |]);
-    clark "corr/bad-diagonal" ~mus:[| 100.0; 95.0 |] ~sigmas:[| 5.0; 5.0 |]
-      ~corr:(M.of_arrays [| [| 2.0; 0.5 |]; [| 0.5; 2.0 |] |]);
-    clark "corr/entry-out-of-range" ~mus:[| 100.0; 95.0 |]
-      ~sigmas:[| 5.0; 5.0 |]
-      ~corr:(M.of_arrays [| [| 1.0; 1.7 |]; [| 1.7; 1.0 |] |]);
-    clark "corr/wrong-dimension" ~mus:[| 100.0; 95.0; 90.0 |]
-      ~sigmas:[| 5.0; 5.0; 5.0 |]
-      ~corr:(M.of_arrays [| [| 1.0; 0.5 |]; [| 0.5; 1.0 |] |]);
-    clark ~expect:Expect_ok "corr/equal-means-degenerate"
-      ~mus:[| 100.0; 100.0 |] ~sigmas:[| 0.0; 0.0 |]
-      ~corr:(M.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |]);
     (* -- Monte-Carlo budgets -- *)
     mc_budget "mc/zero-sample-cap" ~sigma:5.0 ~t_target:105.0 (fun ctx ->
         Checked.engine_yield ~max_samples:0 ctx);
@@ -283,7 +278,7 @@ let corpus () =
     mc_budget ~expect:Expect_ok "mc/impossible-target-hits-cap" ~sigma:1.0
       ~t_target:50.0 (fun ctx ~t_target ->
         let* e = Checked.engine_yield ~max_samples:4096 ctx ~t_target in
-        if e.Spv_engine.Engine.stop = Spv_engine.Engine.Sample_cap then Ok e
+        if e.Engine.stop = Engine.Sample_cap then Ok e
         else
           Error
             (Errors.internal ~where:"mc"
@@ -295,7 +290,9 @@ let corpus () =
       run =
         (fun () ->
           let* r =
-            Checked.ks_against_gaussian [||] (G.make ~mu:0.0 ~sigma:1.0)
+            Checked.protect ~where:"KS test" (fun () ->
+                Spv_stats.Kstest.against_gaussian [||]
+                  (G.make ~mu:0.0 ~sigma:1.0))
           in
           show "ks" r.Spv_stats.Kstest.statistic);
     };
@@ -305,9 +302,10 @@ let corpus () =
       run =
         (fun () ->
           let* r =
-            Checked.ks_against_gaussian
-              [| 1.0; Float.nan; 2.0 |]
-              (G.make ~mu:0.0 ~sigma:1.0)
+            Checked.protect ~where:"KS test" (fun () ->
+                Spv_stats.Kstest.against_gaussian
+                  [| 1.0; Float.nan; 2.0 |]
+                  (G.make ~mu:0.0 ~sigma:1.0))
           in
           show "ks" r.Spv_stats.Kstest.statistic);
     };
@@ -316,7 +314,10 @@ let corpus () =
       expect = Expect_error;
       run =
         (fun () ->
-          let* h = Checked.histogram [||] in
+          let* h =
+            Checked.protect ~where:"histogram" (fun () ->
+                Spv_stats.Histogram.of_samples [||])
+          in
           show "bins" (float_of_int (Spv_stats.Histogram.bins h)));
     };
     {
@@ -324,7 +325,10 @@ let corpus () =
       expect = Expect_error;
       run =
         (fun () ->
-          let* h = Checked.histogram [| 1.0; Float.infinity |] in
+          let* h =
+            Checked.protect ~where:"histogram" (fun () ->
+                Spv_stats.Histogram.of_samples [| 1.0; Float.infinity |])
+          in
           show "bins" (float_of_int (Spv_stats.Histogram.bins h)));
     };
     (* -- sizing -- *)
@@ -436,10 +440,10 @@ let corpus () =
         (fun () ->
           let* ctx = engine_ctx () in
           let* e =
-            Checked.engine_yield ~method_:Spv_engine.Engine.Mc ~jobs:0 ~n:64
+            Checked.engine_yield ~method_:Engine.Mc ~jobs:0 ~n:64
               ctx ~t_target:105.0
           in
-          show "yield" e.Spv_engine.Engine.value);
+          show "yield" e.Engine.value);
     };
     {
       name = "engine/shards-zero";
@@ -448,10 +452,10 @@ let corpus () =
         (fun () ->
           let* ctx = engine_ctx () in
           let* e =
-            Checked.engine_yield ~method_:Spv_engine.Engine.Mc ~shards:0
+            Checked.engine_yield ~method_:Engine.Mc ~shards:0
               ~n:64 ctx ~t_target:105.0
           in
-          show "yield" e.Spv_engine.Engine.value);
+          show "yield" e.Engine.value);
     };
     {
       name = "engine/mc-zero-trials";
@@ -460,10 +464,10 @@ let corpus () =
         (fun () ->
           let* ctx = engine_ctx () in
           let* e =
-            Checked.engine_yield ~method_:Spv_engine.Engine.Mc ~n:0 ctx
+            Checked.engine_yield ~method_:Engine.Mc ~n:0 ctx
               ~t_target:105.0
           in
-          show "yield" e.Spv_engine.Engine.value);
+          show "yield" e.Engine.value);
     };
     {
       name = "engine/nan-target";
@@ -472,7 +476,7 @@ let corpus () =
         (fun () ->
           let* ctx = engine_ctx () in
           let* e = Checked.engine_yield ctx ~t_target:Float.nan in
-          show "yield" e.Spv_engine.Engine.value);
+          show "yield" e.Engine.value);
     };
     {
       name = "engine/adaptive-zero-sample-cap";
@@ -483,7 +487,7 @@ let corpus () =
           let* e =
             Checked.engine_yield ~max_samples:0 ctx ~t_target:105.0
           in
-          show "yield" e.Spv_engine.Engine.value);
+          show "yield" e.Engine.value);
     };
     {
       name = "engine/gate-level-on-moments-ctx";
@@ -491,7 +495,7 @@ let corpus () =
       run =
         (fun () ->
           let* ctx = engine_ctx () in
-          let* samples = Checked.engine_gate_level_delays ctx ~n:64 in
+          let* samples = gate_level_delays ctx in
           show "trials" (float_of_int (Array.length samples)));
     };
     {
@@ -501,10 +505,10 @@ let corpus () =
         (fun () ->
           let* ctx = engine_ctx () in
           let* e =
-            Checked.engine_delay_mean
-              ~method_:Spv_engine.Engine.Quadrature ctx
+            Checked.protect ~where:"engine delay mean" (fun () ->
+                Engine.delay_mean ~method_:Engine.Quadrature ctx)
           in
-          show "mean" e.Spv_engine.Engine.value);
+          show "mean" e.Engine.value);
     };
     (* -- static analyzer -- *)
     {
@@ -518,7 +522,7 @@ let corpus () =
             Checked.parse_bench_string
               "INPUT(a)\nx = NAND(a, y)\ny = INV(x)\nOUTPUT(y)\n"
           in
-          let* ctx = Checked.engine_ctx_of_circuits tech [| net |] in
+          let* ctx = ctx_of_circuits [| net |] in
           let* r = Checked.analyze ctx in
           analysis_summary r);
     };
@@ -527,7 +531,7 @@ let corpus () =
       expect = Expect_error;
       run =
         (fun () ->
-          let* ctx = Checked.engine_ctx_of_circuits tech [| small_net () |] in
+          let* ctx = ctx_of_circuits [| small_net () |] in
           let* r = Checked.analyze ~k:0.0 ctx in
           analysis_summary r);
     };
@@ -536,7 +540,7 @@ let corpus () =
       expect = Expect_error;
       run =
         (fun () ->
-          let* ctx = Checked.engine_ctx_of_circuits tech [| small_net () |] in
+          let* ctx = ctx_of_circuits [| small_net () |] in
           let* r = Checked.analyze ~k:Float.nan ctx in
           analysis_summary r);
     };
@@ -549,7 +553,7 @@ let corpus () =
              exact alpha-power factor diverges and the interval goes
              non-finite, which must surface as a typed numeric error,
              not as a NaN/inf report. *)
-          let* ctx = Checked.engine_ctx_of_circuits tech [| small_net () |] in
+          let* ctx = ctx_of_circuits [| small_net () |] in
           let* r = Checked.analyze ~k:500.0 ctx in
           analysis_summary r);
     };
@@ -558,7 +562,7 @@ let corpus () =
       expect = Expect_error;
       run =
         (fun () ->
-          let* ctx = Checked.engine_ctx_of_circuits tech [||] in
+          let* ctx = ctx_of_circuits [||] in
           let* r = Checked.analyze ctx in
           analysis_summary r);
     };
@@ -567,7 +571,7 @@ let corpus () =
       expect = Expect_error;
       run =
         (fun () ->
-          let* ctx = Checked.engine_ctx_of_circuits tech [| small_net () |] in
+          let* ctx = ctx_of_circuits [| small_net () |] in
           let* r = Checked.analyze ~t_target:Float.nan ctx in
           analysis_summary r);
     };
@@ -576,7 +580,7 @@ let corpus () =
       expect = Expect_ok;
       run =
         (fun () ->
-          let* ctx = Checked.engine_ctx_of_circuits tech [| small_net () |] in
+          let* ctx = ctx_of_circuits [| small_net () |] in
           let* r = Checked.analyze ~t_target:200.0 ctx in
           analysis_summary r);
     };
@@ -599,15 +603,15 @@ let corpus () =
           let* e =
             Checked.engine_yield ~max_samples:8192 ctx ~t_target:105.0
           in
-          show "yield" e.Spv_engine.Engine.value);
+          show "yield" e.Engine.value);
     };
     {
       name = "control/engine-gate-level-healthy";
       expect = Expect_ok;
       run =
         (fun () ->
-          let* ctx = Checked.engine_ctx_of_circuits tech [| small_net () |] in
-          let* samples = Checked.engine_gate_level_delays ctx ~n:64 in
+          let* ctx = ctx_of_circuits [| small_net () |] in
+          let* samples = gate_level_delays ctx in
           show "mean" (Spv_stats.Descriptive.mean samples));
     };
     {
@@ -619,16 +623,16 @@ let corpus () =
              only, never on the worker count. *)
           let* ctx = engine_ctx () in
           let yield_with jobs =
-            Checked.engine_yield ~method_:Spv_engine.Engine.Mc ~jobs
+            Checked.engine_yield ~method_:Engine.Mc ~jobs
               ~n:2048 ctx ~t_target:105.0
           in
           let* a = yield_with 1 in
           let* b = yield_with 3 in
           if
             Int64.equal
-              (Int64.bits_of_float a.Spv_engine.Engine.value)
-              (Int64.bits_of_float b.Spv_engine.Engine.value)
-          then show "yield" a.Spv_engine.Engine.value
+              (Int64.bits_of_float a.Engine.value)
+              (Int64.bits_of_float b.Engine.value)
+          then show "yield" a.Engine.value
           else
             Error
               (Errors.internal ~where:"engine"
@@ -658,7 +662,7 @@ let corpus () =
         (* No variation at all: sigma_T = 0 forces the oracle's
            degenerate path (single target, point envelopes, step-function
            yields). *)
-        Spv_engine.Engine.Ctx.of_circuits
+        Engine.Ctx.of_circuits
           (Spv_process.Tech.no_variation tech)
           [| small_net () |]);
     oracle_case "oracle/single-gate-stages" (fun () ->
@@ -713,7 +717,7 @@ let corpus () =
           Checked.pipeline_of_moments ~mus:[| 100.0; 90.0 |]
             ~sigmas:[| 3.0; 6.0 |] ~rho:0.0 ()
         with
-        | Ok p -> Spv_engine.Engine.Ctx.of_pipeline p
+        | Ok p -> Engine.Ctx.of_pipeline p
         | Error e -> failwith (Errors.to_string e));
   ]
 

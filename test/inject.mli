@@ -1,5 +1,5 @@
 (** Fault-injection corpus: systematic malformed inputs driven through
-    every {!Checked} entry point.
+    the {!Spv_robust.Checked} entry points and {!Spv_robust.Checked.protect}.
 
     Each case records what a hardened library must do with it: return a
     typed {!Errors.t} ([Expect_error]), succeed with a finite,
@@ -7,6 +7,8 @@
     ([Expect_either]).  An uncaught exception or a non-finite result is
     a failure regardless of expectation — that is the invariant the
     test suite asserts. *)
+
+module Errors = Spv_robust.Errors
 
 type expectation = Expect_error | Expect_ok | Expect_either
 
@@ -26,8 +28,8 @@ type outcome =
 type verdict = Pass | Fail of string
 
 val corpus : unit -> case list
-(** The full corpus ([> 25] cases): malformed .bench text, I/O faults,
-    degenerate stage moments, broken correlation matrices, bad
+(** The full corpus (81 cases): malformed .bench text, I/O faults,
+    degenerate stage moments and correlation coefficients, bad
     Monte-Carlo budgets, degenerate samples, sizing faults, healthy
     controls, plus hand-minimized adversarial inputs for the
     differential {!Oracle} (near-degenerate correlation, zero-sigma

@@ -425,18 +425,22 @@ let test_certify_parse () =
   expect_error "unknown directive" "t_target 10\nyield 0.9\nfrobnicate 1\n"
 
 let test_certify_robust_wrappers () =
-  (match Ck.certify_points ~t_target:100.0 ~yield:0.9 [| pt 99.0 10.0 |] with
+  let certify points =
+    Ck.protect ~where:"certify" (fun () ->
+        Cf.of_points ~t_target:100.0 ~yield:0.9 points)
+  in
+  (match certify [| pt 99.0 10.0 |] with
   | Ok c -> (
       match Ck.certificate_error c with
       | Some err ->
           Alcotest.(check int) "refutation exits 8" 8 (Errors.exit_code err)
       | None -> Alcotest.fail "refuted certificate must map to an error")
-  | Error _ -> Alcotest.fail "certify_points must build the certificate");
-  match Ck.certify_points ~t_target:100.0 ~yield:0.9 [| pt 50.0 5.0 |] with
+  | Error _ -> Alcotest.fail "certify must build the certificate");
+  match certify [| pt 50.0 5.0 |] with
   | Ok c ->
       Alcotest.(check bool) "proved certificate has no error" true
         (Ck.certificate_error c = None)
-  | Error _ -> Alcotest.fail "certify_points must build the certificate"
+  | Error _ -> Alcotest.fail "certify must build the certificate"
 
 let test_sizing_hook () =
   let module H = Spv_sizing.Certify_hook in

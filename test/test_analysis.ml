@@ -135,34 +135,6 @@ let prop_bounds_contain_samples_random_netlists =
       I.mem_all ~slack:1e-9 b.B.delay lin = 0
       && I.mem_all ~slack:1e-9 b.B.delay exact = 0)
 
-let prop_repaired_correlation_within_bounds =
-  (* A non-PSD "correlation" repaired by the sym_eig clipping path must
-     still yield a pipeline whose samples respect the marginal bounds
-     (the repair rescales to unit diagonal, leaving marginals alone). *)
-  prop ~count:20 "sym_eig-repaired pipelines: samples inside bounds"
-    QCheck2.Gen.(
-      pair (int_range 3 5)
-        (pair (float_range (-0.95) 0.95) (float_range (-0.95) 0.95)))
-    (fun (n, (r1, r2)) ->
-      let m = Spv_stats.Matrix.create ~rows:n ~cols:n in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Spv_stats.Matrix.set m i j
-            (if i = j then 1.0 else if (i + j) mod 2 = 0 then r1 else r2)
-        done
-      done;
-      let mus = Array.init n (fun i -> 100.0 +. float_of_int i)
-      and sigmas = Array.make n 5.0 in
-      match
-        Spv_robust.Checked.pipeline_of_matrix ~mus ~sigmas ~corr:m ()
-      with
-      | Error _ -> true (* unrepairable inputs are allowed to be rejected *)
-      | Ok p ->
-          let ctx = Engine.Ctx.of_pipeline p in
-          let b = B.of_ctx ctx in
-          let samples = Engine.sample_delays ~seed:9 ctx ~n:400 in
-          I.mem_all ~slack:1e-9 b.B.delay samples = 0)
-
 (* ---- estimate containment (the acceptance criterion) ----------------- *)
 
 let check_all_methods ctx name =
@@ -377,7 +349,6 @@ let suite =
     slow "bounds contain 10k MVN samples" test_bounds_contain_10k_mvn_samples;
     prop_bounds_contain_samples_random_pipelines;
     prop_bounds_contain_samples_random_netlists;
-    prop_repaired_correlation_within_bounds;
     slow "every estimator within bounds (moments)"
       test_every_method_within_bounds_moments;
     slow "every estimator within bounds (gate-level)"

@@ -56,6 +56,50 @@ let test_analytic_matches_mc () =
         ~lo:(mc.(i) -. 0.01) ~hi:(mc.(i) +. 0.01) a)
     analytic
 
+(* Tied deterministic stages: the analytic form must give the tie to
+   the lowest index, as the Monte-Carlo estimate does, so the
+   probabilities still sum to 1 rather than to the number of ties. *)
+let test_analytic_ties_lowest_index () =
+  let check_case name mus sigmas =
+    let stages =
+      Array.map2 (fun mu sigma -> Stage.of_moments ~mu ~sigma ()) mus sigmas
+    in
+    let p = P.make stages ~corr:(C.independent ~n:(Array.length mus)) in
+    let analytic = Cr.probabilities_analytic_independent p in
+    check_close ~rel:1e-6 (name ^ ": sums to 1") 1.0
+      (Array.fold_left ( +. ) 0.0 analytic);
+    let mc = Cr.probabilities ~n:20000 p (Spv_stats.Rng.create ~seed:154) in
+    Array.iteri
+      (fun i a ->
+        check_in_range
+          (Printf.sprintf "%s: stage %d" name i)
+          ~lo:(mc.(i) -. 0.02) ~hi:(mc.(i) +. 0.02) a)
+      analytic
+  in
+  check_case "two tied" [| 100.0; 100.0 |] [| 0.0; 0.0 |];
+  check_case "three tied" [| 100.0; 100.0; 100.0 |] [| 0.0; 0.0; 0.0 |];
+  check_case "tie below a slower stage" [| 90.0; 100.0; 100.0 |]
+    [| 0.0; 0.0; 0.0 |];
+  (* Beside a random stage the tie is worth Pr{X_2 <= 100} = 1/2, all
+     of it to stage 0.  (Monte-Carlo is no referee here: the Cholesky
+     jitter gives the zero-sigma stages a tiny noise.) *)
+  let p =
+    P.make
+      [|
+        Stage.of_moments ~mu:100.0 ~sigma:0.0 ();
+        Stage.of_moments ~mu:100.0 ~sigma:0.0 ();
+        Stage.of_moments ~mu:100.0 ~sigma:5.0 ();
+      |]
+      ~corr:(C.independent ~n:3)
+  in
+  Array.iteri
+    (fun i want ->
+      check_float ~eps:1e-9
+        (Printf.sprintf "tie beside a random stage: stage %d" i)
+        want
+        (Cr.probabilities_analytic_independent p).(i))
+    [| 0.5; 0.0; 0.5 |]
+
 let test_entropy () =
   check_close ~rel:1e-12 "uniform entropy" (log 4.0)
     (Cr.entropy [| 0.25; 0.25; 0.25; 0.25 |]);
@@ -103,6 +147,7 @@ let suite =
     slow "balanced is uniform" test_balanced_is_uniform;
     quick "dominated concentrates" test_dominated_concentrates;
     slow "analytic matches MC" test_analytic_matches_mc;
+    quick "analytic ties to the lowest index" test_analytic_ties_lowest_index;
     quick "entropy" test_entropy;
     quick "gradient sign and ranking" test_yield_gradient_sign_and_ranking;
     quick "gradient matches finite difference" test_gradient_matches_finite_difference;

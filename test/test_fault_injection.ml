@@ -1,10 +1,8 @@
-(* The fault-injection harness: every case in Spv_robust.Inject's
+(* The fault-injection harness: every case in the Inject module's
    corpus must either return a typed error or a finite documented
    fallback — never an uncaught exception, never a NaN.  Each corpus
    case becomes its own alcotest case so a regression names the exact
    malformed input that broke. *)
-
-module Inject = Spv_robust.Inject
 
 let test_of_case c () =
   let outcome = Inject.run_case c in

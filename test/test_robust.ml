@@ -135,86 +135,6 @@ let test_finite_guards () =
   Alcotest.(check bool) "array err" true
     (Result.is_error (Guard.finite_array ~where:"t" [| 1.0; Float.nan |]))
 
-let test_psd_repair_identityish () =
-  (* A valid correlation matrix must come back untouched. *)
-  let c = Spv_stats.Correlation.uniform ~n:4 ~rho:0.4 in
-  match Guard.repair_correlation c with
-  | Ok (c', report) ->
-      Alcotest.(check bool) "not repaired" false report.Guard.repaired;
-      check_float "delta" 0.0 report.Guard.max_abs_delta;
-      for i = 0 to 3 do
-        for j = 0 to 3 do
-          check_float "entry" (M.get c i j) (M.get c' i j)
-        done
-      done
-  | Error e -> Alcotest.failf "valid matrix rejected: %s" (Errors.to_string e)
-
-let non_psd =
-  (* Eigenvalues of this matrix include a strongly negative one. *)
-  [| [| 1.0; 0.9; 0.9 |]; [| 0.9; 1.0; -0.9 |]; [| 0.9; -0.9; 1.0 |] |]
-
-let test_psd_repair_fixes_non_psd () =
-  match Guard.repair_correlation (M.of_arrays non_psd) with
-  | Error e -> Alcotest.failf "repair failed: %s" (Errors.to_string e)
-  | Ok (c, report) ->
-      Alcotest.(check bool) "repaired" true report.Guard.repaired;
-      Alcotest.(check bool) "input min eig negative" true
-        (report.Guard.min_eigenvalue < 0.0);
-      Alcotest.(check bool) "perturbation reported" true
-        (report.Guard.max_abs_delta > 0.0
-        && report.Guard.frobenius_delta >= report.Guard.max_abs_delta);
-      Alcotest.(check bool) "valid correlation" true
-        (Spv_stats.Correlation.is_valid c);
-      (* The repaired matrix must actually be PSD. *)
-      let vals, _ = M.sym_eig c in
-      Array.iter
-        (fun l ->
-          Alcotest.(check bool) "eigenvalue non-negative" true (l >= -1e-8))
-        vals
-
-let test_psd_repair_rejects_garbage () =
-  let bad m = Result.is_error (Guard.repair_correlation (M.of_arrays m)) in
-  Alcotest.(check bool) "non-symmetric" true
-    (bad [| [| 1.0; 0.5 |]; [| -0.5; 1.0 |] |]);
-  Alcotest.(check bool) "nan entry" true
-    (bad [| [| 1.0; Float.nan |]; [| Float.nan; 1.0 |] |]);
-  Alcotest.(check bool) "bad diagonal" true
-    (bad [| [| 2.0; 0.5 |]; [| 0.5; 2.0 |] |]);
-  Alcotest.(check bool) "entry out of range" true
-    (bad [| [| 1.0; 1.7 |]; [| 1.7; 1.0 |] |])
-
-(* ---- symmetric eigendecomposition ----------------------------------- *)
-
-let test_sym_eig_known () =
-  let vals, _ = M.sym_eig (M.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |]) in
-  let sorted = Array.copy vals in
-  Array.sort compare sorted;
-  check_close ~rel:1e-10 "lambda1" 1.0 sorted.(0);
-  check_close ~rel:1e-10 "lambda2" 3.0 sorted.(1)
-
-let test_sym_eig_reconstructs () =
-  let a =
-    M.of_arrays
-      [| [| 4.0; 1.0; 0.5 |]; [| 1.0; 3.0; -0.25 |]; [| 0.5; -0.25; 2.0 |] |]
-  in
-  let vals, v = M.sym_eig a in
-  (* A = V diag(vals) V^T, entrywise. *)
-  for i = 0 to 2 do
-    for j = 0 to 2 do
-      let acc = ref 0.0 in
-      for k = 0 to 2 do
-        acc := !acc +. (M.get v i k *. vals.(k) *. M.get v j k)
-      done;
-      check_float ~eps:1e-8
-        (Printf.sprintf "A[%d,%d]" i j)
-        (M.get a i j) !acc
-    done
-  done
-
-let test_sym_eig_rejects_non_symmetric () =
-  check_raises_invalid "non-symmetric" (fun () ->
-      ignore (M.sym_eig (M.of_arrays [| [| 1.0; 2.0 |]; [| 0.0; 1.0 |] |])))
-
 (* ---- adaptive Monte Carlo ------------------------------------------- *)
 
 module Engine = Spv_engine.Engine
@@ -276,28 +196,26 @@ let test_yield_adaptive_matches_analytic () =
     ~hi:(r.Engine.value +. (5.0 *. r.Engine.std_error))
     exact
 
-(* ---- checked statistics --------------------------------------------- *)
+(* ---- degenerate statistics samples ---------------------------------- *)
 
 let test_kstest_rejects_degenerate_samples () =
   let g = G.make ~mu:0.0 ~sigma:1.0 in
-  check_raises_invalid "empty raises" (fun () ->
+  Alcotest.check_raises "empty sample"
+    (Invalid_argument "Kstest.against_cdf: empty sample") (fun () ->
       ignore (Spv_stats.Kstest.against_gaussian [||] g));
-  (match Spv_stats.Kstest.against_gaussian_checked [||] g with
-  | Error Spv_stats.Descriptive.Empty_sample -> ()
-  | _ -> Alcotest.fail "empty sample not typed");
-  match
-    Spv_stats.Kstest.against_gaussian_checked [| 0.1; Float.nan; 0.3 |] g
-  with
-  | Error (Spv_stats.Descriptive.Non_finite_sample 1) -> ()
-  | _ -> Alcotest.fail "NaN sample not typed with index"
+  Alcotest.check_raises "NaN sample names its index"
+    (Invalid_argument
+       "Kstest.against_cdf: non-finite value at sample index 1") (fun () ->
+      ignore (Spv_stats.Kstest.against_gaussian [| 0.1; Float.nan; 0.3 |] g))
 
 let test_histogram_rejects_and_counts () =
-  (match Spv_stats.Histogram.of_samples_checked [||] with
-  | Error Spv_stats.Descriptive.Empty_sample -> ()
-  | _ -> Alcotest.fail "empty not typed");
-  (match Spv_stats.Histogram.of_samples_checked [| 1.0; Float.infinity |] with
-  | Error (Spv_stats.Descriptive.Non_finite_sample 1) -> ()
-  | _ -> Alcotest.fail "inf not typed");
+  Alcotest.check_raises "empty sample"
+    (Invalid_argument "Histogram.of_samples: empty sample") (fun () ->
+      ignore (Spv_stats.Histogram.of_samples [||]));
+  Alcotest.check_raises "inf sample names its index"
+    (Invalid_argument
+       "Histogram.of_samples: non-finite value at sample index 1") (fun () ->
+      ignore (Spv_stats.Histogram.of_samples [| 1.0; Float.infinity |]));
   (* Streaming adds: non-finite values are counted, not binned. *)
   let h = Spv_stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
   Spv_stats.Histogram.add h 0.5;
@@ -320,12 +238,6 @@ let suite =
     quick "checked parse warns" test_checked_parse_reports_warnings;
     quick "clamp rho" test_clamp_rho;
     quick "finite guards" test_finite_guards;
-    quick "psd repair keeps valid" test_psd_repair_identityish;
-    quick "psd repair fixes non-psd" test_psd_repair_fixes_non_psd;
-    quick "psd repair rejects garbage" test_psd_repair_rejects_garbage;
-    quick "sym_eig known" test_sym_eig_known;
-    quick "sym_eig reconstructs" test_sym_eig_reconstructs;
-    quick "sym_eig non-symmetric" test_sym_eig_rejects_non_symmetric;
     quick "mc constant true" test_mc_constant_true;
     quick "mc constant false caps" test_mc_constant_false_hits_cap;
     quick "mc coin converges" test_mc_coin_converges;
