@@ -479,8 +479,9 @@ let size_cmd =
   in
   let sizer =
     let doc =
-      "Sizer: $(b,lagrangian) (default) or $(b,greedy) (TILOS-style; its \
-       candidate moves go through the certified sensitivity pruner)."
+      "Sizer: $(b,lagrangian) (default) or $(b,greedy) (TILOS-style: \
+       upsizes the best trial move on the critical path until the target \
+       is met or no move helps)."
     in
     Arg.(
       value
@@ -493,38 +494,30 @@ let size_cmd =
       (let* net = lookup_circuit name in
        let* z = stage_z stage_yield in
        let before = Spv_circuit.Netlist.area net in
-       Spv_sizing.Sens_hook.reset_stats ();
-       let* () =
-         match sizer with
-         | `Lagrangian ->
-             let* r = Checked.size_stage ~ff tech net ~t_target:target ~z in
-             Printf.printf
-               "sized %s: area %.1f -> %.1f, stat delay %.1f ps (target \
-                %.1f), %d iterations, converged: %b\n"
-               name before r.Spv_sizing.Lagrangian.area
-               r.Spv_sizing.Lagrangian.stat_delay target
-               r.Spv_sizing.Lagrangian.iterations
-               r.Spv_sizing.Lagrangian.converged;
-             Ok ()
-         | `Greedy ->
-             let* r =
-               Checked.protect ~where:"greedy sizing" (fun () ->
-                   Spv_sizing.Greedy.size_stage ~ff tech net ~t_target:target
-                     ~z)
-             in
-             Printf.printf
-               "sized %s (greedy): area %.1f -> %.1f, stat delay %.1f ps \
-                (target %.1f), %d move(s), converged: %b\n"
-               name before r.Spv_sizing.Greedy.area
-               r.Spv_sizing.Greedy.stat_delay target
-               r.Spv_sizing.Greedy.moves r.Spv_sizing.Greedy.converged;
-             Ok ()
-       in
-       let st = Spv_sizing.Sens_hook.stats in
-       Printf.printf "sensitivity pruning: %d move(s) evaluated, %d pruned\n"
-         st.Spv_sizing.Sens_hook.moves_evaluated
-         st.Spv_sizing.Sens_hook.moves_pruned;
-       Ok ())
+       match sizer with
+       | `Lagrangian ->
+           let* r = Checked.size_stage ~ff tech net ~t_target:target ~z in
+           Printf.printf
+             "sized %s: area %.1f -> %.1f, stat delay %.1f ps (target \
+              %.1f), %d iterations, converged: %b\n"
+             name before r.Spv_sizing.Lagrangian.area
+             r.Spv_sizing.Lagrangian.stat_delay target
+             r.Spv_sizing.Lagrangian.iterations
+             r.Spv_sizing.Lagrangian.converged;
+           Ok ()
+       | `Greedy ->
+           let* r =
+             Checked.protect ~where:"greedy sizing" (fun () ->
+                 Spv_sizing.Greedy.size_stage ~ff tech net ~t_target:target
+                   ~z)
+           in
+           Printf.printf
+             "sized %s (greedy): area %.1f -> %.1f, stat delay %.1f ps \
+              (target %.1f), %d move(s), converged: %b\n"
+             name before r.Spv_sizing.Greedy.area
+             r.Spv_sizing.Greedy.stat_delay target
+             r.Spv_sizing.Greedy.moves r.Spv_sizing.Greedy.converged;
+           Ok ())
   in
   Cmd.v
     (Cmd.info "size"
@@ -1668,9 +1661,8 @@ let () =
      finds no dominant cone (the estimate's proposal field says which
      ran). *)
   Spv_analysis.Cones.install_engine_proposal ();
-  (* Certified sensitivity pruning for the sizers; result-transparent
-     (skips work, never changes reports — asserted under
-     SPV_DEBUG_BOUNDS). *)
+  (* The global sizer's certified yield skip; result-transparent
+     (skips probes it would reject, never changes reports). *)
   Spv_analysis.Dominance.install_sizing_prune ();
   let doc = "statistical pipeline delay / yield toolkit (DATE'05 reproduction)" in
   let info = Cmd.info "spv_cli" ~version:"1.0.0" ~doc in

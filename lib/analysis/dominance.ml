@@ -4,77 +4,6 @@ module Sta = Spv_circuit.Sta
 module Hook = Spv_sizing.Sens_hook
 module I = Interval
 
-(* The stat-delay margin (ps) separating certified comparisons from
-   floating-point noise. *)
-let fp_margin = 1e-5
-
-(* Certified stat-delay change of one move over its own size box:
-   [Some (delta, value_width)] when the enclosure is certified, [None]
-   when decertified (undecided critical path) or the pass aborts. *)
-let move_cert (env : Hook.prune_env) (mv : Hook.move) =
-  match
-    Sensitivity.stage ?ff:env.Hook.pe_ff env.Hook.pe_tech env.Hook.pe_net
-      ~param:(Sensitivity.Size mv.Hook.mv_node)
-      ~box:(I.make ~lo:mv.Hook.mv_from ~hi:mv.Hook.mv_to)
-  with
-  | s ->
-      let st = Sensitivity.stat ~z:env.Hook.pe_z s in
-      if st.Sensitivity.certified && I.is_finite st.Sensitivity.deriv then
-        let delta =
-          I.mul st.Sensitivity.deriv
-            (I.point (mv.Hook.mv_to -. mv.Hook.mv_from))
-        in
-        Some (delta, I.width st.Sensitivity.value)
-      else None
-  | exception _ -> None
-
-let prune_moves env moves =
-  let moves_a = Array.of_list moves in
-  let n = Array.length moves_a in
-  let certs = Array.map (move_cert env) moves_a in
-  let prune = Array.make n false in
-  (* No-op and certified-harmful moves fail the sizer's strict
-     improvement test [trial < current]. *)
-  Array.iteri
-    (fun k c ->
-      match c with
-      | Some (delta, value_width) ->
-          if value_width = 0.0 || I.lo delta >= fp_margin then
-            prune.(k) <- true
-      | None -> ())
-    certs;
-  (* Dominance: the accepted move is the maximum-gain improving move,
-     so any certified move whose gain upper bound sits strictly below
-     a kept move's positive gain lower bound can never be accepted.
-     Margins are the stat-delay margin scaled by each move's own area
-     denominator — the sizer's gain normalisation. *)
-  let denom k = Float.max moves_a.(k).Hook.mv_darea 1e-9 in
-  let gain_lo k delta = (-.I.hi delta -. fp_margin) /. denom k in
-  let gain_hi k delta = (-.I.lo delta +. fp_margin) /. denom k in
-  let best = ref None in
-  Array.iteri
-    (fun k c ->
-      match c with
-      | Some (delta, _) when not prune.(k) ->
-          let gl = gain_lo k delta in
-          if gl > 0.0 then
-            (match !best with
-            | Some (_, g) when g >= gl -> ()
-            | _ -> best := Some (k, gl))
-      | _ -> ())
-    certs;
-  (match !best with
-  | None -> ()
-  | Some (j, gl) ->
-      Array.iteri
-        (fun k c ->
-          match c with
-          | Some (delta, _) when k <> j && not prune.(k) ->
-              if gain_hi k delta < gl then prune.(k) <- true
-          | _ -> ())
-        certs);
-  prune
-
 (* The probe acceptance test is [trial > current +. 1e-9]; requiring
    the certified upper bound to sit at or below [current +. 5e-10]
    leaves half the acceptance headroom to absorb the ulp-level gap
@@ -90,9 +19,7 @@ let yield_skip (e : Hook.yield_skip_env) =
   | None -> false
   | exception _ -> false
 
-let install_sizing_prune () =
-  Hook.register_move_prune prune_moves;
-  Hook.register_yield_skip yield_skip
+let install_sizing_prune () = Hook.register_yield_skip yield_skip
 
 type gate_cert = {
   gc_stage : int;

@@ -1,53 +1,20 @@
 (** Dominance certificates over the sizing design space, and the
     analyzer's ["sensitivity"] pass.
 
-    Everything here is read off {!Sensitivity} enclosures, so every
-    prune decision is {e certified}: a move is dropped only when its
-    enclosure proves the concrete sizer would reject it, and the
-    sizer's accepted solution is byte-identical with pruning on or off
-    (asserted when the engine's debug checks are on, [SPV_DEBUG_BOUNDS]).
-
-    Greedy move pruning (registered through
-    {!Spv_sizing.Sens_hook.register_move_prune}) uses three rules, for
-    a candidate upsize of one gate from [s] to [s'] with
-    [delta = deriv * (s' - s)] the certified enclosure of the
-    statistical-delay change:
-
-    - {e no-op}: the stat-delay value enclosure over [\[s, s'\]] has
-      width zero — the move provably does not change the objective, so
-      the sizer's strict-improvement test rejects it;
-    - {e harmful}: [lo delta >= margin] — the move provably increases
-      the objective;
-    - {e dominated}: some kept move [j]'s certified cost-normalised
-      gain lower bound is positive and strictly exceeds move [i]'s
-      gain upper bound (gain = [-delta / max darea 1e-9], the sizer's
-      own figure of merit) — [i] can never be the accepted
-      maximum-gain move while [j] is present.
-
-    The margin ([1e-5] ps of stat delay, scaled by the move's area
-    denominator for gains) keeps every comparison strictly clear of
-    floating-point noise between the interval mirror and the concrete
-    evaluation.
-
     The global sizer's stage skip (registered through
     {!Spv_sizing.Sens_hook.register_yield_skip}) evaluates
     {!Sensitivity.yield_upper_bound_over_box} over the whole sizing
     box of the probed stage: when even the certified upper bound
     cannot clear the acceptance threshold, the probe is provably
-    rejected and is skipped. *)
-
-val prune_moves :
-  Spv_sizing.Sens_hook.prune_env -> Spv_sizing.Sens_hook.move list ->
-  bool array
-(** The greedy move pruner; exposed for tests. [true] = certified
-    never-accepted. *)
+    rejected and is skipped.  The decision is {e certified}, so
+    {!Spv_sizing.Global_opt.ensure_yield}'s result is byte-identical
+    with the skip on or off. *)
 
 val yield_skip : Spv_sizing.Sens_hook.yield_skip_env -> bool
 (** The global-sizer probe skip test; exposed for tests. *)
 
 val install_sizing_prune : unit -> unit
-(** Register {!prune_moves} and {!yield_skip} with
-    {!Spv_sizing.Sens_hook}. *)
+(** Register {!yield_skip} with {!Spv_sizing.Sens_hook}. *)
 
 (** {2 The analyzer pass} *)
 

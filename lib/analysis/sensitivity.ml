@@ -357,16 +357,6 @@ let stage ?ff tech net ~param ~box =
         s_sigma = decert_nonneg;
       }
 
-let stat ~z s =
-  let zc = I.point z in
-  let value = I.add s.s_mu.value (I.mul zc s.s_sigma.value) in
-  let certified = s.s_mu.certified && s.s_sigma.certified in
-  let deriv =
-    if certified then I.add s.s_mu.deriv (I.mul zc s.s_sigma.deriv)
-    else full_line
-  in
-  { value; deriv; certified }
-
 type sign = Increasing | Decreasing
 
 let monotone_sign e =

@@ -27,10 +27,11 @@
     derivative everywhere in the box, and hence every central finite
     difference with a stencil inside the box lies in [deriv] (mean
     value theorem).  Monotone-sign certificates ({!monotone_sign}) and
-    the sizer's dominance pruning ({!Dominance}) are read directly off
-    certified enclosures. *)
+    the analyzer's sensitivity pass ({!Dominance}) are read directly
+    off certified enclosures; the global sizer's yield skip reads
+    {!yield_upper_bound_over_box}. *)
 
-(** Interval duals — exposed for tests and for {!Dominance}. *)
+(** Interval duals — exposed for tests. *)
 module Dual : sig
   type t = private { v : Interval.t; d : Interval.t }
 
@@ -109,10 +110,6 @@ val stage :
     gate's size for [Size], 1.0 for [Factor]); every other gate is
     held at its current size.  Raises [Invalid_argument] when the
     node is not a gate or the box misses the current value. *)
-
-val stat : z:float -> stage_sens -> enclosure
-(** [mu + z sigma] — the sizing layer's statistical-delay objective;
-    certified when both moments are. *)
 
 type sign = Increasing | Decreasing
 (** Certified monotone direction of a quantity in the knob. *)

@@ -4,9 +4,16 @@ let probabilities ?(n = 20000) pipeline rng =
   if n <= 0 then invalid_arg "Criticality.probabilities: n <= 0";
   let k = Pipeline.n_stages pipeline in
   let mvn = Pipeline.mvn pipeline in
+  (* A zero-sigma stage takes its exact mean: the jitter [cholesky_psd]
+     adds to a singular covariance would otherwise give it a tiny
+     random spread and break its ties at random, not to the lowest
+     index. *)
+  let sigmas = Spv_stats.Mvn.sigmas mvn in
+  let fixed = List.filter (fun i -> sigmas.(i) = 0.0) (List.init k Fun.id) in
   let counts = Array.make k 0 in
   for _ = 1 to n do
     let draw = Spv_stats.Mvn.sample mvn rng in
+    List.iter (fun i -> draw.(i) <- Spv_stats.Mvn.mean mvn i) fixed;
     let best = ref 0 in
     for i = 1 to k - 1 do
       if draw.(i) > draw.(!best) then best := i

@@ -15,8 +15,10 @@
 val probabilities :
   ?n:int -> Pipeline.t -> Spv_stats.Rng.t -> float array
 (** Monte-Carlo estimate of Pr{SD_i = max_j SD_j} ([n] joint draws,
-    default 20000).  Sums to 1 (ties broken towards the lowest index,
-    a null event for continuous stages). *)
+    default 20000).  Sums to 1: ties go to the lowest index.  A
+    zero-sigma stage takes its exact mean in every draw, so ties
+    between deterministic stages are real; between continuous stages
+    they are a null event. *)
 
 val probabilities_analytic_independent : Pipeline.t -> float array
 (** For independent stages, exactly

@@ -59,88 +59,29 @@ let size_stage ?options ?ff tech net ~t_target ~z =
         sta.Sta.critical_path;
       Hashtbl.fold (fun i () acc -> i :: acc) seen []
     in
-    let move_list =
-      List.filter_map
-        (fun i ->
-          let size = Net.size net i in
-          let bigger = Float.min options.max_size (size *. options.step) in
-          if bigger > size +. 1e-12 then
-            let darea =
-              (match Net.node net i with
-              | Net.Gate { kind; _ } -> Cell.area_per_size kind
-              | Net.Primary_input _ -> 0.0)
-              *. (bigger -. size)
-            in
-            Some
-              {
-                Sens_hook.mv_node = i;
-                mv_from = size;
-                mv_to = bigger;
-                mv_darea = darea;
-              }
-          else None)
-        candidates
-    in
-    (* The accepted move is the maximum-gain improving move (first
-       among exact gain ties, in candidate order) — evaluating a
-       subset containing it yields the identical choice, which is what
-       the sensitivity pruner certifies for the moves it drops. *)
-    let eval_moves ~count keep =
-      let best : (int * float * float) option ref = ref None in
-      List.iteri
-        (fun k mv ->
-          if keep.(k) then begin
-            if count then
-              Sens_hook.stats.Sens_hook.moves_evaluated <-
-                Sens_hook.stats.Sens_hook.moves_evaluated + 1;
-            let i = mv.Sens_hook.mv_node in
-            Net.set_size net i mv.Sens_hook.mv_to;
-            let _, trial = stat_delay_of ?ff tech net ~z in
-            Net.set_size net i mv.Sens_hook.mv_from;
-            let gain =
-              (!current -. trial) /. Float.max mv.Sens_hook.mv_darea 1e-9
-            in
-            match !best with
-            | Some (_, best_gain, _) when gain <= best_gain -> ()
-            | _ ->
-                if trial < !current then
-                  best := Some (i, gain, mv.Sens_hook.mv_to)
-          end)
-        move_list;
-      !best
-    in
-    let n_moves = List.length move_list in
-    let keep_all = Array.make n_moves true in
-    let keep =
-      match Sens_hook.move_prune () with
-      | None -> keep_all
-      | Some prune ->
-          let env =
-            {
-              Sens_hook.pe_tech = tech;
-              pe_net = net;
-              pe_ff = ff;
-              pe_z = z;
-            }
+    (* The accepted move is the maximum-gain improving move, first
+       among exact gain ties in candidate order. *)
+    let best : (int * float * float) option ref = ref None in
+    List.iter
+      (fun i ->
+        let size = Net.size net i in
+        let bigger = Float.min options.max_size (size *. options.step) in
+        if bigger > size +. 1e-12 then begin
+          let darea =
+            (match Net.node net i with
+            | Net.Gate { kind; _ } -> Cell.area_per_size kind
+            | Net.Primary_input _ -> 0.0)
+            *. (bigger -. size)
           in
-          let pruned = prune env move_list in
-          let keep = Array.map not pruned in
-          Array.iter
-            (fun p ->
-              if p then
-                Sens_hook.stats.Sens_hook.moves_pruned <-
-                  Sens_hook.stats.Sens_hook.moves_pruned + 1)
-            pruned;
-          keep
-    in
-    let best = ref (eval_moves ~count:true keep) in
-    if Spv_engine.Engine.debug_checks_enabled () && keep <> keep_all then begin
-      let best_all = eval_moves ~count:false keep_all in
-      if !best <> best_all then
-        failwith
-          "Greedy.size_stage: pruned move selection diverged from the full \
-           move set"
-    end;
+          Net.set_size net i bigger;
+          let _, trial = stat_delay_of ?ff tech net ~z in
+          Net.set_size net i size;
+          let gain = (!current -. trial) /. Float.max darea 1e-9 in
+          match !best with
+          | Some (_, best_gain, _) when gain <= best_gain -> ()
+          | _ -> if trial < !current then best := Some (i, gain, bigger)
+        end)
+      candidates;
     (match !best with
     | Some (i, _, bigger) ->
         Net.set_size net i bigger;

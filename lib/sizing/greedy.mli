@@ -32,13 +32,10 @@ val size_stage :
   Spv_circuit.Netlist.t -> t_target:float -> z:float -> report
 (** Size in place (resets to minimum sizes first, like the LR sizer).
 
-    When a {!Sens_hook} move pruner is installed, candidate moves whose
-    certified sensitivity enclosure proves they cannot be accepted are
-    skipped without a trial SSTA evaluation; the accepted moves — and
-    hence the report — are identical either way (asserted when the
-    engine's debug checks are on, [SPV_DEBUG_BOUNDS]).  The report
-    passes the {!Certify_hook} exit-criterion check before it is
-    returned. *)
+    Each sweep evaluates every candidate move by a trial SSTA, in
+    candidate order, and accepts the maximum-gain improving move.  The
+    report passes the {!Certify_hook} exit-criterion check before it
+    is returned. *)
 
 val compare_with_lagrangian :
   ?ff:Spv_process.Flipflop.t -> Spv_process.Tech.t -> Spv_circuit.Netlist.t ->

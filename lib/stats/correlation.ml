@@ -35,22 +35,6 @@ let blend ~weight a b =
 
 let get = Matrix.get
 
-let is_valid ?(eps = 1e-9) t =
-  Matrix.rows t = Matrix.cols t
-  && Matrix.is_symmetric ~eps t
-  &&
-  let n = Matrix.rows t in
-  let entries_ok = ref true in
-  for i = 0 to n - 1 do
-    if abs_float (Matrix.get t i i -. 1.0) > eps then entries_ok := false;
-    for j = 0 to n - 1 do
-      let v = Matrix.get t i j in
-      if v < -1.0 -. eps || v > 1.0 +. eps then entries_ok := false
-    done
-  done;
-  !entries_ok
-  && (try ignore (Matrix.cholesky_psd t); true with Failure _ -> false)
-
 let sample_correlation xs ys =
   let n = Array.length xs in
   if n <> Array.length ys then

@@ -1,8 +1,8 @@
-(** Correlation-matrix construction and validation.
+(** Correlation-matrix construction.
 
     The paper's stage delays are correlated Gaussians; these helpers
     build the common correlation structures (uniform rho, spatial
-    exponential decay, inter+intra mixtures) and check validity. *)
+    exponential decay, inter+intra mixtures). *)
 
 type t = Matrix.t
 (** Symmetric matrix with unit diagonal. *)
@@ -27,10 +27,6 @@ val blend : weight:float -> t -> t -> t
 (** Convex combination [weight * a + (1-weight) * b]; models mixing a
     fully-correlated (inter-die) component with an independent
     (random) one.  [weight] in [0,1]. *)
-
-val is_valid : ?eps:float -> t -> bool
-(** Symmetric, unit diagonal, entries in [-1,1], positive
-    semi-definite (checked via jittered Cholesky). *)
 
 val get : t -> int -> int -> float
 

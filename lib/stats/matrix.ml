@@ -19,19 +19,6 @@ let init ~rows ~cols f =
   done;
   m
 
-let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1.0 else 0.0)
-
-let of_arrays a =
-  let rows = Array.length a in
-  if rows = 0 then invalid_arg "Matrix.of_arrays: empty";
-  let cols = Array.length a.(0) in
-  Array.iter
-    (fun row ->
-      if Array.length row <> cols then invalid_arg "Matrix.of_arrays: ragged")
-    a;
-  init ~rows ~cols (fun i j -> a.(i).(j))
-
-let copy t = { t with data = Array.copy t.data }
 let transpose t = init ~rows:t.c ~cols:t.r (fun i j -> get t j i)
 
 let mul a b =
@@ -76,17 +63,6 @@ let scale a k = init ~rows:a.r ~cols:a.c (fun i j -> k *. get a i j)
 let add a b =
   if a.r <> b.r || a.c <> b.c then invalid_arg "Matrix.add: dimension mismatch";
   init ~rows:a.r ~cols:a.c (fun i j -> get a i j +. get b i j)
-
-let is_symmetric ?(eps = 1e-10) t =
-  t.r = t.c
-  &&
-  let ok = ref true in
-  for i = 0 to t.r - 1 do
-    for j = i + 1 to t.c - 1 do
-      if abs_float (get t i j -. get t j i) > eps then ok := false
-    done
-  done;
-  !ok
 
 let cholesky a =
   if a.r <> a.c then invalid_arg "Matrix.cholesky: not square";

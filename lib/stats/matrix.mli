@@ -6,10 +6,6 @@ type t
 val create : rows:int -> cols:int -> t
 (** Zero matrix. *)
 
-val identity : int -> t
-val of_arrays : float array array -> t
-(** Row-major copy; all rows must have equal length. *)
-
 val init : rows:int -> cols:int -> (int -> int -> float) -> t
 
 val rows : t -> int
@@ -22,7 +18,6 @@ val data : t -> float array
     box a float per {!get} call; never write to it. *)
 
 val set : t -> int -> int -> float -> unit
-val copy : t -> t
 val transpose : t -> t
 val mul : t -> t -> t
 val mat_vec : t -> float array -> float array
@@ -37,8 +32,6 @@ val lower_mat_vec_into : t -> Float.Array.t -> Float.Array.t -> unit
 
 val scale : t -> float -> t
 val add : t -> t -> t
-
-val is_symmetric : ?eps:float -> t -> bool
 
 val cholesky : t -> t
 (** Lower-triangular [l] with [l * l^T = a] for a symmetric positive

@@ -19,6 +19,36 @@ let check_raises_invalid name f =
         (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: expected Invalid_argument, got a value" name
 
+let matrix_is_symmetric ?(eps = 1e-10) m =
+  let module M = Spv_stats.Matrix in
+  M.rows m = M.cols m
+  &&
+  let ok = ref true in
+  for i = 0 to M.rows m - 1 do
+    for j = i + 1 to M.cols m - 1 do
+      if abs_float (M.get m i j -. M.get m j i) > eps then ok := false
+    done
+  done;
+  !ok
+
+(* A valid correlation matrix: symmetric, unit diagonal, entries in
+   [-1, 1] and positive semi-definite (checked by jittered Cholesky). *)
+let correlation_is_valid ?(eps = 1e-9) m =
+  let module M = Spv_stats.Matrix in
+  matrix_is_symmetric ~eps m
+  &&
+  let n = M.rows m in
+  let entries_ok = ref true in
+  for i = 0 to n - 1 do
+    if abs_float (M.get m i i -. 1.0) > eps then entries_ok := false;
+    for j = 0 to n - 1 do
+      let v = M.get m i j in
+      if v < -1.0 -. eps || v > 1.0 +. eps then entries_ok := false
+    done
+  done;
+  !entries_ok
+  && (try ignore (M.cholesky_psd m); true with Failure _ -> false)
+
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 

@@ -5,7 +5,7 @@ let test_uniform () =
   let m = C.uniform ~n:4 ~rho:0.3 in
   check_float "diag" 1.0 (C.get m 0 0);
   check_float "off" 0.3 (C.get m 1 3);
-  Alcotest.(check bool) "valid" true (C.is_valid m)
+  Alcotest.(check bool) "valid" true (correlation_is_valid m)
 
 let test_uniform_validity_range () =
   (* rho slightly below -1/(n-1) must be rejected. *)
@@ -14,17 +14,17 @@ let test_uniform_validity_range () =
   check_raises_invalid "rho > 1" (fun () -> C.uniform ~n:4 ~rho:1.1)
 
 let test_identity_and_full () =
-  Alcotest.(check bool) "independent valid" true (C.is_valid (C.independent ~n:5));
+  Alcotest.(check bool) "independent valid" true (correlation_is_valid (C.independent ~n:5));
   let full = C.perfectly_correlated ~n:3 in
   check_float "full off-diag" 1.0 (C.get full 0 2);
-  Alcotest.(check bool) "full valid (PSD)" true (C.is_valid full)
+  Alcotest.(check bool) "full valid (PSD)" true (correlation_is_valid full)
 
 let test_exponential_decay () =
   let positions = [| 0.0; 1.0; 3.0 |] in
   let m = C.exponential_decay ~n:3 ~positions ~length:2.0 in
   check_close ~rel:1e-12 "rho(0,1)" (exp (-0.5)) (C.get m 0 1);
   check_close ~rel:1e-12 "rho(0,2)" (exp (-1.5)) (C.get m 0 2);
-  Alcotest.(check bool) "valid" true (C.is_valid m);
+  Alcotest.(check bool) "valid" true (correlation_is_valid m);
   check_raises_invalid "bad length" (fun () ->
       C.exponential_decay ~n:3 ~positions ~length:0.0)
 
@@ -34,7 +34,7 @@ let test_blend () =
   let m = C.blend ~weight:0.25 a b in
   check_float "blended off-diag" 0.25 (C.get m 0 1);
   check_float "blended diag" 1.0 (C.get m 1 1);
-  Alcotest.(check bool) "valid" true (C.is_valid m)
+  Alcotest.(check bool) "valid" true (correlation_is_valid m)
 
 let test_of_function_symmetrises () =
   let m = C.of_function ~n:3 (fun i j -> if i < j then 0.5 else 0.9) in
@@ -46,10 +46,10 @@ let test_invalid_entry () =
 let test_not_psd_detected () =
   (* Three variables pairwise correlation -0.9 is impossible. *)
   let m =
-    Spv_stats.Matrix.of_arrays
-      [| [| 1.0; -0.9; -0.9 |]; [| -0.9; 1.0; -0.9 |]; [| -0.9; -0.9; 1.0 |] |]
+    Spv_stats.Matrix.init ~rows:3 ~cols:3 (fun i j ->
+        if i = j then 1.0 else -0.9)
   in
-  Alcotest.(check bool) "not valid" false (C.is_valid m)
+  Alcotest.(check bool) "not valid" false (correlation_is_valid m)
 
 let test_sample_correlation () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -75,7 +75,7 @@ let test_sample_correlation_recovers_rho () =
 let prop_uniform_valid =
   prop "uniform matrices are valid"
     QCheck2.Gen.(pair (int_range 2 8) (float_bound_inclusive 1.0))
-    (fun (n, rho) -> C.is_valid (C.uniform ~n ~rho))
+    (fun (n, rho) -> correlation_is_valid (C.uniform ~n ~rho))
 
 let suite =
   [

@@ -56,19 +56,22 @@ let test_analytic_matches_mc () =
         ~lo:(mc.(i) -. 0.01) ~hi:(mc.(i) +. 0.01) a)
     analytic
 
-(* Tied deterministic stages: the analytic form must give the tie to
-   the lowest index, as the Monte-Carlo estimate does, so the
-   probabilities still sum to 1 rather than to the number of ties. *)
+(* Tied deterministic stages: both estimates must give the tie to the
+   lowest index, so the probabilities still sum to 1 rather than to
+   the number of ties. *)
 let test_analytic_ties_lowest_index () =
+  let pipeline mus sigmas =
+    P.make
+      (Array.map2 (fun mu sigma -> Stage.of_moments ~mu ~sigma ()) mus sigmas)
+      ~corr:(C.independent ~n:(Array.length mus))
+  in
+  let mc p = Cr.probabilities ~n:20000 p (Spv_stats.Rng.create ~seed:154) in
   let check_case name mus sigmas =
-    let stages =
-      Array.map2 (fun mu sigma -> Stage.of_moments ~mu ~sigma ()) mus sigmas
-    in
-    let p = P.make stages ~corr:(C.independent ~n:(Array.length mus)) in
+    let p = pipeline mus sigmas in
     let analytic = Cr.probabilities_analytic_independent p in
     check_close ~rel:1e-6 (name ^ ": sums to 1") 1.0
       (Array.fold_left ( +. ) 0.0 analytic);
-    let mc = Cr.probabilities ~n:20000 p (Spv_stats.Rng.create ~seed:154) in
+    let mc = mc p in
     Array.iteri
       (fun i a ->
         check_in_range
@@ -81,24 +84,21 @@ let test_analytic_ties_lowest_index () =
   check_case "tie below a slower stage" [| 90.0; 100.0; 100.0 |]
     [| 0.0; 0.0; 0.0 |];
   (* Beside a random stage the tie is worth Pr{X_2 <= 100} = 1/2, all
-     of it to stage 0.  (Monte-Carlo is no referee here: the Cholesky
-     jitter gives the zero-sigma stages a tiny noise.) *)
-  let p =
-    P.make
-      [|
-        Stage.of_moments ~mu:100.0 ~sigma:0.0 ();
-        Stage.of_moments ~mu:100.0 ~sigma:0.0 ();
-        Stage.of_moments ~mu:100.0 ~sigma:5.0 ();
-      |]
-      ~corr:(C.independent ~n:3)
-  in
+     of it to stage 0.  Monte-Carlo agrees, and gives stage 1 exactly
+     nothing: a zero-sigma stage keeps its exact mean in every draw,
+     though the random stage makes the covariance singular. *)
+  let mus = [| 100.0; 100.0; 100.0 |] and sigmas = [| 0.0; 0.0; 5.0 |] in
+  check_case "tie beside a random stage" mus sigmas;
+  let p = pipeline mus sigmas in
   Array.iteri
     (fun i want ->
       check_float ~eps:1e-9
         (Printf.sprintf "tie beside a random stage: stage %d" i)
         want
         (Cr.probabilities_analytic_independent p).(i))
-    [| 0.5; 0.0; 0.5 |]
+    [| 0.5; 0.0; 0.5 |];
+  Alcotest.(check (float 0.0))
+    "tie beside a random stage: MC stage 1" 0.0 (mc p).(1)
 
 let test_entropy () =
   check_close ~rel:1e-12 "uniform entropy" (log 4.0)

@@ -10,7 +10,6 @@ module G = Spv_circuit.Generators
 module Fuzz = Spv_circuit.Fuzz
 module Gd = Spv_process.Gate_delay
 module Hook = Spv_sizing.Sens_hook
-module Gr = Spv_sizing.Greedy
 module Rng = Spv_stats.Rng
 
 let tech = Spv_process.Tech.bptm70
@@ -288,68 +287,13 @@ let test_cache_refresh_block () =
   ignore (S.ctx_stage ~cache ctx' ~stage:0 ~param:(S.Size g) ~box);
   Alcotest.(check int) "refresh_block invalidates" 2 (S.Cache.misses cache)
 
-(* ---- sizer pruning ---------------------------------------------------- *)
+(* ---- global sizer yield skip ------------------------------------------ *)
 
-let with_pruning enabled f =
+let with_yield_skip enabled f =
   Dom.install_sizing_prune ();
   let was = Hook.is_enabled () in
   Hook.set_enabled enabled;
   Fun.protect ~finally:(fun () -> Hook.set_enabled was) f
-
-let with_debug_checks f =
-  let was = Engine.debug_checks_enabled () in
-  Engine.set_debug_checks true;
-  Fun.protect ~finally:(fun () -> Engine.set_debug_checks was) f
-
-let greedy_fixture () =
-  let net = G.inverter_chain ~depth:12 () in
-  let module L = Spv_sizing.Lagrangian in
-  let slow = L.relaxed_delay ~ff tech net ~z in
-  let fast = L.minimum_achievable_delay ~ff tech net ~z in
-  (net, fast +. (0.5 *. (slow -. fast)))
-
-let test_greedy_prune_identity () =
-  (* Pruning must never change the sizer's result — byte-identical
-     reports and final sizes, strictly fewer trial evaluations. *)
-  let net, t_target = greedy_fixture () in
-  let r_off, evals_off =
-    with_pruning false (fun () ->
-        Hook.reset_stats ();
-        let r = Gr.size_stage ~ff tech (Net.copy net) ~t_target ~z in
-        (r, Hook.stats.Hook.moves_evaluated))
-  in
-  let net_on = Net.copy net in
-  let r_on, evals_on, pruned =
-    with_pruning true (fun () ->
-        Hook.reset_stats ();
-        (* The debug cross-check re-runs the full move set and raises
-           on any divergence. *)
-        with_debug_checks (fun () ->
-            let r = Gr.size_stage ~ff tech net_on ~t_target ~z in
-            (r, Hook.stats.Hook.moves_evaluated, Hook.stats.Hook.moves_pruned)))
-  in
-  Alcotest.(check bool) "reports byte-identical" true (r_off = r_on);
-  Alcotest.(check bool) "pruning saves work" true
-    (pruned > 0 && evals_on + pruned >= evals_off && evals_on < evals_off)
-
-let test_greedy_prune_identity_iscas () =
-  (* On a reconvergent ISCAS stage most enclosures decertify; pruning
-     must stay result-transparent regardless of how much it prunes. *)
-  let net = G.c432 () in
-  let module L = Spv_sizing.Lagrangian in
-  let slow = L.relaxed_delay ~ff tech net ~z in
-  let fast = L.minimum_achievable_delay ~ff tech net ~z in
-  let t_target = fast +. (0.6 *. (slow -. fast)) in
-  let r_off =
-    with_pruning false (fun () ->
-        Gr.size_stage ~ff tech (Net.copy net) ~t_target ~z)
-  in
-  let r_on =
-    with_pruning true (fun () ->
-        with_debug_checks (fun () ->
-            Gr.size_stage ~ff tech (Net.copy net) ~t_target ~z))
-  in
-  Alcotest.(check bool) "reports byte-identical" true (r_off = r_on)
 
 let test_global_opt_skip_identity () =
   (* The certified stage skip must leave ensure_yield's result
@@ -365,7 +309,7 @@ let test_global_opt_skip_identity () =
   let fast = L.minimum_achievable_delay ~ff tech probe ~z:z2 in
   let t_target = fast *. 1.05 in
   let run enabled =
-    with_pruning enabled (fun () ->
+    with_yield_skip enabled (fun () ->
         Hook.reset_stats ();
         let r =
           Go.ensure_yield ~ff tech (nets ()) ~t_target ~yield_target:0.8
@@ -381,51 +325,6 @@ let test_global_opt_skip_identity () =
   Alcotest.(check bool) "areas identical" true
     (r_off.Go.stage_areas = r_on.Go.stage_areas)
 
-let test_dominance_prune_direct () =
-  (* Exercise the pruner directly: pruned moves must all fail the
-     sizer's acceptance or lose to a kept move, checked concretely. *)
-  let net, _ = greedy_fixture () in
-  let env =
-    { Hook.pe_tech = tech; pe_net = net; pe_ff = Some ff; pe_z = z }
-  in
-  let moves =
-    List.map
-      (fun g ->
-        let s = Net.size net g in
-        {
-          Hook.mv_node = g;
-          mv_from = s;
-          mv_to = s *. 1.3;
-          mv_darea = s *. 0.3;
-        })
-      (Array.to_list (Net.gate_ids net))
-  in
-  let pruned = Dom.prune_moves env moves in
-  let stat () = Spv_sizing.Lagrangian.statistical_delay ~ff tech net ~z in
-  let current = stat () in
-  let gains =
-    List.map
-      (fun mv ->
-        Net.set_size net mv.Hook.mv_node mv.Hook.mv_to;
-        let trial = stat () in
-        Net.set_size net mv.Hook.mv_node mv.Hook.mv_from;
-        (trial < current, (current -. trial) /. Float.max mv.Hook.mv_darea 1e-9))
-      moves
-  in
-  let best_kept =
-    List.fold_left
-      (fun acc (k, (ok, gain)) ->
-        if pruned.(k) || not ok then acc else Float.max acc gain)
-      neg_infinity
-      (List.mapi (fun k g -> (k, g)) gains)
-  in
-  List.iteri
-    (fun k (ok, gain) ->
-      if pruned.(k) && ok && gain > best_kept then
-        Alcotest.failf "pruned move %d would have won (gain %.6g > %.6g)" k
-          gain best_kept)
-    gains
-
 let suite =
   [
     quick "dual arithmetic" test_dual_arithmetic;
@@ -439,8 +338,5 @@ let suite =
     slow "FD containment: clark yield" test_fd_yield;
     quick "cache: refresh_stage" test_cache_refresh_stage;
     quick "cache: refresh_block" test_cache_refresh_block;
-    quick "greedy prune identity (chain)" test_greedy_prune_identity;
-    slow "greedy prune identity (c432)" test_greedy_prune_identity_iscas;
     slow "global opt skip identity" test_global_opt_skip_identity;
-    quick "dominance pruner direct" test_dominance_prune_direct;
   ]

@@ -31,7 +31,7 @@ let test_correlation_matrix_valid () =
   let ps = Sp.row_positions ~n:6 ~pitch:1.0 in
   let m = Sp.correlation_matrix t ps in
   Alcotest.(check bool) "valid correlation matrix" true
-    (Spv_stats.Correlation.is_valid m)
+    (correlation_is_valid m)
 
 let test_field_statistics () =
   let t = Tech.bptm70 in
